@@ -105,7 +105,7 @@ def legacy_frontier(tableau, cls, max_extra_atoms, allow_fresh):
         _LegacyTableauCandidate(t)
         for t in legacy_extended_stream(tableau, max_extra_atoms, allow_fresh)
     )
-    frontier = _reduce_inline(candidates, cls, stats, None)
+    frontier = _reduce_inline(candidates, cls, stats)
     return frontier.members, stats
 
 

@@ -120,7 +120,7 @@ def _reduce(tableau, cls, order):
     candidates = list(iter_quotient_candidates(tableau))
     stats = PipelineStats()
     started = time.perf_counter()
-    frontier = _reduce_inline(iter(candidates), cls, stats, None, order=order)
+    frontier = _reduce_inline(iter(candidates), cls, stats, order=order)
     return time.perf_counter() - started, frontier.members, stats
 
 

@@ -131,9 +131,8 @@ def budget_overhead() -> dict:
 
 
 def checkpoint_overhead() -> dict:
-    # Both sides pinned to generation="orbit" — the regime checkpointing
-    # forces (a resume cursor needs the exact original stream) — so the
-    # delta is the snapshot cost alone, not a regime change.
+    # Checkpointing changes neither the generation regime nor the stream,
+    # so the delta between the two sides is the snapshot cost alone.
     tableau = HEADLINE_QUERY.tableau()
 
     def checkpointed():
@@ -142,7 +141,6 @@ def checkpoint_overhead() -> dict:
                 tableau,
                 HEADLINE_CLASS,
                 max_extra_atoms=0,
-                generation="orbit",
                 checkpoint=CheckpointManager(
                     os.path.join(tmp, "run.ckpt"),
                     every_candidates=256,
@@ -151,9 +149,7 @@ def checkpoint_overhead() -> dict:
             )
 
     plain_s, ckpt_s, plain, ckpt = _paired(
-        lambda: run_pipeline(
-            tableau, HEADLINE_CLASS, max_extra_atoms=0, generation="orbit"
-        ),
+        lambda: run_pipeline(tableau, HEADLINE_CLASS, max_extra_atoms=0),
         checkpointed,
         REPEATS,
     )

@@ -18,10 +18,13 @@
 # requests, healed capacity, and post-restart warm ≡ cold — all without
 # rewriting the committed JSON), runs the 20-scenario deterministic
 # chaos sweep (every scenario reproducible from the seed it prints,
-# upholding the four serving invariants), then checks every committed
+# upholding the four serving invariants), checks every committed
 # BENCH_*.json headline against its predecessor
 # (benchmarks/check_regressions.py: >20% loss exits 1; an unusable
-# committed baseline exits 2).
+# committed baseline exits 2), runs the end-to-end benchmark's solve-plain
+# and solve-ext workloads in --smoke mode (a few seconds each; exit 1 when
+# a frontier differs from the committed references), and finally prints
+# the line total of src/.
 
 set -euo pipefail
 
@@ -35,3 +38,6 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -x -q -m "not slow"
 (cd benchmarks && PYTHONPATH=../src${PYTHONPATH:+:$PYTHONPATH} python bench_fleet.py --smoke)
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.testing.chaos --count 20
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/check_regressions.py
+python3 benchmarks/e2e/run.py --smoke --workload solve-plain
+python3 benchmarks/e2e/run.py --smoke --workload solve-ext
+echo "src/ lines: $(find src -name '*.py' -exec cat {} + | wc -l)"

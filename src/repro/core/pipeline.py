@@ -9,11 +9,11 @@ This module makes the three stages explicit and independently scalable::
     │   candidates /       │ →  │   checks             │ →  │ (Frontier)           │
     │ iter_extended_       │    │ · key-memoized: for  │    │ · online dominance / │
     │   candidates         │    │   graph (hypergraph) │    │   eviction via       │
-    │ · canonical dedup,   │    │   classes the verdict│    │   hom_le(memo=False) │
-    │   cost-modeled       │    │   depends only on    │    │   — stream pairs     │
-    │   (DedupCostModel:   │    │   G(Q) (H(Q)), so    │    │   never repeat, so   │
-    │   measured canon vs  │    │   candidates sharing │    │   canonical memo     │
-    │   class-check cost)  │    │   a (hyper)graph     │    │   keys cost more     │
+    │ · canonical dedup or │    │   classes the verdict│    │   hom_le(memo=False) │
+    │   orbit pruning,     │    │   depends only on    │    │   — stream pairs     │
+    │   fixed per run by   │    │   G(Q) (H(Q)), so    │    │   never repeat, so   │
+    │   the stream's shape │    │   candidates sharing │    │   canonical memo     │
+    │                      │    │   a (hyper)graph     │    │   keys cost more     │
     │ · extension atoms    │    │   share one check    │    │   than they save     │
     │   over block + fresh │    │ · inline, or batched │    │ · dominance memo     │
     │   ids, orbit-pruned  │    │   over a process pool│    │   under integer-form │
@@ -68,22 +68,21 @@ results before pulling more work — and cancels not-yet-dispatched extension
 families of member/dominated parents (``families_cancelled_in_flight``),
 closing most of the serial-vs-pooled gap on member-heavy extension spaces.
 
-Stage 1's dedup is itself cost-modeled per run (``run_pipeline``'s
-``generation`` knob): the :class:`~repro.core.quotients.DedupCostModel` is
-a three-way generation cost model — canonical dedup vs. orbit-only pruning
-vs. the **raw partition stream** — driven by measured canonization cost,
-duplicate rate, and the reducer's absorption feedback (candidates resolved
-with zero searches and zero fresh checks), with a windowed controller that
-can flip the regime mid-run.  On member-heavy fine-to-coarse runs the
-refinement index absorbs nearly every repeat for free, so the raw stream
-retires the per-candidate canonicalization tax that used to dominate them.
+Stage 1's dedup regime (``run_pipeline``'s ``generation`` knob) is fixed
+per run by the shape of the stream, never by measurements: fine-to-coarse
+plain streams are orbit-pruned and canonicalized only at the reducer's
+point of need (the refinement index absorbs most repeats for free), and
+every other stream is canonically deduplicated at the source.  The serial
+reducer always runs the class check before the dominance scan.
 
-Determinism: the serial path is bit-identical to the pre-pipeline
-implementation; ``workers=n`` under ``"checks"`` is bit-identical to
-``workers=1``.  The cost model only decides which *duplicates* are pruned
-(under ``"raw"``: none), and every pruned candidate is isomorphic to an
-earlier stream element, so frontier results are invariant to its
-(timing-dependent) decisions — the first-generated member of each
+Determinism: the candidate stream is a function of the query, the class
+and the knobs alone, and so is every counter of a serial run — no decision
+reads a clock (the only clock reads feed ``check_seconds`` and
+``dominance_seconds``), so two serial runs do the same work and a
+checkpoint cursor replays the same stream.  The serial path is bit-identical to the pre-pipeline implementation;
+``workers=n`` under ``"checks"`` is bit-identical to ``workers=1``.  Every
+regime prunes only candidates isomorphic to an earlier stream element, so
+frontiers are identical across regimes — the first-generated member of each
 →-minimal class is never pruned, and representative repair converges on
 exactly it whatever else survives.
 
@@ -107,7 +106,6 @@ from repro.core.classes import QueryClass
 from repro.homomorphism.signatures import canonical_key_indexed
 from repro.core.quotients import (
     GENERATION_MODES,
-    DedupCostModel,
     QuotientCandidate,
     base_automorphism_inverses,
     coarseness_buckets,
@@ -137,13 +135,6 @@ DEFAULT_BATCH_SIZE = 128
 #: Shards per worker under strategy ``"shards"`` — more shards than workers
 #: smooths imbalance between slices at the cost of per-task setup.
 _SHARDS_PER_WORKER = 2
-
-#: Stage-ordering review cadence (candidates) and switch margin.  The margin
-#: demands a decisive (2x) estimated advantage before changing the order, so
-#: borderline regimes do not flap between orders as the membership memo warms.
-_ORDER_REVIEW_EVERY = 256
-_ORDER_SWITCH_MARGIN = 0.5
-_ORDER_MIN_SAMPLES = 32
 
 
 # --------------------------------------------------------------- serialization
@@ -333,6 +324,8 @@ class PipelineStats:
     dominated: int = 0
     admitted: int = 0
     evicted: int = 0
+    #: Mid-run flips of the stage order.  The order is fixed (check-first),
+    #: so this stays 0; kept because benchmark reports read it.
     order_switches: int = 0
     shards: int = 0
     #: How many times the base tableau's automorphism/orbit data was derived
@@ -354,8 +347,7 @@ class PipelineStats:
     hom_le_calls: int = 0
     #: "Dominated" verdicts that needed no member scan: dominance-memo hits
     #: plus refinement-index hits.  (``dominance_memo_hits`` counts hits of
-    #: either verdict; this isolates the positive ones, which is what the
-    #: ordering cost model needs for the true dominated rate.)
+    #: either verdict; this isolates the positive ones.)
     dominated_without_search: int = 0
     #: Stage-3 resolutions (dominance verdict plus any repair and eviction
     #: work) that completed with zero engine ``hom_le`` calls.  Counted only
@@ -380,21 +372,9 @@ class PipelineStats:
     #: reintroduced cap visible in ``--stats`` instead of silently
     #: truncating the index like the old backstop did.
     index_evictions: int = 0
-    #: Times the stage-1 generation regime flipped mid-run (the cost
-    #: model's windowed three-way controller deciding canonical dedup vs.
-    #: orbit-only pruning vs. the raw partition stream).
+    #: Mid-run flips of the stage-1 generation regime.  The regime is fixed
+    #: per run, so this stays 0; kept because benchmark reports read it.
     generation_switches: int = 0
-    #: Candidates class-checked by the fine-to-coarse member-rate probe
-    #: (the first sizable bucket of the buffered stream).  The checks are
-    #: memoized, so the reduction replays them as memo hits — the probe
-    #: front-loads work, it does not add any.
-    generation_probe_candidates: int = 0
-    #: Probe verdicts that canonically re-keyed the buffered stream up
-    #: front: on a member-light first bucket (rate at most
-    #: :data:`_PROBE_MEMBER_RATE`) nearly every raw duplicate would miss
-    #: the refinement index and pay a late canonization anyway, so the
-    #: buffer is deduplicated before the reduction starts.
-    generation_probe_switches: int = 0
     #: Whether a :class:`~repro.runtime.budget.RunBudget` stopped the run
     #: before the candidate space was exhausted.  A partial frontier is
     #: still *sound* — every member is a class member the base maps into,
@@ -529,15 +509,9 @@ class MembershipTester:
     a non-member is rejected without ever materializing a ``Structure``.
     """
 
-    def __init__(
-        self,
-        cls: QueryClass,
-        stats: PipelineStats,
-        cost_model: DedupCostModel | None = None,
-    ) -> None:
+    def __init__(self, cls: QueryClass, stats: PipelineStats) -> None:
         self._cls = cls
         self._stats = stats
-        self._cost_model = cost_model
         self._memo: dict[tuple, bool] = {}
 
     def __call__(self, candidate) -> bool:
@@ -561,8 +535,6 @@ class MembershipTester:
         elapsed = time.perf_counter() - started
         self._stats.checks_run += 1
         self._stats.check_seconds += elapsed
-        if self._cost_model is not None:
-            self._cost_model.record_downstream(elapsed)
         if key is not None:
             self._memo[key] = verdict
         if verdict:
@@ -577,8 +549,7 @@ def _check_batch(payload: tuple) -> tuple[tuple[bool, ...], tuple[float, ...]]:
     facts checked straight on the rebuilt primal graph / hypergraph — or
     ``("tableau", encoded)`` for candidates without an integer form.
     Returns the verdicts plus the worker-side per-check seconds, which the
-    driver feeds to its :class:`DedupCostModel` so the dedup cutoff sees
-    real check costs even when no check runs in the driver process.
+    driver adds to ``check_seconds``.
     """
     cls, entries = payload
     verdicts: list[bool] = []
@@ -635,7 +606,6 @@ def _iter_membership_candidates(
     *,
     batch_size: int = DEFAULT_BATCH_SIZE,
     stats: PipelineStats,
-    cost_model: DedupCostModel | None = None,
     absorb=None,
 ) -> Iterator[tuple[object, bool | None]]:
     """Stage 2 over stage-1 candidates: ``(candidate, is_member)`` in order.
@@ -647,7 +617,7 @@ def _iter_membership_candidates(
     is the dispatch-time absorption gate — see :func:`_check_pooled`.
     """
     if executor is None or isinstance(executor, SerialExecutor):
-        tester = MembershipTester(cls, stats, cost_model)
+        tester = MembershipTester(cls, stats)
         for candidate in candidates:
             stats.generated += 1
             yield candidate, tester(candidate)
@@ -658,7 +628,6 @@ def _iter_membership_candidates(
         executor,
         batch_size=batch_size,
         stats=stats,
-        cost_model=cost_model,
         absorb=absorb,
     )
 
@@ -670,7 +639,6 @@ def _check_pooled(
     *,
     batch_size: int = DEFAULT_BATCH_SIZE,
     stats: PipelineStats,
-    cost_model: DedupCostModel | None = None,
     absorb=None,
 ) -> Iterator[tuple[object, bool | None]]:
     """The pooled ``"checks"`` batcher, with verdict feedback.
@@ -808,8 +776,6 @@ def _check_pooled(
         ):
             stats.checks_run += 1
             stats.check_seconds += elapsed
-            if cost_model is not None:
-                cost_model.record_downstream(elapsed)
             if key is None:
                 entry[2] = verdict
             else:
@@ -910,7 +876,6 @@ def iter_membership(
     *,
     batch_size: int = DEFAULT_BATCH_SIZE,
     stats: PipelineStats | None = None,
-    cost_model: DedupCostModel | None = None,
 ) -> Iterator[tuple[Tableau, bool]]:
     """Stage 2 as a reusable stream over plain tableaux.
 
@@ -928,7 +893,6 @@ def iter_membership(
         executor,
         batch_size=batch_size,
         stats=stats,
-        cost_model=cost_model,
     ):
         yield candidate.materialize(), verdict
 
@@ -1116,8 +1080,7 @@ class Frontier:
         if key is None:
             return None
         # Memo hits deliberately leave `dominated`/`dominance_tests` alone:
-        # those two counters describe *searched* verdicts only, so their
-        # ratio stays a well-formed rate for the ordering cost model.
+        # those two counters describe *searched* verdicts only.
         if key in self._dominated_keys:
             self._stats.dominance_memo_hits += 1
             self._stats.dominated_without_search += 1
@@ -1406,9 +1369,10 @@ class Frontier:
         ``membership`` is a zero-argument callable deciding class
         membership, consulted at most once; pass ``None`` when the
         candidate is already known to be a member.  ``membership_first``
-        is the cost-modeled stage order: the class check runs before the
-        dominance *scan* (check-first) or after it (dominance-first) —
-        but zero-cost dominance evidence (the key memo and the refinement
+        runs the class check before the dominance *scan* (the serial
+        reducer's order) instead of after it (the pooled path's absorbed
+        candidates, which are checked only if a repair needs it) — but
+        zero-cost dominance evidence (the key memo and the refinement
         index) is consulted before either, since a free "dominated" beats
         any check.  ``candidate`` is a stage-1 candidate object
         (``materialize()``/``codes``), materialized only when a search or
@@ -1837,11 +1801,9 @@ def _candidate_source(
     *,
     max_extra_atoms: int,
     allow_fresh: bool,
-    cost_model: DedupCostModel | None,
     shard: tuple[int, int] | None = None,
     automorphisms: list[list[int]] | None = None,
-    generation: str = "adaptive",
-    cursor: int = 0,
+    generation: str = "canonical",
 ) -> Iterator:
     """Stage 1: the class-appropriate candidate stream.
 
@@ -1852,139 +1814,23 @@ def _candidate_source(
     pipeline supports now shares the same lazy fast path.  ``automorphisms``
     is the precomputed base orbit data from :func:`_base_orbit_data`;
     ``generation`` is the stage-1 regime (see
-    :func:`_resolve_generation_mode`); ``cursor`` skips the first emitted
-    candidates (checkpoint resume on insertion-order runs — plain quotient
-    streams only).
+    :func:`_resolve_generation_mode`).
     """
     if getattr(cls, "kind", None) == "graph" or max_extra_atoms <= 0:
         return iter_quotient_candidates(
             tableau,
-            cost_model=cost_model,
             shard=shard,
             automorphisms=automorphisms,
             generation=generation,
-            cursor=cursor,
-        )
-    if cursor:
-        raise ValueError(
-            "resume cursors are only supported on plain quotient streams"
         )
     return iter_extended_candidates(
         tableau,
         max_extra_atoms=max_extra_atoms,
         allow_fresh=allow_fresh,
-        cost_model=cost_model,
         shard=shard,
         automorphisms=automorphisms,
         generation=generation,
     )
-
-
-def _order_cost_estimates(
-    stats: PipelineStats,
-) -> tuple[float, float] | None:
-    """Estimated per-candidate cost of the two stage orders.
-
-    From measured means: check-first pays a (memo-discounted) check always
-    and a dominance resolution for members; frontier-first pays a dominance
-    resolution always and a check for undominated candidates.  Checking
-    first is right when checks are cheap or the memo absorbs them; testing
-    dominance first is right when checks are expensive and dominance
-    resolves cheaply (costly hypergraph classes, and fine-to-coarse runs
-    where the refinement index answers most candidates).  Both sides are
-    *amortized*: the check cost over memo hits (``fresh_rate``), the
-    dominance cost over memo and refinement-index hits — a hit costs ~0
-    seconds but resolves a candidate, so the marginal per-candidate
-    dominance cost is ``dominance_seconds`` over all resolutions, and the
-    dominated rate counts hit verdicts too (``dominated_without_search``).
-    Returns ``(check_first, frontier_first)`` seconds, or ``None`` while
-    either side lacks samples.
-    """
-    dominance_resolutions = stats.dominance_tests + stats.dominance_memo_hits
-    if (
-        stats.checks_run < _ORDER_MIN_SAMPLES
-        or dominance_resolutions < _ORDER_MIN_SAMPLES
-    ):
-        return None
-    mean_check = stats.check_seconds / stats.checks_run
-    mean_dominance = stats.dominance_seconds / dominance_resolutions
-    checked = stats.checks_run + stats.check_memo_hits
-    fresh_rate = stats.checks_run / checked if checked else 1.0
-    member_rate = stats.members / max(stats.generated, 1)
-    dominated_rate = (
-        stats.dominated + stats.dominated_without_search
-    ) / dominance_resolutions
-    check_first = fresh_rate * mean_check + member_rate * mean_dominance
-    frontier_first = mean_dominance + (1.0 - dominated_rate) * fresh_rate * mean_check
-    return check_first, frontier_first
-
-
-def _frontier_first_pays(stats: PipelineStats) -> bool | None:
-    """Whether dominance-first is decisively cheaper (``None``: no data)."""
-    estimates = _order_cost_estimates(stats)
-    if estimates is None:
-        return None
-    check_first, frontier_first = estimates
-    return frontier_first < _ORDER_SWITCH_MARGIN * check_first
-
-
-class _OrderController:
-    """Windowed stage-ordering decisions (wraps :func:`_frontier_first_pays`).
-
-    Cumulative means lag the run's current regime — the memo's fresh-check
-    rate drops as it warms, so a decision taken on run-wide averages keeps
-    overestimating check cost and flaps.  The controller re-evaluates every
-    :data:`_ORDER_REVIEW_EVERY` candidates on the *delta* since the last
-    review, so the verdict tracks the marginal (current) cost of each order.
-    """
-
-    __slots__ = ("stats", "frontier_first", "_review_at", "_baseline", "_pending")
-
-    def __init__(self, stats: PipelineStats) -> None:
-        self.stats = stats
-        self.frontier_first = False
-        self._review_at = _ORDER_REVIEW_EVERY
-        self._baseline = PipelineStats()
-        self._pending: bool | None = None
-
-    def update(self) -> None:
-        stats = self.stats
-        if stats.generated < self._review_at:
-            return
-        self._review_at = stats.generated + _ORDER_REVIEW_EVERY
-        # Delta over the numeric counters only — the exhaustion flag/reason
-        # are not rates and do not subtract.
-        window = PipelineStats(
-            **{
-                name: getattr(stats, name) - getattr(self._baseline, name)
-                for name in PipelineStats.numeric_fields()
-            }
-        )
-        self._baseline = PipelineStats(**stats.as_dict())
-        estimates = _order_cost_estimates(window)
-        if estimates is None:
-            self._pending = None
-            return
-        check_first, frontier_first = estimates
-        # Symmetric hysteresis: the *other* order must look decisively
-        # (1/margin-fold) cheaper than the current one before switching, in
-        # either direction — borderline ratios keep the current order.
-        if self.frontier_first:
-            verdict = not check_first < _ORDER_SWITCH_MARGIN * frontier_first
-        else:
-            verdict = frontier_first < _ORDER_SWITCH_MARGIN * check_first
-        if verdict == self.frontier_first:
-            self._pending = None
-            return
-        # Two consecutive windows must agree before the order flips — one
-        # borderline window (memo warming, frontier growth) must not flap
-        # the pipeline between regimes.
-        if self._pending == verdict:
-            self.frontier_first = verdict
-            self._pending = None
-            stats.order_switches += 1
-        else:
-            self._pending = verdict
 
 
 def _deferred_class_key(candidate, stats: PipelineStats):
@@ -2011,83 +1857,6 @@ def _deferred_class_key(candidate, stats: PipelineStats):
         return key
 
     return compute
-
-
-#: Fine-to-coarse member-rate probe: the first buffered bucket with at
-#: least this many candidates is class-checked up front (memoized — the
-#: reduction replays the verdicts as memo hits) to estimate the stream's
-#: member rate before any reduction work is ordered.
-_PROBE_MIN_SAMPLE = 8
-#: At or below this member rate the raw stream cannot win: nearly every
-#: duplicate is a non-member, misses the refinement index, and is absorbed
-#: by the class-status memo at one *late* canonization each — so raw pays
-#: canonical's keying cost plus per-duplicate reducer overhead.  The probe
-#: then canonically deduplicates the buffer up front instead.
-_PROBE_MEMBER_RATE = 0.05
-
-
-def _probe_generation_regime(
-    buckets: list[list],
-    tester: "MembershipTester",
-    stats: PipelineStats,
-    cost_model: DedupCostModel | None,
-) -> list[list]:
-    """Pick the generation regime for a buffered fine-to-coarse stream.
-
-    The cost model steers stage 1 blind — it only sees duplicate rates and
-    per-candidate costs, never the member rate, so on ultra-member-light
-    frontiers (~1% members, e.g. C9/TW1) it happily settles on the raw
-    stream and pays ~5% over canonical in late canonizations.  Once the
-    stream is buffered the member rate is one memoized check pass away:
-    class-check the first sizable bucket (finest candidates, reduced first
-    anyway), and if at most :data:`_PROBE_MEMBER_RATE` of it are members,
-    re-key and deduplicate the whole buffer by fact-level canonical form
-    before the reduction starts — exactly what ``generation="canonical"``
-    would have produced, so the frontier is bit-identical either way (the
-    first occurrence of each form is kept, and duplicates, being
-    later-generated, can never win a representative repair).
-    """
-    sample = next(
-        (bucket for bucket in buckets if len(bucket) >= _PROBE_MIN_SAMPLE),
-        None,
-    )
-    if sample is None:
-        return buckets
-    stats.generation_probe_candidates += len(sample)
-    members = sum(1 for candidate in sample if tester(candidate))
-    if members > _PROBE_MEMBER_RATE * len(sample):
-        return buckets
-    seen: set = set()
-    rekeyed = False
-    deduped: list[list] = []
-    for bucket in buckets:
-        kept = []
-        for candidate in bucket:
-            key = candidate.key
-            if key is None:
-                facts = candidate.facts()
-                if facts is not None:
-                    started = time.perf_counter()
-                    key = canonical_key_indexed(
-                        candidate.block_count,
-                        list(facts),
-                        candidate.distinguished,
-                    )
-                    if cost_model is not None:
-                        cost_model.record_canonization(
-                            time.perf_counter() - started
-                        )
-                    candidate.key = key
-                    rekeyed = True
-            if key is not None:
-                if key in seen:
-                    continue
-                seen.add(key)
-            kept.append(candidate)
-        deduped.append(kept)
-    if rekeyed:
-        stats.generation_probe_switches += 1
-    return deduped
 
 
 #: Distinguishes spill scratch directories across the Frontiers of one
@@ -2188,12 +1957,10 @@ class _CheckpointSession:
     Tracks the *cursor* — how many stage-3 candidates (in reduction order)
     have been fully processed — and snapshots ``(cursor, frontier, stats)``
     at the manager's cadence.  On resume the frontier and stats are
-    restored and the first ``cursor`` candidates are skipped: for
-    insertion-order runs at the stream source (a cheap skip inside
-    :func:`~repro.core.quotients.iter_quotient_candidates`), for
-    fine-to-coarse runs after the coarseness reordering (the full stream is
-    regenerated — generation is cheap next to checks — so the reordering
-    and the generation stamps are reproduced exactly).
+    restored, the stream is regenerated in full (generation is cheap next
+    to checks) and its first ``cursor`` candidates are skipped.  The stream
+    is a function of the run key alone, so the skipped prefix is exactly
+    the processed one, under every generation regime and admission order.
     """
 
     __slots__ = ("manager", "run_key", "stats", "cursor")
@@ -2264,7 +2031,6 @@ def _reduce_inline(
     candidates: Iterable[Tableau],
     cls: QueryClass,
     stats: PipelineStats,
-    cost_model: DedupCostModel | None,
     *,
     engine: HomEngine | None = None,
     order: str = "insertion",
@@ -2273,14 +2039,12 @@ def _reduce_inline(
     resume: dict | None = None,
     spill: SpillConfig | None = None,
 ) -> Frontier:
-    """Stages 2+3 in one process, with cost-modeled stage ordering.
+    """Stages 2+3 in one process, check-first.
 
-    Starts check-first (the historical order, and the right one while the
-    membership memo is hot); every :data:`_ORDER_REVIEW_EVERY` candidates
-    the measured stage costs decide whether dominance testing should move in
-    front of the check.  Either order yields the same frontier — a dominated
-    candidate can never join nor evict, so filtering it before or after the
-    membership test only changes which work is spent, not the result.
+    Each candidate's class check runs before its dominance scan (zero-cost
+    dominance evidence is still consulted first, see
+    :meth:`Frontier.resolve`).  The order only decides which work is spent,
+    not the result: a dominated candidate can never join nor evict.
 
     ``order="fine_to_coarse"`` replays the candidate stream finest-first
     (:func:`~repro.core.quotients.coarseness_ordered`): a quotient is then
@@ -2294,10 +2058,9 @@ def _reduce_inline(
     disabled because under reordering the flagging member may be
     later-generated than the child it would skip.
     """
-    tester = MembershipTester(cls, stats, cost_model)
+    tester = MembershipTester(cls, stats)
     reorder = order == "fine_to_coarse"
     frontier = Frontier(engine=engine, stats=stats, ordered=reorder, spill=spill)
-    controller = _OrderController(stats)
     if budget is not None:
         budget.start()
         budget.register_probe(frontier.tracked_entries)
@@ -2313,17 +2076,9 @@ def _reduce_inline(
     if resume is not None and checkpoint is not None:
         checkpoint.restore(resume, frontier)
     if reorder:
-        buckets = coarseness_buckets(candidates)
-        if checkpoint is None:
-            # Dedup shifts stream positions, which would break the
-            # checkpoint cursor's alignment on resume — the probe stays
-            # off under checkpointing (like the stage-1 budget gate).
-            buckets = _probe_generation_regime(
-                buckets, tester, stats, cost_model
-            )
-        candidates = chain.from_iterable(buckets)
-        if checkpoint is not None and checkpoint.cursor:
-            candidates = islice(candidates, checkpoint.cursor, None)
+        candidates = chain.from_iterable(coarseness_buckets(candidates))
+    if checkpoint is not None and checkpoint.cursor:
+        candidates = islice(candidates, checkpoint.cursor, None)
     for candidate in candidates:
         if budget is not None and budget.exceeded(stats) is not None:
             break
@@ -2337,32 +2092,19 @@ def _reduce_inline(
             # catches children generated before the flag was set.)
             stats.extension_short_circuits += 1
             continue
-        key = dominance_key(candidate)
-        generation = getattr(candidate, "generation", None)
         calls_before = stats.hom_le_calls
-        checks_before = stats.checks_run
         status = frontier.resolve(
             candidate,
-            key=key,
-            generation=generation,
+            key=dominance_key(candidate),
+            generation=getattr(candidate, "generation", None),
             membership=lambda: tester(candidate),
-            membership_first=not controller.frontier_first,
+            membership_first=True,
             late_key=_deferred_class_key(candidate, stats),
         )
-        if cost_model is not None:
-            # Generation-regime feedback: a candidate settled with zero
-            # engine searches and zero fresh checks was absorbed for free
-            # by the memos/index — the rate at which the reducer soaks up
-            # whatever stage 1 declines to deduplicate.
-            cost_model.record_absorption(
-                stats.hom_le_calls == calls_before
-                and stats.checks_run == checks_before
-            )
         if status != "rejected":
             _mark_family_dominated(candidate, parent)
             if reorder and stats.hom_le_calls == calls_before:
                 stats.admissions_resolved_by_order += 1
-        controller.update()
         if checkpoint is not None:
             checkpoint.after_candidate(frontier)
     _note_exhaustion(budget, stats)
@@ -2412,8 +2154,7 @@ def run_shard(
     fabric worker's ``shard`` op (:mod:`repro.fabric.worker`) — the pool
     path installs ``context`` once per process, the fabric path threads it
     per call, both run the same code.  Shard workers share the driver's
-    admission order and generation regime (each worker's cost model
-    controls its own slice under ``"model"``): plain quotient slices are
+    admission order and generation regime: plain quotient slices are
     reduced fine-to-coarse (coarseness-ordered shard iteration — the
     buffered slice is one shard, not the whole stream), extension slices
     in generation order.  Each returned member ships as ``(encoded
@@ -2438,7 +2179,6 @@ def run_shard(
     ) = context
     base = decode_tableau(base_data)
     stats = PipelineStats()
-    cost_model = DedupCostModel()
     # Budgets apply per shard: each worker rebuilds the spec (the remaining
     # deadline and the caps are frozen at dispatch time), so a shard that
     # exhausts its slice of the budget returns its partial frontier and the
@@ -2449,7 +2189,6 @@ def run_shard(
         cls,
         max_extra_atoms=max_extra_atoms,
         allow_fresh=allow_fresh,
-        cost_model=cost_model,
         shard=shard,
         automorphisms=automorphisms,
         generation=generation,
@@ -2458,12 +2197,10 @@ def run_shard(
         candidates,
         cls,
         stats,
-        cost_model,
         order=order,
         budget=budget,
         spill=_spill_config(spill_dir, budget),
     )
-    stats.generation_switches += cost_model.mode_switches
     kernels = frontier.kernel_exports()
     return (
         tuple(
@@ -2517,65 +2254,27 @@ def _resolve_admission_order(
     return "fine_to_coarse" if plain_stream else "insertion"
 
 
-def _resolve_generation_mode(
-    generation: str, cls: QueryClass, max_extra_atoms: int, workers: int,
-    parallel: str, order: str,
-) -> str:
+def _resolve_generation_mode(generation: str, order: str) -> str:
     """The effective stage-1 generation regime for a pipeline run.
 
-    ``"auto"`` resolves by the run's structure:
-
-    * Plain quotient streams reduced **fine-to-coarse** (the default for
-      graph classes and extension-free hypergraph runs, serially and in
-      every shard worker) go ``"orbit"`` — the raw replay with
-      automorphism-orbit pruning.  Their reduction is *deferred* — the
-      stream is buffered in full before any candidate meets the frontier
-      — so stage-1 dedup can never be informed by downstream feedback,
-      and canonical keying is provably not worth its price: the reducer
-      defers canonicalization to the point of need (``late_key``), keying
-      a candidate only after the dominance memo, the refinement index,
-      and the class-status memo all missed, so the stream pays at most
-      the canonizations canonical generation pays, minus every one the
-      absorption machinery soaked up first.  The orbit filter stays on
-      because it is the opposite trade: on rigid bases (no automorphisms
-      — every benchmark workload) it costs literally nothing and the
-      regime degenerates to ``"raw"``, while on symmetric bases (cycles:
-      ~10x duplication) it prunes the flood with an O(n·aut) integer
-      test per candidate, where a pure raw stream would pay a late
-      canonization per duplicate.
-    * Plain streams reduced in **insertion order** go ``"model"``:
-      generation and reduction interleave, so the cost model's windowed
-      three-way controller can steer on live canonization cost, duplicate
-      rate, and absorption feedback — and flip mid-run.
-    * The pooled ``"checks"`` strategy follows the same order split:
-      fine-to-coarse pooled runs go ``"orbit"`` too, because the pooled
-      reducer now interleaves with the batcher and its dispatch gate
-      (:meth:`Frontier.absorbable`) absorbs raw repeats *before* they
-      reach the pool — the historical reason for forcing ``"adaptive"``
-      here (every undeduplicated candidate became a pool check) no
-      longer holds.  Insertion-order pooled runs keep the legacy
-      ``"adaptive"`` cutoff: their reducer consumes verdicts eagerly
-      with no dispatch gate, so an undeduplicated stream would still
-      multiply pool work.
-    * Extension-space runs keep ``"adaptive"``: their dedup keyspace is
-      shared between quotients and extensions, and the extension side
-      canonizes regardless.
-
-    Explicit regimes (``"canonical"``, ``"orbit"``, ``"raw"``,
-    ``"adaptive"``, ``"model"``) are forced as given.
+    ``"auto"`` resolves by the admission order alone.  Fine-to-coarse
+    streams (by default the plain quotient streams — serial, pooled and in
+    every shard worker) go ``"orbit"``: their reduction is deferred until the stream is
+    buffered, and the reducer canonicalizes at the point of need
+    (``late_key``) — only candidates the dominance memo, the refinement
+    index and a memoized class check all missed pay a canonization, so the
+    stream pays at most what canonical generation pays.  The orbit filter
+    stays on because on symmetric bases (cycles: ~10x duplication) it
+    prunes the flood with an O(n·aut) integer test, and on rigid bases it
+    costs nothing.  Every other stream — insertion-order plain streams and
+    the extension space, whose quotients and extensions share one dedup
+    keyspace — goes ``"canonical"``.  Explicit regimes are used as given.
     """
-    if generation != "auto":
-        if generation not in {"adaptive", "model", *GENERATION_MODES}:
-            raise ValueError(f"unknown generation mode {generation!r}")
-        return generation
-    plain_stream = getattr(cls, "kind", None) == "graph" or max_extra_atoms <= 0
-    if not plain_stream:
-        return "adaptive"
-    if order == "fine_to_coarse":
-        return "orbit"
-    if effective_workers(workers) > 1 and parallel == "checks":
-        return "adaptive"
-    return "model"
+    if generation == "auto":
+        return "orbit" if order == "fine_to_coarse" else "canonical"
+    if generation not in GENERATION_MODES:
+        raise ValueError(f"unknown generation mode {generation!r}")
+    return generation
 
 
 def run_pipeline(
@@ -2608,16 +2307,14 @@ def run_pipeline(
     to ``"insertion"``, the historical generation order, via representative
     repair — and extension streams in generation order.  ``generation``
     selects stage 1's dedup regime (:func:`_resolve_generation_mode`):
-    ``"auto"`` replays fine-to-coarse plain streams orbit-pruned-raw
-    (canonicalization deferred to the reducer's point of need), runs
-    insertion-order plain streams under the cost model's windowed
-    three-way controller, and keeps pooled/extension runs on the legacy
-    adaptive cutoff; forcing ``"canonical"``/``"orbit"``/``"raw"`` pins
-    the regime.  Results are invariant — serial and pooled runs
-    bit-identical — across all generation regimes: stage-1 dedup only ever
-    prunes candidates isomorphic to earlier stream elements, and the
-    reducer's representative repair restores the first-generated member of
-    each class whatever survives.
+    ``"auto"`` replays fine-to-coarse streams orbit-pruned
+    (canonicalization deferred to the reducer's point of need) and
+    deduplicates every other stream canonically; ``"canonical"``,
+    ``"orbit"`` and ``"raw"`` pin the regime.  Results are invariant —
+    serial and pooled runs bit-identical — across all generation regimes:
+    stage-1 dedup only ever prunes candidates isomorphic to earlier stream
+    elements, and the reducer's representative repair restores the
+    first-generated member of each class whatever survives.
 
     ``budget`` (a :class:`~repro.runtime.budget.RunBudget`) turns the run
     *anytime*: when a budget dimension trips, stage 1 stops producing, any
@@ -2627,12 +2324,12 @@ def run_pipeline(
     ``parallel="shards"`` the budget applies per shard (remaining deadline
     and caps frozen at dispatch).  ``checkpoint`` (a
     :class:`~repro.runtime.checkpoint.CheckpointManager` or a path) enables
-    periodic snapshot/resume — serial plain-quotient-stream runs only, and
-    the timing-dependent generation regimes are forced down to ``"orbit"``
-    so the resumed stream is reproduced exactly.  ``batch_timeout`` bounds
-    the wait on any one pooled check batch; an expired batch is quarantined
-    into ``result.faults`` (its candidates skipped, counted in
-    ``stats.quarantined``) instead of killing the run.
+    periodic snapshot/resume — serial plain-quotient-stream runs only,
+    under any generation regime and admission order (the stream is a
+    function of the run key, so a resume replays it exactly).
+    ``batch_timeout`` bounds the wait on any one pooled check batch; an
+    expired batch is quarantined into ``result.faults`` (its candidates
+    skipped, counted in ``stats.quarantined``) instead of killing the run.
 
     ``fabric`` — a list of worker addresses (``"host:port"`` or a unix
     socket path) — dispatches the shard strategy's slices to *network*
@@ -2662,9 +2359,7 @@ def run_pipeline(
     if parallel not in {"checks", "shards"}:
         raise ValueError(f"unknown parallel strategy {parallel!r}")
     order = _resolve_admission_order(admission_order, cls, max_extra_atoms)
-    generation = _resolve_generation_mode(
-        generation, cls, max_extra_atoms, workers, parallel, order
-    )
+    generation = _resolve_generation_mode(generation, order)
     checkpoint_manager = (
         CheckpointManager(checkpoint)
         if isinstance(checkpoint, (str, os.PathLike))
@@ -2682,13 +2377,7 @@ def run_pipeline(
                 "extension enumerator's dominance feedback makes its stream "
                 "non-resumable); set max_extra_atoms=0"
             )
-        if generation in ("adaptive", "model"):
-            # Timing-dependent regimes emit different streams run to run;
-            # a resume cursor needs the exact original stream, so force the
-            # deterministic orbit regime.
-            generation = "orbit"
     stats = PipelineStats()
-    cost_model = DedupCostModel()
     if budget is not None:
         budget.start()
     automorphisms = _base_orbit_data(tableau, stats)
@@ -2787,7 +2476,6 @@ def run_pipeline(
 
     session = None
     resume = None
-    source_cursor = 0
     if checkpoint_manager is not None:
         run_key = (
             "pipeline-checkpoint-v1",
@@ -2800,8 +2488,6 @@ def run_pipeline(
         )
         session = _CheckpointSession(checkpoint_manager, run_key, stats)
         resume = session.load()
-        if resume is not None and order == "insertion":
-            source_cursor = resume["cursor"]
 
     with make_executor(workers, batch_timeout=batch_timeout) as executor:
         candidates = _candidate_source(
@@ -2809,32 +2495,25 @@ def run_pipeline(
             cls,
             max_extra_atoms=max_extra_atoms,
             allow_fresh=allow_fresh,
-            cost_model=cost_model,
             automorphisms=automorphisms,
             generation=generation,
-            cursor=source_cursor,
         )
         if isinstance(executor, SerialExecutor):
             frontier = _reduce_inline(
                 candidates,
                 cls,
                 stats,
-                cost_model,
                 order=order,
                 budget=budget,
                 checkpoint=session,
                 resume=resume,
                 spill=_spill_config(spill_dir, budget),
             )
-            stats.generation_switches += cost_model.mode_switches
             return PipelineResult(frontier.members, stats)
 
         # The pooled "checks" strategy is check-first by construction: the
         # pool exists to make membership checks cheap, and dispatching them
-        # eagerly is what overlaps stage 2 with stages 1 and 3.  The
-        # cost-modeled check-vs-dominance ordering applies to the inline
-        # stages (serial runs and shard workers), where both orders execute
-        # in the same process.
+        # eagerly is what overlaps stage 2 with stages 1 and 3.
         frontier = Frontier(
             stats=stats,
             ordered=order == "fine_to_coarse",
@@ -2871,14 +2550,13 @@ def run_pipeline(
             ordered_stream: Iterable = coarseness_ordered(buffered)
             if budget is not None:
                 ordered_stream = _budget_gate(ordered_stream, budget, stats)
-            tester = MembershipTester(cls, stats, cost_model)
+            tester = MembershipTester(cls, stats)
             checked = _iter_membership_candidates(
                 ordered_stream,
                 cls,
                 executor,
                 batch_size=batch_size,
                 stats=stats,
-                cost_model=cost_model,
                 absorb=frontier.absorbable,
             )
             for candidate, is_member in checked:
@@ -2899,7 +2577,6 @@ def run_pipeline(
                 if stats.hom_le_calls == calls_before:
                     stats.admissions_resolved_by_order += 1
             frontier.restore_generation_order()
-            stats.generation_switches += cost_model.mode_switches
             _note_exhaustion(budget, stats)
             _harvest_spill(frontier, stats)
             faults = _harvest_executor(executor, stats)
@@ -2910,7 +2587,6 @@ def run_pipeline(
             executor,
             batch_size=batch_size,
             stats=stats,
-            cost_model=cost_model,
         )
 
         for candidate, is_member in checked:
@@ -2930,7 +2606,6 @@ def run_pipeline(
                     candidate.codes,
                     dominance_key(candidate),
                 )
-        stats.generation_switches += cost_model.mode_switches
         _note_exhaustion(budget, stats)
         faults = _harvest_executor(executor, stats)
         return PipelineResult(frontier.members, stats, faults)

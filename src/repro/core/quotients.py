@@ -29,30 +29,24 @@ class-membership tests, the frontier's ``hom_le`` churn, core computation —
 is isomorphism-invariant, so deduplication changes nothing up to homomorphic
 equivalence while shrinking the candidate stream several-fold.
 
-The dedup is **best-effort, sound for pruning only**: every isomorphism
-class is always represented in the output, but duplicates can still appear —
-canonization is abandoned mid-stream when an early prefix shows the base is
-too asymmetric to profit (see ``_ADAPTIVE_PREFIX``), and structures beyond
-the canonizer's effort caps pass through unkeyed.  Callers must not use
-``dedup=True`` to *count* isomorphism classes.  The default stays
-``dedup=False``: the raw stream is in bijection with set partitions, which
-``quotient_count`` and several callers rely on.
+Every isomorphism class is represented in the deduplicated output exactly
+once, except that structures beyond the canonizer's effort cap pass through
+unkeyed (and so may repeat).  The default stays ``dedup=False``: the raw
+stream is in bijection with set partitions, which ``quotient_count`` and
+several callers rely on.
 
-Canonicalization is **optional per run**: ``iter_quotient_candidates`` takes
-a ``generation`` regime — ``"canonical"`` (full fact-level dedup),
-``"orbit"`` (automorphism-orbit pruning only), ``"raw"`` (no stage-1 dedup;
-downstream memos and the refinement index absorb the repeats), the legacy
-one-shot ``"adaptive"`` cutoff, or ``"model"``, where the
-:class:`DedupCostModel`'s windowed three-way controller picks the regime
-live from measured canonization cost, duplicate rate, and downstream
-absorption.  Every regime prunes only candidates isomorphic to an earlier
-stream element, so downstream results are identical across regimes.
+``iter_quotient_candidates`` takes a ``generation`` regime, fixed for the
+whole stream: ``"canonical"`` (full fact-level dedup), ``"orbit"``
+(automorphism-orbit pruning only) or ``"raw"`` (no stage-1 dedup;
+downstream memos and the refinement index absorb the repeats).  Every
+regime prunes only candidates isomorphic to an earlier stream element, and
+each emits a stream that is a function of the tableau alone, so downstream
+results are identical across regimes and across runs.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
 from typing import Iterable, Iterator
 
 from repro.cq.structure import Structure
@@ -68,310 +62,8 @@ from repro.util.partitions import (
 )
 
 
-#: Adaptive dedup cutoff: after canonizing this many partitions, dedup stays
-#: on only if at least this fraction were duplicates (isomorphic to an
-#: earlier candidate).  Canonization costs roughly half of what a duplicate
-#: saves downstream (class check + quotient construction), so a duplicate
-#: rate around one half is the break-even point — unless a
-#: :class:`DedupCostModel` with live measurements says otherwise.
-_ADAPTIVE_PREFIX = 160
-_ADAPTIVE_MIN_DUP_RATE = 0.5
-
-#: Windowed three-way generation controller: review cadence (candidates),
-#: minimum measured samples per estimate, and the switch margin — a rival
-#: mode must look decisively (1/margin-fold) cheaper than the current one,
-#: in two consecutive windows, before the stream flips (the same hysteresis
-#: discipline as the pipeline's ``_OrderController``).
-_GENERATION_REVIEW_EVERY = 128
-_GENERATION_MIN_SAMPLES = 32
-_GENERATION_SWITCH_MARGIN = 0.5
-
-#: The three per-candidate generation regimes of the quotient stream.
+#: The per-candidate generation regimes of the quotient stream.
 GENERATION_MODES = ("canonical", "orbit", "raw")
-
-
-class DedupCostModel:
-    """Measured costs of the three candidate-generation regimes.
-
-    Historically this was the break-even model of the one-shot adaptive
-    dedup cutoff: deduplication pays one canonization per candidate to
-    save, per pruned duplicate, the downstream cost of processing that
-    duplicate, so it is profitable when ``duplicate_rate * downstream_cost
-    >= canonization_cost`` and the break-even duplicate rate is
-    ``canonization_cost / downstream_cost`` (:meth:`min_duplicate_rate`,
-    still serving the legacy ``generation="adaptive"`` path).
-
-    It is now a **three-way generation cost model**: the quotient stream
-    can run per-candidate in one of three regimes —
-
-    ``"canonical"``
-        orbit pruning plus fact-level canonical-key dedup (the historical
-        stage-1 path; duplicates cost one canonization and nothing else);
-    ``"orbit"``
-        orbit pruning only: automorphic repeats are dropped by an O(n·aut)
-        integer test, canonization is skipped, the remaining isomorphic
-        repeats flow downstream;
-    ``"raw"``
-        no stage-1 dedup at all: every partition is emitted and the
-        downstream memos (the class-check key memo, the dominance memo,
-        the refinement index) absorb the repeats.
-
-    Which regime is cheapest depends on three measured quantities: the
-    per-candidate canonization/orbit cost (:meth:`record_canonization` /
-    :meth:`record_orbit`), the duplicate rate of the stream (fed by the
-    enumerator while a dedup-capable regime runs), and the **downstream
-    absorption rate** — the fraction of candidates the reducer resolves
-    with zero engine searches and zero fresh class checks
-    (:meth:`record_absorption`, fed back from stage 3).  Member-heavy
-    fine-to-coarse runs absorb nearly every repeat through the refinement
-    index, so the raw stream beats paying canonization per candidate even
-    at high duplicate rates — the regime the one-shot cutoff always got
-    wrong, and the stage-1 tax this model exists to kill.
-
-    :meth:`observe_candidate` drives a windowed controller mirroring the
-    pipeline's ``_OrderController``: every ``review_every`` candidates the
-    three per-candidate cost estimates are recomputed and the mode flips
-    only when a rival looks decisively cheaper in two consecutive windows.
-    The controller starts in ``"canonical"`` (the only regime that can
-    measure the duplicate rate) and never flips before every estimate has
-    ``min_samples`` measurements, so small streams keep the seed behavior.
-
-    Measurements are process-local: every pool worker builds and feeds its
-    own model, mirroring the per-worker engine handles.
-    """
-
-    __slots__ = (
-        "default_rate",
-        "floor",
-        "ceiling",
-        "review_every",
-        "min_samples",
-        "switch_margin",
-        "mode",
-        "mode_switches",
-        "_pending_mode",
-        "_observed",
-        "_review_at",
-        "_canon_seconds",
-        "_canon_count",
-        "_downstream_seconds",
-        "_downstream_count",
-        "_orbit_seconds",
-        "_orbit_count",
-        "_canonical_candidates",
-        "_canonical_duplicates",
-        "_orbit_candidates",
-        "_orbit_pruned",
-        "_absorbed",
-        "_absorptions",
-        "_window_absorbed",
-        "_window_absorptions",
-    )
-
-    def __init__(
-        self,
-        *,
-        default_rate: float = _ADAPTIVE_MIN_DUP_RATE,
-        floor: float = 0.02,
-        ceiling: float = 0.9,
-        review_every: int = _GENERATION_REVIEW_EVERY,
-        min_samples: int = _GENERATION_MIN_SAMPLES,
-        switch_margin: float = _GENERATION_SWITCH_MARGIN,
-    ) -> None:
-        if not 0.0 < floor <= ceiling <= 1.0:
-            raise ValueError("need 0 < floor <= ceiling <= 1")
-        self.default_rate = default_rate
-        self.floor = floor
-        self.ceiling = ceiling
-        self.review_every = review_every
-        self.min_samples = min_samples
-        self.switch_margin = switch_margin
-        self.mode = "canonical"
-        self.mode_switches = 0
-        self._pending_mode: str | None = None
-        self._observed = 0
-        self._review_at = review_every
-        self._canon_seconds = 0.0
-        self._canon_count = 0
-        self._downstream_seconds = 0.0
-        self._downstream_count = 0
-        self._orbit_seconds = 0.0
-        self._orbit_count = 0
-        self._canonical_candidates = 0
-        self._canonical_duplicates = 0
-        self._orbit_candidates = 0
-        self._orbit_pruned = 0
-        self._absorbed = 0
-        self._absorptions = 0
-        self._window_absorbed = 0
-        self._window_absorptions = 0
-
-    # ----------------------------------------------------- raw measurements
-
-    def record_canonization(self, seconds: float) -> None:
-        self._canon_seconds += seconds
-        self._canon_count += 1
-
-    def record_downstream(self, seconds: float) -> None:
-        self._downstream_seconds += seconds
-        self._downstream_count += 1
-
-    def record_orbit(self, seconds: float) -> None:
-        """One orbit-minimality test's wall time (model-driven streams)."""
-        self._orbit_seconds += seconds
-        self._orbit_count += 1
-
-    def record_absorption(self, absorbed: bool) -> None:
-        """Stage-3 feedback: was the candidate resolved for (nearly) free?
-
-        ``absorbed=True`` means the reducer settled the candidate with zero
-        engine ``hom_le`` calls and zero fresh class checks — a dominance-
-        memo hit, a refinement-index hit, or a memoized check carried it.
-        This is the rate at which downstream machinery soaks up whatever
-        stage 1 declines to deduplicate.
-        """
-        self._absorptions += 1
-        self._window_absorptions += 1
-        if absorbed:
-            self._absorbed += 1
-            self._window_absorbed += 1
-
-    def note_duplicate(self, *, orbit: bool = False) -> None:
-        """A stage-1 duplicate was detected (and pruned) by the current mode."""
-        if orbit:
-            self._orbit_pruned += 1
-        if self.mode == "canonical":
-            # Only canonical mode sees every duplicate, so only it may feed
-            # the duplicate-rate numerator (its denominator counts exactly
-            # the candidates observed under canonical mode).
-            self._canonical_duplicates += 1
-
-    # ------------------------------------------------------ derived costs
-
-    @property
-    def canonization_cost(self) -> float | None:
-        """Mean seconds per canonized candidate (``None`` before data)."""
-        if not self._canon_count:
-            return None
-        return self._canon_seconds / self._canon_count
-
-    @property
-    def downstream_cost(self) -> float | None:
-        """Mean seconds a pruned duplicate would have cost downstream."""
-        if not self._downstream_count:
-            return None
-        return self._downstream_seconds / self._downstream_count
-
-    @property
-    def orbit_cost(self) -> float:
-        """Mean seconds per orbit-minimality test (0.0 before data)."""
-        if not self._orbit_count:
-            return 0.0
-        return self._orbit_seconds / self._orbit_count
-
-    @property
-    def duplicate_rate(self) -> float | None:
-        """Observed duplicate fraction (``None`` until canonical mode ran)."""
-        if not self._canonical_candidates:
-            return None
-        return self._canonical_duplicates / self._canonical_candidates
-
-    @property
-    def absorption_rate(self) -> float | None:
-        """Fraction of reducer resolutions that were free (``None``: no data)."""
-        if not self._absorptions:
-            return None
-        return self._absorbed / self._absorptions
-
-    def min_duplicate_rate(self) -> float:
-        """The duplicate rate below which dedup should switch itself off."""
-        canon = self.canonization_cost
-        downstream = self.downstream_cost
-        if canon is None or downstream is None or downstream <= 0.0:
-            return self.default_rate
-        return min(max(canon / downstream, self.floor), self.ceiling)
-
-    # ------------------------------------------- the windowed mode controller
-
-    def observe_candidate(self) -> str:
-        """Advance the controller by one stream candidate; return the mode."""
-        self._observed += 1
-        if self._observed >= self._review_at:
-            self._review_at = self._observed + self.review_every
-            self._review()
-        if self.mode != "raw":
-            self._orbit_candidates += 1
-            if self.mode == "canonical":
-                self._canonical_candidates += 1
-        return self.mode
-
-    def generation_estimates(self) -> dict[str, float] | None:
-        """Estimated per-candidate seconds of each generation regime.
-
-        ``None`` while any required estimate lacks ``min_samples``
-        measurements.  The estimates: a unique candidate costs
-        ``downstream`` in every regime; a duplicate costs one canonization
-        under ``"canonical"``, one orbit test (plus, if it survives the
-        orbit filter, the partially-absorbed downstream) under
-        ``"orbit"``, and the partially-absorbed downstream under
-        ``"raw"`` — absorbed repeats cost ~0 (a memo or index hit), the
-        rest pay the full downstream mean.  The duplicate and orbit rates
-        are lifetime figures (they freeze while ``"raw"`` runs, which
-        cannot observe them); the absorption rate prefers the current
-        window so regime changes downstream — a cooling refinement index,
-        a filled memo — show up in the next review.
-        """
-        duplicate_rate = self.duplicate_rate
-        downstream = self.downstream_cost
-        canon = self.canonization_cost
-        if (
-            duplicate_rate is None
-            or canon is None
-            or downstream is None
-            or self._canon_count < self.min_samples
-            or self._downstream_count < self.min_samples
-            or self._absorptions < self.min_samples
-        ):
-            return None
-        if self._window_absorptions >= self.min_samples:
-            absorption = self._window_absorbed / self._window_absorptions
-        else:
-            absorption = self._absorbed / self._absorptions
-        orbit_rate = (
-            self._orbit_pruned / self._orbit_candidates
-            if self._orbit_candidates
-            else 0.0
-        )
-        unique = (1.0 - duplicate_rate) * downstream
-        leaked = (1.0 - absorption) * downstream
-        return {
-            "raw": unique + duplicate_rate * leaked,
-            "orbit": self.orbit_cost
-            + unique
-            + max(duplicate_rate - orbit_rate, 0.0) * leaked,
-            "canonical": self.orbit_cost + canon + unique,
-        }
-
-    def _review(self) -> None:
-        estimates = self.generation_estimates()
-        self._window_absorbed = 0
-        self._window_absorptions = 0
-        if estimates is None:
-            self._pending_mode = None
-            return
-        # Cheapest regime wins, with raw preferred on ties (least machinery).
-        rival = min(GENERATION_MODES[::-1], key=estimates.__getitem__)
-        if rival == self.mode or not (
-            estimates[rival] < self.switch_margin * estimates[self.mode]
-        ):
-            self._pending_mode = None
-            return
-        if self._pending_mode == rival:
-            self.mode = rival
-            self._pending_mode = None
-            self.mode_switches += 1
-        else:
-            self._pending_mode = rival
 
 
 def _shard_prefixes(
@@ -545,7 +237,7 @@ class QuotientCandidate:
     integer form is itself a useful (label-free) memo key for class checks.
     ``key`` carries the fact-level canonical form when the enumerator
     computed one for dedup (``None`` otherwise: the identity quotient, the
-    adaptive dedup-off regime, canonizer effort caps) — the extension
+    orbit and raw regimes, canonizer effort caps) — the extension
     stream uses it to recognize a quotient that repeats an earlier extended
     candidate's isomorphism class.
 
@@ -659,43 +351,29 @@ class QuotientCandidate:
 def iter_quotient_candidates(
     tableau: Tableau,
     *,
-    cost_model: DedupCostModel | None = None,
     shard: tuple[int, int] | None = None,
     automorphisms: list[list[int]] | None | object = _DERIVE,
     seen_keys: set | None = None,
-    generation: str = "adaptive",
-    cursor: int = 0,
+    generation: str = "canonical",
 ) -> Iterator[QuotientCandidate]:
     """The quotient candidate stream in lazy (unmaterialized) form.
 
     This is the stage-1 engine behind ``iter_quotient_tableaux(dedup=True)``
     and the approximation pipeline: one candidate per surviving partition,
-    in restricted-growth-string order, with the canonical/orbit/adaptive
-    dedup machinery of the module docstring.  A ``cost_model`` replaces the
-    fixed break-even duplicate rate with the measured canonization-to-check
-    ratio (and receives canonization timings as a side effect);
-    ``shard=(index, count)`` restricts enumeration to one of ``count``
-    disjoint partition-prefix slices (dedup state is shard-local, so
-    cross-shard duplicates survive and must be absorbed downstream).
+    in restricted-growth-string order.  ``shard=(index, count)`` restricts
+    enumeration to one of ``count`` disjoint partition-prefix slices (dedup
+    state is shard-local, so cross-shard duplicates survive and must be
+    absorbed downstream).
 
-    ``generation`` selects the per-candidate regime:
-
-    * ``"adaptive"`` (default) — the historical one-shot cutoff: canonical
-      dedup with the early-prefix duplicate-rate decision (optionally
-      cost-modeled through ``min_duplicate_rate``).
-    * ``"canonical"`` / ``"orbit"`` / ``"raw"`` — force one regime for the
-      whole stream (see :class:`DedupCostModel`): full fact-level dedup,
-      orbit pruning only, or the raw partition stream with no stage-1
-      dedup at all.  Raw candidates carry codes and lazy facts but no
-      canonical ``key``; their isomorphic repeats must be absorbed
-      downstream (the pipeline's memos and refinement index do).
-    * ``"model"`` — per-window regime chosen live by the ``cost_model``'s
-      three-way controller (required; flips mid-run as measured costs
-      shift).
-
-    Whatever the regime decides, every pruned candidate is isomorphic to
-    an earlier stream element, so downstream frontiers are invariant —
-    including bit-identical serial results — across all generation modes.
+    ``generation`` selects the regime for the whole stream: ``"canonical"``
+    (orbit pruning plus fact-level canonical-key dedup), ``"orbit"``
+    (automorphic repeats dropped by an O(n·aut) integer test, no
+    canonization) or ``"raw"`` (every partition emitted).  Orbit and raw
+    candidates carry codes and lazy facts but no canonical ``key``; their
+    isomorphic repeats must be absorbed downstream (the pipeline's memos
+    and refinement index do).  Every pruned candidate is isomorphic to an
+    earlier stream element, so downstream frontiers are invariant —
+    including bit-identical serial results — across the regimes.
 
     ``automorphisms`` takes precomputed base orbit data (the result of
     :func:`base_automorphism_inverses`) so repeated or distributed runs skip
@@ -705,27 +383,9 @@ def iter_quotient_candidates(
     only ever *added to* — quotient-level pruning stays quotient-vs-quotient,
     because skipping a quotient also skips its whole extension family, which
     is only sound when the surviving isomorphic copy grows the same family.
-
-    ``cursor`` skips the first ``cursor`` *emitted* candidates without
-    building them (checkpoint resume).  Exact only under the stateless
-    regimes — ``"orbit"`` and ``"raw"`` decide each emission from the
-    partition alone, so the suffix after a skip is the exact suffix of the
-    original stream.  The stateful regimes (``"canonical"``'s ``seen_keys``,
-    the timing-dependent ``"adaptive"``/``"model"``) are rejected with a
-    nonzero cursor: their emission decisions depend on history the skip
-    would not replay.
     """
-    if generation not in {"adaptive", "model", *GENERATION_MODES}:
+    if generation not in GENERATION_MODES:
         raise ValueError(f"unknown generation mode {generation!r}")
-    if generation == "model" and cost_model is None:
-        raise ValueError('generation="model" requires a cost_model')
-    if cursor < 0:
-        raise ValueError(f"cursor must be >= 0, got {cursor}")
-    if cursor and generation not in ("orbit", "raw"):
-        raise ValueError(
-            "resume cursors need a stateless generation regime ('orbit' or "
-            f"'raw'); got {generation!r}"
-        )
     elements = sorted(tableau.structure.domain, key=repr)
     prefixes = _shard_prefixes(len(elements), shard)
     structure = tableau.structure
@@ -746,11 +406,6 @@ def iter_quotient_candidates(
         # domain) would defeat the integer fast path's refinement; fall back
         # to tableau-level canonical forms, which handle them.  Candidates
         # on this path are pre-materialized and carry no integer facts.
-        if cursor:
-            raise ValueError(
-                "resume cursors are unsupported on the isolated-element "
-                "fallback path (its dedup is stateful)"
-            )
         seen = _CanonicalSeen()
         for partition in _partition_stream(elements, prefixes):
             quotient = tableau.rename(partition_to_mapping(partition))
@@ -774,25 +429,11 @@ def iter_quotient_candidates(
         seen_keys = set()
     code = [0] * n_elements
     identity_facts = tuple(sorted(set(base_facts)))
-    # Adaptive regime: deduplication pays for itself only when enough
-    # partitions actually collapse onto already-seen isomorphism classes
-    # (the canonization of a unique candidate is pure overhead).  Track the
-    # duplicate rate over an early prefix and fall back to plain
-    # enumeration when the base tableau turns out to be too asymmetric for
-    # dedup to win.  The "model" regime replaces this one-shot decision
-    # with the cost model's windowed three-way controller.
-    checked = duplicates = 0
-    dedup_active, decided = True, False
-    model_driven = generation == "model"
-    skip = cursor
     for partition in _partition_stream(elements, prefixes):
         if len(partition) == n_elements:
             # The identity quotient: the only partition with |domain| blocks,
             # and isomorphism preserves block count, so it cannot duplicate
             # (or be duplicated by) anything — skip the canonization.
-            if skip:
-                skip -= 1
-                continue
             yield QuotientCandidate(
                 partition,
                 tuple(range(n_elements)),
@@ -804,62 +445,15 @@ def iter_quotient_candidates(
                 facts=identity_facts,
             )
             continue
-        if generation == "adaptive":
-            if not decided and checked >= _ADAPTIVE_PREFIX:
-                decided = True
-                min_rate = (
-                    cost_model.min_duplicate_rate()
-                    if cost_model is not None
-                    else _ADAPTIVE_MIN_DUP_RATE
-                )
-                dedup_active = duplicates >= checked * min_rate
-            mode = "canonical" if dedup_active else "raw"
-        elif model_driven:
-            mode = cost_model.observe_candidate()
-        else:
-            mode = generation
         block_count = len(partition)
-        timed = cost_model is not None and mode != "raw"
-        started = time.perf_counter() if timed else 0.0
         for block_id, block in enumerate(partition):
             for element in block:
                 code[index_of[element]] = block_id
-        if mode == "raw":
-            if skip:
-                skip -= 1
-                continue
-            yield QuotientCandidate(
-                partition,
-                tuple(code),
-                block_count,
-                tuple(code[value] for value in distinguished_idx),
-                tableau,
-                base_facts,
-                names,
-            )
+        if generation != "raw" and automorphisms and not _orbit_minimal(
+            code, n_elements, automorphisms
+        ):
             continue
-        checked += 1
-        if automorphisms and not _orbit_minimal(code, n_elements, automorphisms):
-            duplicates += 1
-            if timed:
-                elapsed = time.perf_counter() - started
-                if model_driven:
-                    cost_model.record_orbit(elapsed)
-                    cost_model.note_duplicate(orbit=True)
-                else:
-                    cost_model.record_canonization(elapsed)
-            continue
-        if model_driven:
-            # Split the timings so the controller prices the orbit filter
-            # and the canonization separately (orbit mode pays only the
-            # former); legacy callers keep the single combined figure.
-            now = time.perf_counter()
-            cost_model.record_orbit(now - started)
-            started = now
-        if mode == "orbit":
-            if skip:
-                skip -= 1
-                continue
+        if generation != "canonical":
             yield QuotientCandidate(
                 partition,
                 tuple(code),
@@ -882,13 +476,8 @@ def iter_quotient_candidates(
         key = canonical_key_indexed(
             block_count, list(mapped_facts), mapped_distinguished
         )
-        if timed:
-            cost_model.record_canonization(time.perf_counter() - started)
         if key is not None:
             if key in seen_keys:
-                duplicates += 1
-                if model_driven:
-                    cost_model.note_duplicate()
                 continue
             seen_keys.add(key)
         yield QuotientCandidate(
@@ -931,9 +520,8 @@ def coarseness_buckets(candidates: Iterable) -> list[list]:
     """The buffered fine-to-coarse buckets behind :func:`coarseness_ordered`.
 
     Same contract (full buffering, ``generation`` stamps, descending
-    ``block_count``, generation order within a bucket), exposed as a list of
-    buckets so the pipeline can inspect the buffered stream — e.g. probe
-    the member rate of the first sizable bucket — before replaying it.
+    ``block_count``, generation order within a bucket), returned as a list
+    of buckets: the whole stream is buffered in this one call.
     """
     buckets: dict[int, list] = {}
     for generation, candidate in enumerate(candidates):
@@ -946,23 +534,19 @@ def iter_quotient_tableaux(
     tableau: Tableau,
     *,
     dedup: bool = False,
-    cost_model: DedupCostModel | None = None,
     shard: tuple[int, int] | None = None,
 ) -> Iterator[Tableau]:
     """All quotients of a tableau, one per set partition of its domain.
 
     The identity quotient (the tableau itself) is included.  The number of
     quotients is ``bell_number(|domain|)``; with ``dedup=True`` isomorphic
-    quotients are pruned (best-effort — see the module docstring: the
-    adaptive cutoff can re-admit duplicates on asymmetric bases), which can
-    leave far fewer.
+    quotients are pruned by canonical form, which can leave far fewer.
 
     The dedup path delegates to :func:`iter_quotient_candidates`, which
     canonizes straight off the partition — facts mapped to integer block
     ids, no ``Structure`` built — so duplicated quotients cost one
-    canonical-form computation and nothing else.  ``cost_model`` and
-    ``shard`` are documented there; both require ``dedup=True`` sharding
-    excepted (``shard`` also works on the raw stream).
+    canonical-form computation and nothing else.  ``shard`` is documented
+    there and works on both streams.
     """
     if not dedup:
         elements = sorted(tableau.structure.domain, key=repr)
@@ -970,9 +554,7 @@ def iter_quotient_tableaux(
         for partition in _partition_stream(elements, prefixes):
             yield tableau.rename(partition_to_mapping(partition))
         return
-    for candidate in iter_quotient_candidates(
-        tableau, cost_model=cost_model, shard=shard
-    ):
+    for candidate in iter_quotient_candidates(tableau, shard=shard):
         yield candidate.materialize()
 
 
@@ -1045,7 +627,9 @@ class ExtensionCandidate:
     (:meth:`materialize`), through the same ``_with_extensions`` path as
     the historical enumerator, so surviving candidates are bit-identical
     to the pre-stream implementation while rejected ones never build a
-    ``Structure``.  ``parent`` is the family's quotient candidate: since
+    ``Structure``.  ``key`` is the fact-level canonical form the enumerator
+    deduplicated the candidate under (``None`` beyond the canonizer's
+    effort cap).  ``parent`` is the family's quotient candidate: since
     the quotient embeds into each of its extensions, a frontier that holds
     a member mapping into the parent dominates the whole family — the
     reducer uses the link to drop such children without any search (see
@@ -1056,6 +640,7 @@ class ExtensionCandidate:
         "block_count",
         "distinguished",
         "parent",
+        "key",
         "generation",
         "_atoms",
         "_names",
@@ -1076,8 +661,10 @@ class ExtensionCandidate:
         facts: tuple[tuple[int, tuple[int, ...]], ...],
         block_count: int,
         distinguished: tuple[int, ...],
+        key: tuple | None,
     ) -> None:
         self.parent = quotient
+        self.key = key
         self.generation = None
         self._atoms = atoms
         self._names = names
@@ -1233,10 +820,9 @@ def iter_extended_candidates(
     *,
     max_extra_atoms: int = 1,
     allow_fresh: bool = True,
-    cost_model: DedupCostModel | None = None,
     shard: tuple[int, int] | None = None,
     automorphisms: list[list[int]] | None | object = _DERIVE,
-    generation: str = "adaptive",
+    generation: str = "canonical",
 ) -> Iterator[QuotientCandidate | ExtensionCandidate]:
     """The deduplicated extension-space stream in lazy integer form.
 
@@ -1262,21 +848,20 @@ def iter_extended_candidates(
       plain quotient — the historical blind spot — or to an earlier
       extended candidate of a *different* quotient deduplicates too.
 
-    Like the quotient stream the dedup is best-effort and sound for pruning
-    only: every pruned candidate is isomorphic to an earlier stream
-    element, which keeps downstream frontiers bit-identical.  Quotient-level
-    pruning remains quotient-vs-quotient (extension keys never suppress a
-    quotient): skipping a quotient skips its whole extension family, which
-    is only sound when the surviving isomorphic copy grows the same family.
+    Like the quotient stream the dedup prunes only candidates isomorphic to
+    an earlier stream element, which keeps downstream frontiers
+    bit-identical.  Quotient-level pruning remains quotient-vs-quotient
+    (extension keys never suppress a quotient): skipping a quotient skips
+    its whole extension family, which is only sound when the surviving
+    isomorphic copy grows the same family.
 
     ``shard`` splits at the quotient level, so each quotient's extension
     family stays in its shard; ``automorphisms`` is the *base* tableau's
     orbit data as in :func:`iter_quotient_candidates`; ``generation`` is
-    the quotient stream's regime knob (a raw quotient repeat re-grows no
-    family that survives — its extensions dedup against the shared
-    keyspace, and the reducer's ``extensions_dominated`` feedback cancels
-    the rest — so results stay bit-identical across regimes here too).
-    Bases outside the integer fast path (isolated domain elements,
+    the quotient layer's regime (a repeat the orbit or raw regime lets
+    through re-grows a family whose members are each dominated or
+    isomorphic to an earlier candidate, so results stay bit-identical
+    across regimes here too).  Bases outside the integer fast path (isolated domain elements,
     vocabulary relations without facts) fall back to the historical
     tableau-level enumeration, wrapped via
     :meth:`QuotientCandidate.from_tableau`.
@@ -1284,7 +869,6 @@ def iter_extended_candidates(
     if max_extra_atoms <= 0:
         yield from iter_quotient_candidates(
             tableau,
-            cost_model=cost_model,
             shard=shard,
             automorphisms=automorphisms,
             generation=generation,
@@ -1308,9 +892,9 @@ def iter_extended_candidates(
             tableau,
             max_extra_atoms=max_extra_atoms,
             allow_fresh=allow_fresh,
-            cost_model=cost_model,
             shard=shard,
             automorphisms=automorphisms,
+            generation=generation,
         )
         return
     arities = tuple(structure.arity(name) for name in names)
@@ -1318,10 +902,10 @@ def iter_extended_candidates(
     extension_keys: set = set()
     for candidate in iter_quotient_candidates(
         tableau,
-        cost_model=cost_model,
         shard=shard,
         automorphisms=automorphisms,
         seen_keys=quotient_keys,
+        generation=generation,
     ):
         if candidate.key is None or candidate.key not in extension_keys:
             yield candidate
@@ -1376,14 +960,9 @@ def iter_extended_candidates(
                     # rest of the family is dominated — abandon it here
                     # instead of only at the family boundary.
                     break
-                started = time.perf_counter() if cost_model is not None else 0.0
                 if pool_perms and any(
                     tuple(sorted(p[i] for i in combo)) < combo for p in pool_perms
                 ):
-                    if cost_model is not None:
-                        cost_model.record_canonization(
-                            time.perf_counter() - started
-                        )
                     continue
                 next_fresh = block_count
                 extension_facts = []
@@ -1401,8 +980,6 @@ def iter_extended_candidates(
                     sorted(itertools.chain(quotient_facts, extension_facts))
                 )
                 key = canonical_key_indexed(next_fresh, list(facts), distinguished)
-                if cost_model is not None:
-                    cost_model.record_canonization(time.perf_counter() - started)
                 if key is not None:
                     if key in extension_keys or key in quotient_keys:
                         continue
@@ -1414,6 +991,7 @@ def iter_extended_candidates(
                     facts,
                     next_fresh,
                     distinguished,
+                    key,
                 )
 
 
@@ -1422,9 +1000,9 @@ def _iter_extended_candidates_fallback(
     *,
     max_extra_atoms: int,
     allow_fresh: bool,
-    cost_model: DedupCostModel | None,
     shard: tuple[int, int] | None,
     automorphisms: list[list[int]] | None | object,
+    generation: str,
 ) -> Iterator[QuotientCandidate]:
     """Tableau-level extension stream (the historical path) as candidates.
 
@@ -1434,7 +1012,7 @@ def _iter_extended_candidates_fallback(
     """
     seen = _CanonicalSeen()
     for candidate in iter_quotient_candidates(
-        tableau, cost_model=cost_model, shard=shard, automorphisms=automorphisms
+        tableau, shard=shard, automorphisms=automorphisms, generation=generation
     ):
         yield candidate
         if candidate.extensions_dominated:
@@ -1450,11 +1028,7 @@ def _iter_extended_candidates_fallback(
                 if candidate.extensions_dominated:
                     break
                 extended = _with_extensions(quotient, extras)
-                started = time.perf_counter() if cost_model is not None else 0.0
-                fresh_candidate = seen.first_sighting(extended)
-                if cost_model is not None:
-                    cost_model.record_canonization(time.perf_counter() - started)
-                if fresh_candidate:
+                if seen.first_sighting(extended):
                     yield QuotientCandidate.from_tableau(extended)
 
 
@@ -1464,7 +1038,6 @@ def iter_extended_tableaux(
     max_extra_atoms: int = 1,
     allow_fresh: bool = True,
     dedup: bool = False,
-    cost_model: DedupCostModel | None = None,
     shard: tuple[int, int] | None = None,
 ) -> Iterator[Tableau]:
     """Quotients plus up to ``max_extra_atoms`` extension atoms each.
@@ -1476,21 +1049,17 @@ def iter_extended_tableaux(
     plain quotients.
 
     ``dedup=True`` delegates to :func:`iter_extended_candidates` and
-    materializes each survivor: isomorphic candidates are pruned
-    (best-effort) at the quotient level, within each quotient's extension
-    family (automorphism-orbit pruning), and across the whole stream
-    through one shared fact-level keyspace — including extended candidates
-    isomorphic to plain quotients, which the historical tableau-level dedup
-    never cross-checked.  ``cost_model``/``shard`` mirror
-    :func:`iter_quotient_tableaux`: sharding splits at the quotient level
-    (each quotient's whole extension family stays in its shard), and the
-    cost model is additionally fed the fact-level canonization time of the
-    extended candidates.
+    materializes each survivor: isomorphic candidates are pruned at the
+    quotient level, within each quotient's extension family
+    (automorphism-orbit pruning), and across the whole stream through one
+    shared fact-level keyspace — including extended candidates isomorphic
+    to plain quotients, which the historical tableau-level dedup never
+    cross-checked.  ``shard`` mirrors :func:`iter_quotient_tableaux`:
+    sharding splits at the quotient level (each quotient's whole extension
+    family stays in its shard).
     """
     if not dedup:
-        for quotient in iter_quotient_tableaux(
-            tableau, dedup=False, cost_model=cost_model, shard=shard
-        ):
+        for quotient in iter_quotient_tableaux(tableau, dedup=False, shard=shard):
             yield quotient
             if max_extra_atoms <= 0:
                 continue
@@ -1505,7 +1074,6 @@ def iter_extended_tableaux(
         tableau,
         max_extra_atoms=max_extra_atoms,
         allow_fresh=allow_fresh,
-        cost_model=cost_model,
         shard=shard,
     ):
         yield candidate.materialize()

@@ -18,14 +18,11 @@ refuses a snapshot whose run key differs from the current run's
 (:class:`CheckpointMismatch`), because resuming a cursor into a different
 stream would silently skip or duplicate candidates.
 
-Resume soundness rests on the generation regime being *stateless per
-partition*: the ``"orbit"`` and ``"raw"`` regimes emit a candidate (or
-not) based only on the partition itself, so "skip the first *k* emitted
-candidates" reproduces the exact suffix of the original stream.  The
-pipeline therefore forces the timing-dependent regimes (``"adaptive"``,
-``"model"``) down to ``"orbit"`` whenever checkpointing is on, and
-:func:`repro.core.quotients.iter_quotient_candidates` rejects a nonzero
-cursor under the stateful ``"canonical"`` regime.
+Resume soundness rests on the candidate stream being a function of the run
+key: every generation regime emits the same stream on every run, so the
+resumed run regenerates it in full and skips its first *k* candidates (the
+processed prefix).  Replaying the prefix, rather than skipping it at the
+source, also rebuilds the stateful ``"canonical"`` regime's seen-key set.
 """
 
 from __future__ import annotations

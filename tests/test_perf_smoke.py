@@ -65,8 +65,8 @@ class TestPerfSmoke:
 
     @pytest.mark.slow
     def test_dense_random_frontier_under_ceiling(self):
-        # An asymmetric base where dedup adaptively disables itself: the
-        # engine must never be pathologically slower than plain enumeration.
+        # An asymmetric base where dedup prunes little: the engine must
+        # never be pathologically slower than plain enumeration.
         query = random_graph_query(7, 9, seed=2)
         seconds, frontier = elapsed(
             lambda: approximation_frontier(query, TreewidthClass(1))
@@ -135,7 +135,6 @@ class TestPerfSmoke:
                 ),
                 cls,
                 PipelineStats(),
-                None,
             )
         )
         stream_s, result = elapsed(

@@ -550,6 +550,33 @@ class TestCheckpointResume:
         assert resumed.frontier == clean.frontier
         assert resumed.stats.resumed_candidates >= 5
 
+    def test_sigkill_resume_under_canonical_generation_order(self, tmp_path):
+        # Canonical dedup is stateful (its seen-key set), so a resume must
+        # replay the stream prefix rather than skip it at the source; the
+        # resumed frontier is still bit-identical.
+        tableau = LIGHT.tableau()
+        kwargs = dict(
+            max_extra_atoms=0, admission_order="generation", generation="canonical"
+        )
+        clean = run_pipeline(tableau, TW1, **kwargs)
+        path = tmp_path / "run.ckpt"
+        plan = FaultPlan("kill", 10, str(tmp_path / "token"))
+
+        def doomed():
+            run_pipeline(
+                tableau, FaultyClass(TW1, plan), checkpoint=_manager(path), **kwargs
+            )
+
+        process = multiprocessing.get_context("fork").Process(target=doomed)
+        process.start()
+        process.join(timeout=120)
+        assert process.exitcode == -signal.SIGKILL
+        assert path.exists()
+        resumed = run_pipeline(tableau, TW1, checkpoint=_manager(path), **kwargs)
+        assert resumed.frontier == clean.frontier
+        assert resumed.stats.resumed_candidates >= 5
+        assert resumed.stats.generated == clean.stats.generated
+
     def test_exhausted_budget_leaves_a_resumable_checkpoint(self, tmp_path):
         tableau = LIGHT.tableau()
         clean = run_pipeline(tableau, TW1, max_extra_atoms=0)
