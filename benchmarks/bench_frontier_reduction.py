@@ -1,5 +1,5 @@
 """EXP FRONTIER-REDUCTION — dominance-aware fine-to-coarse reduction vs.
-the insertion-order baseline, plus the pooled family-cancellation gap.
+the insertion-order baseline.
 
 Stage 3 of the approximation pipeline (the →-minimal ``Frontier``) used to
 dominate member-heavy *plain quotient* runs: with nearly every candidate a
@@ -13,7 +13,7 @@ fast path and the refinement index then decide most admissions with zero
 generation-order sort keep the result **bit-identical** to the serial
 baseline (enforced per workload below).
 
-Two measurements:
+The measurement:
 
 * **Reduction speedup** (the headline): the same pre-generated candidate
   stream fed through ``_reduce_inline`` in insertion order vs.
@@ -22,11 +22,6 @@ Two measurements:
   a 9-variable chordal cycle outside HTW(2) whose ~8.5k deduplicated
   quotients are ~99% members.  End-to-end ``run_pipeline`` wall times are
   reported alongside.
-* **Family-cancellation gap**: on extension-space runs the pooled
-  ``"checks"`` batcher gates not-yet-dispatched extension families until
-  their parent's verdict streams back, cancelling families of
-  member/dominated parents.  We report pooled-vs-serial checked-candidate
-  ratios (target: within 1.2x) and the families cancelled in flight.
 
 Writes machine-readable ``BENCH_frontier_reduction.json`` at the repository
 root so the perf trajectory is tracked across PRs.
@@ -40,10 +35,9 @@ import statistics
 import time
 from pathlib import Path
 
-from repro.core import AC, HypertreeClass, TreewidthClass, run_pipeline
+from repro.core import HypertreeClass, TreewidthClass, run_pipeline
 from repro.core.pipeline import MembershipTester, PipelineStats, _reduce_inline
 from repro.core.quotients import iter_quotient_candidates
-from repro.cq import parse_query
 from repro.homomorphism.engine import HomEngine
 import repro.homomorphism.engine as engine_module
 from repro.workloads import cycle_with_chords
@@ -128,10 +122,10 @@ def _member_rate(tableau, cls) -> float:
     """The true member rate of the deduplicated quotient stream.
 
     Computed with a dedicated pass — the reduction's own ``members``
-    counter undercounts whenever the order controller flips to
-    dominance-first (dominated candidates skip their checks).
+    counter undercounts (candidates the refinement index absorbs skip
+    their checks).
     """
-    tester = MembershipTester(cls, PipelineStats(), None)
+    tester = MembershipTester(cls, PipelineStats())
     candidates = list(iter_quotient_candidates(tableau))
     return sum(1 for c in candidates if tester(c)) / len(candidates)
 
@@ -191,71 +185,21 @@ def run_workload(name, query, cls, repeats, headline):
     }
 
 
-# --------------------------------------------------------------------------
-# Pooled family cancellation: extension-space runs, serial vs workers=2.
-# --------------------------------------------------------------------------
-
-TERNARY_C3_6V = parse_query(
-    "Q() :- R(x1, x2, x3), R(x3, x4, x5), R(x5, x6, x1)"
-)
-
-
-def cancellation_workloads():
-    return [
-        ("ternary-C3(6v)/AC +ext", TERNARY_C3_6V, AC),
-        ("ternary-C3(6v)/HW2 +ext", TERNARY_C3_6V, HypertreeClass(2)),
-    ]
-
-
-def run_cancellation(name, query, cls):
-    tableau = query.tableau()
-    serial_s, serial = _fresh_engine(
-        lambda: run_pipeline(tableau, cls, allow_fresh=False), 1
-    )
-    pooled_s, pooled = _fresh_engine(
-        lambda: run_pipeline(tableau, cls, allow_fresh=False, workers=2), 1
-    )
-    assert pooled.frontier == serial.frontier, f"{name}: pooled not bit-identical"
-    checks_ratio = (
-        pooled.stats.checks_run / serial.stats.checks_run
-        if serial.stats.checks_run
-        else None
-    )
-    return {
-        "workload": name,
-        "class": cls.name,
-        "serial_checked": serial.stats.checks_run,
-        "pooled_checked": pooled.stats.checks_run,
-        "checked_ratio": round(checks_ratio, 3) if checks_ratio else None,
-        "serial_generated": serial.stats.generated,
-        "pooled_generated": pooled.stats.generated,
-        "families_cancelled_in_flight": pooled.stats.families_cancelled_in_flight,
-        "serial_s": round(serial_s, 4),
-        "pooled_s": round(pooled_s, 4),
-    }
-
-
 def run_all() -> dict:
     specs = workloads()
     rows = [run_workload(*spec) for spec in specs]
     headline_name = next(spec[0] for spec in specs if spec[4])
     headline = next(row for row in rows if row["workload"] == headline_name)
-    cancellation = [run_cancellation(*spec) for spec in cancellation_workloads()]
     return {
         "benchmark": "frontier_reduction",
         "description": (
             "fine-to-coarse dominance-aware reduction (coarsening fast "
             "path + refinement index + representative repair) vs the "
             "insertion-order stage-3 baseline on member-heavy plain "
-            "quotient frontiers; plus the pooled checks family-"
-            "cancellation gap on extension spaces"
+            "quotient frontiers"
         ),
         "cpu_count": os.cpu_count(),
         "workloads": rows,
-        "cancellation": {
-            "target_checked_ratio": 1.2,
-            "workloads": cancellation,
-        },
         "headline": {
             "name": headline["workload"],
             "class": headline["class"],
@@ -298,26 +242,6 @@ def main() -> None:
                 f"{row['end_to_end_speedup']}x",
             ]
             for row in payload["workloads"]
-        ],
-    )
-    body += "\n\npooled family cancellation (target checked ratio ≤ 1.2):\n"
-    body += table(
-        [
-            "workload",
-            "serial checked",
-            "pooled checked",
-            "ratio",
-            "families cancelled",
-        ],
-        [
-            [
-                row["workload"],
-                row["serial_checked"],
-                row["pooled_checked"],
-                row["checked_ratio"],
-                row["families_cancelled_in_flight"],
-            ]
-            for row in payload["cancellation"]["workloads"]
         ],
     )
     write_report(

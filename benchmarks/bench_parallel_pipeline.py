@@ -10,24 +10,21 @@ frontier) on Corollary 4.3 frontier workloads:
   checks, where the pipeline's stages pay off individually (lazy
   integer-form candidates that never build a ``Structure`` for rejected
   quotients; membership verdicts memoized per primal graph/hypergraph;
-  cost-modeled dedup and stage ordering; memo-free, move-to-front dominance)
-  and the filter stage parallelizes across a process pool;
+  fixed-per-run dedup and stage ordering; memo-free, move-to-front
+  dominance) and the stream shards across a process pool;
 * graph-class frontiers (C7/TW1, C7/TW2) as regression rows — these are
   already dominated by the engine's canonical dedup, so the pipeline must
   simply not lose ground.
 
 Three timed configurations per workload: the legacy serial path, the
 pipeline with ``workers=1`` (bit-identical results, enforced), and the
-pipeline with ``workers=4`` under the ``"checks"`` strategy (also enforced
-bit-identical).  The headline row additionally times the ``"shards"``
-strategy, whose per-shard frontiers merge associatively (results equal up
-to homomorphic equivalence).
+pipeline with ``workers=4`` — four stream shards merged in stream order
+(also enforced bit-identical).
 
 On single-CPU hosts (``cpu_count`` is recorded in the JSON) the 4-worker
-wall-clock gain is algorithmic — memoization, laziness, and cost-modeled
-ordering carried by the pipeline path — while the pool only adds overhead;
-on multicore hosts the pooled filter stage scales the check-bound share on
-top of that.
+wall-clock gain is algorithmic — memoization and laziness carried by the
+pipeline path — while the pool only adds overhead; on multicore hosts the
+shards scale the whole loop on top of that.
 
 Writes machine-readable ``BENCH_parallel_pipeline.json`` at the repository
 root so the perf trajectory is tracked across PRs.
@@ -51,7 +48,6 @@ from repro.core import (
 )
 from repro.core.approximation import candidate_tableaux
 from repro.cq import parse_query
-from repro.homomorphism import hom_equivalent
 from repro.homomorphism.engine import HomEngine
 import repro.homomorphism.engine as engine_module
 from repro.workloads import cycle_with_chords
@@ -98,14 +94,14 @@ def workloads():
     quotients_only = {"max_extra_atoms": 0}
     one_fresh_ext = {"max_extra_atoms": 1, "allow_fresh": False}
     return [
-        # (name, query, class, candidate-space kwargs, repeats, headline?)
+        # (name, query, class, candidate-space kwargs, repeats); the first
+        # row is the headline
         (
             "dense(9v,6atoms)/GHW1-acyclic",
             TERNARY_DENSE_9V,
             GeneralizedHypertreeClass(1),
             quotients_only,
             1,
-            True,
         ),
         (
             "dense(9v,6atoms)/HTW1",
@@ -113,7 +109,6 @@ def workloads():
             HypertreeClass(1),
             quotients_only,
             1,
-            False,
         ),
         (
             "ternary-C5(9v)/HTW1",
@@ -121,18 +116,10 @@ def workloads():
             HypertreeClass(1),
             quotients_only,
             1,
-            False,
         ),
-        (
-            "ternary-C3(6v)/AC +ext",
-            TERNARY_C3_6V,
-            AC,
-            one_fresh_ext,
-            3,
-            False,
-        ),
-        ("C7/TW1", cycle_with_chords(7), TreewidthClass(1), {}, 3, False),
-        ("C7/TW2", cycle_with_chords(7), TreewidthClass(2), {}, 3, False),
+        ("ternary-C3(6v)/AC +ext", TERNARY_C3_6V, AC, one_fresh_ext, 3),
+        ("C7/TW1", cycle_with_chords(7), TreewidthClass(1), {}, 3),
+        ("C7/TW2", cycle_with_chords(7), TreewidthClass(2), {}, 3),
     ]
 
 
@@ -151,7 +138,7 @@ def _fresh_engine_run(fn, repeats: int):
     return statistics.median(times), result
 
 
-def run_workload(name, query, cls, space, repeats, with_shards):
+def run_workload(name, query, cls, space, repeats):
     config = ApproximationConfig(**space)
     tableau = query.tableau()
     space_kwargs = {
@@ -186,24 +173,11 @@ def run_workload(name, query, cls, space, repeats, with_shards):
             for key, value in serial.stats.as_dict().items()
         },
     }
-    if with_shards:
-        shards_s, sharded = _fresh_engine_run(
-            lambda: run_pipeline(
-                tableau, cls, workers=4, parallel="shards", **space_kwargs
-            ),
-            repeats,
-        )
-        assert len(sharded.frontier) == len(legacy), f"{name}: shard frontier size"
-        assert all(
-            any(hom_equivalent(member, other) for other in legacy)
-            for member in sharded.frontier
-        ), f"{name}: shard frontier not equivalent"
-        entry["pipeline_shards4_s"] = round(shards_s, 4)
     return entry
 
 
 def run_all() -> dict:
-    rows = [run_workload(*spec[:5], with_shards=spec[5]) for spec in workloads()]
+    rows = [run_workload(*spec) for spec in workloads()]
     headline_name = workloads()[0][0]
     headline = next(row for row in rows if row["workload"] == headline_name)
     return {
@@ -211,7 +185,7 @@ def run_all() -> dict:
         "description": (
             "pre-pipeline serial path vs staged pipeline "
             "(lazy integer-form candidates, key-memoized class checks, "
-            "cost-modeled dedup/ordering, process-pool filter stage)"
+            "stream shards over a process pool)"
         ),
         "cpu_count": os.cpu_count(),
         "workloads": rows,
@@ -224,8 +198,8 @@ def run_all() -> dict:
             "note": (
                 "speedup of the 4-worker pipeline over the pre-pipeline "
                 "serial path; on 1-CPU hosts the gain is algorithmic "
-                "(memoization + laziness + cost models), on multicore the "
-                "pooled check stage adds on top"
+                "(memoization + laziness), on multicore the stream shards "
+                "add on top"
             ),
         },
     }

@@ -3,8 +3,8 @@ recovery latency.
 
 PR 6 threads a :class:`~repro.runtime.budget.RunBudget` through every
 pipeline seam (per-candidate deadline/cap checks, amortized memory
-probes) and makes the pooled check path fault-tolerant (pool respawn on
-worker death, per-batch timeouts).  Robustness must not tax the fault-free
+probes) and makes the local process pool fault-tolerant (pool respawn on
+worker death, per-shard timeouts).  Robustness must not tax the fault-free
 fast path, so this benchmark tracks:
 
 * **Budget overhead** (the headline): the 9-variable member-heavy HTW(2)
@@ -15,11 +15,11 @@ fast path, so this benchmark tracks:
   bit-identical and the budgeted run must not report exhaustion.
 * **Checkpoint overhead**: the same run snapshotting frontier + cursor
   every 256 candidates (insertion order, the checkpointable regime).
-* **Recovery latency**: a two-worker pooled run whose 5th class check
-  SIGKILLs its worker (the deterministic harness in
-  :mod:`repro.testing.faults`) vs. the fault-free pooled run — the
-  respawn + resubmission cost of one pool death, with the result still
-  bit-identical to serial.
+* **Recovery latency**: a two-worker sharded run whose 5th class check
+  SIGKILLs its shard worker (the deterministic harness in
+  :mod:`repro.testing.faults`) vs. the fault-free sharded run — the
+  respawn + shard resubmission cost of one pool death, with the result
+  still bit-identical to serial.
 
 Writes machine-readable ``BENCH_robustness.json`` at the repository root
 so the perf trajectory is tracked across PRs.
@@ -192,7 +192,7 @@ def recovery_latency() -> dict:
     assert recovered.frontier == serial.frontier, "recovery not bit-identical"
     assert recovered.stats.pool_respawns >= 1, "kill fault did not break the pool"
     return {
-        "workload": "C8+3ch/HTW2 worker-kill recovery",
+        "workload": "C8+3ch/HTW2 shard worker-kill recovery",
         "class": HEADLINE_CLASS.name,
         "candidates": serial.stats.generated,
         "pool_respawns": recovered.stats.pool_respawns,
@@ -211,7 +211,7 @@ def run_all() -> dict:
         "description": (
             "cost of the budgeted anytime machinery (armed never-tripping "
             "RunBudget, periodic checkpointing) on the fault-free fast "
-            "path, plus pool worker-kill recovery latency; all runs "
+            "path, plus shard worker-kill recovery latency; all runs "
             "asserted bit-identical to their unbudgeted/fault-free "
             "counterparts"
         ),

@@ -21,10 +21,11 @@
 # upholding the four serving invariants), checks every committed
 # BENCH_*.json headline against its predecessor
 # (benchmarks/check_regressions.py: >20% loss exits 1; an unusable
-# committed baseline exits 2), runs the end-to-end benchmark's solve-plain
-# and solve-ext workloads in --smoke mode (a few seconds each; exit 1 when
-# a frontier differs from the committed references), and finally prints
-# the line total of src/.
+# committed baseline exits 2), runs the end-to-end benchmark's solve-plain,
+# solve-ext and solve-2w workloads in --smoke mode (a few seconds each;
+# exit 1 when a frontier differs from the committed references — solve-2w
+# runs the sharded workers=2 path), and finally prints the line total of
+# src/.
 
 set -euo pipefail
 
@@ -40,4 +41,5 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.testing.chaos --count 
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/check_regressions.py
 python3 benchmarks/e2e/run.py --smoke --workload solve-plain
 python3 benchmarks/e2e/run.py --smoke --workload solve-ext
+python3 benchmarks/e2e/run.py --smoke --workload solve-2w
 echo "src/ lines: $(find src -name '*.py' -exec cat {} + | wc -l)"

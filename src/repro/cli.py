@@ -120,17 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     approx.add_argument(
-        "--batch-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "per-batch timeout for pooled membership checks (--workers > 1): "
-            "a batch stuck longer is quarantined (its candidates skipped, "
-            "recorded in the stats) instead of hanging the run"
-        ),
-    )
-    approx.add_argument(
         "--greedy-fallback",
         action="store_true",
         help=(
@@ -143,7 +132,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="process-pool size for the exact pipeline (-1 = all CPUs, 1 = serial)",
+        help=(
+            "process-pool size for the exact pipeline (-1 = all CPUs, "
+            "1 = serial); the candidate stream is split into one shard per "
+            "worker, with the same answer as a serial run"
+        ),
     )
     approx.add_argument(
         "--fabric-worker",
@@ -180,8 +173,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help=(
-            "per-shard deadline for fabric dispatches; a shard over it is "
-            "abandoned and re-dispatched (with --fabric-worker)"
+            "per-shard deadline: with --workers > 1 a shard over it is "
+            "quarantined (its slice skipped; the answer stays sound but may "
+            "be incomplete); with --fabric-worker it is abandoned and "
+            "re-dispatched"
         ),
     )
     approx.add_argument(
@@ -388,11 +383,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="process-pool size inside each request's pipeline",
     )
     serve.add_argument(
-        "--batch-timeout",
+        "--shard-timeout",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-batch quarantine timeout for pooled membership checks",
+        help="per-shard quarantine timeout of pooled pipelines (--workers > 1)",
     )
     serve.add_argument(
         "--cache-dir",
@@ -725,14 +720,13 @@ def main(argv: list[str] | None = None) -> int:
             memory_limit=args.memory_limit,
             max_candidates=args.max_candidates,
             checkpoint_path=args.checkpoint,
-            batch_timeout=args.batch_timeout,
             greedy_fallback=args.greedy_fallback,
             fabric_workers=tuple(args.fabric_worker or ()),
             spill_dir=args.spill_dir,
             heartbeat_interval=args.heartbeat_interval,
             shard_timeout=args.shard_timeout,
         )
-        # Stats are always collected: exhaustion and quarantined-batch
+        # Stats are always collected: exhaustion and quarantined-shard
         # surfacing must reach the output even when --stats was not
         # requested, and the counters are cheap next to the pipeline.
         budgeted = config.budget() is not None
@@ -791,8 +785,8 @@ def main(argv: list[str] | None = None) -> int:
                     f"{fault.kind}: {fault.error}" for fault in faults
                 )
                 print(
-                    f"warning: {stats.quarantined} candidate check(s) lost "
-                    f"to {len(faults)} quarantined pool batch(es)"
+                    f"warning: {stats.quarantined} shard(s) lost to "
+                    f"quarantine, {len(faults)} shard fault(s)"
                     f"{' (' + kinds + ')' if kinds else ''}; the answer is "
                     "sound but may be incomplete",
                     file=sys.stderr,
@@ -979,7 +973,7 @@ def main(argv: list[str] | None = None) -> int:
                 exact_limit=args.exact_limit,
                 max_extra_atoms=args.max_extra_atoms,
                 workers=args.workers,
-                batch_timeout=args.batch_timeout,
+                shard_timeout=args.shard_timeout,
                 cache_capacity=args.cache_capacity,
                 cache_max_bytes=args.cache_max_bytes,
                 cache_dir=args.cache_dir,
@@ -1111,9 +1105,9 @@ def main(argv: list[str] | None = None) -> int:
                 )
             if response.get("quarantined") or response.get("faults"):
                 print(
-                    f"warning: {response.get('quarantined', 0)} candidate "
-                    "check(s) lost to quarantined pool batch(es) on the "
-                    "server; the answer is sound but may be incomplete",
+                    f"warning: {response.get('quarantined', 0)} shard(s) "
+                    "lost to quarantine on the server; the answer is sound "
+                    "but may be incomplete",
                     file=sys.stderr,
                 )
         return 0

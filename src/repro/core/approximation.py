@@ -60,14 +60,12 @@ class ApproximationConfig:
     start-point search after ``greedy_start_rounds`` (defaulting to
     ``greedy_rounds`` when ``None``).
 
-    ``workers``/``parallel``/``batch_size`` drive the staged pipeline behind
-    the exact enumeration (:mod:`repro.core.pipeline`): ``workers > 1``
-    spreads the work over a process pool, with ``parallel="checks"``
-    (default; bit-identical results for any worker count) dispatching
-    class-membership checks and ``parallel="shards"`` splitting the
-    candidate stream itself by partition prefix (results equal up to
-    homomorphic equivalence).  ``workers=-1`` means "all CPUs".  The greedy
-    descent is inherently sequential and ignores the parallel knobs.
+    ``workers`` drives the staged pipeline behind the exact enumeration
+    (:mod:`repro.core.pipeline`): ``workers > 1`` splits the candidate
+    stream by partition prefix into one shard per worker of a process pool
+    and merges the shard frontiers in stream order, so results are
+    bit-identical for any worker count.  ``workers=-1`` means "all CPUs".
+    The greedy descent is inherently sequential and ignores ``workers``.
 
     ``admission_order`` selects the pipeline's stage-3 reduction order:
     ``"auto"`` (default) replays plain quotient streams fine-to-coarse —
@@ -83,16 +81,20 @@ class ApproximationConfig:
     every member of it is still a sound C-overapproximation (only
     minimality/completeness is forfeited).  ``greedy_fallback`` falls back
     to the greedy descent when an exhausted run produced an *empty*
-    frontier, so a budgeted call still returns a sound answer.
+    frontier, so a budgeted call still returns a sound answer.  With
+    ``workers > 1`` or ``fabric_workers`` the budget applies per shard:
+    each shard gets the remaining deadline and the full caps.
     ``checkpoint_path`` enables periodic snapshot/resume of serial
-    plain-quotient-stream runs; ``batch_timeout`` (seconds) quarantines
-    hung/poisoned pool batches instead of killing pooled runs.
+    plain-quotient-stream runs.
 
-    ``fabric_workers`` lifts the shard strategy onto network workers
-    (:mod:`repro.fabric`): each entry is a ``"host:port"`` or unix-socket
-    address of a ``repro worker`` process; ``heartbeat_interval`` and
-    ``shard_timeout`` tune the coordinator's liveness probes and
-    per-shard deadline.  ``spill_dir`` points frontier memo state
+    ``fabric_workers`` runs the shards on network workers
+    (:mod:`repro.fabric`) instead of a local pool: each entry is a
+    ``"host:port"`` or unix-socket address of a ``repro worker`` process;
+    ``heartbeat_interval`` tunes the coordinator's liveness probes.
+    ``shard_timeout`` (seconds) is the per-shard deadline of both
+    transports: a local pool shard over it is quarantined (its slice
+    skipped, the answer sound but possibly incomplete), a fabric shard
+    re-dispatched.  ``spill_dir`` points frontier memo state
     (class-status map, cold refinement subtries) at an on-disk LRU spill
     tier so ``memory_limit``-bounded runs track only resident entries.
     """
@@ -104,15 +106,12 @@ class ApproximationConfig:
     greedy_start_rounds: int | None = None
     seed: int = 17
     workers: int = 1
-    parallel: str = "checks"
-    batch_size: int = 128
     admission_order: str = "auto"
     deadline: float | None = None
     memory_limit: int | None = None
     max_candidates: int | None = None
     max_checks: int | None = None
     checkpoint_path: str | None = None
-    batch_timeout: float | None = None
     greedy_fallback: bool = False
     fabric_workers: tuple[str, ...] = ()
     spill_dir: str | None = None
@@ -190,16 +189,15 @@ def approximation_frontier(
     minimal candidates up to homomorphic equivalence.
 
     Runs as the staged pipeline of :mod:`repro.core.pipeline`; with
-    ``config.workers > 1`` the stages spread over a process pool (see
-    :class:`ApproximationConfig` for the strategy knob and determinism
-    guarantees).  ``tableau`` lets callers that already materialized
+    ``config.workers > 1`` the stream is sharded over a process pool (see
+    :class:`ApproximationConfig` for the determinism guarantee).
+    ``tableau`` lets callers that already materialized
     ``query.tableau()`` avoid rebuilding it; ``stats`` is an optional
     :class:`~repro.core.pipeline.PipelineStats` sink the run's counters are
     absorbed into (the CLI's ``--stats`` flag reads them there); ``faults``
-    is an optional list the run's structured
-    :class:`~repro.parallel.BatchFault` records are appended to (pooled
-    runs only — quarantined batches would otherwise be visible solely as
-    the ``stats.quarantined`` count).
+    is an optional list the run's structured fault records are appended to
+    (sharded runs only — quarantined shards would otherwise be visible
+    solely as the ``stats.quarantined`` count).
     """
     if tableau is None:
         tableau = query.tableau()
@@ -207,14 +205,11 @@ def approximation_frontier(
         tableau,
         cls,
         workers=config.workers,
-        parallel=config.parallel,
-        batch_size=config.batch_size,
         max_extra_atoms=config.max_extra_atoms,
         allow_fresh=config.allow_fresh,
         admission_order=config.admission_order,
         budget=config.budget(),
         checkpoint=config.checkpoint_path,
-        batch_timeout=config.batch_timeout,
         fabric=config.fabric_workers or None,
         spill_dir=config.spill_dir,
         heartbeat_interval=config.heartbeat_interval,

@@ -15,36 +15,33 @@ This module makes the three stages explicit and independently scalable::
     │   the stream's shape │    │   candidates sharing │    │   canonical memo     │
     │                      │    │   a (hyper)graph     │    │   keys cost more     │
     │ · extension atoms    │    │   share one check    │    │   than they save     │
-    │   over block + fresh │    │ · inline, or batched │    │ · dominance memo     │
-    │   ids, orbit-pruned  │    │   over a process pool│    │   under integer-form │
-    │   per quotient family│    │   in compact pickled │    │   keys               │
-    │ · shardable by RGS   │    │   form, results      │    │ · associative merge  │
-    │   partition prefix   │    │   streamed back in   │    │   so per-shard       │
-    │   (disjoint slices   │    │   generation order   │    │   frontiers combine  │
+    │   over block + fresh │    │ · straight off the   │    │ · dominance memo     │
+    │   ids, orbit-pruned  │    │   integer facts: a   │    │   under integer-form │
+    │   per quotient family│    │   non-member never   │    │   keys               │
+    │ · shardable by RGS   │    │   builds a Structure │    │ · associative merge  │
+    │   partition prefix   │    │                      │    │   so per-shard       │
+    │   (disjoint slices   │    │                      │    │   frontiers combine  │
     │   per worker)        │    │                      │    │                      │
     └──────────────────────┘    └──────────────────────┘    └──────────────────────┘
 
-Two parallel strategies (``parallel=`` on ``ApproximationConfig``):
-
-``"checks"`` (default)
-    Stage 1 and stage 3 run in the driver process; stage 2's membership
-    checks are dispatched to a process pool in generation-order batches and
-    the verdict stream is consumed in the same order.  Because generation
-    order, check verdicts, and frontier updates are all identical to the
-    serial path, the output is **bit-identical** for any worker count.
-
-``"shards"``
-    The partition stream is split by restricted-growth-string prefix
-    (:func:`repro.core.quotients._shard_prefixes`); each worker runs the
-    whole three-stage loop on its slice and returns its local frontier,
-    which the driver folds together with :meth:`Frontier.merge`.  The
-    encoded base tableau and its automorphism/orbit data — derived once in
-    the driver, never re-derived at worker startup — ship once per worker
-    through the executor initializer rather than once per task.  Dedup and
-    memo state are shard-local, so cross-shard duplicates survive until the
-    merge absorbs them; the merged frontier equals the serial one as a set
-    of queries *up to homomorphic equivalence* (representatives and order
-    may differ).  Use it when stage 1 itself is the bottleneck.
+Scaling out has one strategy.  With ``workers > 1`` (a local process pool)
+or ``fabric=`` (network workers, :mod:`repro.fabric`) the partition stream
+is split by restricted-growth-string prefix
+(:func:`repro.core.quotients._shard_prefixes`) and each shard runs the
+whole three-stage loop on its slice (:func:`run_shard`): one shard per
+local worker, two per fabric address.  The encoded base tableau and its
+automorphism/orbit data — derived once in the driver, never re-derived at
+worker startup — ship once per worker through the executor initializer
+rather than once per task.  Corollary 4.3's frontier is the →-minimal set
+over all candidates, so the frontier of a union of slices is the merge of
+the slice frontiers.  Every shipped member carries its *stream position*
+(its quotient's partition codes plus its rank within that quotient's
+extension family), and :func:`_merge_shards` folds the union of the shard
+frontiers in global stream order.  The first-generated member of each
+→-minimal class lies in its shard's frontier and comes first among its
+class in the sorted union, so the merge keeps exactly the serial
+representatives in the serial order: pooled and fabric frontiers are
+**bit-identical** to ``workers=1``.
 
 Stage 3 is a *dominance-aware reduction engine*.  On plain quotient streams
 (graph classes, and hypergraph classes with the extension space off) the
@@ -61,12 +58,9 @@ representative repair**: members carry their generation index, a candidate
 found equivalent to a later-generated member replaces it
 (``representative_repairs``), and the surviving members are sorted back
 into generation order at the end.  Extension-space runs keep generation
-order (their reducer feeds dominance back into the lazy enumerator), but
-the pooled ``"checks"`` batcher (:func:`_check_pooled`) consumes parent
-verdicts as batches stream back — the executor's ``imap`` yields finished
-results before pulling more work — and cancels not-yet-dispatched extension
-families of member/dominated parents (``families_cancelled_in_flight``),
-closing most of the serial-vs-pooled gap on member-heavy extension spaces.
+order: their reducer feeds dominance back into the lazy enumerator, which
+skips the extension family of every quotient the frontier already
+dominates.
 
 Stage 1's dedup regime (``run_pipeline``'s ``generation`` knob) is fixed
 per run by the shape of the stream, never by measurements: fine-to-coarse
@@ -76,15 +70,16 @@ every other stream is canonically deduplicated at the source.  The serial
 reducer always runs the class check before the dominance scan.
 
 Determinism: the candidate stream is a function of the query, the class
-and the knobs alone, and so is every counter of a serial run — no decision
-reads a clock (the only clock reads feed ``check_seconds`` and
-``dominance_seconds``), so two serial runs do the same work and a
-checkpoint cursor replays the same stream.  The serial path is bit-identical to the pre-pipeline implementation;
-``workers=n`` under ``"checks"`` is bit-identical to ``workers=1``.  Every
-regime prunes only candidates isomorphic to an earlier stream element, so
-frontiers are identical across regimes — the first-generated member of each
-→-minimal class is never pruned, and representative repair converges on
-exactly it whatever else survives.
+and the knobs alone, and so is every counter of a run — no decision reads
+a clock (the only clock reads feed ``check_seconds`` and
+``dominance_seconds``), so two runs do the same work and a checkpoint
+cursor replays the same stream.  The serial path is bit-identical to the
+pre-pipeline implementation, and sharded runs are bit-identical to the
+serial path for any worker count.  Every regime prunes only candidates
+isomorphic to an earlier stream element, so frontiers are identical across
+regimes — the first-generated member of each →-minimal class is never
+pruned, and representative repair converges on exactly it whatever else
+survives.
 
 Engine handles are never pickled: pool workers rebuild their own
 :class:`~repro.homomorphism.engine.HomEngine` via the pid check in
@@ -109,7 +104,7 @@ from repro.core.quotients import (
     QuotientCandidate,
     base_automorphism_inverses,
     coarseness_buckets,
-    coarseness_ordered,
+    coarseness_ordered,  # unused here; benchmarks/e2e/trace.py patches it
     iter_extended_candidates,
     iter_quotient_candidates,
 )
@@ -129,12 +124,13 @@ from repro.runtime.checkpoint import CheckpointManager
 from repro.runtime.spill import SpillConfig, SpillableRefinementTrie, SpilledMap
 from repro.util.partitions import RefinementTrie, code_coarsens
 
-#: Candidates funneled into one pool task (strategy ``"checks"``).
-DEFAULT_BATCH_SIZE = 128
+#: Candidates funneled into one pool task by :func:`iter_membership`.
+_CHECK_BATCH = 128
 
-#: Shards per worker under strategy ``"shards"`` — more shards than workers
-#: smooths imbalance between slices at the cost of per-task setup.
-_SHARDS_PER_WORKER = 2
+#: Shards per fabric address.  The local pool runs one shard per worker:
+#: a second shard per worker costs more in per-shard setup and cross-shard
+#: duplicates than it wins back in balance.
+_FABRIC_SHARDS_PER_WORKER = 2
 
 
 # --------------------------------------------------------------- serialization
@@ -333,12 +329,6 @@ class PipelineStats:
     #: per run: the driver derives once and shard workers receive the data
     #: with their task context instead of re-deriving at startup.
     orbit_derivations: int = 0
-    #: Extended candidates dropped because their parent quotient was already
-    #: dominated by (or admitted to) the frontier — the quotient embeds into
-    #: each of its extensions, so the whole family is dominated with no
-    #: search.  Counts only children that were already generated (pooled
-    #: lookahead); families skipped at the source never reach ``generated``.
-    extension_short_circuits: int = 0
     #: Engine-backed order queries issued by the frontier (dominance scans,
     #: eviction scans, representative repairs).  Coarsening fast paths and
     #: dominance-memo hits do not count — the counter is the wall-clock-free
@@ -361,11 +351,6 @@ class PipelineStats:
     #: repair that keeps reordered reductions bit-identical to the serial
     #: generation-order baseline.
     representative_repairs: int = 0
-    #: Extension families whose not-yet-dispatched children were cancelled
-    #: inside the pooled check batcher after the parent's verdict streamed
-    #: back (counted once per family; the children themselves surface as
-    #: ``extension_short_circuits`` when the reducer skips them).
-    families_cancelled_in_flight: int = 0
     #: Refinement-index entries dropped by a capacity backstop.  The trie
     #: index is uncapped (the historical ``_INDEX_CAP`` antichain cap is
     #: retired), so this stays zero — it is the tripwire that makes any
@@ -386,19 +371,21 @@ class PipelineStats:
     #: Which budget dimension tripped (empty while within budget).
     exhaustion_reason: str = ""
     #: Process pools respawned after a ``BrokenProcessPool`` (killed/OOM'd
-    #: workers).  Respawns are transparent — in-flight work is resubmitted
-    #: in order, so results are unaffected.
+    #: workers).  Respawns are transparent — in-flight shards are
+    #: resubmitted in order, so results are unaffected.
     pool_respawns: int = 0
-    #: Per-batch timeouts that expired while waiting on a pool batch.
+    #: Local pool shards that ran past ``shard_timeout`` (the executor's
+    #: per-task timeout; the name predates shards and the serving layer's
+    #: ``stats`` op reports it).
     batch_timeouts: int = 0
     #: Runs whose executor spent its respawn budget and degraded to inline
     #: (serial) execution of the remaining tasks.  The run still completes
     #: with the same results — this counter is how consumers (the CLI, the
     #: serving layer) tell a recovered pool from a dead one.
     serial_fallbacks: int = 0
-    #: Candidates whose class check was lost to a quarantined (timed-out or
-    #: raising) pool batch.  They are skipped — a sound omission: skipping
-    #: forfeits completeness only, like a budget stop.
+    #: Local pool shards lost to quarantine (timed out or raised).  Their
+    #: slices are skipped — a sound omission: skipping forfeits
+    #: completeness only, like a budget stop.
     quarantined: int = 0
     #: Snapshots written by the checkpoint manager this run.
     checkpoints_written: int = 0
@@ -410,10 +397,6 @@ class PipelineStats:
     #: trie answered the dominance direction exactly, so the merge ran no
     #: reverse hom search for it.
     kernel_trie_merge_hits: int = 0
-    #: Pooled-check verdicts absorbed by the driver-side class-status /
-    #: refinement-index gate *before* dispatch (the worker-side absorption
-    #: channel for raw/orbit streams under ``parallel="checks"``).
-    pooled_absorptions: int = 0
     # --- fabric counters (zero on non-fabric runs) -----------------------
     #: Shards re-dispatched after a network fault, timeout, or worker loss
     #: (the at-least-once path; duplicates are absorbed by merge).
@@ -488,9 +471,11 @@ class PipelineStats:
 class PipelineResult:
     """The →-minimal frontier plus the run's observability payload.
 
-    ``faults`` carries the structured :class:`~repro.parallel.BatchFault`
-    records of quarantined pool batches (empty on fault-free runs): what
-    kind of failure, the stringified cause, and how long the wait lasted.
+    ``faults`` carries the structured fault records of the run (empty on
+    fault-free runs): :class:`~repro.parallel.BatchFault` for quarantined
+    local pool shards, :class:`~repro.fabric.coordinator.ShardFault` for
+    fabric shard failures — what kind of failure, the stringified cause,
+    and how long the wait lasted.
     """
 
     frontier: list[Tableau]
@@ -591,310 +576,69 @@ def _candidate_payload(candidate, key: tuple | None) -> tuple:
     return ("tableau", encode_tableau(candidate.materialize()))
 
 
-#: Verdict sentinel for candidates the pooled batcher never dispatched
-#: because the driver's absorption gate (class-status memo / refinement
-#: index) already knew their resolution.  Consumers resolve such
-#: candidates through the frontier's absorption machinery instead of a
-#: membership verdict.
-ABSORBED = object()
-
-
-def _iter_membership_candidates(
-    candidates: Iterable,
-    cls: QueryClass,
-    executor: SerialExecutor | ProcessExecutor | None,
-    *,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    stats: PipelineStats,
-    absorb=None,
-) -> Iterator[tuple[object, bool | None]]:
-    """Stage 2 over stage-1 candidates: ``(candidate, is_member)`` in order.
-
-    With a :class:`~repro.parallel.SerialExecutor` (or ``None``) checks run
-    inline; with a :class:`~repro.parallel.ProcessExecutor` they go through
-    :func:`_check_pooled`.  Verdicts are memoized under
-    :func:`candidate_check_key` either way.  ``absorb`` (pooled runs only)
-    is the dispatch-time absorption gate — see :func:`_check_pooled`.
-    """
-    if executor is None or isinstance(executor, SerialExecutor):
-        tester = MembershipTester(cls, stats)
-        for candidate in candidates:
-            stats.generated += 1
-            yield candidate, tester(candidate)
-        return
-    yield from _check_pooled(
-        candidates,
-        cls,
-        executor,
-        batch_size=batch_size,
-        stats=stats,
-        absorb=absorb,
-    )
-
-
-def _check_pooled(
-    candidates: Iterable,
-    cls: QueryClass,
-    executor: ProcessExecutor,
-    *,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    stats: PipelineStats,
-    absorb=None,
-) -> Iterator[tuple[object, bool | None]]:
-    """The pooled ``"checks"`` batcher, with verdict feedback.
-
-    ``absorb``, when given, is a dispatch-time gate: a parentless
-    candidate for which ``absorb(candidate)`` is true is never sent to
-    the pool — it is emitted (in order) with the :data:`ABSORBED`
-    sentinel as its verdict, and the caller resolves it against the
-    frontier's memo structures instead.  The gate sees candidates at
-    intake, before batching, so absorbed work costs no pool round-trip.
-
-    Candidates are batched across the pool with bounded lookahead, results
-    streamed back in generation order, and in-flight keys are never
-    dispatched twice (batches resolve in submission order, so an earlier
-    batch's verdict is always in the memo before a later batch consumes
-    it).
-
-    The batcher additionally implements **verdict feedback** on extension
-    streams.  A child whose parent quotient has no emitted verdict yet is
-    *gated* — generated and queued, but not dispatched to the pool.  As
-    batches stream back (the executor's feedback-aware ``imap`` yields
-    finished results before pulling more work) the downstream reducer marks
-    member/dominated parents (``extensions_dominated``), and the gate then
-    resolves each held family: children of marked parents are **cancelled**
-    (never checked — emitted with verdict ``None``; consumers skip them on
-    the parent flag, which never resets, and each cancelled family counts
-    once in ``stats.families_cancelled_in_flight``), children of unmarked
-    parents are released for dispatch.  The verdict stream stays exactly in
-    generation order — released children simply resolve through a later
-    batch, and emission waits for them — so results remain bit-identical
-    for any worker count while the pool checks only (nearly) the candidates
-    the serial path would have checked, closing the serial-vs-pooled gap on
-    member-heavy extension spaces where the batch lookahead used to
-    generate-and-check whole families ahead of their parent's verdict.
-    """
-    memo: dict[tuple, bool] = {}
-    # Keys dispatched but not yet resolved.  Batches resolve in submission
-    # order, so a key sent with batch j is guaranteed resolved (in ``memo``)
-    # before any batch k > j is consumed — later batches can treat in-flight
-    # keys as known and skip the duplicate dispatch.
-    pending_keys: set = set()
-    #: Entries in generation order: ``[candidate, kind, value]`` with kind
-    #: one of "key" (verdict = ``memo[value]`` once resolved), "direct"
-    #: (verdict written into ``value`` when its batch resolves), "verdict"
-    #: (ready — ``None`` means cancelled), "gated" (value = parent, not
-    #: dispatched), "await" (released, waiting for dispatch).
-    entries: deque = deque()
-    release_queue: deque = deque()
-    submitted: deque = deque()  # per in-flight batch: its (entry, key) list
-    # Every emitted parent-shaped candidate, for the gate's "verdict
-    # already emitted?" test.  O(#parents) strong references for the run —
-    # parents are lazy integer-form quotients (children never enter), and
-    # the streams that reach this path hold comparable per-parent state
-    # elsewhere (the enumerator's key sets, the plain path's full buffer).
-    emitted_parents: set = set()
-    cancelled_families: set = set()
-    _UNRESOLVED = object()
-
-    def _cancel(entry) -> None:
-        parent = entry[2] if entry[1] == "gated" else getattr(
-            entry[0], "parent", None
-        )
-        entry[1], entry[2] = "verdict", None
-        if parent is not None and parent not in cancelled_families:
-            cancelled_families.add(parent)
-            stats.families_cancelled_in_flight += 1
-
-    def _dispatch(entry, batch_meta: list, batch_payloads: list) -> None:
-        candidate = entry[0]
-        key = candidate_check_key(cls, candidate)
-        if key is not None and (key in memo or key in pending_keys):
-            stats.check_memo_hits += 1
-            entry[1], entry[2] = "key", key
-            return
-        if key is None:
-            entry[1], entry[2] = "direct", _UNRESOLVED
-        else:
-            pending_keys.add(key)
-            entry[1], entry[2] = "key", key
-        batch_meta.append((entry, key))
-        batch_payloads.append(_candidate_payload(candidate, key))
-
-    def payloads() -> Iterator[tuple]:
-        batch_meta: list = []
-        batch_payloads: list = []
-
-        def flush() -> tuple | None:
-            nonlocal batch_meta, batch_payloads
-            if not batch_payloads:
-                return None
-            submitted.append(batch_meta)
-            payload = (cls, tuple(batch_payloads))
-            batch_meta, batch_payloads = [], []
-            return payload
-
-        def intake() -> Iterator:
-            # Released children first (they are older than anything still
-            # in the stream), then fresh stream candidates.
-            while True:
-                if release_queue:
-                    yield release_queue.popleft()
-                    continue
-                candidate = next(stream, _UNRESOLVED)
-                if candidate is _UNRESOLVED:
-                    return
-                stats.generated += 1
-                entry = [candidate, None, None]
-                entries.append(entry)
-                parent = getattr(candidate, "parent", None)
-                if parent is not None and parent.extensions_dominated:
-                    _cancel(entry)
-                    continue
-                if parent is not None and parent not in emitted_parents:
-                    entry[1], entry[2] = "gated", parent
-                    continue
-                if parent is None and absorb is not None and absorb(candidate):
-                    stats.pooled_absorptions += 1
-                    entry[1], entry[2] = "verdict", ABSORBED
-                    continue
-                yield entry
-
-        for entry in intake():
-            _dispatch(entry, batch_meta, batch_payloads)
-            if len(batch_payloads) >= batch_size:
-                payload = flush()
-                if payload is not None:
-                    yield payload
-        payload = flush()
-        if payload is not None:
-            yield payload
-
-    def _resolve_batch(verdicts, seconds) -> None:
-        for (entry, key), verdict, elapsed in zip(
-            submitted.popleft(), verdicts, seconds
-        ):
-            stats.checks_run += 1
-            stats.check_seconds += elapsed
-            if key is None:
-                entry[2] = verdict
-            else:
-                memo[key] = verdict
-                pending_keys.discard(key)
-
-    def _resolve_batch_failed() -> None:
-        """Quarantine a lost batch (timeout or raising worker).
-
-        Every candidate of the batch resolves to verdict ``None`` — treated
-        as a non-member downstream, a *sound* omission (a skipped candidate
-        forfeits completeness only, exactly like a budget stop).  Entries
-        elsewhere in the queue that were riding on a key this batch was
-        supposed to resolve are quarantined too: their key is no longer
-        pending and no later batch will dispatch it for them, so leaving
-        them would stall the drain forever.
-        """
-        lost_keys: set = set()
-        for entry, key in submitted.popleft():
-            stats.quarantined += 1
-            entry[1], entry[2] = "verdict", None
-            if key is not None:
-                pending_keys.discard(key)
-                lost_keys.add(key)
-        if lost_keys:
-            for entry in entries:
-                if (
-                    entry[1] == "key"
-                    and entry[2] in lost_keys
-                    and entry[2] not in memo
-                ):
-                    stats.quarantined += 1
-                    entry[1], entry[2] = "verdict", None
-
-    def _drain() -> Iterator[tuple[object, bool | None]]:
-        while entries:
-            candidate, kind, value = entries[0]
-            if kind == "gated":
-                # The parent is ahead of its children in the queue, so a
-                # gated head's parent has been emitted (and, if dominated
-                # or a member, marked) — the gate can resolve now.
-                for entry in entries:
-                    if entry[1] != "gated":
-                        continue
-                    if entry[2].extensions_dominated:
-                        _cancel(entry)
-                    elif entry[2] in emitted_parents:
-                        entry[1], entry[2] = "await", None
-                        release_queue.append(entry)
-                continue
-            if kind == "await":
-                return  # dispatching through the next batch
-            if kind == "key":
-                verdict = memo.get(value, _UNRESOLVED)
-            else:  # "direct" or ready "verdict"
-                verdict = value
-            if verdict is _UNRESOLVED:
-                return
-            entries.popleft()
-            if verdict is ABSORBED:
-                pass  # resolved by the caller against the frontier memos
-            elif verdict:
-                stats.members += 1
-            if getattr(candidate, "parent", None) is None:
-                emitted_parents.add(candidate)
-            yield candidate, verdict
-
-    stream = iter(candidates)
-    while True:
-        # A one-batch-tighter lookahead window than the executor default:
-        # verdict feedback lands a batch earlier, and the gate keeps the
-        # pool from starving on held families either way.  Batch failures
-        # surface as BatchFault records (failures="yield") in the failed
-        # batch's result slot, so quarantine keeps submission-order
-        # bookkeeping intact.
-        for outcome in executor.imap(
-            _check_batch, payloads(), inflight=executor.workers + 1,
-            failures="yield",
-        ):
-            if isinstance(outcome, BatchFault):
-                _resolve_batch_failed()
-            else:
-                _resolve_batch(*outcome)
-            yield from _drain()
-        yield from _drain()
-        if not entries:
-            return
-        if not release_queue:  # pragma: no cover - progress invariant
-            raise RuntimeError("pooled check batcher stalled on gated entries")
-        # Released children that surfaced after the stream was exhausted:
-        # another imap round dispatches them (and anything they unblock).
-
-
 def iter_membership(
     candidates: Iterable[Tableau],
     cls: QueryClass,
     executor: SerialExecutor | ProcessExecutor | None = None,
     *,
-    batch_size: int = DEFAULT_BATCH_SIZE,
     stats: PipelineStats | None = None,
 ) -> Iterator[tuple[Tableau, bool]]:
     """Stage 2 as a reusable stream over plain tableaux.
 
-    The public face of :func:`_iter_membership_candidates` for callers that
-    hold tableaux (e.g. the syntactic overapproximation search): yields
-    ``(tableau, is_member)`` in input order with the same memoization and
-    pooling behavior.
+    For callers that hold tableaux (e.g. the syntactic overapproximation
+    search): yields ``(tableau, is_member)`` in input order, verdicts
+    memoized under :func:`candidate_check_key`.  With a
+    :class:`~repro.parallel.ProcessExecutor` the checks run in
+    :func:`_check_batch` batches over the pool; a key is dispatched once,
+    and since batches resolve in submission order its verdict is known by
+    the time a later batch repeats it.
     """
     if stats is None:
         stats = PipelineStats()
     wrapped = (QuotientCandidate.from_tableau(tableau) for tableau in candidates)
-    for candidate, verdict in _iter_membership_candidates(
-        wrapped,
-        cls,
-        executor,
-        batch_size=batch_size,
-        stats=stats,
-    ):
-        yield candidate.materialize(), verdict
+    if executor is None or isinstance(executor, SerialExecutor):
+        tester = MembershipTester(cls, stats)
+        for candidate in wrapped:
+            stats.generated += 1
+            yield candidate.materialize(), tester(candidate)
+        return
+    memo: dict[tuple, bool] = {}
+    dispatched: set = set()
+    batches: deque = deque()  # per in-flight batch: (candidate, key, fresh)
+
+    def payloads() -> Iterator[tuple]:
+        while True:
+            batch = list(islice(wrapped, _CHECK_BATCH))
+            if not batch:
+                return
+            entries, sent = [], []
+            for candidate in batch:
+                stats.generated += 1
+                key = candidate_check_key(cls, candidate)
+                fresh = key is None or key not in dispatched
+                if fresh:
+                    if key is not None:
+                        dispatched.add(key)
+                    sent.append(_candidate_payload(candidate, key))
+                entries.append((candidate, key, fresh))
+            batches.append(entries)
+            yield cls, tuple(sent)
+
+    for verdicts, seconds in executor.imap(_check_batch, payloads()):
+        results = iter(zip(verdicts, seconds))
+        for candidate, key, fresh in batches.popleft():
+            if fresh:
+                verdict, elapsed = next(results)
+                stats.checks_run += 1
+                stats.check_seconds += elapsed
+                if key is not None:
+                    memo[key] = verdict
+            else:
+                stats.check_memo_hits += 1
+                verdict = memo[key]
+            if verdict:
+                stats.members += 1
+            yield candidate.materialize(), verdict
 
 
 # -------------------------------------------------------------------- stage 3
@@ -1093,18 +837,13 @@ class Frontier:
     def absorbable(self, candidate) -> bool:
         """Whether zero-cost evidence already settles this candidate.
 
-        The pooled batcher's dispatch gate (see :func:`_check_pooled`):
-        a true return means the dominance memo, the refinement index, or
-        the class-status memo will resolve the candidate "dominated"
-        without its class check, so dispatching the check to the pool
-        would be pure waste.  Side-effect-free — the candidate still goes
-        through :meth:`resolve`, which re-derives the evidence with the
-        normal hit counting — and monotone: every structure consulted
-        only grows (and "dominated" never expires), so a gate-time hit
-        still holds at resolve time regardless of what the pool returns
-        in between.  Only *pre-computed* class keys are consulted;
-        canonizing here would spend exactly the cost the gate exists to
-        avoid.
+        A true return means the dominance memo, the refinement index, or
+        the class-status memo would resolve the candidate "dominated"
+        without its class check.  Side-effect-free (no hit counting) and
+        monotone: every structure consulted only grows, and "dominated"
+        never expires.  Only *pre-computed* class keys are consulted.  No
+        pipeline path calls it; ``benchmarks/e2e/trace.py`` patches it by
+        name.
         """
         key = dominance_key(candidate)
         if key is not None and key in self._dominated_keys:
@@ -1358,7 +1097,6 @@ class Frontier:
         key: tuple | None = None,
         generation: int | None = None,
         membership=None,
-        membership_first: bool = False,
         late_key=None,
     ) -> str:
         """The order-aware frontier update for one stage-1 candidate.
@@ -1368,24 +1106,22 @@ class Frontier:
         (``membership`` vetoed the candidate), or ``"admitted"``.
         ``membership`` is a zero-argument callable deciding class
         membership, consulted at most once; pass ``None`` when the
-        candidate is already known to be a member.  ``membership_first``
-        runs the class check before the dominance *scan* (the serial
-        reducer's order) instead of after it (the pooled path's absorbed
-        candidates, which are checked only if a repair needs it) — but
-        zero-cost dominance evidence (the key memo and the refinement
-        index) is consulted before either, since a free "dominated" beats
-        any check.  ``candidate`` is a stage-1 candidate object
-        (``materialize()``/``codes``), materialized only when a search or
-        admission actually needs the tableau.
+        candidate is already known to be a member.  The class check runs
+        before the dominance *scan*, but zero-cost dominance evidence (the
+        key memo and the refinement index) is consulted before either,
+        since a free "dominated" beats any check.  ``candidate`` is a
+        stage-1 candidate object (``materialize()``/``codes``),
+        materialized only when a search or admission actually needs the
+        tableau.
 
         ``late_key`` is the raw-stream dedup hook: a zero-argument callable
         producing the candidate's fact-level canonical key (``None`` when
         uncomputable).  It is invoked only on the brink of a dominance
         *scan* — after the free absorption checks (dominance memo,
-        refinement index) missed and after a check-first membership
-        rejection had its chance to end the resolution cheaply — this is
-        the stage-1 canonicalization tax deferred to the point of real
-        need, never paid by candidates a memoized check rejects.  The key
+        refinement index) missed and after a membership rejection had its
+        chance to end the resolution cheaply — this is the stage-1
+        canonicalization tax deferred to the point of real need, never
+        paid by candidates a memoized check rejects.  The key
         is consulted against the class-status memo: an isomorphic
         candidate's earlier admitted/dominated outcome settles this one
         with no search ("admitted"/"dominated" transfer because the
@@ -1404,7 +1140,6 @@ class Frontier:
         (or skipping repair when the entry's class provably left the
         frontier) reproduces exactly what a full scan would have done.
         """
-        member_known = membership is None
         cached = self.cached_dominance(key)
         if cached is True:
             # An isomorphic candidate resolved "dominated" earlier.  Equal
@@ -1422,11 +1157,8 @@ class Frontier:
                     self._dominated_keys.add(key)
                 self._repair(candidate, hit_witness, generation, membership)
                 return "dominated"
-        if membership_first and not member_known:
-            if not membership():
-                return "rejected"
-            member_known = True
-        repair_membership = None if member_known else membership
+        if membership is not None and not membership():
+            return "rejected"
         class_key = None
         if cached is False:
             verdict, witness = False, None
@@ -1457,16 +1189,13 @@ class Frontier:
                 equivalent = self._member_le(candidate, codes, witness)
                 if equivalent:
                     self._repair(
-                        candidate, witness, generation, repair_membership,
-                        equivalent=True,
+                        candidate, witness, generation, None, equivalent=True
                     )
                 self._record_refinement(codes, witness if equivalent else None)
             else:
-                self._repair(candidate, witness, generation, repair_membership)
+                self._repair(candidate, witness, generation, None)
             self._set_class_status(class_key, "dominated")
             return "dominated"
-        if not member_known and not membership():
-            return "rejected"
         tableau = candidate.materialize()
         self.insert(tableau, codes, generation=generation)
         self._record_refinement(codes, tableau)
@@ -1920,8 +1649,7 @@ def _budget_gate(candidates, budget: RunBudget, stats: PipelineStats):
     """Stop drawing stage-1 candidates once the budget trips.
 
     The earliest possible stop: nothing downstream of the gate sees another
-    candidate, so in-flight pool batches drain naturally (the batcher's
-    intake just ends) and buffering reducers stop growing their buffer.
+    candidate, so buffering reducers stop growing their buffer.
     The candidate cap is enforced against ``stats.generated``, which the
     consumer increments — exact on lazy (one-in-one-out) streams; during a
     fine-to-coarse buffering phase only the deadline and the memory ceiling
@@ -2010,11 +1738,11 @@ class _CheckpointSession:
         self.manager.finalize()
 
 
-def _mark_family_dominated(candidate, parent) -> None:
+def _mark_family_dominated(candidate) -> None:
     """Record that the frontier now holds a member mapping into ``candidate``.
 
-    Only meaningful for quotient candidates (potential family parents,
-    ``parent is None``): once a quotient is found dominated, or is a member
+    Only meaningful for quotient candidates (potential family parents):
+    once a quotient is found dominated, or is a member
     offered to the frontier (then a member maps into it afterwards — itself
     if admitted, its dominator or evictor otherwise, since the →-minimal
     frontier only descends), its whole extension family is dominated.  The
@@ -2023,7 +1751,7 @@ def _mark_family_dominated(candidate, parent) -> None:
     Candidates without the feedback slot (plain tableau adapters) are
     ignored.
     """
-    if parent is None and getattr(candidate, "extensions_dominated", None) is False:
+    if getattr(candidate, "extensions_dominated", None) is False:
         candidate.extensions_dominated = True
 
 
@@ -2051,12 +1779,10 @@ def _reduce_inline(
     reduced before any coarsening of it, so most dominance verdicts resolve
     through the coarsening fast path with zero engine searches, and
     representative repair plus a final generation-order sort keep the
-    result **bit-identical** to the insertion-order reduction.  Only sound
-    for streams without generator feedback (plain quotient streams) — the
-    stream is buffered in full, so ``extensions_dominated`` flags could
-    never reach the enumerator, and the consume-time family shortcut is
-    disabled because under reordering the flagging member may be
-    later-generated than the child it would skip.
+    result **bit-identical** to the insertion-order reduction.  Meant for
+    streams without generator feedback (plain quotient streams): the
+    stream is buffered in full, so ``extensions_dominated`` flags never
+    reach the enumerator.
     """
     tester = MembershipTester(cls, stats)
     reorder = order == "fine_to_coarse"
@@ -2083,26 +1809,16 @@ def _reduce_inline(
         if budget is not None and budget.exceeded(stats) is not None:
             break
         stats.generated += 1
-        parent = getattr(candidate, "parent", None)
-        if parent is not None and parent.extensions_dominated and not reorder:
-            # The parent quotient embeds into this extended candidate, and
-            # a frontier member maps into the parent — so the candidate is
-            # dominated whatever its class verdict: skip check and search.
-            # (The source skips whole families on the same flag; this
-            # catches children generated before the flag was set.)
-            stats.extension_short_circuits += 1
-            continue
         calls_before = stats.hom_le_calls
         status = frontier.resolve(
             candidate,
             key=dominance_key(candidate),
             generation=getattr(candidate, "generation", None),
             membership=lambda: tester(candidate),
-            membership_first=True,
             late_key=_deferred_class_key(candidate, stats),
         )
         if status != "rejected":
-            _mark_family_dominated(candidate, parent)
+            _mark_family_dominated(candidate)
             if reorder and stats.hom_le_calls == calls_before:
                 stats.admissions_resolved_by_order += 1
         if checkpoint is not None:
@@ -2133,10 +1849,9 @@ def _reduce_inline(
 #: Per-worker shard context: ``(base_data, cls, max_extra_atoms,
 #: allow_fresh, automorphisms, order, generation, budget_spec,
 #: spill_dir)``, installed once per worker process by the executor
-#: initializer (and inline for a serial executor).  Shipping the base
-#: tableau and its orbit data with the *context* instead of every task
-#: payload serializes them once per worker and spares each worker the
-#: startup endomorphism scan.
+#: initializer.  Shipping the base tableau and its orbit data with the
+#: *context* instead of every task payload serializes them once per worker
+#: and spares each worker the startup endomorphism scan.
 _SHARD_CONTEXT: tuple | None = None
 
 
@@ -2145,26 +1860,77 @@ def _install_shard_context(context: tuple) -> None:
     _SHARD_CONTEXT = context
 
 
+def _partition_codes(quotient: QuotientCandidate) -> tuple[int, ...]:
+    """The restricted growth string of a stream quotient's partition.
+
+    Stream quotients carry it as ``codes``; the isolated-element fallback
+    leaves ``codes`` unset, so it is rebuilt from the partition over the
+    base's element order (``repr``-sorted, as the stream enumerates it).
+    """
+    if quotient.codes is not None:
+        return quotient.codes
+    block_of = {
+        element: block_id
+        for block_id, block in enumerate(quotient.partition)
+        for element in block
+    }
+    return tuple(
+        block_of[element]
+        for element in sorted(quotient.base.structure.domain, key=repr)
+    )
+
+
+def _stream_positions(candidates: Iterable, positions: list) -> Iterator:
+    """Record each candidate's stream position, in stream order.
+
+    A stream position is ``(codes, rank)``: the partition codes of the
+    candidate's quotient and its rank within that quotient's family — 0
+    for the quotient, then 1, 2, ... for its extended candidates in
+    enumeration order.  An extended candidate takes its ``parent``'s
+    codes (the parent itself may have been suppressed from the stream); a
+    parentless one (the tableau-level extension fallback) belongs to the
+    last quotient.  Partition codes are restricted growth strings, whose
+    lexicographic order is the order of the unsharded stream, and a
+    family never spans shards — so positions from different shards never
+    tie and sort into serial stream order.  Each candidate's
+    ``generation`` is set to its index in ``positions``.
+    """
+    family, codes, rank = None, None, 0
+    for candidate in candidates:
+        parent = getattr(candidate, "parent", None)
+        if parent is None and candidate.partition:
+            family, codes, rank = candidate, _partition_codes(candidate), 0
+        else:
+            owner = family if parent is None else parent
+            if owner is not family:
+                family, codes, rank = owner, _partition_codes(owner), 0
+            rank += 1
+        candidate.generation = len(positions)
+        positions.append((codes, rank))
+        yield candidate
+
+
 def run_shard(
     context: tuple, shard: tuple[int, int]
 ) -> tuple[tuple[tuple, ...], dict]:
     """The full pipeline loop on one shard slice, reentrant.
 
-    The shared body behind the pool task (strategy ``"shards"``) and the
-    fabric worker's ``shard`` op (:mod:`repro.fabric.worker`) — the pool
-    path installs ``context`` once per process, the fabric path threads it
-    per call, both run the same code.  Shard workers share the driver's
-    admission order and generation regime: plain quotient slices are
-    reduced fine-to-coarse (coarseness-ordered shard iteration — the
-    buffered slice is one shard, not the whole stream), extension slices
-    in generation order.  Each returned member ships as ``(encoded
-    tableau, partition codes, kernel codes)`` — codes over the shared
-    base element order (``None`` off the integer path), kernel codes the
-    member's built kernel index flattened by
-    :meth:`Frontier.kernel_exports` (``None`` when never built) — so the
-    driver's merge can route cross-shard admissions through the
-    refinement index and decide dominance through the shipped kernels
-    instead of re-answering reverse queries per shard.
+    The shared body behind the local pool task and the fabric worker's
+    ``shard`` op (:mod:`repro.fabric.worker`) — the pool path installs
+    ``context`` once per process, the fabric path threads it per call,
+    both run the same code.  Shard workers share the driver's admission
+    order and generation regime: plain quotient slices are reduced
+    fine-to-coarse (coarseness-ordered shard iteration — the buffered
+    slice is one shard, not the whole stream), extension slices in
+    generation order.  Each returned member ships as ``(encoded tableau,
+    partition codes, kernel codes, stream position)`` — codes over the
+    shared base element order (``None`` off the integer path), kernel
+    codes the member's built kernel index flattened by
+    :meth:`Frontier.kernel_exports` (``None`` when never built), and the
+    position from :func:`_stream_positions` — so the driver's merge can
+    replay the union of shards in serial stream order, route cross-shard
+    admissions through the refinement index, and decide dominance through
+    the shipped kernels instead of re-answering reverse queries per shard.
     """
     (
         base_data,
@@ -2184,6 +1950,7 @@ def run_shard(
     # exhausts its slice of the budget returns its partial frontier and the
     # driver's absorb ORs the ``exhausted`` flags together.
     budget = RunBudget(**budget_spec) if budget_spec is not None else None
+    positions: list = []
     candidates = _candidate_source(
         base,
         cls,
@@ -2194,7 +1961,7 @@ def run_shard(
         generation=generation,
     )
     frontier = _reduce_inline(
-        candidates,
+        _stream_positions(candidates, positions),
         cls,
         stats,
         order=order,
@@ -2208,6 +1975,7 @@ def run_shard(
                 encode_tableau(member),
                 frontier._codes.get(id(member)),
                 kernel,
+                positions[frontier._generation[id(member)]],
             )
             for member, kernel in zip(frontier.members, kernels)
         ),
@@ -2216,9 +1984,92 @@ def run_shard(
 
 
 def _shard_task(shard: tuple[int, int]) -> tuple[tuple[tuple, ...], dict]:
-    """Pool task (strategy ``"shards"``): :func:`run_shard` on the
-    process-installed context."""
+    """Local pool task: :func:`run_shard` on the process-installed context."""
     return run_shard(_SHARD_CONTEXT, shard)
+
+
+def _merge_shards(frontier: Frontier, shard_members: Iterable) -> None:
+    """Fold the union of shard frontiers into ``frontier`` in stream order.
+
+    ``shard_members`` holds each shard's :func:`run_shard` member tuples.
+    Sorted by stream position, the union replays in the order the serial
+    stream generated its members, so :meth:`Frontier.merge`'s online
+    reduction keeps the first-generated member of each →-minimal class —
+    the serial representative — and lists the survivors in serial order.
+    """
+    members = sorted(chain.from_iterable(shard_members), key=lambda m: m[3])
+    frontier.merge(
+        [decode_tableau(data) for data, _, _, _ in members],
+        [codes for _, codes, _, _ in members],
+        [kernel for _, _, kernel, _ in members],
+    )
+
+
+def _run_pool_shards(
+    workers: int,
+    context: tuple,
+    shards: list,
+    stats: PipelineStats,
+    shard_timeout: float | None,
+) -> tuple[list, list[BatchFault]]:
+    """Run ``shards`` over a local process pool: ``(members, faults)``.
+
+    A shard running past ``shard_timeout`` or raising is quarantined — its
+    slice is skipped, a sound omission counted in ``stats.quarantined`` —
+    and a killed worker's pool is respawned with its shards resubmitted.
+    """
+    results: list = []
+    with make_executor(
+        workers,
+        initializer=_install_shard_context,
+        initargs=(context,),
+        batch_timeout=shard_timeout,
+    ) as executor:
+        for outcome in executor.imap(_shard_task, shards, failures="yield"):
+            if isinstance(outcome, BatchFault):
+                stats.quarantined += 1
+                continue
+            members, shard_stats = outcome
+            stats.absorb(PipelineStats(**shard_stats))
+            results.append(members)
+        return results, _harvest_executor(executor, stats)
+
+
+def _run_fabric_shards(
+    addresses: tuple[str, ...],
+    context: tuple,
+    shards: list,
+    stats: PipelineStats,
+    *,
+    heartbeat_interval: float,
+    shard_timeout: float | None,
+) -> tuple[list, list]:
+    """Run ``shards`` over network workers: ``(members, faults)``."""
+    from repro.fabric.coordinator import FabricCoordinator
+
+    coordinator = FabricCoordinator(
+        addresses,
+        context,
+        heartbeat_interval=heartbeat_interval,
+        shard_timeout=shard_timeout,
+        local_runner=run_shard,
+    )
+    results: dict[int, tuple] = {}
+    for shard_index, members, shard_stats in coordinator.run(shards):
+        if shard_index in results:
+            # A speculative or re-dispatched duplicate of a shard already
+            # received: the same slice gives the same members, and its
+            # stats would double-count.
+            stats.duplicate_results += 1
+            continue
+        results[shard_index] = members
+        stats.absorb(PipelineStats(**shard_stats))
+    stats.shard_retries += coordinator.retries
+    stats.speculative_dispatches += coordinator.speculations
+    stats.workers_blacklisted += coordinator.blacklisted
+    stats.heartbeat_misses += coordinator.heartbeat_misses
+    stats.fabric_local_shards += coordinator.local_shards
+    return list(results.values()), list(coordinator.faults)
 
 
 #: CLI/config spellings of the admission orders (the CLI exposes
@@ -2258,9 +2109,9 @@ def _resolve_generation_mode(generation: str, order: str) -> str:
     """The effective stage-1 generation regime for a pipeline run.
 
     ``"auto"`` resolves by the admission order alone.  Fine-to-coarse
-    streams (by default the plain quotient streams — serial, pooled and in
-    every shard worker) go ``"orbit"``: their reduction is deferred until the stream is
-    buffered, and the reducer canonicalizes at the point of need
+    streams (by default the plain quotient streams, serially and in every
+    shard worker) go ``"orbit"``: their reduction is deferred until the
+    stream is buffered, and the reducer canonicalizes at the point of need
     (``late_key``) — only candidates the dominance memo, the refinement
     index and a memoized class check all missed pay a canonization, so the
     stream pays at most what canonical generation pays.  The orbit filter
@@ -2282,15 +2133,12 @@ def run_pipeline(
     cls: QueryClass,
     *,
     workers: int = 1,
-    parallel: str = "checks",
-    batch_size: int = DEFAULT_BATCH_SIZE,
     max_extra_atoms: int = 1,
     allow_fresh: bool = True,
     admission_order: str = "auto",
     generation: str = "auto",
     budget: RunBudget | None = None,
     checkpoint: CheckpointManager | str | None = None,
-    batch_timeout: float | None = None,
     fabric: Iterable[str] | None = None,
     spill_dir: str | os.PathLike | None = None,
     heartbeat_interval: float = 2.0,
@@ -2299,53 +2147,55 @@ def run_pipeline(
     """Run the three-stage pipeline and return the →-minimal frontier.
 
     ``workers <= 1`` runs everything inline (bit-identical to the historic
-    serial algorithm); ``parallel`` picks the scaling strategy for
-    ``workers > 1`` — see the module docstring for the two strategies and
-    their determinism guarantees.  ``admission_order`` selects stage 3's
-    reduction order (:func:`_resolve_admission_order`): ``"auto"`` (the
-    default) reduces plain quotient streams fine-to-coarse — bit-identical
-    to ``"insertion"``, the historical generation order, via representative
+    serial algorithm); ``workers > 1`` splits the stream into one shard
+    per worker of a local process pool and merges the shard frontiers in
+    stream order, bit-identical to the serial run (see the module
+    docstring).  ``admission_order`` selects stage 3's reduction order
+    (:func:`_resolve_admission_order`): ``"auto"`` (the default) reduces
+    plain quotient streams fine-to-coarse — bit-identical to
+    ``"insertion"``, the historical generation order, via representative
     repair — and extension streams in generation order.  ``generation``
     selects stage 1's dedup regime (:func:`_resolve_generation_mode`):
     ``"auto"`` replays fine-to-coarse streams orbit-pruned
     (canonicalization deferred to the reducer's point of need) and
     deduplicates every other stream canonically; ``"canonical"``,
-    ``"orbit"`` and ``"raw"`` pin the regime.  Results are invariant —
-    serial and pooled runs bit-identical — across all generation regimes:
-    stage-1 dedup only ever prunes candidates isomorphic to earlier stream
-    elements, and the reducer's representative repair restores the
-    first-generated member of each class whatever survives.
+    ``"orbit"`` and ``"raw"`` pin the regime.  Results are invariant
+    across all generation regimes and worker counts: stage-1 dedup only
+    ever prunes candidates isomorphic to earlier stream elements, and the
+    reducer's representative repair restores the first-generated member of
+    each class whatever survives.
 
     ``budget`` (a :class:`~repro.runtime.budget.RunBudget`) turns the run
-    *anytime*: when a budget dimension trips, stage 1 stops producing, any
-    in-flight pool batches drain, and the best-so-far frontier is returned
-    with ``stats.exhausted`` set — every member still a sound
-    C-overapproximation, only minimality/completeness forfeited.  Under
-    ``parallel="shards"`` the budget applies per shard (remaining deadline
-    and caps frozen at dispatch).  ``checkpoint`` (a
+    *anytime*: when a budget dimension trips, stage 1 stops producing and
+    the best-so-far frontier is returned with ``stats.exhausted`` set —
+    every member still a sound C-overapproximation, only
+    minimality/completeness forfeited.  With ``workers > 1`` or ``fabric``
+    the budget applies per shard (remaining deadline and caps frozen at
+    dispatch).  ``checkpoint`` (a
     :class:`~repro.runtime.checkpoint.CheckpointManager` or a path) enables
     periodic snapshot/resume — serial plain-quotient-stream runs only,
     under any generation regime and admission order (the stream is a
     function of the run key, so a resume replays it exactly).
-    ``batch_timeout`` bounds the wait on any one pooled check batch; an
-    expired batch is quarantined into ``result.faults`` (its candidates
-    skipped, counted in ``stats.quarantined``) instead of killing the run.
+    ``shard_timeout`` is the per-shard deadline of both transports: a local
+    pool shard over it is quarantined into ``result.faults`` (its slice
+    skipped, counted in ``stats.quarantined`` and ``stats.batch_timeouts``)
+    instead of hanging the run; a fabric shard over it is re-dispatched.
 
     ``fabric`` — a list of worker addresses (``"host:port"`` or a unix
-    socket path) — dispatches the shard strategy's slices to *network*
-    shard workers (``repro worker``) through the
+    socket path) — dispatches two shards per address to *network* shard
+    workers (``repro worker``) through the
     :class:`~repro.fabric.coordinator.FabricCoordinator` instead of a
     local process pool: heartbeats and per-shard deadlines
     (``heartbeat_interval``, ``shard_timeout``) detect lost and hung
     workers, lost shards are re-dispatched with capped exponential
-    backoff (at-least-once — safe because :meth:`Frontier.merge` is
-    idempotent), stragglers are speculatively re-executed on idle
-    workers (first result wins, duplicates absorbed), repeatedly-failing
-    workers are blacklisted, and when every worker is blacklisted the
-    remaining shards run locally — the run completes with a degraded
-    fabric rather than failing.  Shard-level faults are threaded into
-    ``result.faults`` as :class:`~repro.fabric.coordinator.ShardFault`
-    records.  ``fabric`` overrides ``parallel``/``workers``.
+    backoff (at-least-once — a duplicate result of a shard is dropped),
+    stragglers are speculatively re-executed on idle workers (first
+    result wins), repeatedly-failing workers are blacklisted, and when
+    every worker is blacklisted the remaining shards run locally — the run
+    completes with a degraded fabric rather than failing.  Shard-level
+    faults are threaded into ``result.faults`` as
+    :class:`~repro.fabric.coordinator.ShardFault` records.  ``fabric``
+    overrides ``workers``.
 
     ``spill_dir`` enables the memory-bounded spill policy
     (:mod:`repro.runtime.spill`) on every frontier this run constructs —
@@ -2356,8 +2206,6 @@ def run_pipeline(
     only, so ``exact_limit`` sizes that used to trip a fixed
     ``memory_limit`` on memo growth complete inside it.
     """
-    if parallel not in {"checks", "shards"}:
-        raise ValueError(f"unknown parallel strategy {parallel!r}")
     order = _resolve_admission_order(admission_order, cls, max_extra_atoms)
     generation = _resolve_generation_mode(generation, order)
     checkpoint_manager = (
@@ -2365,8 +2213,10 @@ def run_pipeline(
         if isinstance(checkpoint, (str, os.PathLike))
         else checkpoint
     )
+    fabric_addresses = tuple(fabric) if fabric is not None else ()
+    sharded = bool(fabric_addresses) or effective_workers(workers) > 1
     if checkpoint_manager is not None:
-        if effective_workers(workers) > 1:
+        if sharded:
             raise ValueError("checkpointing requires a serial run (workers=1)")
         plain_stream = (
             getattr(cls, "kind", None) == "graph" or max_extra_atoms <= 0
@@ -2382,14 +2232,11 @@ def run_pipeline(
         budget.start()
     automorphisms = _base_orbit_data(tableau, stats)
 
-    fabric_addresses = tuple(fabric) if fabric is not None else ()
-    if fabric_addresses or (
-        effective_workers(workers) > 1 and parallel == "shards"
-    ):
+    if sharded:
         if fabric_addresses:
-            shard_count = len(fabric_addresses) * _SHARDS_PER_WORKER
+            shard_count = len(fabric_addresses) * _FABRIC_SHARDS_PER_WORKER
         else:
-            shard_count = effective_workers(workers) * _SHARDS_PER_WORKER
+            shard_count = effective_workers(workers)
         stats.shards = shard_count
         budget_spec = None
         if budget is not None:
@@ -2414,65 +2261,24 @@ def run_pipeline(
             os.fspath(spill_dir) if spill_dir is not None else None,
         )
         shards = [(index, shard_count) for index in range(shard_count)]
-
         if fabric_addresses:
-            from repro.fabric.coordinator import FabricCoordinator
-
-            frontier = Frontier(stats=stats, spill=_spill_config(spill_dir, budget))
-            if budget is not None:
-                budget.register_probe(frontier.tracked_entries)
-            coordinator = FabricCoordinator(
+            shard_members, faults = _run_fabric_shards(
                 fabric_addresses,
                 context,
+                shards,
+                stats,
                 heartbeat_interval=heartbeat_interval,
                 shard_timeout=shard_timeout,
-                local_runner=run_shard,
             )
-            merged: set = set()
-            for shard_index, encoded_members, shard_stats in coordinator.run(
-                shards
-            ):
-                if shard_index in merged:
-                    # A speculative or re-dispatched duplicate: its stats
-                    # would double-count, but its members merge
-                    # idempotently — absorbing them is what makes
-                    # at-least-once delivery safe.
-                    stats.duplicate_results += 1
-                else:
-                    merged.add(shard_index)
-                    stats.absorb(PipelineStats(**shard_stats))
-                frontier.merge(
-                    [decode_tableau(data) for data, _, _ in encoded_members],
-                    [codes for _, codes, _ in encoded_members],
-                    [kernel for _, _, kernel in encoded_members],
-                )
-            stats.shard_retries += coordinator.retries
-            stats.speculative_dispatches += coordinator.speculations
-            stats.workers_blacklisted += coordinator.blacklisted
-            stats.heartbeat_misses += coordinator.heartbeat_misses
-            stats.fabric_local_shards += coordinator.local_shards
-            _note_exhaustion(budget, stats)
-            _harvest_spill(frontier, stats)
-            return PipelineResult(
-                frontier.members, stats, list(coordinator.faults)
+        else:
+            shard_members, faults = _run_pool_shards(
+                workers, context, shards, stats, shard_timeout
             )
-
-        with make_executor(
-            workers, initializer=_install_shard_context, initargs=(context,)
-        ) as executor:
-            frontier = Frontier(stats=stats, spill=_spill_config(spill_dir, budget))
-            for encoded_members, shard_stats in executor.imap(
-                _shard_task, shards
-            ):
-                stats.absorb(PipelineStats(**shard_stats))
-                frontier.merge(
-                    [decode_tableau(data) for data, _, _ in encoded_members],
-                    [codes for _, codes, _ in encoded_members],
-                    [kernel for _, _, kernel in encoded_members],
-                )
-            faults = _harvest_executor(executor, stats)
-            _harvest_spill(frontier, stats)
-            return PipelineResult(frontier.members, stats, faults)
+        frontier = Frontier(stats=stats, spill=_spill_config(spill_dir, budget))
+        _merge_shards(frontier, shard_members)
+        _note_exhaustion(budget, stats)
+        _harvest_spill(frontier, stats)
+        return PipelineResult(frontier.members, stats, faults)
 
     session = None
     resume = None
@@ -2488,124 +2294,22 @@ def run_pipeline(
         )
         session = _CheckpointSession(checkpoint_manager, run_key, stats)
         resume = session.load()
-
-    with make_executor(workers, batch_timeout=batch_timeout) as executor:
-        candidates = _candidate_source(
-            tableau,
-            cls,
-            max_extra_atoms=max_extra_atoms,
-            allow_fresh=allow_fresh,
-            automorphisms=automorphisms,
-            generation=generation,
-        )
-        if isinstance(executor, SerialExecutor):
-            frontier = _reduce_inline(
-                candidates,
-                cls,
-                stats,
-                order=order,
-                budget=budget,
-                checkpoint=session,
-                resume=resume,
-                spill=_spill_config(spill_dir, budget),
-            )
-            return PipelineResult(frontier.members, stats)
-
-        # The pooled "checks" strategy is check-first by construction: the
-        # pool exists to make membership checks cheap, and dispatching them
-        # eagerly is what overlaps stage 2 with stages 1 and 3.
-        frontier = Frontier(
-            stats=stats,
-            ordered=order == "fine_to_coarse",
-            spill=_spill_config(spill_dir, budget),
-        )
-        if budget is not None:
-            budget.register_probe(frontier.tracked_entries)
-            # A tripped budget simply ends the batcher's intake; the
-            # batches already in flight drain through the executor's
-            # bounded window — at most ``inflight`` batch waits, so the
-            # drain is bounded by the in-flight work, not the stream.
-            candidates = _budget_gate(candidates, budget, stats)
-        if order == "fine_to_coarse":
-            # Plain quotient streams: buffer the *raw* stream, replay it
-            # fine-to-coarse through the batcher, and reduce as verdicts
-            # stream back.  Checking in reduction order is what arms the
-            # batcher's absorption gate (:meth:`Frontier.absorbable`):
-            # the reducer's memo structures grow while later candidates
-            # are still queuing for dispatch, so raw/orbit repeats and
-            # coarsenings the frontier already settles are emitted with
-            # the :data:`ABSORBED` sentinel and never cost a pool
-            # round-trip — which is why pooled fine-to-coarse runs can
-            # afford the raw orbit regime (see
-            # :func:`_resolve_generation_mode`).  Gate decisions are
-            # monotone, so the frontier stays exactly the serial
-            # fine-to-coarse one (repair plus the final generation-order
-            # sort keep it bit-identical to insertion order) for any
-            # worker count and any gate timing; absorbed candidates
-            # resolve with a driver-side membership fallback, consulted
-            # only if a repair needs it.  On a budget stop the batcher's
-            # intake ends and the in-flight window drains — every paid
-            # check still reaches the frontier.
-            buffered = list(candidates)
-            ordered_stream: Iterable = coarseness_ordered(buffered)
-            if budget is not None:
-                ordered_stream = _budget_gate(ordered_stream, budget, stats)
-            tester = MembershipTester(cls, stats)
-            checked = _iter_membership_candidates(
-                ordered_stream,
-                cls,
-                executor,
-                batch_size=batch_size,
-                stats=stats,
-                absorb=frontier.absorbable,
-            )
-            for candidate, is_member in checked:
-                if is_member is ABSORBED:
-                    membership = lambda c=candidate: tester(c)  # noqa: E731
-                elif not is_member:
-                    continue
-                else:
-                    membership = None
-                calls_before = stats.hom_le_calls
-                frontier.resolve(
-                    candidate,
-                    key=dominance_key(candidate),
-                    generation=candidate.generation,
-                    membership=membership,
-                    late_key=_deferred_class_key(candidate, stats),
-                )
-                if stats.hom_le_calls == calls_before:
-                    stats.admissions_resolved_by_order += 1
-            frontier.restore_generation_order()
-            _note_exhaustion(budget, stats)
-            _harvest_spill(frontier, stats)
-            faults = _harvest_executor(executor, stats)
-            return PipelineResult(frontier.members, stats, faults)
-        checked = _iter_membership_candidates(
-            candidates,
-            cls,
-            executor,
-            batch_size=batch_size,
-            stats=stats,
-        )
-
-        for candidate, is_member in checked:
-            parent = getattr(candidate, "parent", None)
-            if parent is not None and parent.extensions_dominated:
-                # Family dominance shortcut (see _reduce_inline): children
-                # that beat their parent's verdict into the batcher are
-                # skipped here without check results (the batcher cancels
-                # not-yet-dispatched ones; see _check_pooled), the rest on
-                # their streamed verdict — either way no dominance search.
-                stats.extension_short_circuits += 1
-                continue
-            if is_member:
-                _mark_family_dominated(candidate, parent)
-                frontier.add(
-                    candidate.materialize(),
-                    candidate.codes,
-                    dominance_key(candidate),
-                )
-        _note_exhaustion(budget, stats)
-        faults = _harvest_executor(executor, stats)
-        return PipelineResult(frontier.members, stats, faults)
+    candidates = _candidate_source(
+        tableau,
+        cls,
+        max_extra_atoms=max_extra_atoms,
+        allow_fresh=allow_fresh,
+        automorphisms=automorphisms,
+        generation=generation,
+    )
+    frontier = _reduce_inline(
+        candidates,
+        cls,
+        stats,
+        order=order,
+        budget=budget,
+        checkpoint=session,
+        resume=resume,
+        spill=_spill_config(spill_dir, budget),
+    )
+    return PipelineResult(frontier.members, stats)

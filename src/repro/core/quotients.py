@@ -73,9 +73,13 @@ def _shard_prefixes(
 
     ``shard=(index, count)`` splits the partition stream into ``count``
     disjoint slices by fixing a prefix of the growth string: the prefix depth
-    is grown until there are at least ``4 * count`` prefixes (for balance),
-    and prefixes are dealt round-robin by lexicographic rank.  ``None`` means
-    "the whole stream" (no sharding, or a single shard).
+    is grown until there are at least ``4 * count`` prefixes, and prefixes
+    are assigned largest first to the shard with the fewest partitions so
+    far, so every shard gets close to an equal share of the stream (dealing
+    them round-robin by rank left one of two 8-element shards with 58% of
+    it).  A shard lists its prefixes in lexicographic order, the order of
+    the unsharded stream.  ``None`` means "the whole stream" (no sharding,
+    or a single shard).
     """
     if shard is None:
         return None
@@ -88,11 +92,25 @@ def _shard_prefixes(
     while depth < n_elements and bell_number(depth) < 4 * count:
         depth += 1
     depth = min(depth, n_elements)
-    return [
-        prefix
-        for rank, prefix in enumerate(rgs_prefixes(depth))
-        if rank % count == index
-    ]
+    prefixes = rgs_prefixes(depth)
+    completions = _completion_counts(n_elements - depth, depth)
+    sizes = [completions[max(prefix) + 1] for prefix in prefixes]
+    loads = [0] * count
+    owner = [0] * len(prefixes)
+    for rank in sorted(range(len(prefixes)), key=lambda rank: -sizes[rank]):
+        owner[rank] = loads.index(min(loads))
+        loads[owner[rank]] += sizes[rank]
+    return [prefix for rank, prefix in enumerate(prefixes) if owner[rank] == index]
+
+
+def _completion_counts(remaining: int, blocks: int) -> list[int]:
+    """``counts[k]``: the partitions extending a growth-string prefix that
+    opened ``k`` blocks by ``remaining`` more elements, for ``k <= blocks``
+    (each new element joins one of the ``k`` blocks or opens the next)."""
+    counts = [1] * (blocks + remaining + 1)
+    for _ in range(remaining):
+        counts = [k * counts[k] + counts[k + 1] for k in range(len(counts) - 1)]
+    return counts
 
 
 def shard_prefixes(
@@ -629,11 +647,11 @@ class ExtensionCandidate:
     to the pre-stream implementation while rejected ones never build a
     ``Structure``.  ``key`` is the fact-level canonical form the enumerator
     deduplicated the candidate under (``None`` beyond the canonizer's
-    effort cap).  ``parent`` is the family's quotient candidate: since
-    the quotient embeds into each of its extensions, a frontier that holds
-    a member mapping into the parent dominates the whole family — the
-    reducer uses the link to drop such children without any search (see
-    ``QuotientCandidate.extensions_dominated``).
+    effort cap).  ``parent`` is the family's quotient candidate (possibly
+    one the stream suppressed as a repeat): sharded runs order the child
+    by its parent's partition codes, and since the quotient embeds into
+    each of its extensions, the family is skipped once the reducer flags
+    the parent (``QuotientCandidate.extensions_dominated``).
     """
 
     __slots__ = (
@@ -951,15 +969,7 @@ def iter_extended_candidates(
                     )
                 )
         for count in range(1, max_extra_atoms + 1):
-            if candidate.extensions_dominated:
-                break
             for combo in itertools.combinations(range(len(pool)), count):
-                if candidate.extensions_dominated:
-                    # Late feedback: the parent's verdict landed while its
-                    # family was already streaming (pooled lookahead).  The
-                    # rest of the family is dominated — abandon it here
-                    # instead of only at the family boundary.
-                    break
                 if pool_perms and any(
                     tuple(sorted(p[i] for i in combo)) < combo for p in pool_perms
                 ):
@@ -1022,11 +1032,7 @@ def _iter_extended_candidates_fallback(
             iter_extension_atoms(quotient.structure, allow_fresh=allow_fresh)
         )
         for count in range(1, max_extra_atoms + 1):
-            if candidate.extensions_dominated:
-                break
             for extras in itertools.combinations(extension_pool, count):
-                if candidate.extensions_dominated:
-                    break
                 extended = _with_extensions(quotient, extras)
                 if seen.first_sighting(extended):
                     yield QuotientCandidate.from_tableau(extended)

@@ -1,14 +1,14 @@
 """``repro.fabric`` — the fault-tolerant distributed shard fabric.
 
-The shard strategy (``parallel="shards"``) splits the restricted-growth-
-string partition space into prefix slices and reduces each slice to a
-per-shard frontier; because :meth:`repro.core.pipeline.Frontier.merge`
-is associative, commutative up to hom-equivalence, and idempotent under
-its canonical keying, those frontiers can combine in any grouping, any
-order, any multiplicity.  This package lifts that strategy from a local
-process pool to *network* workers, and builds its fault tolerance
-directly on the merge's algebra: every recovery mechanism below is "just
-send it again" made safe by idempotence.
+The pipeline's one scale-out strategy splits the restricted-growth-string
+partition space into prefix slices and reduces each slice to a per-shard
+frontier; the driver merges the union of the shard frontiers in global
+stream order, so the result is bit-identical to a serial run however the
+shards were computed (:func:`repro.core.pipeline._merge_shards`).  This
+package lifts that strategy from a local process pool to *network*
+workers.  A shard is a deterministic function of the run context and its
+slice, so every recovery mechanism below is "just send it again": the
+driver keeps the first result of each shard and drops duplicates.
 
 Protocol (:mod:`repro.fabric.protocol`)
     The serving JSON-lines envelope with the fabric's op vocabulary —

@@ -2,8 +2,9 @@
 
 One dispatcher thread per worker pulls shards from a shared work state
 and runs them remotely; the driver consumes results (including
-duplicates) from a queue and folds them through the idempotent
-:meth:`repro.core.pipeline.Frontier.merge`.  The fault taxonomy, and
+duplicates) from a queue, keeps the first result of each shard, and
+merges the shard frontiers in stream order
+(:func:`repro.core.pipeline._merge_shards`).  The fault taxonomy, and
 what answers each kind:
 
 Connection fault (``kind="connection"``)
@@ -12,9 +13,9 @@ Connection fault (``kind="connection"``)
     frame (framing can no longer be trusted, so the shard is treated as
     lost).  The shard is re-queued for **at-least-once re-dispatch**
     after a capped exponential backoff
-    (:func:`repro.parallel.backoff_delay`); duplicate completions are
-    absorbed by the canonical-keyed merge, so re-dispatching an
-    actually-completed shard is safe.
+    (:func:`repro.parallel.backoff_delay`); a shard is a deterministic
+    function of the context and its slice, so the driver drops duplicate
+    completions and re-dispatching an actually-completed shard is safe.
 Heartbeat fault (``kind="heartbeat"``)
     No response bytes within ``heartbeat_interval`` *and* a fresh-
     connection ``ping`` probe got no pong — the worker process is hung
@@ -24,12 +25,12 @@ Heartbeat fault (``kind="heartbeat"``)
 Deadline fault (``kind="deadline"``)
     The shard exceeded ``shard_timeout`` even though the worker still
     answers probes.  Re-dispatched elsewhere; if the original completion
-    arrives later anyway, it merges as a duplicate.
+    arrives later anyway, it is dropped as a duplicate.
 Straggler speculation
     An idle dispatcher (empty queue, undone shards in flight elsewhere
     past the speculation age) **re-executes** the oldest in-flight shard
     on its own worker — first result wins, the loser's arrival is
-    absorbed.  Counted in :attr:`speculations`, not faulted: nothing
+    dropped.  Counted in :attr:`speculations`, not faulted: nothing
     failed.
 Blacklist and degradation
     ``blacklist_after`` *consecutive* failures retire a worker (its
@@ -41,8 +42,8 @@ Blacklist and degradation
     serial fallback one level up.
 
 Every fault becomes a structured :class:`ShardFault` record; the driver
-threads them into ``PipelineResult.faults`` beside the pool's
-``BatchFault`` records.
+threads them into ``PipelineResult.faults``, as the local pool threads
+its ``BatchFault`` records.
 """
 
 from __future__ import annotations
@@ -176,11 +177,9 @@ class FabricCoordinator:
         shard has at least one result.
 
         Duplicate completions (speculation, a deadline-faulted shard
-        finishing anyway) are yielded too — the caller's merge absorbs
-        them, and the caller counts them.  Order is arrival order:
-        results are equal to the serial run only up to hom-equivalence
-        of the merged frontier, never bit-identical, which is the
-        documented contract of the shard strategy.
+        finishing anyway) are yielded too — the caller drops and counts
+        them.  Order is arrival order; the caller's stream-order merge
+        makes the frontier independent of it.
         """
         shards = [tuple(shard) for shard in shards]
         self._total = len(shards)

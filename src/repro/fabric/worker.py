@@ -5,10 +5,10 @@ context (pickled, content-addressed — decoded once per distinct blob and
 cached), so any worker can run any shard, any shard can be re-dispatched
 to any surviving worker, and a worker that crashes loses nothing but the
 shard it was running.  That statelessness is what makes the
-coordinator's at-least-once retry discipline sound end to end: the
-merge-level idempotence lives in
-:meth:`repro.core.pipeline.Frontier.merge`, and the worker contributes
-by never accumulating anything a replay could observe.
+coordinator's at-least-once retry discipline sound end to end: a shard
+is a deterministic function of its context and slice, so the driver
+keeps the first result of each shard, and the worker contributes by
+never accumulating anything a replay could observe.
 
 Each accepted connection is served on its own daemon thread; a shard
 computes inline on its connection's thread, so ``ping`` probes arriving

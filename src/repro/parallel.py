@@ -1,8 +1,8 @@
 """Process-pool executor shim for the approximation pipeline.
 
-The pipeline's parallelizable stages (class-membership checks, per-shard
-frontier construction) funnel through one tiny interface so callers never
-touch ``concurrent.futures`` directly:
+The pipeline's shards (and the batched class checks of
+:func:`repro.core.pipeline.iter_membership`) funnel through one tiny
+interface so callers never touch ``concurrent.futures`` directly:
 
 * :class:`SerialExecutor` — runs tasks inline, zero overhead, used whenever
   ``workers <= 1``.  The serial path therefore has no serialization, no
@@ -44,7 +44,8 @@ same order — and determinism guarantees downstream are preserved.  After
 the remaining tasks inline (serial fallback), which is slow but always
 completes.
 
-Orthogonally, an optional per-batch ``timeout`` bounds how long ``imap``
+Orthogonally, an optional per-task ``batch_timeout`` (the pipeline passes
+its ``shard_timeout``) bounds how long ``imap``
 blocks on the oldest in-flight task.  On expiry the (possibly hung) pool
 is torn down, the *head* task is quarantined as a structured
 :class:`BatchFault` record, and the remaining in-flight tasks are
@@ -115,7 +116,7 @@ def effective_workers(workers: int | None) -> int:
 class BatchFault:
     """Structured record of one quarantined task.
 
-    ``kind`` is ``"timeout"`` (the per-batch timeout expired while waiting
+    ``kind`` is ``"timeout"`` (the per-task timeout expired while waiting
     on this task) or ``"error"`` (the task raised inside the worker).  The
     original payload rides along so consumers can resolve exactly the work
     that was lost, and ``error`` holds the stringified cause for logs and
@@ -150,7 +151,6 @@ class SerialExecutor:
         fn: Callable[[Task], Result],
         tasks: Iterable[Task],
         *,
-        inflight: int | None = None,
         failures: str = "raise",
     ) -> Iterator[Result]:
         for task in tasks:
@@ -177,20 +177,12 @@ class SerialExecutor:
 class ProcessExecutor:
     """Ordered, bounded-lookahead, fault-tolerant mapping over a process pool.
 
-    ``inflight`` bounds how many tasks are submitted ahead of the consumer;
-    the default (``workers + 2``) keeps every worker busy while the oldest
-    result is being consumed, without racing arbitrarily far ahead of
-    consumers that feed results back into the task stream (the pipeline's
-    check-memo and the verdict-feedback batcher both do exactly that).
-
-    :meth:`imap` is additionally *feedback-aware*: whenever the oldest
-    submitted task has already finished, its result is yielded **before**
-    the next task is pulled from the (lazy) task stream.  Consumers that
-    react to results by mutating shared state the task stream reads — the
-    pipeline's ``extensions_dominated`` flags, which cancel whole extension
-    families at the source — therefore see verdicts at the earliest
-    possible moment instead of only when the lookahead window fills, which
-    is what lets feedback land before a family is enqueued.
+    ``inflight`` (``workers + 2``) bounds how many tasks are submitted
+    ahead of the consumer: it keeps every worker busy while the oldest
+    result is being consumed, without pulling a lazy task stream
+    arbitrarily far ahead of it.  Whenever the oldest submitted task has
+    already finished, its result is yielded before the next task is
+    pulled.
 
     ``batch_timeout`` and ``max_respawns`` configure the fault-tolerance
     behavior described in the module docstring; ``faults``, ``respawns``
@@ -201,7 +193,6 @@ class ProcessExecutor:
         self,
         workers: int,
         *,
-        inflight: int | None = None,
         initializer: Callable[..., None] | None = None,
         initargs: tuple = (),
         batch_timeout: float | None = None,
@@ -214,7 +205,7 @@ class ProcessExecutor:
         if max_respawns < 0:
             raise ValueError("max_respawns must be >= 0")
         self.workers = workers
-        self.inflight = inflight if inflight is not None else workers + 2
+        self.inflight = workers + 2
         self.batch_timeout = batch_timeout
         self.max_respawns = max_respawns
         self._initializer = initializer
@@ -308,17 +299,12 @@ class ProcessExecutor:
         fn: Callable[[Task], Result],
         tasks: Iterable[Task],
         *,
-        inflight: int | None = None,
         failures: str = "raise",
     ) -> Iterator[Result]:
         """Map ``fn`` over ``tasks`` with submission-order results.
 
-        ``inflight`` overrides the executor-level lookahead window for this
-        call (consumers that feed verdicts back into the task stream may
-        want a tighter window than throughput-only consumers).  Results are
-        always yielded in submission order; finished head-of-queue results
-        are yielded eagerly — before the next task is pulled — so the
-        consumer's feedback reaches the task stream as early as possible.
+        At most ``inflight`` tasks are outstanding; finished head-of-queue
+        results are yielded before the next task is pulled.
 
         ``failures="yield"`` substitutes a :class:`BatchFault` for the
         result of a task that raised or timed out (see the module
@@ -328,7 +314,7 @@ class ProcessExecutor:
         """
         if failures not in ("raise", "yield"):
             raise ValueError(f"failures must be 'raise' or 'yield', got {failures!r}")
-        window = self.inflight if inflight is None else max(1, inflight)
+        window = self.inflight
         # (task, future) pairs: the payload is kept so in-flight work can be
         # resubmitted verbatim after a pool death.
         pending: deque = deque()
@@ -372,7 +358,7 @@ class ProcessExecutor:
                     fault = BatchFault(
                         kind="timeout",
                         task=task,
-                        error=f"batch exceeded {self.batch_timeout:g}s timeout",
+                        error=f"task exceeded {self.batch_timeout:g}s timeout",
                         elapsed=time.monotonic() - started,
                     )
                     self.faults.append(fault)
@@ -444,7 +430,6 @@ class ProcessExecutor:
 def make_executor(
     workers: int | None,
     *,
-    inflight: int | None = None,
     initializer: Callable[..., None] | None = None,
     initargs: tuple = (),
     batch_timeout: float | None = None,
@@ -463,7 +448,6 @@ def make_executor(
         return SerialExecutor()
     return ProcessExecutor(
         count,
-        inflight=inflight,
         initializer=initializer,
         initargs=initargs,
         batch_timeout=batch_timeout,

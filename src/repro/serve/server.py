@@ -87,7 +87,7 @@ class ServerConfig:
     ``queue_limit`` bounds *admitted* requests (queued plus running);
     ``concurrency`` sizes the executor actually running pipelines.  The
     policy knobs (``request_deadline``, ``memory_limit``,
-    ``max_candidates``, ``workers``, ``batch_timeout``) become each
+    ``max_candidates``, ``workers``, ``shard_timeout``) become each
     request's :class:`~repro.core.ApproximationConfig` — a client may ask
     for a *shorter* deadline than the server policy, never a longer one.
 
@@ -113,7 +113,7 @@ class ServerConfig:
     exact_limit: int = DEFAULT_CONFIG.exact_limit
     max_extra_atoms: int = DEFAULT_CONFIG.max_extra_atoms
     workers: int = 1
-    batch_timeout: float | None = None
+    shard_timeout: float | None = None
     cache_capacity: int = 1024
     cache_max_bytes: int | None = None
     cache_dir: str | None = None
@@ -451,7 +451,7 @@ class ApproximationServer:
             exact_limit=self.config.exact_limit,
             max_extra_atoms=self.config.max_extra_atoms,
             workers=self.config.workers,
-            batch_timeout=self.config.batch_timeout,
+            shard_timeout=self.config.shard_timeout,
             deadline=deadline,
             memory_limit=self.config.memory_limit,
             max_candidates=self.config.max_candidates,

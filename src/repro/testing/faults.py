@@ -1,6 +1,6 @@
 """Deterministic fault injection at the pipeline's stage-2 seam.
 
-The robustness machinery (pool respawn, batch-timeout quarantine,
+The robustness machinery (pool respawn, shard-timeout quarantine,
 checkpoint/resume, budget stops) is about what happens when something
 *external* goes wrong — a worker OOM-killed, a check that hangs, a process
 that dies mid-run.  To test it deterministically, this module wraps a
@@ -13,8 +13,8 @@ time they run:
   ``BrokenProcessPool`` path); in the driver it simulates process death
   for checkpoint/resume tests.
 * ``kind="delay"`` — sleep ``delay`` seconds, simulating a hung check for
-  the per-batch timeout path.
-* ``kind="raise"`` — raise :class:`FaultInjected`, the poisoned-candidate
+  the per-shard timeout path.
+* ``kind="raise"`` — raise :class:`FaultInjected`, the poisoned-task
   path.
 * ``kind="corrupt"`` — damage a file on disk (truncate to half, or garble
   a byte span, per ``corrupt_mode``).  This one is *not* fired through

@@ -3,7 +3,7 @@
 Protocol units (address parsing, blob framing, worker validation), then
 the five fault drills the fabric must survive — each scripted through
 the deterministic token-file fault discipline or real signals, and each
-asserting the final frontier is hom-equivalent to the serial run:
+asserting the final frontier equals the serial one, member for member:
 
 1. worker SIGKILL'd mid-shard (connection fault, re-dispatch);
 2. hung worker (SIGSTOP) past the heartbeat (heartbeat fault);
@@ -37,7 +37,6 @@ from repro.fabric.protocol import (
     encode_blob,
     read_frame,
 )
-from repro.homomorphism import hom_equivalent
 from repro.testing.faults import FaultPlan
 from repro.workloads import cycle_with_chords
 
@@ -49,12 +48,6 @@ QUERY = cycle_with_chords(6)
 def serial_frontier():
     tableau = QUERY.tableau()
     return tableau, run_pipeline(tableau, TW1, max_extra_atoms=0).frontier
-
-
-def assert_hom_equivalent_frontiers(frontier, serial) -> None:
-    assert len(frontier) == len(serial)
-    for member in frontier:
-        assert any(hom_equivalent(member, other) for other in serial)
 
 
 def start_worker(tmp_path, name: str, *extra_args: str):
@@ -178,7 +171,7 @@ class TestFaultDrills:
             )
             killer.join(timeout=60)
             assert os.path.exists(token), "the victim never reached a shard"
-            assert_hom_equivalent_frontiers(result.frontier, serial)
+            assert result.frontier == serial
             assert any(fault.kind == "connection" for fault in result.faults)
             assert result.stats.shard_retries >= 1
         finally:
@@ -200,7 +193,7 @@ class TestFaultDrills:
                 fabric=[hung_sock, live_sock],
                 heartbeat_interval=0.3,
             )
-            assert_hom_equivalent_frontiers(result.frontier, serial)
+            assert result.frontier == serial
             assert result.stats.heartbeat_misses >= 1
             assert any(fault.kind == "heartbeat" for fault in result.faults)
         finally:
@@ -233,7 +226,7 @@ class TestFaultDrills:
                 fabric=[dead_sock, live_sock],
                 heartbeat_interval=0.3,
             )
-            assert_hom_equivalent_frontiers(result.frontier, serial)
+            assert result.frontier == serial
             assert result.stats.workers_blacklisted == 1
             assert result.stats.shard_retries >= 3
             dead_faults = [f for f in result.faults if f.worker == dead_sock]
@@ -272,7 +265,7 @@ class TestFaultDrills:
                 fabric=[straggler_sock, fast_sock],
                 heartbeat_interval=0.3,  # speculate after ~1.2s < the 4s delay
             )
-            assert_hom_equivalent_frontiers(result.frontier, serial)
+            assert result.frontier == serial
             assert result.stats.speculative_dispatches >= 1
             assert result.stats.duplicate_results >= 1
             # Speculation is not a failure: the straggler answered probes.
@@ -298,7 +291,7 @@ class TestFaultDrills:
             ],
             heartbeat_interval=0.2,
         )
-        assert_hom_equivalent_frontiers(result.frontier, serial)
+        assert result.frontier == serial
         assert result.stats.fabric_local_shards > 0
         assert result.stats.workers_blacklisted == 2
         assert all(fault.kind == "connection" for fault in result.faults)
@@ -333,7 +326,7 @@ class TestFabricPlumbing:
                 heartbeat_interval=0.5,
             )
             assert os.path.exists(token)
-            assert_hom_equivalent_frontiers(result.frontier, serial)
+            assert result.frontier == serial
             assert any(fault.kind == "connection" for fault in result.faults)
             # The same worker, re-dispatched, completed the shard: the
             # token discipline keeps the drill to one firing.
@@ -368,7 +361,7 @@ class TestFabricPlumbing:
                 heartbeat_interval=0.5,
             )
             assert os.path.exists(token)
-            assert_hom_equivalent_frontiers(result.frontier, serial)
+            assert result.frontier == serial
             assert result.stats.shard_retries >= 1
             # The absorbed shard stats carry the worker's memo hit: the
             # re-dispatched shard was re-served, not recomputed.
@@ -392,7 +385,7 @@ class TestFabricPlumbing:
                 max_extra_atoms=0,
                 fabric=[server.address for server in servers],
             )
-            assert_hom_equivalent_frontiers(result.frontier, serial)
+            assert result.frontier == serial
             assert not result.faults
             assert result.stats.fabric_local_shards == 0
         finally:
@@ -403,7 +396,7 @@ class TestFabricPlumbing:
         """Shard results carry kernel tries; the reduce side uses them."""
         tableau, _ = serial_frontier
         result = run_pipeline(
-            tableau, TW1, max_extra_atoms=0, workers=2, parallel="shards"
+            tableau, TW1, max_extra_atoms=0, workers=2
         )
         # Kernel hits are workload-dependent; the invariant worth pinning
         # is that the counter exists and the run is sound with it wired.

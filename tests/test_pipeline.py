@@ -1,7 +1,12 @@
 """Tests for the staged, parallel approximation pipeline."""
 
 import itertools
+import os
 import random
+import signal
+import subprocess
+import sys
+import textwrap
 import types
 
 import pytest
@@ -80,6 +85,21 @@ class TestRgsSharding:
             assert sorted(map(repr, itertools.chain.from_iterable(shards))) == sorted(
                 map(repr, full)
             )
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_shards_get_near_equal_slices(self, n):
+        # One shard per pool worker: the slowest shard sets the wall time.
+        for count in (2, 3, 4):
+            sizes = [
+                sum(
+                    1
+                    for prefix in _shard_prefixes(n, (index, count))
+                    for _ in rgs_codes(n, prefix=prefix)
+                )
+                for index in range(count)
+            ]
+            assert sum(sizes) == bell_number(n)
+            assert max(sizes) <= 1.05 * bell_number(n) / count, sizes
 
     def test_sharded_quotients_cover_all_isomorphism_classes(self):
         tableau = cycle_with_chords(5).tableau()
@@ -163,21 +183,105 @@ class TestDeterminism:
         (cycle_with_chords(6), TW2, ApproximationConfig()),
         (TERNARY, AC, NO_FRESH),
         (TERNARY, HypertreeClass(2), NO_FRESH),
+        # Default config on an extension stream: the workload on which the
+        # deleted pooled-checks batcher livelocked.
+        (cycle_with_chords(7), HypertreeClass(1), ApproximationConfig()),
     ]
 
     @pytest.mark.parametrize("query,cls,config", WORKLOADS)
     def test_workers_do_not_change_results(self, query, cls, config):
         serial = all_approximations(query, cls, config)
-        parallel = all_approximations(
-            query,
-            cls,
-            ApproximationConfig(
-                allow_fresh=config.allow_fresh,
-                max_extra_atoms=config.max_extra_atoms,
-                workers=4,
+        for workers in (2, 3, 4):
+            parallel = all_approximations(
+                query,
+                cls,
+                ApproximationConfig(
+                    allow_fresh=config.allow_fresh,
+                    max_extra_atoms=config.max_extra_atoms,
+                    workers=workers,
+                ),
+            )
+            assert serial == parallel, workers  # same queries, same order
+
+    #: Bases off the integer fast path: a vocabulary relation without
+    #: facts sends the extension stream through
+    #: ``_iter_extended_candidates_fallback`` (parentless extended
+    #: candidates), an isolated element sends the quotient stream through
+    #: its materialized fallback (quotients without codes).
+    FALLBACK_BASES = [
+        (
+            Tableau(
+                Structure(
+                    {"E": [("x", "y"), ("y", "z"), ("z", "x")], "F": []},
+                    vocabulary={"E": 2, "F": 2},
+                )
             ),
+            HypertreeClass(1),
+            1,
+        ),
+        (
+            Tableau(
+                Structure(
+                    {"E": [("x", "y"), ("y", "z"), ("z", "u"), ("u", "x")]},
+                    domain=["x", "y", "z", "u", "w"],
+                )
+            ),
+            TW1,
+            0,
+        ),
+    ]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("tableau,cls,extra_atoms", FALLBACK_BASES)
+    def test_workers_bit_identical_off_the_integer_path(
+        self, tableau, cls, extra_atoms, workers
+    ):
+        serial = run_pipeline(tableau, cls, max_extra_atoms=extra_atoms)
+        sharded = run_pipeline(
+            tableau, cls, max_extra_atoms=extra_atoms, workers=workers
         )
-        assert serial == parallel  # same queries, same order
+        assert sharded.stats.shards == workers
+        assert sharded.frontier == serial.frontier
+
+    def test_extension_stream_with_default_config_terminates(self):
+        # C7/HTW1 with fresh extension variables used to livelock the
+        # pooled-checks batcher (children gated on a suppressed parent
+        # whose verdict never came).  A subprocess with its own timeout
+        # fails fast instead of waiting out the pytest watchdog.
+        script = textwrap.dedent(
+            """
+            from repro.core import (
+                ApproximationConfig, all_approximations, class_from_name,
+            )
+            from repro.workloads import cycle_with_chords
+
+            query, cls = cycle_with_chords(7), class_from_name("HTW1")
+            serial = all_approximations(query, cls)
+            pooled = all_approximations(
+                query, cls, ApproximationConfig(workers=2)
+            )
+            assert pooled == serial, (pooled, serial)
+            print("ok")
+            """
+        )
+        package_dir = os.path.dirname(os.path.dirname(pipeline_module.__file__))
+        process = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=os.path.dirname(package_dir)),
+            start_new_session=True,
+        )
+        try:
+            out, err = process.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            # Take the pool workers down with the hung driver.
+            os.killpg(process.pid, signal.SIGKILL)
+            process.communicate()
+            pytest.fail("workers=2 run did not finish within 60 s")
+        assert process.returncode == 0, err
+        assert out.strip() == "ok"
 
     def test_repeated_runs_are_stable(self):
         first = all_approximations(cycle_with_chords(5), TW1)
@@ -199,21 +303,11 @@ class TestDeterminism:
             sharded = approximation_frontier(
                 query,
                 cls,
-                ApproximationConfig(
-                    allow_fresh=config.allow_fresh,
-                    workers=2,
-                    parallel="shards",
-                ),
+                ApproximationConfig(allow_fresh=config.allow_fresh, workers=2),
             )
             assert len(sharded) == len(serial)
             for member in sharded:
                 assert any(hom_equivalent(member, other) for other in serial)
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            run_pipeline(
-                TRIANGLE.tableau(), TW1, workers=2, parallel="gossip"
-            )
 
 
 class TestCoarsenessOrdered:
@@ -349,33 +443,6 @@ class TestAdmissionOrder:
         serial = run_pipeline(tableau, cls, max_extra_atoms=0)
         pooled = run_pipeline(tableau, cls, max_extra_atoms=0, workers=2)
         assert pooled.frontier == serial.frontier
-
-
-class TestVerdictFeedbackBatcher:
-    @pytest.mark.slow
-    def test_pooled_extension_checks_stay_near_serial(self):
-        # The gated batcher holds extension families until their parent's
-        # verdict is emitted, so the pool checks (nearly) only what the
-        # serial path checks — the family-cancellation gap the benchmark
-        # tracks.  Results stay bit-identical.
-        tableau = TERNARY.tableau()
-        serial = run_pipeline(tableau, AC, allow_fresh=False)
-        pooled = run_pipeline(tableau, AC, allow_fresh=False, workers=2)
-        assert pooled.frontier == serial.frontier
-        assert pooled.stats.checks_run <= 1.2 * serial.stats.checks_run
-        assert pooled.stats.families_cancelled_in_flight > 0
-
-    @pytest.mark.slow
-    def test_cancelled_families_never_reach_the_pool(self):
-        tableau = TERNARY.tableau()
-        cls = HypertreeClass(2)
-        serial = run_pipeline(tableau, cls, allow_fresh=False)
-        pooled = run_pipeline(tableau, cls, allow_fresh=False, workers=2)
-        assert pooled.frontier == serial.frontier
-        # On this stream every family is dominated by its parent's
-        # frontier verdict, so the pool sees exactly the parents' checks.
-        assert pooled.stats.checks_run == serial.stats.checks_run
-        assert pooled.stats.families_cancelled_in_flight > 0
 
 
 class TestFrontier:
@@ -537,16 +604,13 @@ class TestGenerationModes:
     )
     def test_raw_sharded_identical_to_canonical_sharded(self, query, cls):
         tableau = query.tableau()
-        kwargs = dict(
-            max_extra_atoms=0, workers=2, parallel="shards"
-        )
+        kwargs = dict(max_extra_atoms=0, workers=2)
         sharded_canonical = run_pipeline(
             tableau, cls, generation="canonical", **kwargs
         )
         sharded_raw = run_pipeline(tableau, cls, generation="raw", **kwargs)
-        # Shard-local reductions are bit-identical per shard and merges
-        # fold in the same order, so the whole run is bit-identical
-        # between regimes (each regime is only hom-equivalent to serial).
+        # Every regime keeps each shard's first-generated representatives,
+        # and the stream-order merge keeps the serial ones among them.
         assert sharded_raw.frontier == sharded_canonical.frontier
         serial = run_pipeline(tableau, cls, max_extra_atoms=0)
         assert len(sharded_raw.frontier) == len(serial.frontier)
@@ -554,6 +618,7 @@ class TestGenerationModes:
             assert any(
                 hom_equivalent(member, other) for other in serial.frontier
             )
+        assert sharded_raw.frontier == serial.frontier
 
     def test_extension_space_raw_quotients_bit_identical(self):
         tableau = TERNARY.tableau()
@@ -828,7 +893,7 @@ class TestOrbitShipping:
         # the orbit data at startup instead of using the shipped copy, the
         # absorbed counter would exceed one.
         result = run_pipeline(
-            TERNARY.tableau(), AC, allow_fresh=False, workers=2, parallel="shards"
+            TERNARY.tableau(), AC, allow_fresh=False, workers=2
         )
         assert result.stats.shards > 0
         assert result.stats.orbit_derivations == 1

@@ -409,14 +409,14 @@ class TestBudgetedPipeline:
             max_extra_atoms=0,
             workers=2,
             budget=RunBudget(deadline=0.1),
-            batch_timeout=5.0,
+            shard_timeout=5.0,
         )
         elapsed = time.monotonic() - started
         assert result.stats.exhausted
         assert "deadline" in result.stats.exhaustion_reason
         assert _sound(tableau, HTW2, result.frontier)
-        # In-flight batches drain instead of hanging: well under 2x the
-        # batch timeout past the deadline.
+        # Every shard stops at its share of the deadline instead of
+        # running on: well under 2x the shard timeout past the deadline.
         assert elapsed < 0.1 + 2 * 5.0
 
     @pytest.mark.slow
@@ -435,7 +435,8 @@ class TestBudgetedPipeline:
 
 
 # --------------------------------------------------------------------------
-# Pipeline-level fault recovery (pool faults injected at the check seam)
+# Pipeline-level fault recovery (faults injected at the check seam inside
+# local pool shard tasks)
 # --------------------------------------------------------------------------
 
 
@@ -446,9 +447,9 @@ class TestPipelineFaultRecovery:
         serial = run_pipeline(tableau, HTW2, max_extra_atoms=0)
         faulty = FaultyClass(HTW2, FaultPlan("kill", 5, str(tmp_path / "token")))
         pooled = run_pipeline(tableau, faulty, max_extra_atoms=0, workers=2)
-        # The broken pool respawned and the lost batch was resubmitted; the
-        # claimed token keeps the retry from re-firing, so every verdict is
-        # eventually computed and the frontier is exactly the serial one.
+        # The broken pool respawned and the lost shards were resubmitted;
+        # the claimed token keeps the retry from re-firing, so every shard
+        # completes and the frontier is exactly the serial one.
         assert pooled.frontier == serial.frontier
         assert pooled.stats.pool_respawns >= 1
         assert pooled.stats.quarantined == 0
@@ -460,7 +461,7 @@ class TestPipelineFaultRecovery:
         )
         started = time.monotonic()
         result = run_pipeline(
-            tableau, faulty, max_extra_atoms=0, workers=2, batch_timeout=1.0
+            tableau, faulty, max_extra_atoms=0, workers=2, shard_timeout=5.0
         )
         elapsed = time.monotonic() - started
         assert result.stats.batch_timeouts == 1

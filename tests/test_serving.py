@@ -7,7 +7,7 @@ admission control (load shed as structured data, not connection resets),
 graceful drain on ``SIGTERM``/``shutdown`` with in-flight work completed
 and the cache index flushed, and the fault drills: a killed pool worker
 degrades one request, a corrupted disk entry costs one recomputation —
-and the CLI satellites surfacing quarantined pool faults.
+and the CLI satellites surfacing quarantined shard faults.
 """
 
 from __future__ import annotations
@@ -589,7 +589,7 @@ class TestCliFaultSurfacing:
         monkeypatch.setattr(cli, "approximate", self._fake_approximate)
         assert cli.main(["approximate", TRIANGLE]) == 0
         err = capsys.readouterr().err
-        assert "3 candidate check(s) lost" in err
+        assert "3 shard(s) lost to quarantine" in err
         assert "timeout: batch stuck" in err
         assert "sound but may be incomplete" in err
 
