@@ -81,23 +81,31 @@ class TestPerfSmoke:
     )
     def test_parallel_pipeline_under_ceiling(self):
         # Exercises the sharded pool path (fork, per-worker context
-        # shipping, stream-order merge) inside tier-1 on a graph-class and
-        # a hypergraph-class workload, with a ceiling generous enough that
-        # only a real regression — a deadlocked pool, a hung merge — can
-        # trip it.
-        for query, cls, config in (
-            (cycle_with_chords(7), TreewidthClass(1), ApproximationConfig(workers=2)),
-            (
-                parse_query("Q() :- R(x1, x2, x3), R(x3, x4, x5), R(x5, x6, x1)"),
-                AcyclicClass(),
-                ApproximationConfig(workers=2, allow_fresh=False),
-            ),
-        ):
-            seconds, frontier = elapsed(
-                lambda: approximation_frontier(query, cls, config)
-            )
-            assert frontier, f"the pooled {cls.name} frontier must not be empty"
-            assert seconds < 30.0, f"pooled {cls.name} frontier took {seconds:.1f}s"
+        # shipping, stream-order merge) inside tier-1, with a ceiling
+        # generous enough that only a real regression — a deadlocked pool,
+        # a hung merge — can trip it.
+        query = cycle_with_chords(7)
+        config = ApproximationConfig(workers=2)
+        seconds, frontier = elapsed(
+            lambda: approximation_frontier(query, TreewidthClass(1), config)
+        )
+        assert frontier, "the pooled 7-variable frontier must not be empty"
+        assert seconds < 30.0, f"pooled 7-variable frontier took {seconds:.1f}s"
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(
+        (os.cpu_count() or 1) < 2,
+        reason="process-pool smoke needs at least 2 CPUs to be meaningful",
+    )
+    def test_sharded_pipeline_under_ceiling(self):
+        # Same guardrail for the pool path on a hypergraph-class workload.
+        query = parse_query("Q() :- R(x1, x2, x3), R(x3, x4, x5), R(x5, x6, x1)")
+        config = ApproximationConfig(workers=2, allow_fresh=False)
+        seconds, frontier = elapsed(
+            lambda: approximation_frontier(query, AcyclicClass(), config)
+        )
+        assert frontier
+        assert seconds < 30.0, f"sharded AC frontier took {seconds:.1f}s"
 
     @pytest.mark.slow
     def test_extension_stream_faster_than_materialized_path(self):
