@@ -180,18 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     approx.add_argument(
-        "--admission-order",
-        choices=["auto", "generation", "fine-to-coarse"],
-        default="auto",
-        help=(
-            "stage-3 reduction order of the exact pipeline: 'auto' replays "
-            "plain quotient streams fine-to-coarse (bit-identical to "
-            "generation order via representative repair), 'generation' "
-            "forces the insertion-order baseline, 'fine-to-coarse' forces "
-            "the reordered reduction"
-        ),
-    )
-    approx.add_argument(
         "--json",
         action="store_true",
         help="machine-readable output (approximations, class, method, timing)",
@@ -201,9 +189,9 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "report the pipeline's stage counters (candidates generated, "
-            "checks, dominance work, admission-order fast paths, "
-            "representative repairs, cancelled families); with --json they "
-            "join the payload under \"stats\""
+            "checks, dominance work, admissions resolved by order, "
+            "representative repairs, pool and shard faults); with --json "
+            "they join the payload under \"stats\""
         ),
     )
 
@@ -715,7 +703,6 @@ def main(argv: list[str] | None = None) -> int:
         config = ApproximationConfig(
             exact_limit=args.exact_limit,
             workers=args.workers,
-            admission_order=args.admission_order,
             deadline=args.deadline,
             memory_limit=args.memory_limit,
             max_candidates=args.max_candidates,
@@ -752,7 +739,6 @@ def main(argv: list[str] | None = None) -> int:
                 "class": args.cls.name,
                 "method": args.method,
                 "workers": args.workers,
-                "admission_order": args.admission_order,
                 "all": args.all,
                 "approximations": [str(result) for result in results],
                 "seconds": round(elapsed, 6),

@@ -67,12 +67,6 @@ class ApproximationConfig:
     bit-identical for any worker count.  ``workers=-1`` means "all CPUs".
     The greedy descent is inherently sequential and ignores ``workers``.
 
-    ``admission_order`` selects the pipeline's stage-3 reduction order:
-    ``"auto"`` (default) replays plain quotient streams fine-to-coarse —
-    bit-identical to generation order via representative repair — and
-    keeps extension streams in generation order; ``"generation"`` (the
-    insertion-order baseline) and ``"fine-to-coarse"`` force one order.
-
     The budget knobs turn the exact enumeration *anytime*: ``deadline``
     (seconds of wall clock), ``memory_limit`` (bytes, combining an RSS
     probe with tracked frontier/memo sizes), ``max_candidates`` and
@@ -106,7 +100,6 @@ class ApproximationConfig:
     greedy_start_rounds: int | None = None
     seed: int = 17
     workers: int = 1
-    admission_order: str = "auto"
     deadline: float | None = None
     memory_limit: int | None = None
     max_candidates: int | None = None
@@ -207,7 +200,6 @@ def approximation_frontier(
         workers=config.workers,
         max_extra_atoms=config.max_extra_atoms,
         allow_fresh=config.allow_fresh,
-        admission_order=config.admission_order,
         budget=config.budget(),
         checkpoint=config.checkpoint_path,
         fabric=config.fabric_workers or None,

@@ -14,6 +14,10 @@ constraint subset whose hypergraph/graph falls in the class).  For Boolean
 queries the subset must stay connected to be informative; we keep the
 connected component of the head otherwise.
 
+The class filter over the subsets is the pipeline's serial stage 2
+(:func:`repro.core.pipeline.iter_membership`), memoized per subset
+(hyper)graph.
+
 This is weaker than the semantic notion (some semantic overapproximations
 are not atom-subsets), which is exactly why the paper leaves the semantic
 theory open; the module documents the gap.
@@ -28,7 +32,6 @@ from repro.cq.query import ConjunctiveQuery
 from repro.core.classes import QueryClass
 from repro.core.pipeline import iter_membership
 from repro.homomorphism.engine import default_engine
-from repro.parallel import make_executor
 
 
 def _subset_queries(query: ConjunctiveQuery) -> list[ConjunctiveQuery]:
@@ -46,7 +49,7 @@ def _subset_queries(query: ConjunctiveQuery) -> list[ConjunctiveQuery]:
 
 
 def syntactic_overapproximations(
-    query: ConjunctiveQuery, cls: QueryClass, *, workers: int = 1
+    query: ConjunctiveQuery, cls: QueryClass
 ) -> list[ConjunctiveQuery]:
     """The ⊆-minimal class members among atom-subset weakenings of ``Q``.
 
@@ -55,9 +58,10 @@ def syntactic_overapproximations(
     itself (minimized) when the query is already in the class.
 
     The class-membership filter over the (exponentially many) atom subsets
-    is the pipeline's stage 2: verdicts are memoized under the subsets'
-    primal graphs / hypergraphs, and with ``workers > 1`` the checks spread
-    over a process pool.  (Subset queries enter the stage through
+    is the pipeline's stage 2 (:func:`~repro.core.pipeline.iter_membership`):
+    verdicts are memoized under the subsets' primal graphs / hypergraphs, so
+    subsets sharing a (hyper)graph share one check.  (Subset queries enter
+    the stage through
     :meth:`~repro.core.quotients.QuotientCandidate.from_tableau` — the same
     candidate interface the integer-form quotient/extension streams use, so
     all stage-2 consumers share one code path.)
@@ -66,11 +70,7 @@ def syntactic_overapproximations(
         return [query]
     subsets = _subset_queries(query)
     subset_tableaux = [q.tableau() for q in subsets]
-    with make_executor(workers) as executor:
-        flags = [
-            is_member
-            for _, is_member in iter_membership(subset_tableaux, cls, executor)
-        ]
+    flags = [is_member for _, is_member in iter_membership(subset_tableaux, cls)]
     members = [q for q, is_member in zip(subsets, flags) if is_member]
     # ``q ⊆ q'`` ⇔ ``T_q' → T_q``; compute each tableau once and compare
     # through the engine, whose memoized hom_le absorbs the quadratic number
@@ -98,10 +98,10 @@ def syntactic_overapproximations(
 
 
 def syntactic_overapproximate(
-    query: ConjunctiveQuery, cls: QueryClass, *, workers: int = 1
+    query: ConjunctiveQuery, cls: QueryClass
 ) -> ConjunctiveQuery:
     """One syntactic overapproximation (the first minimal one)."""
-    results = syntactic_overapproximations(query, cls, workers=workers)
+    results = syntactic_overapproximations(query, cls)
     if not results:
         raise ValueError(f"no atom subset of the query falls in {cls.name}")
     return results[0]

@@ -90,7 +90,6 @@ from __future__ import annotations
 
 import os
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, count, islice
 from typing import Iterable, Iterator
@@ -112,20 +111,11 @@ from repro.cq.structure import Structure
 from repro.cq.tableau import Tableau, pin_for
 from repro.homomorphism.engine import HomEngine, default_engine
 from repro.hypergraphs.hypergraph import Hypergraph
-from repro.parallel import (
-    BatchFault,
-    ProcessExecutor,
-    SerialExecutor,
-    effective_workers,
-    make_executor,
-)
+from repro.parallel import BatchFault, ProcessExecutor, effective_workers
 from repro.runtime.budget import RunBudget
 from repro.runtime.checkpoint import CheckpointManager
 from repro.runtime.spill import SpillConfig, SpillableRefinementTrie, SpilledMap
 from repro.util.partitions import RefinementTrie, code_coarsens
-
-#: Candidates funneled into one pool task by :func:`iter_membership`.
-_CHECK_BATCH = 128
 
 #: Shards per fabric address.  The local pool runs one shard per worker:
 #: a second shard per worker costs more in per-shard setup and cross-shard
@@ -527,59 +517,9 @@ class MembershipTester:
         return verdict
 
 
-def _check_batch(payload: tuple) -> tuple[tuple[bool, ...], tuple[float, ...]]:
-    """Pool task: class checks on a batch of compact candidate payloads.
-
-    Each entry is either ``("ints", block_count, facts)`` — integer-indexed
-    facts checked straight on the rebuilt primal graph / hypergraph — or
-    ``("tableau", encoded)`` for candidates without an integer form.
-    Returns the verdicts plus the worker-side per-check seconds, which the
-    driver adds to ``check_seconds``.
-    """
-    cls, entries = payload
-    verdicts: list[bool] = []
-    seconds: list[float] = []
-    for entry in entries:
-        started = time.perf_counter()
-        if entry[0] == "ints":
-            verdict = _check_integer_candidate(cls, entry[1], entry[2])
-            if verdict is None:
-                verdict = bool(
-                    cls.contains_tableau(
-                        _integer_tableau(entry[1], entry[2])
-                    )
-                )
-        else:
-            verdict = bool(
-                cls.contains_structure(decode_tableau(entry[1]).structure)
-            )
-        verdicts.append(verdict)
-        seconds.append(time.perf_counter() - started)
-    return tuple(verdicts), tuple(seconds)
-
-
-def _integer_tableau(block_count: int, facts: tuple) -> Tableau:
-    """A tableau over ``0..block_count-1`` realizing integer-indexed facts
-    (fallback for classes without a graph-level membership test; class
-    membership is isomorphism-invariant, so the relabelling is harmless)."""
-    relations: dict[str, list[tuple]] = {}
-    for relation_id, row in facts:
-        relations.setdefault(f"R{relation_id}", []).append(row)
-    return Tableau(Structure(relations, domain=range(block_count)))
-
-
-def _candidate_payload(candidate, key: tuple | None) -> tuple:
-    """The compact pool form of one stage-1 candidate."""
-    facts = candidate.facts()
-    if facts is not None and key is not None:
-        return ("ints", candidate.block_count, facts)
-    return ("tableau", encode_tableau(candidate.materialize()))
-
-
 def iter_membership(
     candidates: Iterable[Tableau],
     cls: QueryClass,
-    executor: SerialExecutor | ProcessExecutor | None = None,
     *,
     stats: PipelineStats | None = None,
 ) -> Iterator[tuple[Tableau, bool]]:
@@ -587,58 +527,15 @@ def iter_membership(
 
     For callers that hold tableaux (e.g. the syntactic overapproximation
     search): yields ``(tableau, is_member)`` in input order, verdicts
-    memoized under :func:`candidate_check_key`.  With a
-    :class:`~repro.parallel.ProcessExecutor` the checks run in
-    :func:`_check_batch` batches over the pool; a key is dispatched once,
-    and since batches resolve in submission order its verdict is known by
-    the time a later batch repeats it.
+    memoized under :func:`candidate_check_key`.
     """
     if stats is None:
         stats = PipelineStats()
-    wrapped = (QuotientCandidate.from_tableau(tableau) for tableau in candidates)
-    if executor is None or isinstance(executor, SerialExecutor):
-        tester = MembershipTester(cls, stats)
-        for candidate in wrapped:
-            stats.generated += 1
-            yield candidate.materialize(), tester(candidate)
-        return
-    memo: dict[tuple, bool] = {}
-    dispatched: set = set()
-    batches: deque = deque()  # per in-flight batch: (candidate, key, fresh)
-
-    def payloads() -> Iterator[tuple]:
-        while True:
-            batch = list(islice(wrapped, _CHECK_BATCH))
-            if not batch:
-                return
-            entries, sent = [], []
-            for candidate in batch:
-                stats.generated += 1
-                key = candidate_check_key(cls, candidate)
-                fresh = key is None or key not in dispatched
-                if fresh:
-                    if key is not None:
-                        dispatched.add(key)
-                    sent.append(_candidate_payload(candidate, key))
-                entries.append((candidate, key, fresh))
-            batches.append(entries)
-            yield cls, tuple(sent)
-
-    for verdicts, seconds in executor.imap(_check_batch, payloads()):
-        results = iter(zip(verdicts, seconds))
-        for candidate, key, fresh in batches.popleft():
-            if fresh:
-                verdict, elapsed = next(results)
-                stats.checks_run += 1
-                stats.check_seconds += elapsed
-                if key is not None:
-                    memo[key] = verdict
-            else:
-                stats.check_memo_hits += 1
-                verdict = memo[key]
-            if verdict:
-                stats.members += 1
-            yield candidate.materialize(), verdict
+    tester = MembershipTester(cls, stats)
+    for tableau in candidates:
+        candidate = QuotientCandidate.from_tableau(tableau)
+        stats.generated += 1
+        yield candidate.materialize(), tester(candidate)
 
 
 # -------------------------------------------------------------------- stage 3
@@ -1670,13 +1567,15 @@ def _note_exhaustion(budget: RunBudget | None, stats: PipelineStats) -> None:
             stats.exhaustion_reason = budget.reason
 
 
-def _harvest_executor(executor, stats: PipelineStats) -> list[BatchFault]:
+def _harvest_executor(
+    executor: ProcessExecutor, stats: PipelineStats
+) -> list[BatchFault]:
     """Fold the executor's fault bookkeeping into the run's stats."""
-    stats.pool_respawns += getattr(executor, "respawns", 0)
-    stats.batch_timeouts += getattr(executor, "timeouts", 0)
-    if getattr(executor, "serial_fallback", False):
+    stats.pool_respawns += executor.respawns
+    stats.batch_timeouts += executor.timeouts
+    if executor.serial_fallback:
         stats.serial_fallbacks += 1
-    return list(getattr(executor, "faults", ()))
+    return list(executor.faults)
 
 
 class _CheckpointSession:
@@ -2006,26 +1905,26 @@ def _merge_shards(frontier: Frontier, shard_members: Iterable) -> None:
 
 
 def _run_pool_shards(
-    workers: int,
     context: tuple,
     shards: list,
     stats: PipelineStats,
     shard_timeout: float | None,
 ) -> tuple[list, list[BatchFault]]:
-    """Run ``shards`` over a local process pool: ``(members, faults)``.
+    """Run ``shards`` over a local process pool, one worker per shard:
+    ``(members, faults)``.
 
     A shard running past ``shard_timeout`` or raising is quarantined — its
     slice is skipped, a sound omission counted in ``stats.quarantined`` —
     and a killed worker's pool is respawned with its shards resubmitted.
     """
     results: list = []
-    with make_executor(
-        workers,
+    with ProcessExecutor(
+        len(shards),
         initializer=_install_shard_context,
         initargs=(context,),
         batch_timeout=shard_timeout,
     ) as executor:
-        for outcome in executor.imap(_shard_task, shards, failures="yield"):
+        for outcome in executor.imap(_shard_task, shards):
             if isinstance(outcome, BatchFault):
                 stats.quarantined += 1
                 continue
@@ -2272,7 +2171,7 @@ def run_pipeline(
             )
         else:
             shard_members, faults = _run_pool_shards(
-                workers, context, shards, stats, shard_timeout
+                context, shards, stats, shard_timeout
             )
         frontier = Frontier(stats=stats, spill=_spill_config(spill_dir, budget))
         _merge_shards(frontier, shard_members)

@@ -5,7 +5,8 @@ guarantees (how often does an approximation disagree?) to future work.
 This module provides the measurement tooling: evaluate ``Q`` and ``Q'``
 side by side over sampled databases and report the disagreement statistics.
 For an underapproximation the only possible disagreement is a false
-negative (``ā ∈ Q(D) \\ Q'(D)``), which :func:`disagreement` verifies.
+negative (``ā ∈ Q(D) \\ Q'(D)``), which :func:`disagreement` verifies,
+one database at a time in the calling process.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from repro.cq.query import ConjunctiveQuery
 from repro.cq.structure import Structure
 from repro.evaluation.engine import evaluate
 from repro.evaluation.kernels import DEFAULT_ENGINE
-from repro.parallel import make_executor
 
 
 @dataclass(frozen=True)
@@ -51,20 +51,6 @@ class QualityReport:
         return self.wrong_answers == 0
 
 
-def _disagreement_sample(payload: tuple) -> tuple[int, int, int, int, int]:
-    """One database's agreement counters (picklable pool task)."""
-    query, approximation, db, exact_method, approx_method = payload
-    exact = evaluate(query, db, method=exact_method)
-    approx = evaluate(approximation, db, method=approx_method)
-    return (
-        len(exact),
-        len(approx & exact),
-        len(exact - approx),
-        len(approx - exact),
-        int(exact == approx),
-    )
-
-
 def disagreement(
     query: ConjunctiveQuery,
     approximation: ConjunctiveQuery,
@@ -72,30 +58,22 @@ def disagreement(
     *,
     exact_method: str = "auto",
     approx_method: str = "auto",
-    workers: int = 1,
 ) -> QualityReport:
     """Measure ``Q`` vs ``Q'`` over the given databases.
 
-    Per-database evaluation pairs are independent, so with ``workers > 1``
-    they spread over the pipeline's process pool (the database stream is
-    consumed lazily with bounded lookahead); the aggregated report is
-    identical for any worker count.
+    The database stream is consumed lazily, one database at a time, so a
+    generated stream is never held in memory.
     """
     samples = exact_total = approx_total = missed = wrong = agreeing = 0
-    payloads = (
-        (query, approximation, db, exact_method, approx_method)
-        for db in databases
-    )
-    with make_executor(workers) as executor:
-        for exact_n, agree_n, missed_n, wrong_n, same in executor.imap(
-            _disagreement_sample, payloads
-        ):
-            samples += 1
-            exact_total += exact_n
-            approx_total += agree_n
-            missed += missed_n
-            wrong += wrong_n
-            agreeing += same
+    for db in databases:
+        exact = evaluate(query, db, method=exact_method)
+        approx = evaluate(approximation, db, method=approx_method)
+        samples += 1
+        exact_total += len(exact)
+        approx_total += len(approx & exact)
+        missed += len(exact - approx)
+        wrong += len(approx - exact)
+        agreeing += exact == approx
     return QualityReport(
         samples=samples,
         exact_answers=exact_total,

@@ -335,8 +335,10 @@ class QuotientCandidate:
         No integer form (``facts()`` is ``None``, ``codes`` is ``None``), so
         class checks and dominance fall back to the materialized structure —
         the entry point for callers that hold tableaux rather than
-        partitions (:func:`repro.core.pipeline.iter_membership`, the
-        extension stream's non-integer fallback).
+        partitions: the serial stage-2 stream
+        :func:`repro.core.pipeline.iter_membership` (the syntactic
+        overapproximation search) and the extension stream's non-integer
+        fallback.
         """
         return cls((), None, 0, None, tableau, None, (), tableau=tableau)
 

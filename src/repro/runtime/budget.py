@@ -8,7 +8,7 @@ bookkeeping), and a memory probe only every
 :data:`MEMORY_PROBE_INTERVAL` calls.  The verdict is *sticky*: once any
 budget trips, :meth:`RunBudget.exceeded` keeps returning the same reason,
 so callers at different pipeline seams (stage-1 generation, stage-3
-admission, the pooled intake loop) all observe one consistent exhaustion
+admission, each pool or fabric shard) all observe one consistent exhaustion
 event.
 
 The memory ceiling combines two signals:

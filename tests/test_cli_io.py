@@ -204,27 +204,6 @@ class TestCliJson:
         assert payload["workers"] == 2
         assert payload["approximations"], "C-APPR_min(Q) must be non-empty"
 
-    def test_approximate_admission_order_flag(self, capsys):
-        # The two explicit orders must agree with the default down to the
-        # printed approximations, and the JSON payload records the knob.
-        outputs = {}
-        for order in ("auto", "generation", "fine-to-coarse"):
-            assert main(
-                [
-                    "approximate",
-                    "Q() :- E(x,y), E(y,z), E(z,x)",
-                    "--all",
-                    "--json",
-                    "--admission-order",
-                    order,
-                ]
-            ) == 0
-            payload = json.loads(capsys.readouterr().out)
-            assert payload["admission_order"] == order
-            outputs[order] = payload["approximations"]
-        assert outputs["generation"] == outputs["auto"]
-        assert outputs["fine-to-coarse"] == outputs["auto"]
-
     def test_approximate_stats_reports_index_counters(self, capsys):
         assert main(
             [

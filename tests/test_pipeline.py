@@ -27,7 +27,6 @@ from repro.core import (
     iter_membership,
     membership_key,
     run_pipeline,
-    syntactic_overapproximations,
 )
 import repro.core.pipeline as pipeline_module
 import repro.core.quotients as quotients_module
@@ -901,24 +900,3 @@ class TestOrbitShipping:
     def test_orbit_derivation_runs_once_with_check_workers(self):
         result = run_pipeline(TERNARY.tableau(), AC, allow_fresh=False, workers=2)
         assert result.stats.orbit_derivations == 1
-
-
-class TestParallelKnobsElsewhere:
-    def test_overapproximations_identical_across_workers(self):
-        query = parse_query("Q() :- E(x, y), E(y, z), E(z, x), E(x, u)")
-        serial = syntactic_overapproximations(query, TW1)
-        pooled = syntactic_overapproximations(query, TW1, workers=2)
-        assert serial == pooled
-
-    def test_disagreement_identical_across_workers(self):
-        from repro.core import disagreement
-
-        query = parse_query("Q(x) :- E(x, y), E(y, z)")
-        approx = parse_query("Q(x) :- E(x, y), E(y, z), E(z, u)")
-        databases = [
-            Structure({"E": [(i, i + 1) for i in range(6)] + [(5, seed % 5)]})
-            for seed in range(4)
-        ]
-        serial = disagreement(query, approx, databases)
-        pooled = disagreement(query, approx, databases, workers=2)
-        assert serial == pooled

@@ -1,7 +1,7 @@
 """Tests for the budgeted anytime pipeline and its fault tolerance.
 
 Covers the :mod:`repro.runtime` budget/checkpoint primitives, the
-fault-tolerant executors in :mod:`repro.parallel`, the deterministic
+fault-tolerant process executor of :mod:`repro.parallel`, the deterministic
 fault-injection harness (:mod:`repro.testing.faults`), the pipeline-level
 anytime semantics (partial frontiers are *sound*: every member passed its
 class check and receives a homomorphism from the base), checkpoint/resume
@@ -33,7 +33,7 @@ from repro.core import (
 )
 from repro.core.pipeline import PipelineStats
 from repro.homomorphism.engine import default_engine
-from repro.parallel import BatchFault, SerialExecutor, make_executor
+from repro.parallel import BatchFault, ProcessExecutor
 from repro.runtime import CheckpointManager, CheckpointMismatch, RunBudget
 from repro.runtime.budget import MEMORY_PROBE_INTERVAL
 from repro.testing import FaultInjected, FaultPlan, FaultyClass
@@ -241,24 +241,23 @@ def _executor_task(payload):
     return value * 2
 
 
-class TestSerialExecutor:
-    def test_yield_mode_quarantines_raising_tasks(self):
-        executor = SerialExecutor()
-        results = list(
-            executor.imap(
-                _executor_task,
-                [("ok", 1, ""), ("boom", 2, ""), ("ok", 3, "")],
-                failures="yield",
-            )
-        )
-        assert results[0] == 2 and results[2] == 6
-        assert isinstance(results[1], BatchFault)
-        assert results[1].kind == "error" and "boom 2" in results[1].error
-        assert executor.faults == [results[1]]
+#: Per-process state installed by :func:`_install_offset`, and the order in
+#: which the initializer and tasks ran in *this* process (worker processes
+#: append to their own forked copies, so the driver sees only inline work).
+_SHARED_STATE: dict = {}
+_DRIVER_EVENTS: list = []
 
-    def test_raise_mode_propagates(self):
-        with pytest.raises(ValueError):
-            list(SerialExecutor().imap(_executor_task, [("boom", 1, "")]))
+
+def _install_offset(offset):
+    """Executor initializer: per-process shared state, like a shard context."""
+    _SHARED_STATE["offset"] = offset
+    _DRIVER_EVENTS.append("init")
+
+
+def _offset_task(payload):
+    """Pool task that needs the initializer's state (KeyError without it)."""
+    _DRIVER_EVENTS.append("task")
+    return _executor_task(payload) + _SHARED_STATE["offset"]
 
 
 @pytest.mark.slow
@@ -267,8 +266,8 @@ class TestProcessExecutorFaults:
         token = str(tmp_path / "token")
         tasks = [("ok", i, "") for i in range(20)]
         tasks[7] = ("kill", 7, token)
-        with make_executor(2) as executor:
-            results = list(executor.imap(_executor_task, iter(tasks)))
+        with ProcessExecutor(2) as executor:
+            results = list(executor.imap(_executor_task, tasks))
         # The broken pool was respawned and every in-flight task was
         # resubmitted in order: the result stream is exactly the serial one
         # (the claimed token keeps the retried task from re-firing).
@@ -280,20 +279,41 @@ class TestProcessExecutorFaults:
         token = str(tmp_path / "token")
         tasks = [("ok", i, "") for i in range(10)]
         tasks[3] = ("kill", 3, token)
-        with make_executor(2, max_respawns=0) as executor:
-            results = list(executor.imap(_executor_task, iter(tasks)))
+        with ProcessExecutor(2, max_respawns=0) as executor:
+            results = list(executor.imap(_executor_task, tasks))
         assert results == [i * 2 for i in range(10)]
         assert executor._serial_fallback
+
+    def test_serial_fallback_runs_the_initializer_inline_first(self, tmp_path):
+        token = str(tmp_path / "token")
+        tasks = [("ok", i, "") for i in range(10)]
+        tasks[3] = ("kill", 3, token)
+        _SHARED_STATE.clear()
+        _DRIVER_EVENTS.clear()
+        try:
+            with ProcessExecutor(
+                2, initializer=_install_offset, initargs=(100,), max_respawns=0
+            ) as executor:
+                results = list(executor.imap(_offset_task, tasks))
+            assert executor.serial_fallback
+            # The killed task reran inline, after the initializer installed
+            # the shared state in the driver exactly once.
+            assert _DRIVER_EVENTS[0] == "init"
+            assert _DRIVER_EVENTS.count("init") == 1
+            assert "task" in _DRIVER_EVENTS
+            assert results == [i * 2 + 100 for i in range(10)]
+            assert executor.faults == []
+        finally:
+            _SHARED_STATE.clear()
+            _DRIVER_EVENTS.clear()
 
     def test_timeout_quarantines_the_hung_head(self, tmp_path):
         token = str(tmp_path / "token")
         tasks = [("ok", i, "") for i in range(12)]
         tasks[4] = ("sleep", 60.0, token)
         started = time.monotonic()
-        with make_executor(2, batch_timeout=0.5) as executor:
-            results = list(
-                executor.imap(_executor_task, iter(tasks), failures="yield")
-            )
+        with ProcessExecutor(2, batch_timeout=0.5) as executor:
+            results = list(executor.imap(_executor_task, tasks))
         elapsed = time.monotonic() - started
         faults = [r for r in results if isinstance(r, BatchFault)]
         assert [f.kind for f in faults] == ["timeout"]
@@ -307,17 +327,15 @@ class TestProcessExecutorFaults:
 
     def test_poisoned_task_quarantined_without_respawn(self):
         tasks = [("ok", 1, ""), ("boom", 2, ""), ("ok", 3, "")]
-        with make_executor(2) as executor:
-            results = list(
-                executor.imap(_executor_task, iter(tasks), failures="yield")
-            )
+        with ProcessExecutor(2) as executor:
+            results = list(executor.imap(_executor_task, tasks))
         assert results[0] == 2 and results[2] == 6
         assert isinstance(results[1], BatchFault) and results[1].kind == "error"
         assert executor.respawns == 0
 
     def test_context_manager_tears_down_on_exception(self):
         with pytest.raises(RuntimeError):
-            with make_executor(2) as executor:
+            with ProcessExecutor(2) as executor:
                 raise RuntimeError("interrupted")
         assert executor._pool is None
 
