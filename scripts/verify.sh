@@ -25,7 +25,9 @@
 # solve-ext, solve-2w and evaluate workloads in --smoke mode (a few seconds
 # each; exit 1 when a frontier, or evaluate's approximations and answer
 # sets, differ from the committed references — solve-2w runs the sharded
-# workers=2 path), and finally prints the line total of src/.
+# workers=2 path), runs the evaluate smoke a second time on the
+# pure-python columnar backend (REPRO_EVAL_BACKEND=python) against the
+# same references, and finally prints the line total of src/.
 
 set -euo pipefail
 
@@ -43,4 +45,5 @@ python3 benchmarks/e2e/run.py --smoke --workload solve-plain
 python3 benchmarks/e2e/run.py --smoke --workload solve-ext
 python3 benchmarks/e2e/run.py --smoke --workload solve-2w
 python3 benchmarks/e2e/run.py --smoke --workload evaluate
+REPRO_EVAL_BACKEND=python python3 benchmarks/e2e/run.py --smoke --workload evaluate
 echo "src/ lines: $(find src -name '*.py' -exec cat {} + | wc -l)"

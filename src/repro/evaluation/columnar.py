@@ -9,13 +9,19 @@ interpreter.  This module stores a relation as *parallel value columns*
 
 * **numpy backend** (optional extra ``repro[fast]``): columns are int64
   arrays (values dictionary-encoded unless the active domain is already
-  int64-safe), multi-column join keys are collapsed to 1-D via a void
-  view over the contiguous row matrix, and per-side group indexes
-  (``np.unique(..., return_inverse=True)``) are cached on the relation so
-  repeated semijoins against the same key — the Yannakakis sweeps — hash
-  each side once.  Join emission is the classic
-  argsort/bincount/offsets/``np.repeat`` gather; no python-level loop
-  touches a row.
+  int64-safe).  Multi-column keys pack into one int64 mixed-radix key
+  (first column most significant, digits ``col - base``, with ``base``
+  and ``radix`` fixed once per kernel from the database's domain, so
+  every relation packs alike); only a domain whose span would overflow
+  ``2**62`` falls back to a void view over the contiguous row matrix.
+  Each relation is flattened once per kernel into an int64 row matrix
+  that every atom over it slices.  Deduplication sorts and keeps
+  the first of each run of equal neighbours (:func:`_unique`), and
+  per-side group indexes (``np.unique(..., return_inverse=True)``) are
+  cached on the relation so repeated semijoins against the same key —
+  the Yannakakis sweeps — hash each side once.  Join emission is the
+  classic argsort/bincount/offsets/``np.repeat`` gather; no python-level
+  loop touches a row.
 * **python backend**: columns are plain lists and the cached per-key
   index is a ``dict key -> row indexes``.  Same operator semantics,
   identical answers — the differential suite pins both backends to the
@@ -32,6 +38,24 @@ from itertools import chain
 
 from .backend import active_numpy
 from .stats import EvalStats
+
+
+def _unique(np_, keys):
+    """Sorted distinct values of a 1-D key array, like ``np.unique(keys)``.
+
+    Sorts and keeps each value that differs from its left neighbour:
+    numpy's ``np.unique`` takes a far slower hash path on int64 input.
+    Void keys (the multi-column fallback) still go through ``np.unique``.
+    """
+    if keys.dtype.kind == "V":
+        return np_.unique(keys)
+    ordered = np_.sort(keys)
+    if len(ordered) < 2:
+        return ordered
+    keep = np_.empty(len(ordered), dtype=bool)
+    keep[0] = True
+    np_.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
 
 
 class ValueCodec:
@@ -90,37 +114,58 @@ class ColumnarKernel:
     """Operator kernels over :class:`ColumnarBindings`.
 
     The backend (numpy vs pure python) is fixed at construction from
-    :func:`repro.evaluation.backend.active_numpy`; one kernel instance is
-    meant to serve one evaluation over one database, so the value codec
-    (or the identity-encoding decision) is owned per instance.
+    :func:`repro.evaluation.backend.active_numpy`.  One kernel serves one
+    evaluation over one database: the first database it scans binds it,
+    and :meth:`atom_bindings` raises ``ValueError`` on any other.  Per
+    kernel it owns the value codec (or the identity-encoding decision),
+    the key-packing ``base`` and ``radix``, and on the numpy backend one
+    int64 ``(rows, arity)`` matrix per relation, flattened on the first
+    scan of that relation and sliced by every later atom over it.  All of
+    it dies with the kernel, so every evaluation reads its database cold.
     """
 
     engine = "columnar"
 
-    #: Magnitude bound under which raw ints are stored without encoding.
+    #: Magnitude bound under which raw ints are stored without encoding,
+    #: and the bound on a packed multi-column key.
     _INT64_LIMIT = 2**62
 
     def __init__(self, stats: EvalStats | None = None) -> None:
         self.stats = stats
         self._np = active_numpy()
-        #: None until the first database is seen; then True (identity
-        #: int64 encoding) or False (dictionary encoding via ``_codec``).
-        self._identity: bool | None = None
+        #: The database this kernel serves; None until the first scan.
+        self._db = None
+        #: Dictionary encoding, or None for identity int64 encoding.
         self._codec: ValueCodec | None = None
+        #: Mixed-radix packing of multi-column keys: every stored value
+        #: lies in ``[base, base + radix)``.
+        self._base = 0
+        self._radix = 1
+        #: Relation name -> read-only int64 ``(rows, arity)`` matrix.
+        self._matrices: dict = {}
 
     # ------------------------------------------------------------------
     # encoding
 
+    def _bind(self, db) -> None:
+        """Bind the kernel to ``db`` on first use; refuse any other."""
+        if self._db is None:
+            self._db = db
+            self._decide_encoding(db)
+        elif db is not self._db:
+            raise ValueError(
+                "a ColumnarKernel serves one database; make a new kernel "
+                "for another"
+            )
+
     def _decide_encoding(self, db) -> None:
-        if self._identity is not None:
-            return
         if self._np is None:
             # python backend stores raw values; no encoding ever needed
-            self._identity = True
             return
         limit = self._INT64_LIMIT
+        domain = db.domain
         identity = True
-        for value in db.domain:
+        for value in domain:
             if (
                 not isinstance(value, int)
                 or isinstance(value, bool)
@@ -128,9 +173,12 @@ class ColumnarKernel:
             ):
                 identity = False
                 break
-        self._identity = identity
         if not identity:
             self._codec = ValueCodec()
+            self._radix = max(len(domain), 1)
+        elif domain:
+            self._base = min(domain)
+            self._radix = max(domain) - self._base + 1
 
     def _encode_value(self, value):
         if self._codec is not None:
@@ -160,7 +208,7 @@ class ColumnarKernel:
 
     def atom_bindings(self, db, atom) -> ColumnarBindings:
         """Scan one atom's facts into columns, filtering repeated variables."""
-        self._decide_encoding(db)
+        self._bind(db)
         rows = db.tuples(atom.relation)
         scanned = len(rows)
         if self.stats is not None:
@@ -180,7 +228,8 @@ class ColumnarKernel:
         elif scanned == 0:
             out = self.empty(columns)
         elif self._np is not None:
-            out = self._scan_np(rows, arity, columns, first, repeats)
+            matrix = self._relation_matrix(atom.relation, rows, arity)
+            out = self._scan_np(matrix, columns, first, repeats)
         else:
             out = self._scan_py(rows, columns, first, repeats)
         if self.stats is not None:
@@ -188,7 +237,15 @@ class ColumnarKernel:
             self.stats.saw_intermediate(out.length)
         return out
 
-    def _scan_np(self, rows, arity, columns, first, repeats) -> ColumnarBindings:
+    def _relation_matrix(self, name, rows, arity):
+        """The relation's rows as an int64 matrix, flattened once per kernel.
+
+        Stored column-major and read-only, so an atom without repeated
+        variables takes its columns as views.
+        """
+        matrix = self._matrices.get(name)
+        if matrix is not None:
+            return matrix
         np_ = self._np
         count = len(rows)
         if self._codec is not None:
@@ -202,15 +259,21 @@ class ColumnarKernel:
             flat = np_.fromiter(
                 chain.from_iterable(rows), dtype=np_.int64, count=count * arity
             )
-        matrix = flat.reshape(count, arity)
-        if repeats:
-            mask = None
-            for first_pos, pos in repeats:
-                eq = matrix[:, first_pos] == matrix[:, pos]
-                mask = eq if mask is None else mask & eq
-            matrix = matrix[mask]
-        data = [np_.ascontiguousarray(matrix[:, first[name]]) for name in columns]
-        return ColumnarBindings(columns, data, matrix.shape[0])
+        matrix = np_.asfortranarray(flat.reshape(count, arity))
+        matrix.flags.writeable = False
+        self._matrices[name] = matrix
+        return matrix
+
+    def _scan_np(self, matrix, columns, first, repeats) -> ColumnarBindings:
+        if not repeats:
+            data = [matrix[:, first[name]] for name in columns]
+            return ColumnarBindings(columns, data, matrix.shape[0])
+        mask = None
+        for first_pos, pos in repeats:
+            eq = matrix[:, first_pos] == matrix[:, pos]
+            mask = eq if mask is None else mask & eq
+        data = [matrix[mask, first[name]] for name in columns]
+        return ColumnarBindings(columns, data, len(data[0]))
 
     def _scan_py(self, rows, columns, first, repeats) -> ColumnarBindings:
         data = [[] for _ in columns]
@@ -225,13 +288,44 @@ class ColumnarKernel:
     # ------------------------------------------------------------------
     # key indexes
 
+    def _packs(self, width: int) -> bool:
+        """Whether ``width``-column keys fit one int64 mixed-radix key."""
+        return self._radix**width <= self._INT64_LIMIT
+
+    def _pack(self, arrays):
+        """One int64 key per row, first column most significant."""
+        base, radix = self._base, self._radix
+        key = arrays[0] - base
+        for col in arrays[1:]:
+            key *= radix
+            key += col - base
+        return key
+
+    def _unpack(self, keys, width: int) -> list:
+        """The ``width`` columns of packed ``keys`` (inverse of ``_pack``)."""
+        np_ = self._np
+        base, radix = self._base, self._radix
+        data = []
+        for _ in range(width - 1):
+            keys, digit = np_.divmod(keys, radix)
+            data.append(digit + base)
+        data.append(keys + base)
+        data.reverse()
+        return data
+
     def _key1d(self, rel: ColumnarBindings, cols: tuple):
-        """Collapse the key columns to one 1-D array (void view if multi)."""
+        """Collapse the key columns to one 1-D array.
+
+        Multi-column keys pack into one int64 (:meth:`_pack`) unless the
+        domain's span overflows, and fall back to a void view then.
+        """
         np_ = self._np
         index = rel.column_index()
         arrays = [rel.data[index[name]] for name in cols]
         if len(arrays) == 1:
             return arrays[0]
+        if self._packs(len(arrays)):
+            return self._pack(arrays)
         stacked = np_.ascontiguousarray(np_.stack(arrays, axis=1))
         void = np_.dtype((np_.void, stacked.dtype.itemsize * len(arrays)))
         return stacked.view(void).reshape(-1)
@@ -264,7 +358,7 @@ class ColumnarKernel:
         got = rel._indexes.get(cache_key)
         if got is not None:
             return got, 0
-        uniq = self._np.unique(self._key1d(rel, cols))
+        uniq = _unique(self._np, self._key1d(rel, cols))
         rel._indexes[cache_key] = uniq
         return uniq, rel.length
 
@@ -313,10 +407,14 @@ class ColumnarKernel:
             offsets = keys - base
             in_range = (offsets >= 0) & (offsets < len(table))
             return in_range & table[np_.clip(offsets, 0, len(table) - 1)]
+        # Probing in sorted order keeps the binary searches cache-friendly.
         uniq = first
-        pos = np_.searchsorted(uniq, keys)
-        pos_c = np_.minimum(pos, len(uniq) - 1)
-        return uniq[pos_c] == keys
+        order = np_.argsort(keys)
+        ordered = keys[order]
+        pos = np_.minimum(np_.searchsorted(uniq, ordered), len(uniq) - 1)
+        mask = np_.empty(len(keys), dtype=bool)
+        mask[order] = uniq[pos] == ordered
+        return mask
 
     def _hash_index_py(self, rel: ColumnarBindings, cols: tuple):
         """Cached ``(dict key -> row indexes, built_rows)`` for python."""
@@ -504,15 +602,16 @@ class ColumnarKernel:
             out = self.empty(columns)
         elif self._np is not None:
             np_ = self._np
-            arrays = [rel.data[index[name]] for name in columns]
-            if len(arrays) == 1:
-                data = [np_.unique(arrays[0])]
-                out = ColumnarBindings(columns, data, len(data[0]))
+            width = len(columns)
+            uniq = _unique(np_, self._key1d(rel, columns))
+            if width == 1:
+                data = [uniq]
+            elif uniq.dtype.kind == "i":
+                data = self._unpack(uniq, width)
             else:
-                stacked = np_.ascontiguousarray(np_.stack(arrays, axis=1))
-                uniq = np_.unique(stacked, axis=0)
-                data = [np_.ascontiguousarray(uniq[:, i]) for i in range(len(columns))]
-                out = ColumnarBindings(columns, data, uniq.shape[0])
+                rows = uniq.view(np_.int64).reshape(-1, width)
+                data = [np_.ascontiguousarray(rows[:, i]) for i in range(width)]
+            out = ColumnarBindings(columns, data, len(data[0]))
         else:
             arrays = [rel.data[index[name]] for name in columns]
             rows = set(zip(*arrays))
@@ -573,5 +672,7 @@ class ColumnarKernel:
         return answers
 
     def values_of(self, rel: ColumnarBindings, column: str) -> set:
-        index = rel.column_index()
-        return set(self._decode_column(rel.data[index[column]]))
+        values = rel.data[rel.column_index()[column]]
+        if self._np is not None:
+            values = _unique(self._np, values)
+        return set(self._decode_column(values))

@@ -9,12 +9,14 @@ queries/databases across all four tree/join evaluators.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cq import Structure, parse_query
 from repro.evaluation import (
     EvalStats,
     evaluate,
     hypertree_evaluate,
+    make_kernel,
     naive_join_evaluate,
     numpy_available,
     set_backend,
@@ -22,6 +24,7 @@ from repro.evaluation import (
     yannakakis_evaluate,
 )
 from repro.evaluation.backend import backend_name
+from repro.evaluation.columnar import ColumnarKernel, _unique
 
 BACKEND_PARAMS = [
     pytest.param(
@@ -129,6 +132,71 @@ class TestHandPickedCorners:
         db = Structure({"E": [(1, "b"), ("b", 2), (2, 1)]})
         assert_all_engines_agree(parse_query("Q(x, z) :- E(x, y), E(y, z)"), db)
 
+    def test_negative_integer_values(self, backend):
+        db = Structure(
+            {"E": [(-3, -1), (-1, 2), (2, -3), (-1, -1), (2, 0), (0, -3)]}
+        )
+        assert_all_engines_agree(
+            parse_query("Q(x, z) :- E(x, y), E(y, z), E(z, x)"), db
+        )
+        assert_all_engines_agree(parse_query("Q(x, y) :- E(x, y), E(y, x)"), db)
+
+    def test_two_column_key_overflow_takes_void_fallback(self, backend):
+        big = 2**40
+        db = Structure(
+            {"E": [(0, big), (big, 0), (big, big), (0, 1), (1, 0), (1, big)]}
+        )
+        if backend == "numpy":
+            kernel = ColumnarKernel()
+            kernel.atom_bindings(db, parse_query("Q() :- E(x, y)").atoms[0])
+            assert kernel._packs(1) and not kernel._packs(2)
+        assert_all_engines_agree(parse_query("Q(x, y) :- E(x, y), E(y, x)"), db)
+        assert_all_engines_agree(
+            parse_query("Q(x, z) :- E(x, y), E(y, z), E(z, x)"), db
+        )
+
+    def test_four_column_shared_key(self, backend):
+        rows = [
+            (a, b, c, d)
+            for a in range(3)
+            for b in range(3)
+            for c in range(2)
+            for d in range(2)
+            if (a + 2 * b + c * d) % 3 != 1
+        ]
+        db = Structure({"R": rows, "S": [(0, 1, 1, 0, 5), (2, 2, 0, 1, 6)]})
+        assert_all_engines_agree(
+            parse_query("Q(a, b) :- R(a, b, c, d), R(b, a, d, c)"), db
+        )
+        assert_all_engines_agree(
+            parse_query("Q(a, e) :- R(a, b, c, d), S(a, b, c, d, e)"), db
+        )
+        assert_all_engines_agree(
+            parse_query("Q(a, b, c) :- R(a, b, c, d), R(b, c, a, d)"), db
+        )
+
+    def test_values_next_to_the_codec_switch(self, backend):
+        top = 2**62 - 1
+        edges = [(top, -top), (-top, top), (top, top), (-top, 0), (0, top)]
+        db = Structure({"E": edges})
+        assert_all_engines_agree(parse_query("Q(x, y) :- E(x, y), E(y, x)"), db)
+        assert_all_engines_agree(
+            parse_query("Q(x, z) :- E(x, y), E(y, z), E(z, x)"), db
+        )
+        # One past the bound: the domain goes through the value codec.
+        db = Structure({"E": edges + [(2**62, top)]})
+        assert_all_engines_agree(parse_query("Q(x, y) :- E(x, y), E(y, x)"), db)
+        assert_all_engines_agree(parse_query("Q(x, z) :- E(x, y), E(y, z)"), db)
+
+    def test_kernel_refuses_a_second_database(self, backend):
+        atom = parse_query("Q(x) :- E(x, y)").atoms[0]
+        first = Structure({"E": [(1, 2)]})
+        kernel = make_kernel("columnar")
+        assert len(kernel.atom_bindings(first, atom)) == 1
+        assert len(kernel.atom_bindings(first, atom)) == 1
+        with pytest.raises(ValueError, match="one database"):
+            kernel.atom_bindings(Structure({"E": [(3, 4), (5, 6)]}), atom)
+
     def test_boolean_query_answer_conventions(self, backend):
         db = Structure({"E": [(1, 2), (2, 3)]})
         yes = parse_query("Q() :- E(x, y), E(y, z)")
@@ -147,6 +215,37 @@ class TestHandPickedCorners:
             assert evaluate(query, db, engine="columnar") == evaluate(
                 query, db, engine="tuple"
             )
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+class TestUnique:
+    INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+
+    @staticmethod
+    def _check(values):
+        import numpy as np
+
+        keys = np.asarray(values, dtype=np.int64)
+        got = _unique(np, keys)
+        expected = np.unique(keys)
+        assert got.dtype == expected.dtype
+        assert got.tolist() == expected.tolist()
+
+    @given(st.lists(INT64, max_size=60))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_np_unique(self, values):
+        self._check(values)
+
+    @given(st.lists(st.integers(-4, 4), max_size=60))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_np_unique_with_many_repeats(self, values):
+        self._check(values)
+
+    @pytest.mark.parametrize(
+        "values", [[], [7], [-(2**63)], [5] * 9, [2**63 - 1, -(2**63)] * 3]
+    )
+    def test_edge_arrays(self, values):
+        self._check(values)
 
 
 class TestRandomizedDifferential:
@@ -188,6 +287,28 @@ class TestStatsLedger:
         assert stats.rows_emitted > 0
         payload = stats.as_dict()
         assert payload["operators"]["scan"]["rows_scanned"] == 8
+
+    @pytest.mark.parametrize(
+        "evaluator, scans, hashed",
+        # rows_hashed as the kernels charged it before relations were
+        # flattened once per kernel; the scan cache must not change it.
+        [(yannakakis_evaluate, 2, 15), (treewidth_evaluate, 4, 20)],
+    )
+    def test_every_scan_charges_the_whole_relation(
+        self, backend, evaluator, scans, hashed
+    ):
+        edges = [(1, 2), (2, 1), (2, 3), (3, 3), (3, 4), (4, 2), (5, 5)]
+        db = Structure({"E": edges})
+        stats = EvalStats()
+        answers = evaluator(
+            parse_query("Q(a) :- E(a, b), E(b, a)"), db, stats=stats
+        )
+        assert answers == {(1,), (2,), (3,), (5,)}
+        scan = stats.operators["scan"]
+        assert scan["calls"] == scans
+        assert scan["rows_scanned"] == scans * len(edges)
+        assert stats.tuples_scanned == scans * len(edges)
+        assert stats.rows_hashed == hashed
 
     def test_tuple_engine_records_ops_too(self, backend):
         db = Structure({"E": [(1, 2), (2, 3)]})
