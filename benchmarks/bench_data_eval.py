@@ -15,9 +15,8 @@ Two measurements, both on generated multi-hundred-thousand-tuple instances
   legal disagreement for an underapproximation), and the exact/approx
   evaluation wall-time ratio.
 
-Writes machine-readable ``BENCH_data_eval.json`` at the repository root so
-the perf trajectory is tracked across PRs (``check_regressions.py`` gates
-on ``headline.speedup``).  ``--smoke`` runs scaled-down instances and only
+Writes machine-readable ``BENCH_data_eval.json`` at the repository root
+(headline: ``headline.speedup``).  ``--smoke`` runs scaled-down instances and only
 asserts (columnar faster than tuple, approximation sound) without touching
 the JSON — the cheap mode ``scripts/verify.sh`` runs on every pass.
 """

@@ -21,8 +21,7 @@ benchmark measures the three claims that fabric makes:
   growth a per-worker memory ceiling binds on.  Target: 1.6x.
   Wall-clock rows are reported alongside, honestly: on this box
   (``cpu_count`` is in the JSON; the dev host has 1 CPU) two local worker
-  processes time-slice one core, so wall does not parallel-scale — same
-  caveat as the pool rows of ``BENCH_parallel_pipeline.json``.
+  processes time-slice one core, so wall does not parallel-scale.
 * **Recovery**: a worker is SIGKILLed *mid-shard* (parked deterministically
   in the ``delay-response`` fault seam via the token-file discipline), and
   the run must still return a frontier hom-equivalent to serial, with the

@@ -2,39 +2,15 @@
 
 Each benchmark regenerates one of the paper's tables/figures/examples and
 writes a paper-style report to ``benchmarks/out/`` (also echoed to stdout,
-visible with ``pytest -s``).  ``EXPERIMENTS.md`` indexes the reports.
-
-The perf-tracking benchmarks additionally write machine-readable
-``BENCH_*.json`` files at the repository root; :func:`bench_summary`
-renders their headlines as one table (``python paperfmt.py`` prints it).
+visible with ``pytest -s``).
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Sequence
 
 OUT_DIR = Path(__file__).resolve().parent / "out"
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-#: The machine-readable perf trackers, in the order they were introduced.
-BENCH_FILES = (
-    "BENCH_hom_engine.json",
-    "BENCH_parallel_pipeline.json",
-    "BENCH_extension_stream.json",
-    "BENCH_frontier_reduction.json",
-    "BENCH_raw_stream.json",
-    "BENCH_robustness.json",
-    "BENCH_data_eval.json",
-    "BENCH_serving.json",
-    "BENCH_distributed.json",
-    "BENCH_fleet.json",
-)
-
-
-class BenchSummaryError(RuntimeError):
-    """A perf tracker is missing or malformed (see :func:`bench_summary`)."""
 
 
 def table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -56,68 +32,3 @@ def write_report(name: str, title: str, body: str) -> None:
     text = f"== {title} ==\n\n{body.rstrip()}\n"
     (OUT_DIR / f"{name}.txt").write_text(text)
     print("\n" + text)
-
-
-def bench_summary() -> str:
-    """One table over every ``BENCH_*.json`` headline at the repo root.
-
-    The perf-tracking surface is load-bearing: a missing or malformed
-    tracker used to appear as a quiet placeholder row, so a benchmark that
-    silently stopped writing its JSON looked "not run" forever.  Now every
-    problem — a file missing, unparseable, or without a ``headline`` —
-    raises :class:`BenchSummaryError` listing all offenders at once
-    (``python paperfmt.py`` exits nonzero on it); rerun the named
-    benchmarks to regenerate their trackers.
-    """
-    rows: list[list[object]] = []
-    problems: list[str] = []
-    for filename in BENCH_FILES:
-        path = REPO_ROOT / filename
-        if not path.exists():
-            problems.append(f"{filename}: missing (benchmark not run)")
-            continue
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as error:
-            problems.append(f"{filename}: unreadable ({error})")
-            continue
-        headline = payload.get("headline")
-        if not isinstance(headline, dict):
-            problems.append(f"{filename}: malformed (no headline object)")
-            continue
-        speedup = headline.get("speedup")
-        target = headline.get("target_speedup")
-        if speedup is None or target is None:
-            status = "no target"
-        else:
-            status = "ok" if speedup >= target else "below target"
-        rows.append(
-            [
-                payload.get("benchmark", filename),
-                headline.get("name", "—"),
-                f"{speedup}x" if speedup is not None else "—",
-                f"≥{target}x" if target is not None else "—",
-                status,
-            ]
-        )
-    if problems:
-        raise BenchSummaryError(
-            "perf trackers missing or malformed:\n  " + "\n  ".join(problems)
-        )
-    return table(["benchmark", "headline workload", "speedup", "target", "status"], rows)
-
-
-if __name__ == "__main__":
-    import sys
-
-    try:
-        print(bench_summary())
-    except BenchSummaryError as error:
-        print(f"bench_summary: {error}", file=sys.stderr)
-        sys.exit(1)
-    # The regression gate rides along: each headline is compared against
-    # its committed predecessor so a benchmark re-run that lost more than
-    # the tolerance fails the formatter (see check_regressions.py).
-    from check_regressions import check_regressions
-
-    sys.exit(check_regressions())

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# One-stop verification: the quick test tier plus the perf-regression gate.
+# One-stop verification: the quick test tier, the exact work-counter gate,
+# the fault drills and the end-to-end smoke runs.
 #
 #   scripts/verify.sh
 #
@@ -18,10 +19,11 @@
 # requests, healed capacity, and post-restart warm ≡ cold — all without
 # rewriting the committed JSON), runs the 20-scenario deterministic
 # chaos sweep (every scenario reproducible from the seed it prints,
-# upholding the four serving invariants), checks every committed
-# BENCH_*.json headline against its predecessor
-# (benchmarks/check_regressions.py: >20% loss exits 1; an unusable
-# committed baseline exits 2), runs the end-to-end benchmark's solve-plain,
+# upholding the four serving invariants), runs the work-counter gate
+# (tests/test_work_counters.py, including its slow workers=2 cases: the
+# pipeline and evaluation counters of the e2e smoke queries must not rise
+# above tests/work_counters.json; a fall passes with a warning naming the
+# case and the counter), runs the end-to-end benchmark's solve-plain,
 # solve-ext, solve-2w and evaluate workloads in --smoke mode (a few seconds
 # each; exit 1 when a frontier, or evaluate's approximations and answer
 # sets, differ from the committed references — solve-2w runs the sharded
@@ -40,7 +42,7 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -x -q -m "not slow"
 (cd benchmarks && PYTHONPATH=../src${PYTHONPATH:+:$PYTHONPATH} python bench_distributed.py --smoke)
 (cd benchmarks && PYTHONPATH=../src${PYTHONPATH:+:$PYTHONPATH} python bench_fleet.py --smoke)
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.testing.chaos --count 20
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/check_regressions.py
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q tests/test_work_counters.py
 python3 benchmarks/e2e/run.py --smoke --workload solve-plain
 python3 benchmarks/e2e/run.py --smoke --workload solve-ext
 python3 benchmarks/e2e/run.py --smoke --workload solve-2w

@@ -144,7 +144,8 @@ def candidate_tableaux(
     isomorphism-invariant, so the dedup is lossless up to equivalence.
 
     This is the serial reference stream, kept at the tableau level on
-    purpose (benchmarks replicate the historical algorithm with it); the
+    purpose (:mod:`repro.core.identification` consumes it as tableaux, and
+    the pipeline tests rebuild the pre-pipeline frontier from it); the
     frontier construction itself goes through :mod:`repro.core.pipeline`,
     which streams both quotients and extended candidates in lazy integer
     form, memoizes membership verdicts, and can spread stages over a

@@ -109,7 +109,7 @@ from repro.core.quotients import (
 )
 from repro.cq.structure import Structure
 from repro.cq.tableau import Tableau, pin_for
-from repro.homomorphism.engine import HomEngine, default_engine
+from repro.homomorphism.engine import default_engine
 from repro.hypergraphs.hypergraph import Hypergraph
 from repro.parallel import BatchFault, ProcessExecutor, effective_workers
 from repro.runtime.budget import RunBudget
@@ -630,15 +630,13 @@ class Frontier:
 
     def __init__(
         self,
-        members: Iterable[Tableau] = (),
         *,
-        engine: HomEngine | None = None,
         stats: PipelineStats | None = None,
         ordered: bool = False,
         spill: SpillConfig | None = None,
     ) -> None:
-        self.members: list[Tableau] = list(members)
-        self._scan: list[Tableau] = list(self.members)
+        self.members: list[Tableau] = []
+        self._scan: list[Tableau] = []
         self._codes: dict[int, tuple[int, ...]] = {}
         self._generation: dict[int, int] = {}
         self._dominated_keys: set = set()
@@ -690,7 +688,7 @@ class Frontier:
         #: ``_KERNEL_BUILD_AFTER``).
         self._kernel_queries: dict[int, int] = {}
         self._ordered = ordered
-        self._engine = engine if engine is not None else default_engine()
+        self._engine = default_engine()
         self._stats = stats if stats is not None else PipelineStats()
 
     #: Whether every block of ``fine`` lies inside a block of ``coarse``
@@ -1659,7 +1657,6 @@ def _reduce_inline(
     cls: QueryClass,
     stats: PipelineStats,
     *,
-    engine: HomEngine | None = None,
     order: str = "insertion",
     budget: RunBudget | None = None,
     checkpoint: _CheckpointSession | None = None,
@@ -1685,7 +1682,7 @@ def _reduce_inline(
     """
     tester = MembershipTester(cls, stats)
     reorder = order == "fine_to_coarse"
-    frontier = Frontier(engine=engine, stats=stats, ordered=reorder, spill=spill)
+    frontier = Frontier(stats=stats, ordered=reorder, spill=spill)
     if budget is not None:
         budget.start()
         budget.register_probe(frontier.tracked_entries)
@@ -1971,9 +1968,9 @@ def _run_fabric_shards(
     return list(results.values()), list(coordinator.faults)
 
 
-#: CLI/config spellings of the admission orders (the CLI exposes
-#: ``generation`` — stream generation order — for what the internals call
-#: insertion order, and dashes where the internals use underscores).
+#: Dashed spellings of the admission orders, as ``benchmarks/e2e/solve.py``
+#: passes them: ``generation`` (stream generation order) for what the
+#: internals call insertion order, and dashes where they use underscores.
 _ADMISSION_ORDER_ALIASES = {
     "generation": "insertion",
     "fine-to-coarse": "fine_to_coarse",
@@ -1990,7 +1987,7 @@ def _resolve_admission_order(
     the streams without generator feedback, where buffering is sound.
     Extension-space runs stay in generation order: their reducer feeds
     dominance verdicts back into the (lazy) enumerator, which a buffered
-    replay would silence.  The CLI spellings ``"generation"`` and
+    replay would silence.  The dashed spellings ``"generation"`` and
     ``"fine-to-coarse"`` are accepted as aliases.
     """
     admission_order = _ADMISSION_ORDER_ALIASES.get(

@@ -30,6 +30,7 @@ from repro.core import (
 )
 import repro.core.pipeline as pipeline_module
 import repro.core.quotients as quotients_module
+from repro.core.approximation import candidate_tableaux
 from repro.core.pipeline import PipelineStats, _reduce_inline
 from repro.core.quotients import (
     _shard_prefixes,
@@ -174,8 +175,23 @@ class TestMembershipKey:
             assert stats.checks_run + stats.check_memo_hits == len(candidates)
 
 
+def candidate_tableaux_frontier(query, cls, config):
+    """The pre-pipeline serial algorithm: every class member of the
+    :func:`candidate_tableaux` stream meets the frontier in stream order
+    through the engine's memoized ``hom_le``."""
+    engine = default_engine()
+    frontier = []
+    for candidate in candidate_tableaux(query, cls, config):
+        if any(engine.hom_le(member, candidate) for member in frontier):
+            continue
+        frontier = [m for m in frontier if not engine.hom_le(candidate, m)]
+        frontier.append(candidate)
+    return frontier
+
+
 class TestDeterminism:
-    """`all_approximations` must not depend on the worker count or run."""
+    """`all_approximations` must not depend on the worker count or run,
+    and must equal the pre-pipeline serial algorithm down to the bit."""
 
     WORKLOADS = [
         (TRIANGLE, TW1, ApproximationConfig()),
@@ -185,11 +201,24 @@ class TestDeterminism:
         # Default config on an extension stream: the workload on which the
         # deleted pooled-checks batcher livelocked.
         (cycle_with_chords(7), HypertreeClass(1), ApproximationConfig()),
+        # A plain quotient stream under a hypergraph class, 16 members.
+        (
+            parse_query(
+                "Q() :- R(x1,x2,x3), R(x2,x3,x4), R(x4,x5,x6), R(x6,x7,x1)"
+            ),
+            HypertreeClass(1),
+            ApproximationConfig(max_extra_atoms=0),
+        ),
     ]
 
     @pytest.mark.parametrize("query,cls,config", WORKLOADS)
     def test_workers_do_not_change_results(self, query, cls, config):
         serial = all_approximations(query, cls, config)
+        # The serial frontier: same tableaux, same order as the
+        # pre-pipeline algorithm.
+        assert approximation_frontier(query, cls, config) == (
+            candidate_tableaux_frontier(query, cls, config)
+        )
         for workers in (2, 3, 4):
             parallel = all_approximations(
                 query,
@@ -805,9 +834,7 @@ def legacy_extended_stream(tableau, max_extra_atoms, allow_fresh):
     structure, tableau-level canonical dedup of the extended candidates only
     (no cross-check against the plain quotients).
 
-    ``test_perf_smoke.py`` imports this replica;
-    ``benchmarks/bench_extension_stream.py`` carries a verbatim copy
-    (benchmarks are standalone scripts) — keep the two in sync.
+    ``test_perf_smoke.py`` imports this replica.
     """
     engine = default_engine()
     seen = set()

@@ -6,7 +6,7 @@ fault-injection harness (:mod:`repro.testing.faults`), the pipeline-level
 anytime semantics (partial frontiers are *sound*: every member passed its
 class check and receives a homomorphism from the base), checkpoint/resume
 bit-identity across crashes — including a real ``SIGKILL`` of the driver
-process — and the CLI/regression-gate satellites.
+process — and the CLI satellites.
 """
 
 from __future__ import annotations
@@ -17,10 +17,7 @@ import json
 import multiprocessing
 import os
 import signal
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -742,97 +739,3 @@ class TestCliRobustness:
         assert main(["approximate", self.TRIANGLE, "--cls", "TW1", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "exhausted" not in payload
-
-
-# --------------------------------------------------------------------------
-# Regression-gate hardening (benchmarks/check_regressions.py)
-# --------------------------------------------------------------------------
-
-
-def _load_gate():
-    benchmarks = Path(__file__).resolve().parent.parent / "benchmarks"
-    sys.path.insert(0, str(benchmarks))
-    try:
-        import check_regressions
-
-        return check_regressions
-    finally:
-        sys.path.pop(0)
-
-
-def _git_repo_with_committed(tmp_path, filename, content: str) -> Path:
-    subprocess.run(
-        ["git", "init", "-q"], cwd=tmp_path, check=True, capture_output=True
-    )
-    (tmp_path / filename).write_text(content)
-    env = dict(
-        os.environ,
-        GIT_AUTHOR_NAME="t",
-        GIT_AUTHOR_EMAIL="t@t",
-        GIT_COMMITTER_NAME="t",
-        GIT_COMMITTER_EMAIL="t@t",
-    )
-    subprocess.run(
-        ["git", "add", filename], cwd=tmp_path, check=True, capture_output=True
-    )
-    subprocess.run(
-        ["git", "commit", "-q", "-m", "baseline"],
-        cwd=tmp_path,
-        check=True,
-        capture_output=True,
-        env=env,
-    )
-    return tmp_path
-
-
-GOOD_TRACKER = json.dumps({"headline": {"name": "w", "speedup": 2.0}})
-
-
-class TestRegressionGateHardening:
-    def test_malformed_committed_baseline_is_a_distinct_failure(
-        self, tmp_path, capsys
-    ):
-        gate = _load_gate()
-        repo = _git_repo_with_committed(tmp_path, "BENCH_x.json", "{not json")
-        (repo / "BENCH_x.json").write_text(GOOD_TRACKER)
-        code = gate.check_regressions(("BENCH_x.json",), repo)
-        captured = capsys.readouterr()
-        assert code == gate.EXIT_BASELINE_ERROR == 2
-        assert "not valid JSON" in captured.err
-        assert "BENCH_x.json" in captured.err
-
-    def test_committed_baseline_without_headline_is_a_distinct_failure(
-        self, tmp_path, capsys
-    ):
-        gate = _load_gate()
-        repo = _git_repo_with_committed(
-            tmp_path, "BENCH_x.json", json.dumps({"workloads": []})
-        )
-        (repo / "BENCH_x.json").write_text(GOOD_TRACKER)
-        code = gate.check_regressions(("BENCH_x.json",), repo)
-        assert code == 2
-        assert "headline.speedup" in capsys.readouterr().err
-
-    def test_missing_predecessor_still_passes_as_new(self, tmp_path, capsys):
-        gate = _load_gate()
-        repo = _git_repo_with_committed(tmp_path, "OTHER.json", "{}")
-        (repo / "BENCH_x.json").write_text(GOOD_TRACKER)
-        assert gate.check_regressions(("BENCH_x.json",), repo) == 0
-        assert "new" in capsys.readouterr().out
-
-    def test_regression_keeps_exit_code_one(self, tmp_path, capsys):
-        gate = _load_gate()
-        repo = _git_repo_with_committed(tmp_path, "BENCH_x.json", GOOD_TRACKER)
-        (repo / "BENCH_x.json").write_text(
-            json.dumps({"headline": {"name": "w", "speedup": 1.0}})
-        )
-        code = gate.check_regressions(("BENCH_x.json",), repo)
-        capsys.readouterr()
-        assert code == 1
-
-    def test_missing_working_tracker_keeps_exit_code_one(self, tmp_path, capsys):
-        gate = _load_gate()
-        _git_repo_with_committed(tmp_path, "OTHER.json", "{}")
-        code = gate.check_regressions(("BENCH_x.json",), tmp_path)
-        capsys.readouterr()
-        assert code == 1
