@@ -7,7 +7,10 @@ Two measurements, both on generated multi-hundred-thousand-tuple instances
 * **Columnar speedup** (the headline): Yannakakis over the columnar engine
   (``engine="columnar"``, numpy fast path when installed) vs the original
   set-of-tuples oracle (``engine="tuple"``) on a 1M-tuple acyclic 4-chain
-  join.  Answers are asserted bit-equal; the target is ≥ 10x.
+  join.  Answers are asserted bit-equal; the target is ≥ 10x.  The
+  generated database stores int64 arrays, and the oracle reads its
+  frozenset-of-tuples view, which is built once on first use; that build
+  is timed apart as ``tuple_view_s`` and is in neither side's time.
 * **Approximate-then-evaluate** (the paper's pitch, end to end): a TW(1)
   approximation of the cyclic C4 pattern query is computed from the query
   alone, then both queries are evaluated on the same skewed digraph;
@@ -64,6 +67,11 @@ def chain_row(params: dict, *, target: float) -> dict:
     started = time.perf_counter()
     columnar = yannakakis_evaluate(query, db, stats, engine="columnar")
     columnar_s = time.perf_counter() - started
+    # The oracle reads the tuple view, which an int database builds once on
+    # first use; time that build on its own, not as part of the oracle.
+    started = time.perf_counter()
+    db.relations
+    tuple_view_s = time.perf_counter() - started
     started = time.perf_counter()
     tuple_answers = yannakakis_evaluate(query, db, engine="tuple")
     tuple_s = time.perf_counter() - started
@@ -78,6 +86,7 @@ def chain_row(params: dict, *, target: float) -> dict:
         "backend": backend_name(),
         "tuple_s": round(tuple_s, 4),
         "columnar_s": round(columnar_s, 4),
+        "tuple_view_s": round(tuple_view_s, 4),
         "speedup": round(speedup, 2),
         "target_speedup": target,
         "rows_hashed": stats.rows_hashed,

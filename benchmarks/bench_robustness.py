@@ -10,7 +10,8 @@ fast path, so this benchmark tracks:
 * **Budget overhead** (the headline): the 9-variable member-heavy HTW(2)
   serial frontier with *no* budget vs. with a generous never-tripping
   budget (deadline + memory ceiling + candidate/check caps all armed).
-  ``headline.speedup = unbudgeted_s / budgeted_s``; the target 0.95 means
+  ``headline.speedup`` is the median, over :data:`REPEATS` interleaved
+  pairs, of ``unbudgeted_s / budgeted_s``; the target 0.95 means
   the armed budget may cost at most ~5%.  Results are asserted
   bit-identical and the budgeted run must not report exhaustion.
 * **Checkpoint overhead**: the same run snapshotting frontier + cursor
@@ -27,6 +28,7 @@ so the perf trajectory is tracked across PRs.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import statistics
@@ -47,7 +49,8 @@ JSON_PATH = REPO_ROOT / "BENCH_robustness.json"
 
 HEADLINE_QUERY = cycle_with_chords(9, ((0, 3), (1, 4), (2, 5), (6, 8), (7, 1)))
 HEADLINE_CLASS = HypertreeClass(2)
-REPEATS = 3
+#: Interleaved A/B pairs per row (odd, so the median is one pair's ratio).
+REPEATS = 7
 
 
 def _generous_budget() -> RunBudget:
@@ -66,6 +69,7 @@ def _fresh_engine(fn, repeats: int):
     for _ in range(repeats):
         saved = engine_module.DEFAULT_ENGINE
         engine_module.DEFAULT_ENGINE = HomEngine()
+        gc.collect()
         try:
             started = time.perf_counter()
             result = fn()
@@ -76,25 +80,40 @@ def _fresh_engine(fn, repeats: int):
 
 
 def _paired(fn_a, fn_b, repeats: int):
-    """Interleaved A/B timing: (median_a, median_b, last_a, last_b).
+    """Interleaved A/B timing: (median_a, median_b, ratio, last_a, last_b).
 
     Alternating the variants inside each repetition cancels the slow
     drift (page cache, allocator growth, noisy neighbors) that makes
     back-to-back blocks on a small shared host disagree by more than the
-    effect under measurement.
+    effect under measurement.  ``ratio`` is the median over pairs of
+    ``time_a / time_b``: each pair shares its spell of host speed, so a
+    slow spell moves both sides of one ratio instead of one side of the
+    ratio of medians.
     """
     times_a, times_b, result_a, result_b = [], [], None, None
-    for _ in range(repeats):
-        t, result_a = _fresh_engine(fn_a, 1)
-        times_a.append(t)
-        t, result_b = _fresh_engine(fn_b, 1)
-        times_b.append(t)
+    for pair in range(repeats):
+        # Alternate which side runs first, so neither always inherits the
+        # other's garbage and warm caches.
+        if pair % 2:
+            t_b, result_b = _fresh_engine(fn_b, 1)
+            t_a, result_a = _fresh_engine(fn_a, 1)
+        else:
+            t_a, result_a = _fresh_engine(fn_a, 1)
+            t_b, result_b = _fresh_engine(fn_b, 1)
+        times_a.append(t_a)
+        times_b.append(t_b)
     return (
         statistics.median(times_a),
         statistics.median(times_b),
+        statistics.median(a / b for a, b in zip(times_a, times_b)),
         result_a,
         result_b,
     )
+
+
+def _overhead_pct(ratio: float) -> float:
+    """Extra time of the B side in percent, from the median pair ratio."""
+    return round(100.0 * (1.0 / ratio - 1.0), 1)
 
 
 def budget_overhead() -> dict:
@@ -104,7 +123,7 @@ def budget_overhead() -> dict:
     _fresh_engine(
         lambda: run_pipeline(tableau, HEADLINE_CLASS, max_extra_atoms=0), 1
     )
-    plain_s, budgeted_s, plain, budgeted = _paired(
+    plain_s, budgeted_s, ratio, plain, budgeted = _paired(
         lambda: run_pipeline(tableau, HEADLINE_CLASS, max_extra_atoms=0),
         lambda: run_pipeline(
             tableau,
@@ -123,10 +142,8 @@ def budget_overhead() -> dict:
         "frontier_size": len(plain.frontier),
         "plain_s": round(plain_s, 4),
         "budgeted_s": round(budgeted_s, 4),
-        "speedup": round(plain_s / budgeted_s, 3) if budgeted_s else None,
-        "overhead_pct": (
-            round(100.0 * (budgeted_s - plain_s) / plain_s, 1) if plain_s else None
-        ),
+        "speedup": round(ratio, 3),
+        "overhead_pct": _overhead_pct(ratio),
     }
 
 
@@ -148,7 +165,7 @@ def checkpoint_overhead() -> dict:
                 ),
             )
 
-    plain_s, ckpt_s, plain, ckpt = _paired(
+    plain_s, ckpt_s, ratio, plain, ckpt = _paired(
         lambda: run_pipeline(tableau, HEADLINE_CLASS, max_extra_atoms=0),
         checkpointed,
         REPEATS,
@@ -161,10 +178,8 @@ def checkpoint_overhead() -> dict:
         "checkpoints_written": ckpt.stats.checkpoints_written,
         "plain_s": round(plain_s, 4),
         "budgeted_s": round(ckpt_s, 4),
-        "speedup": round(plain_s / ckpt_s, 3) if ckpt_s else None,
-        "overhead_pct": (
-            round(100.0 * (ckpt_s - plain_s) / plain_s, 1) if plain_s else None
-        ),
+        "speedup": round(ratio, 3),
+        "overhead_pct": _overhead_pct(ratio),
     }
 
 
@@ -181,7 +196,7 @@ def recovery_latency() -> dict:
             )
             return run_pipeline(tableau, faulty, max_extra_atoms=0, workers=2)
 
-    clean_s, faulted_s, clean, recovered = _paired(
+    clean_s, faulted_s, ratio, clean, recovered = _paired(
         lambda: run_pipeline(
             tableau, HEADLINE_CLASS, max_extra_atoms=0, workers=2
         ),
@@ -198,7 +213,7 @@ def recovery_latency() -> dict:
         "pool_respawns": recovered.stats.pool_respawns,
         "plain_s": round(clean_s, 4),
         "budgeted_s": round(faulted_s, 4),
-        "speedup": round(clean_s / faulted_s, 3) if faulted_s else None,
+        "speedup": round(ratio, 3),
         "recovery_cost_s": round(faulted_s - clean_s, 4),
     }
 

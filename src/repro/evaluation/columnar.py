@@ -8,14 +8,17 @@ interpreter.  This module stores a relation as *parallel value columns*
 ``project`` as batched hash kernels:
 
 * **numpy backend** (optional extra ``repro[fast]``): columns are int64
-  arrays (values dictionary-encoded unless the active domain is already
-  int64-safe).  Multi-column keys pack into one int64 mixed-radix key
-  (first column most significant, digits ``col - base``, with ``base``
-  and ``radix`` fixed once per kernel from the database's domain, so
-  every relation packs alike); only a domain whose span would overflow
-  ``2**62`` falls back to a void view over the contiguous row matrix.
-  Each relation is flattened once per kernel into an int64 row matrix
-  that every atom over it slices.  Deduplication sorts and keeps
+  arrays.  A database of ints already stores each relation as a read-only
+  int64 ``(rows, arity)`` matrix, built once when it was loaded
+  (:class:`~repro.cq.structure.Structure`), and a scan slices that matrix
+  directly; any other database is dictionary-encoded (:class:`ValueCodec`)
+  into such a matrix once per relation per kernel.  Multi-column keys pack
+  into one int64 mixed-radix key (first column most significant, digits
+  ``col - base``, with ``base`` and ``radix`` fixed once per kernel from
+  the structure's recorded value span, or from the codec's code range, so
+  every relation packs alike); only a span that would overflow ``2**62``
+  falls back to a void view over the contiguous row matrix.
+  Deduplication sorts and keeps
   the first of each run of equal neighbours (:func:`_unique`), and
   per-side group indexes (``np.unique(..., return_inverse=True)``) are
   cached on the relation so repeated semijoins against the same key —
@@ -33,8 +36,6 @@ inputs are duplicate-free, so join/semijoin never pay a dedup pass.
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 from .backend import active_numpy
 from .stats import EvalStats
@@ -61,9 +62,9 @@ def _unique(np_, keys):
 class ValueCodec:
     """Dictionary encoding between domain values and dense int codes.
 
-    Only instantiated when the database domain is not already int64-safe
-    (strings, tuples, bools, big ints); the common integer-domain case
-    skips encoding entirely and the arrays hold the values themselves.
+    Only instantiated for databases that do not store int64 arrays
+    (strings, tuples, bools, big ints); an int database's arrays hold the
+    values themselves.
     """
 
     __slots__ = ("encode", "decode")
@@ -116,18 +117,19 @@ class ColumnarKernel:
     The backend (numpy vs pure python) is fixed at construction from
     :func:`repro.evaluation.backend.active_numpy`.  One kernel serves one
     evaluation over one database: the first database it scans binds it,
-    and :meth:`atom_bindings` raises ``ValueError`` on any other.  Per
-    kernel it owns the value codec (or the identity-encoding decision),
-    the key-packing ``base`` and ``radix``, and on the numpy backend one
-    int64 ``(rows, arity)`` matrix per relation, flattened on the first
-    scan of that relation and sliced by every later atom over it.  All of
-    it dies with the kernel, so every evaluation reads its database cold.
+    and :meth:`atom_bindings` raises ``ValueError`` on any other.  On the
+    numpy backend a database of ints is read as stored: every atom slices
+    the structure's own int64 relation matrix, and ``base`` and ``radix``
+    come from its :attr:`~repro.cq.structure.Structure.int_span`.  For any
+    other database the kernel owns a value codec and one encoded matrix
+    per relation, built on the first scan of that relation.  Everything
+    the kernel derives (encoded matrices, group and membership indexes,
+    packed keys) dies with it; nothing is written back to the structure.
     """
 
     engine = "columnar"
 
-    #: Magnitude bound under which raw ints are stored without encoding,
-    #: and the bound on a packed multi-column key.
+    #: The bound on a packed multi-column key.
     _INT64_LIMIT = 2**62
 
     def __init__(self, stats: EvalStats | None = None) -> None:
@@ -135,13 +137,15 @@ class ColumnarKernel:
         self._np = active_numpy()
         #: The database this kernel serves; None until the first scan.
         self._db = None
-        #: Dictionary encoding, or None for identity int64 encoding.
+        #: Dictionary encoding, or None when the database stores int64
+        #: arrays (or on the python backend).
         self._codec: ValueCodec | None = None
         #: Mixed-radix packing of multi-column keys: every stored value
         #: lies in ``[base, base + radix)``.
         self._base = 0
         self._radix = 1
-        #: Relation name -> read-only int64 ``(rows, arity)`` matrix.
+        #: Codec path only: relation name -> encoded read-only int64
+        #: ``(rows, arity)`` matrix.
         self._matrices: dict = {}
 
     # ------------------------------------------------------------------
@@ -162,23 +166,13 @@ class ColumnarKernel:
         if self._np is None:
             # python backend stores raw values; no encoding ever needed
             return
-        limit = self._INT64_LIMIT
-        domain = db.domain
-        identity = True
-        for value in domain:
-            if (
-                not isinstance(value, int)
-                or isinstance(value, bool)
-                or not -limit <= value < limit
-            ):
-                identity = False
-                break
-        if not identity:
+        span = db.int_span
+        if span is None:
             self._codec = ValueCodec()
-            self._radix = max(len(domain), 1)
-        elif domain:
-            self._base = min(domain)
-            self._radix = max(domain) - self._base + 1
+            self._radix = max(len(db.domain), 1)
+        else:
+            self._base = span[0]
+            self._radix = span[1] - span[0] + 1
 
     def _encode_value(self, value):
         if self._codec is not None:
@@ -209,7 +203,10 @@ class ColumnarKernel:
     def atom_bindings(self, db, atom) -> ColumnarBindings:
         """Scan one atom's facts into columns, filtering repeated variables."""
         self._bind(db)
-        rows = db.tuples(atom.relation)
+        if self._np is None:
+            rows = db.tuples(atom.relation)
+        else:
+            rows = self._relation_matrix(db, atom.relation)
         scanned = len(rows)
         if self.stats is not None:
             self.stats.tuples_scanned += scanned
@@ -228,8 +225,7 @@ class ColumnarKernel:
         elif scanned == 0:
             out = self.empty(columns)
         elif self._np is not None:
-            matrix = self._relation_matrix(atom.relation, rows, arity)
-            out = self._scan_np(matrix, columns, first, repeats)
+            out = self._scan_np(rows, columns, first, repeats)
         else:
             out = self._scan_py(rows, columns, first, repeats)
         if self.stats is not None:
@@ -237,29 +233,28 @@ class ColumnarKernel:
             self.stats.saw_intermediate(out.length)
         return out
 
-    def _relation_matrix(self, name, rows, arity):
-        """The relation's rows as an int64 matrix, flattened once per kernel.
+    def _relation_matrix(self, db, name):
+        """The relation's rows as a read-only column-major int64 matrix.
 
-        Stored column-major and read-only, so an atom without repeated
-        variables takes its columns as views.
+        An int database stores exactly this matrix, so it is returned as
+        is.  Any other database is dictionary-encoded through the kernel's
+        codec, once per relation per kernel.
         """
+        if self._codec is None:
+            return db.matrix(name)
         matrix = self._matrices.get(name)
         if matrix is not None:
             return matrix
         np_ = self._np
-        count = len(rows)
-        if self._codec is not None:
-            code = self._codec.code
-            flat = np_.fromiter(
-                (code(value) for row in rows for value in row),
-                dtype=np_.int64,
-                count=count * arity,
-            )
-        else:
-            flat = np_.fromiter(
-                chain.from_iterable(rows), dtype=np_.int64, count=count * arity
-            )
-        matrix = np_.asfortranarray(flat.reshape(count, arity))
+        rows = db.tuples(name)
+        arity = len(next(iter(rows))) if rows else 0
+        code = self._codec.code
+        flat = np_.fromiter(
+            (code(value) for row in rows for value in row),
+            dtype=np_.int64,
+            count=len(rows) * arity,
+        )
+        matrix = np_.asfortranarray(flat.reshape(len(rows), arity))
         matrix.flags.writeable = False
         self._matrices[name] = matrix
         return matrix

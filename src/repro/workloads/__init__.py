@@ -15,6 +15,7 @@ from repro.workloads.random_data import (
     scaled_database,
     scaled_digraph_db,
     social_network_db,
+    stream_matrix,
     stream_tuples,
     union_with_pattern,
 )
@@ -32,6 +33,7 @@ __all__ = [
     "scaled_database",
     "scaled_digraph_db",
     "social_network_db",
+    "stream_matrix",
     "stream_tuples",
     "union_with_pattern",
 ]

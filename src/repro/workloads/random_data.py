@@ -3,11 +3,14 @@
 The small generators (``random_digraph_db``, ``random_database``) build the
 tuple sets eagerly — fine for unit-test sizes.  The ``scaled_*`` family
 targets the multi-million-tuple instances of the columnar benchmarks: rows
-are produced by *streaming* generators (``random.choices`` in batches) that
-:class:`~repro.cq.structure.Structure` consumes one relation at a time, so
-the database is never materialized as an intermediate list or JSON blob,
-and a ``skew`` knob draws values Zipfian-distributed (rank ``r`` has weight
-``1/r^skew``) to model the heavy-hitter joins where hash kernels matter.
+are drawn with ``random.choices`` in batches, one column per call, and each
+relation goes to :class:`~repro.cq.structure.Structure` as one int64
+``(rows, arity)`` array built straight from those batches
+(:func:`stream_matrix`), so no row ever exists as a python tuple and the
+structure stores the array as its relation.  Without numpy the same draws
+arrive as a tuple stream (:func:`stream_tuples`).  A ``skew`` knob draws
+values Zipfian-distributed (rank ``r`` has weight ``1/r^skew``) to model the
+heavy-hitter joins where hash kernels matter.
 """
 
 from __future__ import annotations
@@ -18,6 +21,11 @@ from typing import Iterable, Iterator
 
 from repro.cq.structure import Structure
 from repro.cq.vocabulary import Vocabulary
+
+try:  # optional: without numpy the scaled generators hand over tuples
+    import numpy as np
+except ImportError:  # pragma: no cover - depends on the environment
+    np = None
 
 #: Rows drawn per ``random.choices`` call in the streaming generators.
 _STREAM_BATCH = 1 << 14
@@ -33,6 +41,22 @@ def _zipf_cum_weights(domain_size: int, skew: float) -> list[float] | None:
         return None
     weights = (1.0 / rank**skew for rank in range(1, domain_size + 1))
     return list(accumulate(weights))
+
+
+def _column_batches(
+    arity: int, count: int, domain_size: int, skew: float, rng: random.Random, batch: int
+) -> Iterator[list[list[int]]]:
+    """Up to ``batch`` rows at a time, as ``arity`` lists of column values."""
+    population = range(domain_size)
+    cum_weights = _zipf_cum_weights(domain_size, skew)
+    remaining = count
+    while remaining > 0:
+        take = min(batch, remaining)
+        yield [
+            rng.choices(population, cum_weights=cum_weights, k=take)
+            for _ in range(arity)
+        ]
+        remaining -= take
 
 
 def stream_tuples(
@@ -51,17 +75,35 @@ def stream_tuples(
     distinct rows — the right trade for benchmark-scale instances, where an
     exact count is irrelevant but a rejection loop is not affordable.
     """
-    population = range(domain_size)
-    cum_weights = _zipf_cum_weights(domain_size, skew)
-    remaining = count
-    while remaining > 0:
-        take = min(batch, remaining)
-        columns = [
-            rng.choices(population, cum_weights=cum_weights, k=take)
-            for _ in range(arity)
-        ]
+    for columns in _column_batches(arity, count, domain_size, skew, rng, batch):
         yield from zip(*columns)
-        remaining -= take
+
+
+def stream_matrix(
+    arity: int,
+    count: int,
+    domain_size: int,
+    *,
+    skew: float = 0.0,
+    rng: random.Random,
+    batch: int = _STREAM_BATCH,
+):
+    """The rows :func:`stream_tuples` yields, as one int64 ``(count, arity)`` array.
+
+    Makes the same ``rng`` draws in the same order, duplicates included.
+    Without numpy it returns the :func:`stream_tuples` generator itself.
+    """
+    if np is None:
+        return stream_tuples(
+            arity, count, domain_size, skew=skew, rng=rng, batch=batch
+        )
+    blocks = [
+        np.array(columns, dtype=np.int64).T
+        for columns in _column_batches(arity, count, domain_size, skew, rng, batch)
+    ]
+    if not blocks:
+        return np.empty((0, arity), dtype=np.int64)
+    return np.concatenate(blocks)
 
 
 def chain_join_query(num_relations: int, *, head_size: int = 1):
@@ -91,7 +133,7 @@ def chain_join_db(
     rng = random.Random(seed)
     vocabulary = {f"R{i}": 2 for i in range(num_relations)}
     relations = {
-        name: stream_tuples(
+        name: stream_matrix(
             2, tuples_per_relation, domain_size, skew=skew, rng=rng
         )
         for name in vocabulary
@@ -111,7 +153,7 @@ def scaled_database(
     vocabulary = Vocabulary(vocabulary)
     rng = random.Random(seed)
     relations = {
-        name: stream_tuples(
+        name: stream_matrix(
             vocabulary[name],
             tuples_per_relation,
             domain_size,
@@ -133,7 +175,7 @@ def scaled_digraph_db(
     """Streaming, skew-aware counterpart of :func:`random_digraph_db`."""
     rng = random.Random(seed)
     return Structure(
-        {"E": stream_tuples(2, num_edges, num_nodes, skew=skew, rng=rng)},
+        {"E": stream_matrix(2, num_edges, num_nodes, skew=skew, rng=rng)},
         vocabulary={"E": 2},
         domain=range(num_nodes),
     )

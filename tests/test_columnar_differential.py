@@ -275,6 +275,80 @@ class TestRandomizedDifferential:
             assert_all_engines_agree(query, db)
 
 
+def _tuple_backed(db):
+    """``db`` rebuilt as frozensets of tuples (the no-numpy storage form)."""
+    from unittest import mock
+
+    import repro.cq.structure as structure_module
+
+    with mock.patch.object(structure_module, "_np", None):
+        return Structure(db.relations, vocabulary=db.vocabulary, domain=db.domain)
+
+
+GENERATED_QUERIES = [
+    "Q(x0) :- R0(x0, x1), R1(x1, x2), R2(x2, x3)",
+    "Q(x0, x2) :- R0(x0, x1), R1(x1, x2), R2(x2, x0)",
+    "Q(x0) :- R0(x0, x0), R1(x0, x1)",
+    "Q() :- R0(x0, x1), R1(x1, x2), R2(x2, x3), R0(x3, x0)",
+    "Q(x0) :- R0(x0, x1), R9(x1, x2)",
+]
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+class TestArrayBackedDatabases:
+    """Int databases store int64 arrays; evaluation must not care."""
+
+    @staticmethod
+    def _database():
+        from repro.workloads import chain_join_db
+
+        db = chain_join_db(3, 300, 25, skew=0.5, seed=3)
+        assert db.int_span is not None
+        return db
+
+    @pytest.mark.parametrize("text", GENERATED_QUERIES)
+    def test_all_evaluators_match_the_tuple_oracle(self, backend, text):
+        query = parse_query(text)
+        db = self._database()
+        assert_all_engines_agree(query, db)
+        twin = _tuple_backed(db)
+        assert twin.int_span is None
+        assert evaluate(query, db) == evaluate(query, twin)
+
+    def test_numpy_columnar_evaluation_never_builds_the_tuple_view(self, monkeypatch):
+        set_backend("numpy")
+        try:
+            db = self._database()
+
+            def tuple_view(self):
+                raise AssertionError("columnar evaluation built the tuple view")
+
+            monkeypatch.setattr(Structure, "relations", property(tuple_view))
+            for text in GENERATED_QUERIES:
+                query = parse_query(text)
+                for evaluator in (
+                    naive_join_evaluate,
+                    treewidth_evaluate,
+                    hypertree_evaluate,
+                ):
+                    evaluator(query, db, engine="columnar")
+                evaluate(query, db)  # Yannakakis on the acyclic ones
+        finally:
+            set_backend(None)
+
+    def test_scan_slices_the_stored_matrix(self):
+        set_backend("numpy")
+        try:
+            db = self._database()
+            kernel = ColumnarKernel()
+            out = kernel.atom_bindings(db, parse_query("Q(x, y) :- R1(x, y)").atoms[0])
+            assert out.data[0].base is db.matrix("R1")
+            assert kernel._matrices == {}
+            assert (kernel._base, kernel._radix) == (0, 25)
+        finally:
+            set_backend(None)
+
+
 class TestStatsLedger:
     def test_columnar_records_per_operator_rows(self, backend):
         db = Structure({"E": [(1, 2), (2, 3), (3, 4), (4, 5)]})

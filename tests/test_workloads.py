@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cq import ConjunctiveQuery
+from repro.evaluation import numpy_available
 from repro.hypergraphs import is_acyclic_query
 from repro.workloads import (
     chain_join_db,
@@ -17,9 +18,12 @@ from repro.workloads import (
     scaled_database,
     scaled_digraph_db,
     social_network_db,
+    stream_matrix,
     stream_tuples,
     union_with_pattern,
 )
+
+needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 
 
 class TestRandomGraphQuery:
@@ -178,6 +182,50 @@ class TestStreamedData:
         db = scaled_database({"R": 3}, 30, 100, skew=0.2, seed=4)
         assert db.arity("R") == 3
         assert all(len(t) == 3 for t in db.tuples("R"))
+
+    @needs_numpy
+    @pytest.mark.parametrize("arity, count, batch", [(1, 50, 16), (2, 700, 128), (3, 0, 8)])
+    def test_stream_matrix_draws_the_tuple_stream(self, arity, count, batch):
+        import random
+
+        rows = stream_matrix(
+            arity, count, 40, skew=0.5, rng=random.Random(3), batch=batch
+        )
+        expected = list(
+            stream_tuples(arity, count, 40, skew=0.5, rng=random.Random(3), batch=batch)
+        )
+        assert [tuple(row) for row in rows.tolist()] == expected
+        assert rows.shape == (count, arity) and rows.dtype.name == "int64"
+
+    @needs_numpy
+    def test_scaled_generators_hand_over_the_tuple_stream_relations(self):
+        import random
+
+        from repro.cq import Structure
+
+        def from_stream(vocabulary, count, domain, skew, seed):
+            rng = random.Random(seed)
+            return Structure(
+                {
+                    name: stream_tuples(vocabulary[name], count, domain, skew=skew, rng=rng)
+                    for name in vocabulary
+                },
+                vocabulary=vocabulary,
+                domain=range(domain),
+            )
+
+        cases = [
+            (chain_join_db(3, 400, 60, skew=0.4, seed=5),
+             from_stream({"R0": 2, "R1": 2, "R2": 2}, 400, 60, 0.4, 5)),
+            (scaled_database({"R": 3, "S": 1, "T": 2}, 30, 300, skew=0.2, seed=4),
+             from_stream({"R": 3, "S": 1, "T": 2}, 300, 30, 0.2, 4)),
+            (scaled_digraph_db(50, 500, skew=0.5, seed=9),
+             from_stream({"E": 2}, 500, 50, 0.5, 9)),
+        ]
+        for generated, expected in cases:
+            assert generated.int_span is not None
+            assert generated.relations == expected.relations
+            assert generated == expected
 
 
 class TestFamilies:
