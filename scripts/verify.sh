@@ -29,7 +29,11 @@
 # sets, differ from the committed references — solve-2w runs the sharded
 # workers=2 path), runs the evaluate smoke a second time on the
 # pure-python columnar backend (REPRO_EVAL_BACKEND=python) against the
-# same references, and finally prints the line total of src/.
+# same references, runs the solve-2w smoke once more traced (--trace 1:
+# the tracer patches names in src/ — among them ProcessExecutor's
+# __init__, imap and close — so a change that drops one fails here
+# instead of silently breaking the per-layer benchmark), and finally
+# prints the line total of src/.
 
 set -euo pipefail
 
@@ -48,4 +52,5 @@ python3 benchmarks/e2e/run.py --smoke --workload solve-ext
 python3 benchmarks/e2e/run.py --smoke --workload solve-2w
 python3 benchmarks/e2e/run.py --smoke --workload evaluate
 REPRO_EVAL_BACKEND=python python3 benchmarks/e2e/run.py --smoke --workload evaluate
+python3 benchmarks/e2e/run.py --smoke --workload solve-2w --trace 1
 echo "src/ lines: $(find src -name '*.py' -exec cat {} + | wc -l)"

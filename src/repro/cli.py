@@ -173,10 +173,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help=(
-            "per-shard deadline: with --workers > 1 a shard over it is "
-            "quarantined (its slice skipped; the answer stays sound but may "
-            "be incomplete); with --fabric-worker it is abandoned and "
-            "re-dispatched"
+            "per-shard deadline: a shard over it is abandoned (with "
+            "--workers > 1 its process is killed and respawned) and "
+            "retried, so the answer stays complete"
         ),
     )
     approx.add_argument(
@@ -375,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-shard quarantine timeout of pooled pipelines (--workers > 1)",
+        help="per-shard retry deadline of sharded pipelines (--workers > 1)",
     )
     serve.add_argument(
         "--cache-dir",
@@ -713,9 +712,9 @@ def main(argv: list[str] | None = None) -> int:
             heartbeat_interval=args.heartbeat_interval,
             shard_timeout=args.shard_timeout,
         )
-        # Stats are always collected: exhaustion and quarantined-shard
-        # surfacing must reach the output even when --stats was not
-        # requested, and the counters are cheap next to the pipeline.
+        # Stats are always collected: exhaustion and shard faults must
+        # reach the output even when --stats was not requested, and the
+        # counters are cheap next to the pipeline.
         budgeted = config.budget() is not None
         stats = PipelineStats()
         faults: list = []
@@ -766,15 +765,19 @@ def main(argv: list[str] | None = None) -> int:
                     "may be incomplete",
                     file=sys.stderr,
                 )
-            if stats is not None and (stats.quarantined or faults):
-                kinds = ", ".join(
-                    f"{fault.kind}: {fault.error}" for fault in faults
-                )
+            kinds = ", ".join(f"{fault.kind}: {fault.error}" for fault in faults)
+            kinds = f" ({kinds})" if kinds else ""
+            if stats.quarantined:
                 print(
                     f"warning: {stats.quarantined} shard(s) lost to "
-                    f"quarantine, {len(faults)} shard fault(s)"
-                    f"{' (' + kinds + ')' if kinds else ''}; the answer is "
-                    "sound but may be incomplete",
+                    f"quarantine, {len(faults)} shard fault(s){kinds}; the "
+                    "answer is sound but may be incomplete",
+                    file=sys.stderr,
+                )
+            elif faults:
+                print(
+                    f"note: {len(faults)} shard fault(s), all recovered "
+                    f"by retries{kinds}",
                     file=sys.stderr,
                 )
             if args.stats and stats is not None:
@@ -1089,7 +1092,7 @@ def main(argv: list[str] | None = None) -> int:
                     "sound but may be incomplete",
                     file=sys.stderr,
                 )
-            if response.get("quarantined") or response.get("faults"):
+            if response.get("quarantined"):
                 print(
                     f"warning: {response.get('quarantined', 0)} shard(s) "
                     "lost to quarantine on the server; the answer is sound "

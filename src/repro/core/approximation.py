@@ -62,7 +62,7 @@ class ApproximationConfig:
 
     ``workers`` drives the staged pipeline behind the exact enumeration
     (:mod:`repro.core.pipeline`): ``workers > 1`` splits the candidate
-    stream by partition prefix into one shard per worker of a process pool
+    stream by partition prefix into one shard per local slot process
     and merges the shard frontiers in stream order, so results are
     bit-identical for any worker count.  ``workers=-1`` means "all CPUs".
     The greedy descent is inherently sequential and ignores ``workers``.
@@ -82,15 +82,15 @@ class ApproximationConfig:
     plain-quotient-stream runs.
 
     ``fabric_workers`` runs the shards on network workers
-    (:mod:`repro.fabric`) instead of a local pool: each entry is a
+    (:mod:`repro.fabric`) instead of local slot processes: each entry is a
     ``"host:port"`` or unix-socket address of a ``repro worker`` process;
     ``heartbeat_interval`` tunes the coordinator's liveness probes.
     ``shard_timeout`` (seconds) is the per-shard deadline of both
-    transports: a local pool shard over it is quarantined (its slice
-    skipped, the answer sound but possibly incomplete), a fabric shard
-    re-dispatched.  ``spill_dir`` points frontier memo state
-    (class-status map, cold refinement subtries) at an on-disk LRU spill
-    tier so ``memory_limit``-bounded runs track only resident entries.
+    transports: a shard over it is abandoned — a local slot process is
+    killed and respawned — and retried, so the answer stays complete.
+    ``spill_dir`` points frontier memo state (class-status map, cold
+    refinement subtries) at an on-disk LRU spill tier so
+    ``memory_limit``-bounded runs track only resident entries.
     """
 
     exact_limit: int = 9
@@ -148,8 +148,8 @@ def candidate_tableaux(
     the pipeline tests rebuild the pre-pipeline frontier from it); the
     frontier construction itself goes through :mod:`repro.core.pipeline`,
     which streams both quotients and extended candidates in lazy integer
-    form, memoizes membership verdicts, and can spread stages over a
-    process pool.
+    form, memoizes membership verdicts, and can spread shards over local
+    slot processes.
     """
     tableau = query.tableau()
     if cls.kind == "graph":
@@ -183,15 +183,15 @@ def approximation_frontier(
     minimal candidates up to homomorphic equivalence.
 
     Runs as the staged pipeline of :mod:`repro.core.pipeline`; with
-    ``config.workers > 1`` the stream is sharded over a process pool (see
+    ``config.workers > 1`` the stream is sharded over slot processes (see
     :class:`ApproximationConfig` for the determinism guarantee).
     ``tableau`` lets callers that already materialized
     ``query.tableau()`` avoid rebuilding it; ``stats`` is an optional
     :class:`~repro.core.pipeline.PipelineStats` sink the run's counters are
     absorbed into (the CLI's ``--stats`` flag reads them there); ``faults``
     is an optional list the run's structured fault records are appended to
-    (sharded runs only — quarantined shards would otherwise be visible
-    solely as the ``stats.quarantined`` count).
+    (sharded runs only: the shard faults, recovered or not, behind the
+    ``stats.quarantined`` count and the retry counters).
     """
     if tableau is None:
         tableau = query.tableau()

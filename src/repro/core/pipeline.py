@@ -24,17 +24,19 @@ This module makes the three stages explicit and independently scalable::
     │   per worker)        │    │                      │    │                      │
     └──────────────────────┘    └──────────────────────┘    └──────────────────────┘
 
-Scaling out has one strategy.  With ``workers > 1`` (a local process pool)
+Scaling out has one strategy.  With ``workers > 1`` (local slot processes)
 or ``fabric=`` (network workers, :mod:`repro.fabric`) the partition stream
 is split by restricted-growth-string prefix
 (:func:`repro.core.quotients._shard_prefixes`) and each shard runs the
 whole three-stage loop on its slice (:func:`run_shard`): one shard per
 local worker, two per fabric address.  The encoded base tableau and its
 automorphism/orbit data — derived once in the driver, never re-derived at
-worker startup — ship once per worker through the executor initializer
-rather than once per task.  Corollary 4.3's frontier is the →-minimal set
-over all candidates, so the frontier of a union of slices is the merge of
-the slice frontiers.  Every shipped member carries its *stream position*
+worker startup — reach each local slot process once, through its
+initializer, rather than once per task.  One
+:class:`~repro.fabric.coordinator.FabricCoordinator` dispatches the
+shards of either transport and retries the lost ones.  Corollary 4.3's
+frontier is the →-minimal set over all candidates, so the frontier of a
+union of slices is the merge of the slice frontiers.  Every shipped member carries its *stream position*
 (its quotient's partition codes plus its rank within that quotient's
 extension family), and :func:`_merge_shards` folds the union of the shard
 frontiers in global stream order.  The first-generated member of each
@@ -81,15 +83,17 @@ regimes — the first-generated member of each →-minimal class is never
 pruned, and representative repair converges on exactly it whatever else
 survives.
 
-Engine handles are never pickled: pool workers rebuild their own
+Engine handles are never pickled: slot processes rebuild their own
 :class:`~repro.homomorphism.engine.HomEngine` via the pid check in
 :func:`~repro.homomorphism.engine.default_engine`.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import chain, count, islice
 from typing import Iterable, Iterator
@@ -111,7 +115,7 @@ from repro.cq.structure import Structure
 from repro.cq.tableau import Tableau, pin_for
 from repro.homomorphism.engine import default_engine
 from repro.hypergraphs.hypergraph import Hypergraph
-from repro.parallel import BatchFault, ProcessExecutor, effective_workers
+from repro.parallel import ProcessExecutor, effective_workers
 from repro.runtime.budget import RunBudget
 from repro.runtime.checkpoint import CheckpointManager
 from repro.runtime.spill import SpillConfig, SpillableRefinementTrie, SpilledMap
@@ -360,22 +364,13 @@ class PipelineStats:
     exhausted: bool = False
     #: Which budget dimension tripped (empty while within budget).
     exhaustion_reason: str = ""
-    #: Process pools respawned after a ``BrokenProcessPool`` (killed/OOM'd
-    #: workers).  Respawns are transparent — in-flight shards are
-    #: resubmitted in order, so results are unaffected.
+    #: Local slot processes respawned after a death or a ``shard_timeout``
+    #: kill.  Their shards are retried, so results are unaffected.
     pool_respawns: int = 0
-    #: Local pool shards that ran past ``shard_timeout`` (the executor's
-    #: per-task timeout; the name predates shards and the serving layer's
-    #: ``stats`` op reports it).
-    batch_timeouts: int = 0
-    #: Runs whose executor spent its respawn budget and degraded to inline
-    #: (serial) execution of the remaining tasks.  The run still completes
-    #: with the same results — this counter is how consumers (the CLI, the
-    #: serving layer) tell a recovered pool from a dead one.
-    serial_fallbacks: int = 0
-    #: Local pool shards lost to quarantine (timed out or raised).  Their
-    #: slices are skipped — a sound omission: skipping forfeits
-    #: completeness only, like a budget stop.
+    #: Shards given up after every attempt failed, the driver's own last
+    #: attempt included.  Their slices are skipped — a sound omission:
+    #: skipping forfeits completeness only, like a budget stop.  A run is
+    #: complete exactly when neither this nor ``exhausted`` is set.
     quarantined: int = 0
     #: Snapshots written by the checkpoint manager this run.
     checkpoints_written: int = 0
@@ -387,9 +382,10 @@ class PipelineStats:
     #: trie answered the dominance direction exactly, so the merge ran no
     #: reverse hom search for it.
     kernel_trie_merge_hits: int = 0
-    # --- fabric counters (zero on non-fabric runs) -----------------------
-    #: Shards re-dispatched after a network fault, timeout, or worker loss
-    #: (the at-least-once path; duplicates are absorbed by merge).
+    # --- coordinator counters (zero on serial runs) ----------------------
+    #: Shards re-dispatched after a lost attempt — a connection, heartbeat,
+    #: deadline or error fault (the at-least-once path; duplicates are
+    #: absorbed by merge).
     shard_retries: int = 0
     #: Speculative duplicate dispatches launched against straggler shards.
     speculative_dispatches: int = 0
@@ -402,10 +398,11 @@ class PipelineStats:
     #: retried or speculated shard that already ran on that worker costs
     #: a lookup, not a pipeline pass.
     shard_cache_hits: int = 0
-    #: Remote workers blacklisted after consecutive failures.
+    #: Slots (fabric workers or local slot processes) blacklisted after
+    #: consecutive failures.
     workers_blacklisted: int = 0
-    #: Shards that ultimately ran on the local fallback executor because
-    #: the remote worker set was empty or emptied mid-run.
+    #: Shards that ultimately ran in the driver because every slot was
+    #: blacklisted or the shard ran out of attempts.
     fabric_local_shards: int = 0
     #: Heartbeat probes that went unanswered past the deadline (each one
     #: costs the affected shard a re-dispatch).
@@ -461,11 +458,11 @@ class PipelineStats:
 class PipelineResult:
     """The →-minimal frontier plus the run's observability payload.
 
-    ``faults`` carries the structured fault records of the run (empty on
-    fault-free runs): :class:`~repro.parallel.BatchFault` for quarantined
-    local pool shards, :class:`~repro.fabric.coordinator.ShardFault` for
-    fabric shard failures — what kind of failure, the stringified cause,
-    and how long the wait lasted.
+    ``faults`` carries the run's structured
+    :class:`~repro.fabric.coordinator.ShardFault` records (empty on
+    fault-free runs): what kind of failure, which shard and slot, the
+    stringified cause, and how long the attempt lasted.  Most are
+    recovered by a retry; only ``stats.quarantined`` marks lost slices.
     """
 
     frontier: list[Tableau]
@@ -1565,17 +1562,6 @@ def _note_exhaustion(budget: RunBudget | None, stats: PipelineStats) -> None:
             stats.exhaustion_reason = budget.reason
 
 
-def _harvest_executor(
-    executor: ProcessExecutor, stats: PipelineStats
-) -> list[BatchFault]:
-    """Fold the executor's fault bookkeeping into the run's stats."""
-    stats.pool_respawns += executor.respawns
-    stats.batch_timeouts += executor.timeouts
-    if executor.serial_fallback:
-        stats.serial_fallbacks += 1
-    return list(executor.faults)
-
-
 class _CheckpointSession:
     """One run's binding of a checkpoint manager to pipeline state.
 
@@ -1744,7 +1730,7 @@ def _reduce_inline(
 
 #: Per-worker shard context: ``(base_data, cls, max_extra_atoms,
 #: allow_fresh, automorphisms, order, generation, budget_spec,
-#: spill_dir)``, installed once per worker process by the executor
+#: spill_dir)``, installed once per local slot process by its
 #: initializer.  Shipping the base tableau and its orbit data with the
 #: *context* instead of every task payload serializes them once per worker
 #: and spares each worker the startup endomorphism scan.
@@ -1811,14 +1797,14 @@ def run_shard(
 ) -> tuple[tuple[tuple, ...], dict]:
     """The full pipeline loop on one shard slice, reentrant.
 
-    The shared body behind the local pool task and the fabric worker's
-    ``shard`` op (:mod:`repro.fabric.worker`) — the pool path installs
-    ``context`` once per process, the fabric path threads it per call,
-    both run the same code.  Shard workers share the driver's admission
-    order and generation regime: plain quotient slices are reduced
-    fine-to-coarse (coarseness-ordered shard iteration — the buffered
-    slice is one shard, not the whole stream), extension slices in
-    generation order.  Each returned member ships as ``(encoded tableau,
+    The shared body behind the local slot task, the fabric worker's
+    ``shard`` op (:mod:`repro.fabric.worker`) and the coordinator's
+    last attempt in the driver — the slot path installs ``context`` once
+    per process, the others thread it per call, all run the same code.
+    Shard workers share the driver's admission order and generation
+    regime: plain quotient slices are reduced fine-to-coarse
+    (coarseness-ordered shard iteration — the buffered slice is one
+    shard, not the whole stream), extension slices in generation order.  Each returned member ships as ``(encoded tableau,
     partition codes, kernel codes, stream position)`` — codes over the
     shared base element order (``None`` off the integer path), kernel
     codes the member's built kernel index flattened by
@@ -1880,7 +1866,7 @@ def run_shard(
 
 
 def _shard_task(shard: tuple[int, int]) -> tuple[tuple[tuple, ...], dict]:
-    """Local pool task: :func:`run_shard` on the process-installed context."""
+    """Local slot task: :func:`run_shard` on the process-installed context."""
     return run_shard(_SHARD_CONTEXT, shard)
 
 
@@ -1901,70 +1887,70 @@ def _merge_shards(frontier: Frontier, shard_members: Iterable) -> None:
     )
 
 
-def _run_pool_shards(
+def _run_shards(
     context: tuple,
-    shards: list,
-    stats: PipelineStats,
-    shard_timeout: float | None,
-) -> tuple[list, list[BatchFault]]:
-    """Run ``shards`` over a local process pool, one worker per shard:
-    ``(members, faults)``.
-
-    A shard running past ``shard_timeout`` or raising is quarantined — its
-    slice is skipped, a sound omission counted in ``stats.quarantined`` —
-    and a killed worker's pool is respawned with its shards resubmitted.
-    """
-    results: list = []
-    with ProcessExecutor(
-        len(shards),
-        initializer=_install_shard_context,
-        initargs=(context,),
-        batch_timeout=shard_timeout,
-    ) as executor:
-        for outcome in executor.imap(_shard_task, shards):
-            if isinstance(outcome, BatchFault):
-                stats.quarantined += 1
-                continue
-            members, shard_stats = outcome
-            stats.absorb(PipelineStats(**shard_stats))
-            results.append(members)
-        return results, _harvest_executor(executor, stats)
-
-
-def _run_fabric_shards(
-    addresses: tuple[str, ...],
-    context: tuple,
-    shards: list,
+    shard_count: int,
     stats: PipelineStats,
     *,
+    fabric: tuple[str, ...],
     heartbeat_interval: float,
     shard_timeout: float | None,
 ) -> tuple[list, list]:
-    """Run ``shards`` over network workers: ``(members, faults)``."""
+    """Run every shard through one coordinator: ``(members, faults)``.
+
+    The slots are the ``fabric`` worker addresses or, without any, one
+    local process per shard (:class:`~repro.parallel.ProcessExecutor`).
+    A lost shard is retried; one that fails on every attempt, the
+    driver's own included, is skipped and counted in ``stats.quarantined``.
+    """
     from repro.fabric.coordinator import FabricCoordinator
 
-    coordinator = FabricCoordinator(
-        addresses,
-        context,
-        heartbeat_interval=heartbeat_interval,
-        shard_timeout=shard_timeout,
-        local_runner=run_shard,
+    shards = [(index, shard_count) for index in range(shard_count)]
+    pool = (
+        nullcontext()
+        if fabric
+        else ProcessExecutor(
+            shard_count,
+            _shard_task,
+            initializer=_install_shard_context,
+            initargs=(context,),
+            timeout=shard_timeout,
+        )
     )
-    results: dict[int, tuple] = {}
-    for shard_index, members, shard_stats in coordinator.run(shards):
-        if shard_index in results:
-            # A speculative or re-dispatched duplicate of a shard already
-            # received: the same slice gives the same members, and its
-            # stats would double-count.
-            stats.duplicate_results += 1
-            continue
-        results[shard_index] = members
-        stats.absorb(PipelineStats(**shard_stats))
+    with pool:
+        coordinator = FabricCoordinator(
+            fabric or pool.slots,
+            context,
+            heartbeat_interval=heartbeat_interval,
+            shard_timeout=shard_timeout,
+            # Local slots are alike: a slow one holds a bigger slice, not
+            # a slower host, so re-running it elsewhere only doubles work.
+            speculation_after=None if fabric else math.inf,
+            local_runner=run_shard,
+        )
+        outcomes = (
+            coordinator.run(shards)
+            if fabric
+            else pool.imap(coordinator.run, shards)
+        )
+        results: dict[int, tuple] = {}
+        for shard_index, members, shard_stats in outcomes:
+            if shard_index in results:
+                # A speculative or re-dispatched duplicate of a shard
+                # already received: the same slice gives the same members,
+                # and its stats would double-count.
+                stats.duplicate_results += 1
+                continue
+            results[shard_index] = members
+            stats.absorb(PipelineStats(**shard_stats))
+    if not fabric:
+        stats.pool_respawns += pool.respawns
     stats.shard_retries += coordinator.retries
     stats.speculative_dispatches += coordinator.speculations
     stats.workers_blacklisted += coordinator.blacklisted
     stats.heartbeat_misses += coordinator.heartbeat_misses
     stats.fabric_local_shards += coordinator.local_shards
+    stats.quarantined += coordinator.quarantined
     return list(results.values()), list(coordinator.faults)
 
 
@@ -2044,7 +2030,7 @@ def run_pipeline(
 
     ``workers <= 1`` runs everything inline (bit-identical to the historic
     serial algorithm); ``workers > 1`` splits the stream into one shard
-    per worker of a local process pool and merges the shard frontiers in
+    per local slot process and merges the shard frontiers in
     stream order, bit-identical to the serial run (see the module
     docstring).  ``admission_order`` selects stage 3's reduction order
     (:func:`_resolve_admission_order`): ``"auto"`` (the default) reduces
@@ -2072,26 +2058,27 @@ def run_pipeline(
     periodic snapshot/resume — serial plain-quotient-stream runs only,
     under any generation regime and admission order (the stream is a
     function of the run key, so a resume replays it exactly).
-    ``shard_timeout`` is the per-shard deadline of both transports: a local
-    pool shard over it is quarantined into ``result.faults`` (its slice
-    skipped, counted in ``stats.quarantined`` and ``stats.batch_timeouts``)
-    instead of hanging the run; a fabric shard over it is re-dispatched.
+    Sharded runs, local or ``fabric``, all go through one
+    :class:`~repro.fabric.coordinator.FabricCoordinator`: a lost shard is
+    re-dispatched with capped exponential backoff (at-least-once — a
+    duplicate result of a shard is dropped), repeatedly-failing slots are
+    blacklisted, and when no slot is left the remaining shards run in the
+    driver.  A retried shard returns what the lost attempt would have, so
+    a run with recovered faults is still ``==`` serial.  Only a shard that
+    fails on every attempt, the driver's included, is skipped: a sound
+    omission counted in ``stats.quarantined``.  Each fault is a
+    :class:`~repro.fabric.coordinator.ShardFault` in ``result.faults``.
+
+    ``shard_timeout`` is the per-shard deadline of both transports: a
+    local slot process over it is killed and respawned, a fabric shard
+    over it abandoned, and either way the shard is retried.
 
     ``fabric`` — a list of worker addresses (``"host:port"`` or a unix
     socket path) — dispatches two shards per address to *network* shard
-    workers (``repro worker``) through the
-    :class:`~repro.fabric.coordinator.FabricCoordinator` instead of a
-    local process pool: heartbeats and per-shard deadlines
-    (``heartbeat_interval``, ``shard_timeout``) detect lost and hung
-    workers, lost shards are re-dispatched with capped exponential
-    backoff (at-least-once — a duplicate result of a shard is dropped),
+    workers (``repro worker``) instead of local slot processes.
+    Heartbeats (``heartbeat_interval``) detect hung workers, and
     stragglers are speculatively re-executed on idle workers (first
-    result wins), repeatedly-failing workers are blacklisted, and when
-    every worker is blacklisted the remaining shards run locally — the run
-    completes with a degraded fabric rather than failing.  Shard-level
-    faults are threaded into ``result.faults`` as
-    :class:`~repro.fabric.coordinator.ShardFault` records.  ``fabric``
-    overrides ``workers``.
+    result wins).  ``fabric`` overrides ``workers``.
 
     ``spill_dir`` enables the memory-bounded spill policy
     (:mod:`repro.runtime.spill`) on every frontier this run constructs —
@@ -2156,20 +2143,14 @@ def run_pipeline(
             budget_spec,
             os.fspath(spill_dir) if spill_dir is not None else None,
         )
-        shards = [(index, shard_count) for index in range(shard_count)]
-        if fabric_addresses:
-            shard_members, faults = _run_fabric_shards(
-                fabric_addresses,
-                context,
-                shards,
-                stats,
-                heartbeat_interval=heartbeat_interval,
-                shard_timeout=shard_timeout,
-            )
-        else:
-            shard_members, faults = _run_pool_shards(
-                context, shards, stats, shard_timeout
-            )
+        shard_members, faults = _run_shards(
+            context,
+            shard_count,
+            stats,
+            fabric=fabric_addresses,
+            heartbeat_interval=heartbeat_interval,
+            shard_timeout=shard_timeout,
+        )
         frontier = Frontier(stats=stats, spill=_spill_config(spill_dir, budget))
         _merge_shards(frontier, shard_members)
         _note_exhaustion(budget, stats)

@@ -5,7 +5,7 @@ partition space into prefix slices and reduces each slice to a per-shard
 frontier; the driver merges the union of the shard frontiers in global
 stream order, so the result is bit-identical to a serial run however the
 shards were computed (:func:`repro.core.pipeline._merge_shards`).  This
-package lifts that strategy from a local process pool to *network*
+package lifts that strategy from local slot processes to *network*
 workers.  A shard is a deterministic function of the run context and its
 slice, so every recovery mechanism below is "just send it again": the
 driver keeps the first result of each shard and drops duplicates.
@@ -24,14 +24,16 @@ Worker (:mod:`repro.fabric.worker`, CLI ``repro worker``)
     it was running.
 
 Coordinator (:mod:`repro.fabric.coordinator`)
-    One dispatcher thread per worker; detects failure three ways
-    (connection faults — EOF/refused/garbled frames; heartbeat faults —
-    no bytes and no pong within the heartbeat interval; deadline faults
-    — a shard over its per-shard timeout), re-dispatches lost shards
+    One dispatcher thread per slot — a worker address, or a local slot
+    process on non-fabric runs; detects failure four ways (connection
+    faults — EOF/refused/garbled frames; heartbeat faults — no bytes and
+    no pong within the heartbeat interval; deadline faults — a shard
+    over its per-shard timeout; error faults — the shard raised),
+    re-dispatches lost shards
     with capped exponential backoff, speculatively re-executes
-    stragglers on idle workers (first result wins), blacklists workers
+    stragglers on idle workers (first result wins), blacklists slots
     after consecutive failures, and degrades to running leftover shards
-    locally when the worker set empties.  Every detected failure is a
+    in the driver when the slot set empties.  Every detected failure is a
     structured :class:`~repro.fabric.coordinator.ShardFault` in
     ``PipelineResult.faults``.
 

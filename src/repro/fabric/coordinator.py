@@ -1,49 +1,59 @@
-"""The fabric coordinator: dispatch, detect, retry, speculate, degrade.
+"""The shard coordinator: dispatch, detect, retry, speculate, degrade.
 
-One dispatcher thread per worker pulls shards from a shared work state
-and runs them remotely; the driver consumes results (including
-duplicates) from a queue, keeps the first result of each shard, and
-merges the shard frontiers in stream order
-(:func:`repro.core.pipeline._merge_shards`).  The fault taxonomy, and
-what answers each kind:
+Every sharded pipeline run goes through :class:`FabricCoordinator`.  It
+keeps one dispatcher thread per *slot*; a slot is a transport that runs
+one shard at a time and reports every failure as a lost shard:
+
+* a fabric slot (built here from a worker address) sends the shard over
+  a socket to a ``repro worker``, watching the stream with heartbeats;
+* a local slot (:class:`repro.parallel.ProcessExecutor`) runs it in one
+  forked process under ``shard_timeout``, killing and respawning the
+  process after a timeout or a death.
+
+Dispatchers pull shards from a shared work state; the driver consumes
+results (duplicates included) from a queue, keeps the first result of
+each shard, and merges the shard frontiers in stream order
+(:func:`repro.core.pipeline._merge_shards`).  The fault taxonomy:
 
 Connection fault (``kind="connection"``)
-    The worker's stream died mid-shard — refused connect, EOF (a
-    SIGKILL'd worker's kernel closes its sockets), or an unparseable
-    frame (framing can no longer be trusted, so the shard is treated as
-    lost).  The shard is re-queued for **at-least-once re-dispatch**
-    after a capped exponential backoff
-    (:func:`repro.parallel.backoff_delay`); a shard is a deterministic
-    function of the context and its slice, so the driver drops duplicate
-    completions and re-dispatching an actually-completed shard is safe.
+    The slot's stream died mid-shard: a refused connect, EOF (a killed
+    worker or slot process), or an unparseable frame (framing can no
+    longer be trusted).
 Heartbeat fault (``kind="heartbeat"``)
-    No response bytes within ``heartbeat_interval`` *and* a fresh-
-    connection ``ping`` probe got no pong — the worker process is hung
-    (e.g. SIGSTOP: the kernel still accepts connects, which is exactly
-    why the probe waits for the pong, not the connect).  Treated like a
-    lost shard.
+    Fabric only: no response bytes within ``heartbeat_interval`` *and* a
+    fresh-connection ``ping`` probe got no pong — the worker is hung
+    (a SIGSTOP'd worker still accepts connects, which is exactly why the
+    probe waits for the pong, not the connect).
 Deadline fault (``kind="deadline"``)
-    The shard exceeded ``shard_timeout`` even though the worker still
-    answers probes.  Re-dispatched elsewhere; if the original completion
-    arrives later anyway, it is dropped as a duplicate.
+    The shard exceeded ``shard_timeout``.  If a fabric worker's original
+    completion arrives later anyway, it is dropped as a duplicate.
+Error fault (``kind="error"``)
+    The shard raised — in a slot process, on a fabric worker, or in the
+    driver's own last attempt.
+
+Every lost shard is re-queued for **at-least-once re-dispatch** after a
+capped exponential backoff (:func:`repro.parallel.backoff_delay`).  A
+shard is a deterministic function of the context and its slice, so a
+retry returns exactly what the lost attempt would have, and the driver
+drops duplicate completions.
+
 Straggler speculation
     An idle dispatcher (empty queue, undone shards in flight elsewhere
     past the speculation age) **re-executes** the oldest in-flight shard
-    on its own worker — first result wins, the loser's arrival is
-    dropped.  Counted in :attr:`speculations`, not faulted: nothing
-    failed.
+    on its own slot — first result wins, the loser's arrival is dropped.
+    Counted in :attr:`speculations`, not faulted: nothing failed.
 Blacklist and degradation
-    ``blacklist_after`` *consecutive* failures retire a worker (its
-    dispatcher exits; counted in :attr:`blacklisted`).  When every
-    worker is retired, the remaining shards run **locally** through
-    ``local_runner`` (the driver passes
-    :func:`repro.core.pipeline.run_shard`) — the run completes with a
-    degraded fabric rather than failing, mirroring the process pool's
-    serial fallback one level up.
+    ``blacklist_after`` *consecutive* failures retire a slot (its
+    dispatcher exits; counted in :attr:`blacklisted`).  When every slot
+    is retired, or every undone shard is out of attempts, the remaining
+    shards run in the driver through ``local_runner`` (the driver passes
+    :func:`repro.core.pipeline.run_shard`).  A shard that raises there
+    too is given up: its slice is skipped, counted in
+    :attr:`quarantined`, and the run returns the sound partial frontier
+    of the other shards.
 
 Every fault becomes a structured :class:`ShardFault` record; the driver
-threads them into ``PipelineResult.faults``, as the local pool threads
-its ``BatchFault`` records.
+threads them into ``PipelineResult.faults``.
 """
 
 from __future__ import annotations
@@ -74,7 +84,7 @@ __all__ = ["FabricCoordinator", "ShardFault"]
 class ShardFault:
     """One detected shard-level failure (see the module fault taxonomy)."""
 
-    kind: str  # "connection" | "heartbeat" | "deadline"
+    kind: str  # "connection" | "heartbeat" | "deadline" | "error"
     shard: tuple[int, int]
     worker: str
     error: str
@@ -91,39 +101,33 @@ class ShardFault:
 
 
 class _ShardLost(Exception):
-    """Internal: a dispatch attempt failed; carries the fault kind."""
+    """A slot's dispatch attempt failed; carries the fault kind."""
 
     def __init__(self, kind: str, message: str) -> None:
         super().__init__(message)
         self.kind = kind
 
 
-class _Worker:
-    """Dispatcher-side bookkeeping for one worker address."""
-
-    __slots__ = ("address", "failures")
-
-    def __init__(self, address: str) -> None:
-        self.address = address
-        self.failures = 0
-
-
 class FabricCoordinator:
-    """Run a shard list over network workers, surviving their failures.
+    """Run a shard list over slots, surviving their failures.
 
-    ``context`` is the pickled-once shard context
-    (:func:`repro.core.pipeline.run_shard`'s first argument).
-    ``shard_timeout`` is the per-shard deadline (``None``: none);
-    ``speculation_after`` the in-flight age before an idle worker
+    ``slots`` are worker addresses (each becomes a socket transport) or
+    transport objects with a ``name`` and a ``run(shard)`` that returns
+    :func:`repro.core.pipeline.run_shard`'s result or raises
+    :class:`_ShardLost`, such as :attr:`repro.parallel.ProcessExecutor.
+    slots`.  ``context`` is the shard context (``run_shard``'s first
+    argument).  ``shard_timeout`` is the fabric slots' per-shard deadline
+    (``None``: none; local slots enforce their own);
+    ``speculation_after`` the in-flight age before an idle slot
     re-executes a straggler (defaults to ``4 * heartbeat_interval``, or
     the shard timeout if smaller).  ``max_attempts`` caps total dispatch
-    attempts per shard across all workers; a shard over the cap falls to
+    attempts per shard across all slots; a shard over the cap falls to
     the local runner.
     """
 
     def __init__(
         self,
-        addresses,
+        slots,
         context: tuple,
         *,
         heartbeat_interval: float = 2.0,
@@ -135,13 +139,17 @@ class FabricCoordinator:
         backoff_base: float = 0.05,
         backoff_cap: float = 2.0,
     ) -> None:
-        if not addresses:
-            raise ValueError("the fabric needs at least one worker address")
-        self._workers = [_Worker(address) for address in addresses]
-        self._context_blob = encode_blob(context)
+        if not slots:
+            raise ValueError("the coordinator needs at least one slot")
+        blob = None
+        self._slots = []
+        for slot in slots:
+            if isinstance(slot, str):
+                if blob is None:
+                    blob = encode_blob(context)
+                slot = _RemoteSlot(slot, blob, heartbeat_interval, shard_timeout)
+            self._slots.append(slot)
         self._context = context
-        self.heartbeat_interval = heartbeat_interval
-        self.shard_timeout = shard_timeout
         self.blacklist_after = blacklist_after
         if speculation_after is None:
             speculation_after = 4.0 * heartbeat_interval
@@ -158,7 +166,7 @@ class FabricCoordinator:
         self._done: set[int] = set()  # shard indexes with a result
         self._started: dict[int, float] = {}  # in-flight shard → start time
         self._attempts: dict[int, int] = {}  # shard → dispatch attempts
-        self._running: dict[int, set[str]] = {}  # shard → workers running it
+        self._running: dict[int, set] = {}  # shard → slots running it
         self._results: Queue = Queue()
         self._live_dispatchers = 0
         self._total = 0
@@ -169,12 +177,13 @@ class FabricCoordinator:
         self.blacklisted = 0
         self.heartbeat_misses = 0
         self.local_shards = 0
+        self.quarantined = 0
 
     # ------------------------------------------------------------ the driver
 
     def run(self, shards):
         """Yield ``(shard_index, encoded_members, stats_dict)`` until every
-        shard has at least one result.
+        shard has a result or is given up.
 
         Duplicate completions (speculation, a deadline-faulted shard
         finishing anyway) are yielded too — the caller drops and counts
@@ -185,12 +194,12 @@ class FabricCoordinator:
         self._total = len(shards)
         with self._lock:
             self._queue.extend(shards)
-            self._live_dispatchers = len(self._workers)
+            self._live_dispatchers = len(self._slots)
         threads = [
             threading.Thread(
-                target=self._dispatch_loop, args=(worker,), daemon=True
+                target=self._dispatch_loop, args=(slot,), daemon=True
             )
-            for worker in self._workers
+            for slot in self._slots
         ]
         for thread in threads:
             thread.start()
@@ -202,7 +211,7 @@ class FabricCoordinator:
                     degraded = self._live_dispatchers == 0
                     # Shards over their attempt budget with nobody running
                     # them will never complete remotely; once *every*
-                    # undone shard is in that state the fabric has stalled
+                    # undone shard is in that state the slots have stalled
                     # even if dispatchers are alive — degrade those too.
                     stalled = not self._queue and all(
                         self._attempts.get(index, 0) >= self.max_attempts
@@ -248,39 +257,53 @@ class FabricCoordinator:
                 return
 
     def _run_remaining_locally(self):
-        """Degradation: every worker is blacklisted, finish the run here."""
+        """Degradation: no slot can finish the run, so the driver does.
+
+        A shard that raises here as well is given up — a sound omission
+        recorded as an ``"error"`` fault and counted in ``quarantined``.
+        """
         if self._local_runner is None:
             raise RuntimeError(
-                "all fabric workers failed and no local runner is available"
+                "every slot failed and no local runner is available"
             )
         with self._lock:
             remaining = [
-                (index, count)
-                for index, count in self._all_shards()
+                (index, self._total)
+                for index in range(self._total)
                 if index not in self._done
             ]
         for shard in remaining:
-            result = self._local_runner(self._context, shard)
-            self.local_shards += 1
+            started = time.monotonic()
+            try:
+                result = self._local_runner(self._context, shard)
+            except Exception as exc:  # noqa: BLE001 - the last attempt
+                self.faults.append(
+                    ShardFault(
+                        "error",
+                        shard,
+                        "driver",
+                        repr(exc),
+                        time.monotonic() - started,
+                    )
+                )
+                self.quarantined += 1
+                result = None
+            else:
+                self.local_shards += 1
             with self._lock:
                 self._done.add(shard[0])
-            yield (shard[0], *result)
-
-    def _all_shards(self):
-        # Shard tuples are (index, count) with a shared count; recover
-        # them from any bookkeeping that has seen the full set.
-        count = self._total
-        return [(index, count) for index in range(count)]
+            if result is not None:
+                yield (shard[0], *result)
 
     # ------------------------------------------------------- dispatcher side
 
-    def _next_task(self, worker: _Worker):
-        """The worker's next shard: queued work first, then speculation.
+    def _next_task(self, slot):
+        """The slot's next shard: queued work first, then speculation.
 
         Blocks until work exists, every shard is done (returns ``None``),
-        or the idle worker finds a straggler — an undone shard in flight
-        elsewhere for longer than ``speculation_after`` that this worker
-        is not already running.
+        or the idle slot finds a straggler — an undone shard in flight
+        elsewhere for longer than ``speculation_after`` that this slot is
+        not already running.
         """
         with self._lock:
             while True:
@@ -290,7 +313,7 @@ class FabricCoordinator:
                     shard = self._queue.popleft()
                     if shard[0] in self._done:
                         continue  # a duplicate completion beat the retry
-                    self._mark_started(shard, worker)
+                    self._mark_started(shard, slot)
                     return shard
                 now = time.monotonic()
                 straggler = None
@@ -299,40 +322,44 @@ class FabricCoordinator:
                 ):
                     if index in self._done:
                         continue
-                    if worker.address in self._running.get(index, ()):
+                    if slot in self._running.get(index, ()):
                         continue
                     if now - started >= self.speculation_after:
                         straggler = (index, self._total)
                         break
                 if straggler is not None:
                     self.speculations += 1
-                    self._mark_started(straggler, worker)
+                    self._mark_started(straggler, slot)
                     return straggler
                 self._lock.wait(timeout=0.1)
 
-    def _mark_started(self, shard, worker: _Worker) -> None:
+    def _mark_started(self, shard, slot) -> None:
         index = shard[0]
         self._started.setdefault(index, time.monotonic())
         self._attempts[index] = self._attempts.get(index, 0) + 1
-        self._running.setdefault(index, set()).add(worker.address)
+        self._running.setdefault(index, set()).add(slot)
 
-    def _release(self, shard, worker: _Worker, done: bool) -> None:
-        with self._lock:
-            index = shard[0]
-            running = self._running.get(index)
-            if running is not None:
-                running.discard(worker.address)
-            if done:
-                self._done.add(index)
-                self._started.pop(index, None)
-            elif not running:
-                self._started.pop(index, None)
-            self._lock.notify_all()
+    def _release(self, shard, slot, done: bool) -> None:
+        """Take ``slot`` off ``shard``; call with the lock held."""
+        index = shard[0]
+        running = self._running.get(index)
+        if running is not None:
+            running.discard(slot)
+        if done:
+            self._done.add(index)
+            self._started.pop(index, None)
+        elif not running:
+            self._started.pop(index, None)
+        self._lock.notify_all()
 
-    def _requeue(self, shard, worker: _Worker) -> None:
-        """Put a lost shard back, unless its attempt budget ran out."""
-        self._release(shard, worker, done=False)
+    def _requeue(self, shard, slot, fault: ShardFault) -> None:
+        """Record ``fault`` and put the lost shard back, unless its
+        attempt budget ran out."""
         with self._lock:
+            self.faults.append(fault)
+            if fault.kind == "heartbeat":
+                self.heartbeat_misses += 1
+            self._release(shard, slot, done=False)
             if shard[0] in self._done:
                 return
             if self._attempts.get(shard[0], 0) >= self.max_attempts:
@@ -341,50 +368,66 @@ class FabricCoordinator:
                 return
             self.retries += 1
             self._queue.append(shard)
-            self._lock.notify_all()
 
-    def _dispatch_loop(self, worker: _Worker) -> None:
+    def _dispatch_loop(self, slot) -> None:
+        failures = 0  # consecutive
         try:
             while True:
-                shard = self._next_task(worker)
+                shard = self._next_task(slot)
                 if shard is None:
                     return
                 started = time.monotonic()
                 try:
-                    result = self._run_remote(worker, shard)
+                    result = slot.run(shard)
                 except _ShardLost as lost:
                     elapsed = time.monotonic() - started
-                    self.faults.append(
-                        ShardFault(
-                            lost.kind,
-                            shard,
-                            worker.address,
-                            str(lost),
-                            elapsed,
-                        )
+                    self._requeue(
+                        shard,
+                        slot,
+                        ShardFault(lost.kind, shard, slot.name, str(lost), elapsed),
                     )
-                    worker.failures += 1
-                    self._requeue(shard, worker)
-                    if worker.failures >= self.blacklist_after:
-                        self.blacklisted += 1
+                    failures += 1
+                    if failures >= self.blacklist_after:
+                        with self._lock:
+                            self.blacklisted += 1
                         return
                     time.sleep(
                         backoff_delay(
-                            worker.failures - 1,
+                            failures - 1,
                             base=self._backoff_base,
                             cap=self._backoff_cap,
                         )
                     )
                 else:
-                    worker.failures = 0
-                    self._results.put((shard[0], *result))
-                    self._release(shard, worker, done=True)
+                    failures = 0
+                    # One critical section for the result and the done
+                    # mark: the driver never sees the shard done without
+                    # its result queued, nor waits on a queued last result.
+                    with self._lock:
+                        self._results.put((shard[0], *result))
+                        self._release(shard, slot, done=True)
         finally:
             with self._lock:
                 self._live_dispatchers -= 1
                 self._lock.notify_all()
 
-    def _run_remote(self, worker: _Worker, shard) -> tuple:
+
+class _RemoteSlot:
+    """A fabric transport: one ``repro worker`` address."""
+
+    def __init__(
+        self,
+        address: str,
+        context_blob: str,
+        heartbeat_interval: float,
+        shard_timeout: float | None,
+    ) -> None:
+        self.name = address
+        self._context_blob = context_blob
+        self.heartbeat_interval = heartbeat_interval
+        self.shard_timeout = shard_timeout
+
+    def run(self, shard) -> tuple:
         """One dispatch attempt; :class:`_ShardLost` on any failure."""
         deadline = (
             time.monotonic() + self.shard_timeout
@@ -392,9 +435,7 @@ class FabricCoordinator:
             else None
         )
         try:
-            sock = create_connection(
-                worker.address, timeout=self.heartbeat_interval
-            )
+            sock = create_connection(self.name, timeout=self.heartbeat_interval)
         except OSError as exc:
             raise _ShardLost("connection", f"connect failed: {exc}") from exc
         try:
@@ -418,9 +459,8 @@ class FabricCoordinator:
                     frame = read_frame(sock, buffer)
                 except socket.timeout:
                     # No bytes within a heartbeat: is the worker alive?
-                    if self._probe(worker):
+                    if self._probe():
                         continue  # a straggler, not a corpse
-                    self.heartbeat_misses += 1
                     raise _ShardLost(
                         "heartbeat",
                         f"no response and no pong within "
@@ -444,7 +484,7 @@ class FabricCoordinator:
             if not response.get("ok"):
                 error = response.get("error") or {}
                 raise _ShardLost(
-                    "connection",
+                    "error",
                     f"worker error: {error.get('message', 'unknown')}",
                 )
             try:
@@ -456,16 +496,14 @@ class FabricCoordinator:
         finally:
             sock.close()
 
-    def _probe(self, worker: _Worker) -> bool:
+    def _probe(self) -> bool:
         """Fresh-connection ping — the heartbeat's liveness verdict.
 
         A hung (SIGSTOP'd) worker still *accepts* connects — the kernel
         does that — so only an actual pong counts as alive.
         """
         try:
-            sock = create_connection(
-                worker.address, timeout=self.heartbeat_interval
-            )
+            sock = create_connection(self.name, timeout=self.heartbeat_interval)
         except OSError:
             return False
         try:

@@ -12,10 +12,11 @@ lifted into a serving layer, where anything that goes wrong is scoped to
 
 * a request whose pipeline raises gets a structured ``internal`` error,
   the server lives on;
-* a request whose pool workers die is healed inside
-  :class:`~repro.parallel.ProcessExecutor` (respawn, then serial fallback
-  past ``max_respawns``) — the *request* degrades to serial, the server is
-  never poisoned;
+* a request whose local slot processes die or hang past
+  ``--shard-timeout`` is healed by the shard coordinator
+  (:class:`~repro.fabric.coordinator.FabricCoordinator`: the process is
+  respawned and the shard retried, or finally run in the daemon itself) —
+  the answer stays complete and the server is never poisoned;
 * a request that exhausts its :class:`~repro.runtime.budget.RunBudget`
   (derived per request from the server's deadline/memory policy) is served
   as an explicitly-partial sound frontier (``exhausted`` set);
@@ -174,9 +175,8 @@ class ApproximationServer:
         self.drained = 0
         self.fault_counters = {
             "pool_respawns": 0,
-            "batch_timeouts": 0,
             "quarantined": 0,
-            "serial_fallbacks": 0,
+            "shard_faults": 0,
         }
 
     # -------------------------------------------------------------- lifecycle
@@ -464,9 +464,10 @@ class ApproximationServer:
         request tableau (its core, canonically renamed) plus every
         result-shaping knob, and the pipeline runs *on the representative*,
         so every hom-equivalent phrasing of a query gets the same
-        bit-identical answer — cold or warm.  Only complete results are stored —
-        partial (exhausted) and fault-degraded answers are served, flagged,
-        and recomputed next time.
+        bit-identical answer — cold or warm.  Only complete results are
+        stored — partial (exhausted or quarantined) answers are served,
+        flagged, and recomputed next time; a run whose shard faults were
+        all recovered by retries is complete.
         """
         query_text = request.get("query")
         if not isinstance(query_text, str):
@@ -527,10 +528,10 @@ class ApproximationServer:
             raise _RequestError("bad-request", str(exc))
 
         self.fault_counters["pool_respawns"] += stats.pool_respawns
-        self.fault_counters["batch_timeouts"] += stats.batch_timeouts
         self.fault_counters["quarantined"] += stats.quarantined
-        self.fault_counters["serial_fallbacks"] += stats.serial_fallbacks
+        self.fault_counters["shard_faults"] += len(faults)
 
+        complete = not stats.exhausted and not stats.quarantined
         value = {
             "approximations": [str(result) for result in results],
             "class": cls.name,
@@ -539,12 +540,16 @@ class ApproximationServer:
             "exhausted": stats.exhausted,
             "quarantined": stats.quarantined,
             "pool_respawns": stats.pool_respawns,
-            "serial_fallbacks": stats.serial_fallbacks,
-            "faults": [fault.as_dict() for fault in faults],
+            # A complete answer's recovered faults are history of this
+            # run, not part of the answer (a retried shard returns what
+            # the lost attempt would have): the ``stats`` op counts them,
+            # and they stay out of the cached value a warm hit replays.
+            "faults": (
+                [] if complete else [fault.as_dict() for fault in faults]
+            ),
         }
         if stats.exhausted:
             value["exhaustion_reason"] = stats.exhaustion_reason
-        complete = not stats.exhausted and not faults and not stats.quarantined
         if complete:
             self.cache.put(key, value)
         return dict(value, cached=False)

@@ -1,6 +1,6 @@
 """Deterministic fault injection at the pipeline's stage-2 seam.
 
-The robustness machinery (pool respawn, shard-timeout quarantine,
+The robustness machinery (shard retries, slot-process respawn,
 checkpoint/resume, budget stops) is about what happens when something
 *external* goes wrong — a worker OOM-killed, a check that hangs, a process
 that dies mid-run.  To test it deterministically, this module wraps a
@@ -8,10 +8,10 @@ that dies mid-run.  To test it deterministically, this module wraps a
 membership tests fire a scripted fault (:class:`FaultPlan`) the *n*-th
 time they run:
 
-* ``kind="kill"`` — ``SIGKILL`` to the current process.  Inside a pool
-  worker this breaks the whole ``ProcessPoolExecutor`` (the
-  ``BrokenProcessPool`` path); in the driver it simulates process death
-  for checkpoint/resume tests.
+* ``kind="kill"`` — ``SIGKILL`` to the current process.  Inside a local
+  slot process this is a lost shard the coordinator retries on a
+  respawned process; in the driver it simulates process death for
+  checkpoint/resume tests.
 * ``kind="delay"`` — sleep ``delay`` seconds, simulating a hung check for
   the per-shard timeout path.
 * ``kind="raise"`` — raise :class:`FaultInjected`, the poisoned-task
@@ -41,11 +41,10 @@ hedging paths are drilled with the same discipline):
 
 Faults fire **exactly once across processes**: the plan claims a *token
 file* with ``O_CREAT | O_EXCL`` — an atomic filesystem test-and-set every
-fork shares — before firing, so a respawned pool (which re-runs the lost
-batch, reaching the same n-th check again) does not re-fire and the run
-can complete.  The same discipline covers fabric workers: a re-dispatched
+fork shares — before firing, so a retried shard (which reaches the same
+n-th check again) does not re-fire and the run can complete.  The same discipline covers fabric workers: a re-dispatched
 shard reaching the same seam in another worker process finds the token
-taken.  Everything is picklable, so a ``FaultyClass`` travels to pool
+taken.  Everything is picklable, so a ``FaultyClass`` travels to shard
 workers exactly like a real class.
 
 Simulated OOM needs no wrapper: inject an ``rss_probe`` returning an
@@ -78,8 +77,8 @@ class FaultPlan:
 
     ``at_check`` counts seam invocations (1-based) *in the process where
     the count is reached* — membership tests for :class:`FaultyClass`
-    (each pool worker counts its own checks, so under a pool the fault
-    fires in whichever worker reaches the count first), disk-entry writes
+    (each slot process counts its own checks, so on a sharded run the
+    fault fires in whichever process reaches the count first), disk-entry writes
     for the result cache's ``kind="corrupt"`` seam.  The token file keeps
     any plan to one firing overall; ``token_path`` must point into a
     fresh per-test directory.

@@ -11,10 +11,16 @@ asserting the final frontier equals the serial one, member for member:
 4. straggler speculation with duplicate-result absorption
    (``delay-response`` drill);
 5. every worker failing (graceful degradation to local execution).
+
+A run that lost a worker and retried its shard is complete: the server
+caches it and the CLI lists its faults without the "incomplete" warning.
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import json
 import os
 import signal
 import socket
@@ -402,3 +408,99 @@ class TestFabricPlumbing:
         # is that the counter exists and the run is sound with it wired.
         assert result.stats.kernel_trie_merge_hits >= 0
         assert result.stats.shards > 0
+
+
+# --------------------------------------------------------------------------
+# Recovered faults leave the answer complete
+# --------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def killed_worker_fabric(tmp_path):
+    """Two workers, the first SIGKILL'd while it holds its first shard
+    (drill 1's discipline); yields their addresses."""
+    token = str(tmp_path / "token")
+    victim, victim_sock = start_worker(
+        tmp_path,
+        "victim",
+        "--fault-kind",
+        "delay-response",
+        "--fault-token",
+        token,
+        "--fault-delay",
+        "30",
+    )
+    survivor, survivor_sock = start_worker(tmp_path, "survivor")
+
+    def kill_when_parked():
+        deadline = time.monotonic() + 60
+        while not os.path.exists(token):
+            if time.monotonic() > deadline:
+                return
+            time.sleep(0.02)
+        victim.kill()
+
+    from threading import Thread
+
+    killer = Thread(target=kill_when_parked, daemon=True)
+    killer.start()
+    try:
+        yield [victim_sock, survivor_sock]
+        killer.join(timeout=60)
+        assert os.path.exists(token), "the victim never reached a shard"
+    finally:
+        stop_worker(victim)
+        stop_worker(survivor)
+
+
+@pytest.mark.slow
+class TestRecoveredFaultsAreComplete:
+    def test_server_caches_a_run_that_lost_a_worker(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.serve.server as server_module
+        from repro.serve.server import ApproximationServer, ServerConfig
+
+        server = ApproximationServer(
+            ServerConfig(socket_path=str(tmp_path / "s.sock"), max_extra_atoms=0)
+        )
+        request = {"op": "approximate", "query": str(QUERY), "all": True}
+        with killed_worker_fabric(tmp_path) as addresses:
+            real = server_module.all_approximations
+
+            def over_fabric(query, cls, config, **kwargs):
+                config = dataclasses.replace(
+                    config,
+                    fabric_workers=tuple(addresses),
+                    heartbeat_interval=0.5,
+                )
+                return real(query, cls, config, **kwargs)
+
+            monkeypatch.setattr(server_module, "all_approximations", over_fabric)
+            cold = server._serve_approximate(request)
+        assert not cold["cached"] and cold["quarantined"] == 0
+        assert not cold["faults"]
+        assert server.fault_counters["shard_faults"] >= 1
+        warm = server._serve_approximate(request)
+        assert warm["cached"]
+        assert warm["approximations"] == cold["approximations"]
+
+    def test_cli_lists_recovered_faults_without_warning(
+        self, tmp_path, capsys, serial_frontier
+    ):
+        from repro.cli import main
+
+        with killed_worker_fabric(tmp_path) as addresses:
+            argv = ["approximate", str(QUERY), "--all", "--json"]
+            for address in addresses:
+                argv += ["--fabric-worker", address]
+            assert main(argv + ["--heartbeat-interval", "0.5"]) == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["quarantined"] == 0
+        assert any(fault["kind"] == "connection" for fault in payload["faults"])
+        assert "warning" not in captured.err
+        serial = main(["approximate", str(QUERY), "--all", "--json"])
+        assert serial == 0
+        clean = json.loads(capsys.readouterr().out)
+        assert payload["approximations"] == clean["approximations"]

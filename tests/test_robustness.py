@@ -1,7 +1,8 @@
 """Tests for the budgeted anytime pipeline and its fault tolerance.
 
-Covers the :mod:`repro.runtime` budget/checkpoint primitives, the
-fault-tolerant process executor of :mod:`repro.parallel`, the deterministic
+Covers the :mod:`repro.runtime` budget/checkpoint primitives, the local
+shard transport of :mod:`repro.parallel` under the shard coordinator, the
+deterministic
 fault-injection harness (:mod:`repro.testing.faults`), the pipeline-level
 anytime semantics (partial frontiers are *sound*: every member passed its
 class check and receives a homomorphism from the base), checkpoint/resume
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -26,11 +28,13 @@ from repro.core import (
     TW1,
     ApproximationConfig,
     HypertreeClass,
+    TreewidthClass,
     run_pipeline,
 )
 from repro.core.pipeline import PipelineStats
 from repro.homomorphism.engine import default_engine
-from repro.parallel import BatchFault, ProcessExecutor
+from repro.fabric import FabricCoordinator
+from repro.parallel import ProcessExecutor
 from repro.runtime import CheckpointManager, CheckpointMismatch, RunBudget
 from repro.runtime.budget import MEMORY_PROBE_INTERVAL
 from repro.testing import FaultInjected, FaultPlan, FaultyClass
@@ -213,7 +217,7 @@ class TestFaultHarness:
 
 
 # --------------------------------------------------------------------------
-# Executor-level fault tolerance
+# Local transport fault tolerance
 # --------------------------------------------------------------------------
 
 
@@ -226,115 +230,94 @@ def _claim_token(token_path: str) -> bool:
     return True
 
 
-def _executor_task(payload):
-    """Module-level pool task (picklable): scripted kill/sleep/raise."""
-    action, value, token_path = payload
+#: Per-process drill script installed by :func:`_install_drill`:
+#: shard index -> (action, argument, token path).
+_DRILL: dict = {}
+
+
+def _install_drill(script):
+    """Slot initializer: per-process state, like the shard context."""
+    _DRILL.clear()
+    _DRILL.update(script)
+
+
+def _drill_task(shard):
+    """Slot task: scripted kill/sleep/raise on one shard, once per token."""
+    index, _ = shard
+    action, value, token_path = _DRILL.get(index, ("ok", 0, ""))
     if action == "kill" and _claim_token(token_path):
         os.kill(os.getpid(), signal.SIGKILL)
     elif action == "sleep" and _claim_token(token_path):
         time.sleep(value)
-    elif action == "boom":
-        raise ValueError(f"boom {value}")
-    return value * 2
+    elif action == "raise" and _claim_token(token_path):
+        raise ValueError(f"boom {index}")
+    return (index * 2, {})
 
 
-#: Per-process state installed by :func:`_install_offset`, and the order in
-#: which the initializer and tasks ran in *this* process (worker processes
-#: append to their own forked copies, so the driver sees only inline work).
-_SHARED_STATE: dict = {}
-_DRIVER_EVENTS: list = []
-
-
-def _install_offset(offset):
-    """Executor initializer: per-process shared state, like a shard context."""
-    _SHARED_STATE["offset"] = offset
-    _DRIVER_EVENTS.append("init")
-
-
-def _offset_task(payload):
-    """Pool task that needs the initializer's state (KeyError without it)."""
-    _DRIVER_EVENTS.append("task")
-    return _executor_task(payload) + _SHARED_STATE["offset"]
+def _run_drill(script, *, shards=6, timeout=None):
+    """Run ``shards`` drill shards over two local slots: ``(results,
+    coordinator, executor)``, results as ``{index: value}``."""
+    shard_list = [(index, shards) for index in range(shards)]
+    with ProcessExecutor(
+        2,
+        _drill_task,
+        initializer=_install_drill,
+        initargs=(script,),
+        timeout=timeout,
+    ) as executor:
+        coordinator = FabricCoordinator(
+            executor.slots, context=None, speculation_after=math.inf
+        )
+        results = {
+            index: value
+            for index, value, _ in executor.imap(coordinator.run, shard_list)
+        }
+    return results, coordinator, executor
 
 
 @pytest.mark.slow
-class TestProcessExecutorFaults:
-    def test_worker_kill_recovers_with_identical_results(self, tmp_path):
-        token = str(tmp_path / "token")
-        tasks = [("ok", i, "") for i in range(20)]
-        tasks[7] = ("kill", 7, token)
-        with ProcessExecutor(2) as executor:
-            results = list(executor.imap(_executor_task, tasks))
-        # The broken pool was respawned and every in-flight task was
-        # resubmitted in order: the result stream is exactly the serial one
-        # (the claimed token keeps the retried task from re-firing).
-        assert results == [i * 2 for i in range(20)]
-        assert executor.respawns >= 1
-        assert executor.faults == []
+class TestLocalTransportFaults:
+    """The local slots under the coordinator: every lost shard is retried."""
 
-    def test_serial_fallback_after_respawn_budget(self, tmp_path):
+    def test_killed_slot_process_is_respawned_and_retried(self, tmp_path):
         token = str(tmp_path / "token")
-        tasks = [("ok", i, "") for i in range(10)]
-        tasks[3] = ("kill", 3, token)
-        with ProcessExecutor(2, max_respawns=0) as executor:
-            results = list(executor.imap(_executor_task, tasks))
-        assert results == [i * 2 for i in range(10)]
-        assert executor._serial_fallback
+        results, coordinator, executor = _run_drill({3: ("kill", 0, token)})
+        assert results == {index: index * 2 for index in range(6)}
+        assert executor.respawns == 1
+        assert [fault.kind for fault in coordinator.faults] == ["connection"]
+        assert coordinator.retries == 1 and coordinator.quarantined == 0
 
-    def test_serial_fallback_runs_the_initializer_inline_first(self, tmp_path):
+    def test_hung_slot_is_killed_and_retried(self, tmp_path):
         token = str(tmp_path / "token")
-        tasks = [("ok", i, "") for i in range(10)]
-        tasks[3] = ("kill", 3, token)
-        _SHARED_STATE.clear()
-        _DRIVER_EVENTS.clear()
-        try:
-            with ProcessExecutor(
-                2, initializer=_install_offset, initargs=(100,), max_respawns=0
-            ) as executor:
-                results = list(executor.imap(_offset_task, tasks))
-            assert executor.serial_fallback
-            # The killed task reran inline, after the initializer installed
-            # the shared state in the driver exactly once.
-            assert _DRIVER_EVENTS[0] == "init"
-            assert _DRIVER_EVENTS.count("init") == 1
-            assert "task" in _DRIVER_EVENTS
-            assert results == [i * 2 + 100 for i in range(10)]
-            assert executor.faults == []
-        finally:
-            _SHARED_STATE.clear()
-            _DRIVER_EVENTS.clear()
-
-    def test_timeout_quarantines_the_hung_head(self, tmp_path):
-        token = str(tmp_path / "token")
-        tasks = [("ok", i, "") for i in range(12)]
-        tasks[4] = ("sleep", 60.0, token)
         started = time.monotonic()
-        with ProcessExecutor(2, batch_timeout=0.5) as executor:
-            results = list(executor.imap(_executor_task, tasks))
+        results, coordinator, executor = _run_drill(
+            {2: ("sleep", 60.0, token)}, timeout=0.5
+        )
         elapsed = time.monotonic() - started
-        faults = [r for r in results if isinstance(r, BatchFault)]
-        assert [f.kind for f in faults] == ["timeout"]
-        assert "0.5" in faults[0].error
-        assert [r for r in results if not isinstance(r, BatchFault)] == [
-            i * 2 for i in range(12) if i != 4
-        ]
-        assert executor.timeouts == 1
-        # The hung worker was killed, not waited out.
+        assert results == {index: index * 2 for index in range(6)}
+        assert [fault.kind for fault in coordinator.faults] == ["deadline"]
+        assert "0.5" in coordinator.faults[0].error
+        assert executor.respawns == 1
+        # The sleeping process was killed, not waited out.
         assert elapsed < 30.0
 
-    def test_poisoned_task_quarantined_without_respawn(self):
-        tasks = [("ok", 1, ""), ("boom", 2, ""), ("ok", 3, "")]
-        with ProcessExecutor(2) as executor:
-            results = list(executor.imap(_executor_task, tasks))
-        assert results[0] == 2 and results[2] == 6
-        assert isinstance(results[1], BatchFault) and results[1].kind == "error"
+    def test_raising_shard_is_retried_without_respawn(self, tmp_path):
+        token = str(tmp_path / "token")
+        results, coordinator, executor = _run_drill({1: ("raise", 0, token)})
+        assert results == {index: index * 2 for index in range(6)}
+        assert [fault.kind for fault in coordinator.faults] == ["error"]
+        assert "boom 1" in coordinator.faults[0].error
+        # A raising task leaves its process up.
         assert executor.respawns == 0
 
-    def test_context_manager_tears_down_on_exception(self):
+    def test_exception_exit_leaves_no_live_child(self):
         with pytest.raises(RuntimeError):
-            with ProcessExecutor(2) as executor:
+            with ProcessExecutor(2, _drill_task) as executor:
+                processes = [slot._process for slot in executor.slots]
+                assert all(process.is_alive() for process in processes)
                 raise RuntimeError("interrupted")
-        assert executor._pool is None
+        assert not any(process.is_alive() for process in processes)
+        assert not multiprocessing.active_children()
 
 
 # --------------------------------------------------------------------------
@@ -462,15 +445,17 @@ class TestPipelineFaultRecovery:
         serial = run_pipeline(tableau, HTW2, max_extra_atoms=0)
         faulty = FaultyClass(HTW2, FaultPlan("kill", 5, str(tmp_path / "token")))
         pooled = run_pipeline(tableau, faulty, max_extra_atoms=0, workers=2)
-        # The broken pool respawned and the lost shards were resubmitted;
-        # the claimed token keeps the retry from re-firing, so every shard
+        # The dead slot process was respawned and its shard retried; the
+        # claimed token keeps the retry from re-firing, so every shard
         # completes and the frontier is exactly the serial one.
         assert pooled.frontier == serial.frontier
         assert pooled.stats.pool_respawns >= 1
         assert pooled.stats.quarantined == 0
+        assert [fault.kind for fault in pooled.faults] == ["connection"]
 
-    def test_hung_batch_quarantined_by_timeout(self, tmp_path):
+    def test_hung_shard_killed_and_retried(self, tmp_path):
         tableau = MEMBER_HEAVY.tableau()
+        serial = run_pipeline(tableau, HTW2, max_extra_atoms=0)
         faulty = FaultyClass(
             HTW2, FaultPlan("delay", 5, str(tmp_path / "token"), delay=60.0)
         )
@@ -479,23 +464,86 @@ class TestPipelineFaultRecovery:
             tableau, faulty, max_extra_atoms=0, workers=2, shard_timeout=5.0
         )
         elapsed = time.monotonic() - started
-        assert result.stats.batch_timeouts == 1
-        assert result.stats.quarantined >= 1
-        assert [fault.kind for fault in result.faults] == ["timeout"]
-        assert _sound(tableau, HTW2, result.frontier)
-        # The sleeping worker was killed with the pool, not waited out.
+        assert result.frontier == serial.frontier
+        assert result.stats.quarantined == 0
+        assert [fault.kind for fault in result.faults] == ["deadline"]
+        assert result.stats.pool_respawns == 1
+        # The sleeping process was killed, not waited out.
         assert elapsed < 30.0
 
-    def test_poisoned_candidate_quarantined(self, tmp_path):
+    def test_poisoned_candidate_retried(self, tmp_path):
         tableau = MEMBER_HEAVY.tableau()
+        serial = run_pipeline(tableau, HTW2, max_extra_atoms=0)
         faulty = FaultyClass(HTW2, FaultPlan("raise", 5, str(tmp_path / "token")))
         result = run_pipeline(tableau, faulty, max_extra_atoms=0, workers=2)
-        assert result.stats.quarantined >= 1
+        assert result.frontier == serial.frontier
+        assert result.stats.quarantined == 0
         assert [fault.kind for fault in result.faults] == ["error"]
         assert "FaultInjected" in result.faults[0].error
-        assert _sound(tableau, HTW2, result.frontier)
-        # A raising task does not break the pool: no respawn needed.
+        # A raising task does not kill its process: no respawn needed.
         assert result.stats.pool_respawns == 0
+
+
+class _PoisonedTW1(TreewidthClass):
+    """TW1 whose check raises, on every attempt, for the 6-vertex graph.
+
+    On :data:`LIGHT` (six variables) only the identity quotient has six
+    blocks, so exactly one candidate — in one shard — is poisoned.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(1)
+
+    def contains_graph(self, graph) -> bool:
+        if graph.number_of_nodes() == 6:
+            raise ValueError("poisoned check")
+        return super().contains_graph(graph)
+
+
+class TestAlwaysRaisingCheck:
+    """A shard that raises on every attempt ends as a flagged fault."""
+
+    def _assert_flagged(self, result, tableau, elapsed):
+        assert result.stats.quarantined >= 1
+        assert any(
+            fault.kind == "error" and fault.worker == "driver"
+            for fault in result.faults
+        )
+        assert all(fault.kind == "error" for fault in result.faults)
+        assert _sound(tableau, TW1, result.frontier)
+        assert elapsed < 60.0  # bounded retries, no loop
+
+    @pytest.mark.slow
+    def test_local_slots(self):
+        tableau = LIGHT.tableau()
+        started = time.monotonic()
+        result = run_pipeline(
+            tableau, _PoisonedTW1(), max_extra_atoms=0, workers=2
+        )
+        self._assert_flagged(result, tableau, time.monotonic() - started)
+        assert result.stats.workers_blacklisted >= 1
+
+    def test_one_worker_fabric(self):
+        from threading import Thread
+
+        from repro.fabric import WorkerServer
+
+        tableau = LIGHT.tableau()
+        server = WorkerServer("127.0.0.1:0")
+        Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            started = time.monotonic()
+            result = run_pipeline(
+                tableau,
+                _PoisonedTW1(),
+                max_extra_atoms=0,
+                fabric=[server.address],
+                heartbeat_interval=0.3,
+            )
+        finally:
+            server.close()
+        self._assert_flagged(result, tableau, time.monotonic() - started)
+        assert result.stats.workers_blacklisted == 1
 
 
 # --------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import pytest
 
 from repro.core import TW1, HypertreeClass, PipelineStats
 from repro.cq import parse_query
-from repro.parallel import BatchFault
+from repro.fabric import ShardFault
 from repro.serve import (
     MAX_LINE_BYTES,
     ApproximationServer,
@@ -568,7 +568,13 @@ class TestCliFaultSurfacing:
     def _fake_approximate(self, query, cls, **kwargs):
         kwargs["stats"].quarantined = 3
         kwargs["faults"].append(
-            BatchFault("timeout", task=None, error="batch stuck", elapsed=1.5)
+            ShardFault("deadline", (0, 2), "local-0", "shard stuck", 1.5)
+        )
+        return query
+
+    def _fake_recovered(self, query, cls, **kwargs):
+        kwargs["faults"].append(
+            ShardFault("connection", (1, 2), "local-1", "slot died", 0.2)
         )
         return query
 
@@ -580,7 +586,13 @@ class TestCliFaultSurfacing:
         payload = json.loads(capsys.readouterr().out)
         assert payload["quarantined"] == 3
         assert payload["faults"] == [
-            {"kind": "timeout", "error": "batch stuck", "elapsed": 1.5}
+            {
+                "kind": "deadline",
+                "shard": [0, 2],
+                "worker": "local-0",
+                "error": "shard stuck",
+                "elapsed": 1.5,
+            }
         ]
 
     def test_human_output_warns_on_stderr(self, capsys, monkeypatch):
@@ -590,8 +602,19 @@ class TestCliFaultSurfacing:
         assert cli.main(["approximate", TRIANGLE]) == 0
         err = capsys.readouterr().err
         assert "3 shard(s) lost to quarantine" in err
-        assert "timeout: batch stuck" in err
+        assert "deadline: shard stuck" in err
         assert "sound but may be incomplete" in err
+
+    def test_recovered_faults_are_listed_without_warning(
+        self, capsys, monkeypatch
+    ):
+        import repro.cli as cli
+
+        monkeypatch.setattr(cli, "approximate", self._fake_recovered)
+        assert cli.main(["approximate", TRIANGLE]) == 0
+        err = capsys.readouterr().err
+        assert "connection: slot died" in err
+        assert "warning" not in err and "incomplete" not in err
 
     def test_clean_runs_do_not_grow_keys(self, capsys):
         from repro.cli import main
