@@ -32,8 +32,12 @@
 # same references, runs the solve-2w smoke once more traced (--trace 1:
 # the tracer patches names in src/ — among them ProcessExecutor's
 # __init__, imap and close — so a change that drops one fails here
-# instead of silently breaking the per-layer benchmark), and finally
-# prints the line total of src/.
+# instead of silently breaking the per-layer benchmark), runs the serve
+# workload's smoke traced too (a live fleet replay plus an in-process
+# daemon whose layer table needs the names trace.py's serve_targets
+# patches: ApproximationServer._handle_line and the decode, key, cache,
+# compute and encode globals of repro.serve.server), and finally prints
+# the line total of src/.
 
 set -euo pipefail
 
@@ -53,4 +57,5 @@ python3 benchmarks/e2e/run.py --smoke --workload solve-2w
 python3 benchmarks/e2e/run.py --smoke --workload evaluate
 REPRO_EVAL_BACKEND=python python3 benchmarks/e2e/run.py --smoke --workload evaluate
 python3 benchmarks/e2e/run.py --smoke --workload solve-2w --trace 1
+python3 benchmarks/e2e/run.py --smoke --workload serve --trace 1
 echo "src/ lines: $(find src -name '*.py' -exec cat {} + | wc -l)"

@@ -18,10 +18,12 @@ Protocol (:mod:`repro.fabric.protocol`)
     line cap.
 
 Worker (:mod:`repro.fabric.worker`, CLI ``repro worker``)
-    A stateless threaded socket server: the full run context arrives
-    with every shard request (content-addressed and cached), so any
-    worker can run any shard and a crashed worker loses only the shard
-    it was running.
+    A stateless shard server on the serving layer's JSON-lines front door
+    (:class:`~repro.serve.server.JsonLinesService`), computing each shard
+    on an executor thread so pings stay answered: the full run context
+    arrives with every shard request (content-addressed and cached), so
+    any worker can run any shard and a crashed worker loses only the
+    shard it was running.
 
 Coordinator (:mod:`repro.fabric.coordinator`)
     One dispatcher thread per slot — a worker address, or a local slot

@@ -18,7 +18,7 @@ Ops (see :mod:`repro.fabric` for the full protocol walk-through):
     Handshake; answers protocol version and worker pid.
 ``ping``
     Liveness probe; answers immediately even while a shard is running
-    (the worker serves each connection on its own thread).
+    (the worker computes shards on executor threads, off its event loop).
 ``shard``
     ``{"op": "shard", "context": <blob>, "shard": [index, count]}`` —
     run one shard slice through the shared pipeline body
@@ -27,7 +27,8 @@ Ops (see :mod:`repro.fabric` for the full protocol walk-through):
     cache the decoded context by blob digest, so re-sending the same
     context with every shard costs bandwidth, not re-unpickling.
 ``shutdown``
-    Acknowledge, then stop serving.
+    Acknowledge, then drain: in-flight shards are answered, new ones
+    refused ``shutting-down``.
 
 Addresses are spelled ``"host:port"`` (TCP) or a filesystem path (unix
 domain socket); :func:`parse_address`/:func:`create_connection` accept
@@ -144,11 +145,11 @@ def read_frame(sock: socket.socket, buffer: bytearray) -> bytes | None:
     Returns the frame without its terminator, or ``None`` on EOF with an
     empty buffer (clean close).  EOF with buffered bytes, an oversized
     buffer, and socket timeouts surface as the exceptions they are —
-    framing trust is the caller's policy (the worker closes, the
-    coordinator re-dispatches).
+    framing trust is the caller's policy (the coordinator re-dispatches).
     """
+    scanned = 0  # bytes already searched: each recv's bytes are scanned once
     while True:
-        newline = buffer.find(b"\n")
+        newline = buffer.find(b"\n", scanned)
         if newline >= 0:
             frame = bytes(buffer[:newline])
             del buffer[: newline + 1]
@@ -162,4 +163,5 @@ def read_frame(sock: socket.socket, buffer: bytearray) -> bytes | None:
             if buffer:
                 raise ProtocolError("connection closed mid-frame", fatal=True)
             return None
+        scanned = len(buffer)
         buffer.extend(chunk)

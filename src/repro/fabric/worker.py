@@ -1,4 +1,4 @@
-"""The stateless fabric shard worker: a threaded JSON-lines socket server.
+"""The stateless fabric shard worker, on the shared JSON-lines front door.
 
 A worker owns no run state: every ``shard`` request carries the full run
 context (pickled, content-addressed — decoded once per distinct blob and
@@ -10,51 +10,50 @@ is a deterministic function of its context and slice, so the driver
 keeps the first result of each shard, and the worker contributes by
 never accumulating anything a replay could observe.
 
-Each accepted connection is served on its own daemon thread; a shard
-computes inline on its connection's thread, so ``ping`` probes arriving
-on *other* connections are answered concurrently (Python's GIL
-interleaves the probe's tiny handler with the shard's compute) — the
-coordinator's liveness heartbeat works exactly because probing does not
-queue behind the shard.
+Binding, framing, malformed-frame answers, ``shutdown`` and the drain are
+:class:`~repro.serve.server.JsonLinesService`'s, with the fabric's op
+vocabulary and line cap.  A shard computes on an executor thread while
+the event loop keeps reading, so a ``ping`` on another connection is
+answered while the shard runs — the coordinator's liveness heartbeat
+works exactly because probing does not queue behind the shard.
 
 Deterministic network-fault drills: a :class:`~repro.testing.faults.
 FaultPlan` whose kind is one of :data:`~repro.testing.faults.
-NETWORK_KINDS` arms the *response seam* — the ``at_check``-th shard
-response, token-file-claimed so re-dispatched shards reaching another
-worker's seam cannot re-fire, is dropped (connection closed instead of
-answered), delayed, or garbled (a non-protocol frame), exercising the
-coordinator's re-dispatch, straggler, and framing-distrust paths in
-isolation.
+NETWORK_KINDS` arms the service's response seam — the ``at_check``-th
+shard response, token-file-claimed so re-dispatched shards reaching
+another worker's seam cannot re-fire, is dropped (connection closed
+instead of answered), delayed, or garbled (a non-protocol frame),
+exercising the coordinator's re-dispatch, straggler, and
+framing-distrust paths in isolation.
 """
 
 from __future__ import annotations
 
+import asyncio
 import os
-import socket
 import threading
-import time
 
 from repro.core.pipeline import run_shard
 from repro.fabric.protocol import (
+    FABRIC_MAX_LINE_BYTES,
+    FABRIC_OPS,
     PROTOCOL_VERSION,
-    ProtocolError,
     blob_digest,
     decode_blob,
     encode_blob,
-    encode_message,
     error_response,
     ok_response,
     parse_address,
-    parse_fabric_request,
-    read_frame,
 )
+from repro.serve.server import JsonLinesService
 from repro.testing.faults import NETWORK_KINDS, FaultPlan
 
 __all__ = ["WorkerServer", "serve"]
 
 
-class WorkerServer:
-    """One fabric worker process: bind, accept, serve until shutdown.
+class WorkerServer(JsonLinesService):
+    """One fabric worker: bound on construction, served by
+    :meth:`serve_forever` until a ``shutdown`` op or :meth:`close`.
 
     ``address`` is a ``"host:port"`` TCP spec (port 0 binds ephemerally;
     :attr:`address` reports the real one) or a unix socket path.
@@ -62,6 +61,10 @@ class WorkerServer:
     docstring); plans with non-network kinds are rejected here — they
     belong to the membership-check seam, not the wire.
     """
+
+    ops = FABRIC_OPS
+    max_line_bytes = FABRIC_MAX_LINE_BYTES
+    role = "worker"
 
     def __init__(
         self, address: str, *, fault_plan: FaultPlan | None = None
@@ -71,183 +74,90 @@ class WorkerServer:
                 f"worker fault plans must use a network kind, "
                 f"not {fault_plan.kind!r}"
             )
-        self._plan = fault_plan
-        self._shard_responses = 0
-        self._respond_lock = threading.Lock()
+        super().__init__(fault_plan)
+        # Shards run on executor threads; one lock guards both memos.
+        self._lock = threading.Lock()
         self._contexts: dict[str, tuple] = {}
-        self._context_lock = threading.Lock()
         self._results: dict[tuple, tuple] = {}
-        self._result_lock = threading.Lock()
-        self.shard_cache_hits = 0
-        self._shutdown = threading.Event()
         family, target = parse_address(address)
         if family == "tcp":
-            self._listener = socket.create_server(target)
-            host, port = self._listener.getsockname()[:2]
-            self.address = f"{host}:{port}"
+            self._bind(None, *target)
+            self.address = "{}:{}".format(*self.address)
         else:
-            try:
-                os.unlink(target)
-            except FileNotFoundError:
-                pass
-            self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            self._listener.bind(target)
-            self._listener.listen()
-            self.address = target
-
-    # ------------------------------------------------------------------ serve
+            self._bind(target)
 
     def serve_forever(self) -> None:
-        """Accept connections until a ``shutdown`` op arrives."""
-        self._listener.settimeout(0.2)
-        try:
-            while not self._shutdown.is_set():
-                try:
-                    connection, _ = self._listener.accept()
-                except socket.timeout:
-                    continue
-                thread = threading.Thread(
-                    target=self._serve_connection,
-                    args=(connection,),
-                    daemon=True,
-                )
-                thread.start()
-        finally:
-            self._listener.close()
+        """Serve on a fresh event loop until shut down, then drain."""
+        asyncio.run(self.run())
 
     def close(self) -> None:
-        self._shutdown.set()
+        """Shut the worker down; safe to call from any thread."""
+        self._draining = True  # seen by run() if the loop is not up yet
+        if self._loop is not None:
+            try:
+                self._loop.call_soon_threadsafe(self.request_shutdown)
+            except RuntimeError:
+                pass  # the loop has already closed
 
-    def _serve_connection(self, connection: socket.socket) -> None:
-        buffer = bytearray()
-        try:
-            while True:
-                frame = read_frame(connection, buffer)
-                if frame is None:
-                    return
-                try:
-                    request = parse_fabric_request(frame)
-                except ProtocolError as error:
-                    connection.sendall(
-                        encode_message(
-                            error_response(
-                                kind=error.kind, message=str(error)
-                            )
-                        )
-                    )
-                    if error.fatal:
-                        return
-                    continue
-                if not self._handle(connection, request):
-                    return
-        except (OSError, ProtocolError):
-            return  # the peer (or the stream) is gone; nothing to salvage
-        finally:
-            connection.close()
+    # ------------------------------------------------------------------- ops
 
-    # --------------------------------------------------------------- handlers
-
-    def _handle(self, connection: socket.socket, request: dict) -> bool:
-        """Dispatch one request; False ends the connection."""
-        op = request["op"]
-        request_id = request.get("id")
-        if op == "hello":
-            connection.sendall(
-                encode_message(
-                    ok_response(
-                        request_id,
-                        protocol=PROTOCOL_VERSION,
-                        pid=os.getpid(),
-                    )
-                )
-            )
-            return True
-        if op == "ping":
-            connection.sendall(encode_message(ok_response(request_id, pong=True)))
-            return True
-        if op == "shutdown":
-            connection.sendall(encode_message(ok_response(request_id)))
-            self._shutdown.set()
-            return False
-        # op == "shard" — compute inline on this connection's thread.
-        try:
-            blob = request["context"]
-            context = self._context_for(blob)
-            shard = tuple(request["shard"])
-            # Memoize by (context digest, shard slice): a retried or
-            # speculated shard landing on a worker that already ran it is
-            # re-served, not recomputed.  Statelessness is preserved — the
-            # memo is a pure function of the request, and losing it only
-            # costs a recompute.  The re-served copy's stats carry the
-            # hit counter so the driver's absorb surfaces it.
-            key = (blob_digest(blob), shard)
-            with self._result_lock:
-                cached = self._results.get(key)
-            if cached is not None:
-                members, stats = cached
-                stats = dict(stats)
-                stats["shard_cache_hits"] = (
-                    stats.get("shard_cache_hits", 0) + 1
-                )
-                self.shard_cache_hits += 1
-                result = (members, stats)
-            else:
-                result = run_shard(context, shard)
-                with self._result_lock:
-                    # One run's shards in practice; bound it like the
-                    # context cache so a long-lived worker cannot hoard.
-                    if len(self._results) >= 64:
-                        self._results.clear()
-                    self._results[key] = result
-        except Exception as error:  # a failed shard is an answer, not a death
-            connection.sendall(
-                encode_message(
-                    error_response(
-                        request_id, kind="internal", message=repr(error)
-                    )
-                )
-            )
-            return True
-        return self._respond_shard(connection, request_id, result)
-
-    def _context_for(self, blob: str) -> tuple:
-        digest = blob_digest(blob)
-        with self._context_lock:
-            cached = self._contexts.get(digest)
-        if cached is not None:
-            return cached
-        context = decode_blob(blob)
-        with self._context_lock:
-            # One context per run in practice; keep the cache tiny so a
-            # long-lived worker serving many runs cannot hoard tableaux.
-            if len(self._contexts) >= 4:
-                self._contexts.clear()
-            self._contexts[digest] = context
-        return context
-
-    def _respond_shard(
-        self, connection: socket.socket, request_id, result: tuple
+    async def _handle_request(
+        self, writer: asyncio.StreamWriter, request: dict
     ) -> bool:
-        """The response seam — where armed network faults fire, once."""
-        plan = self._plan
-        if plan is not None:
-            with self._respond_lock:
-                self._shard_responses += 1
-                due = self._shard_responses == plan.at_check
-            if due and plan.claim():
-                if plan.kind == "drop-connection":
-                    return False  # close instead of answering
-                if plan.kind == "delay-response":
-                    time.sleep(plan.delay)
-                else:  # "garble-frame"
-                    connection.sendall(b"\xde\xad\xbe\xef not a frame\n")
-                    return False
-        connection.sendall(
-            encode_message(
-                ok_response(request_id, result=encode_blob(result))
+        request_id = request.get("id")
+        if request["op"] == "shard":
+            return await self._serve_work(
+                writer, request_id, lambda: self._shard(request)
             )
-        )
-        return True
+        if request["op"] == "ping":
+            fields = {"pong": True}
+        else:  # "hello"
+            fields = {"protocol": PROTOCOL_VERSION, "pid": os.getpid()}
+        await self._send(writer, ok_response(request_id, **fields))
+        return False
+
+    async def _shard(self, request: dict) -> dict:
+        try:
+            result = await self._loop.run_in_executor(None, self._run_shard, request)
+        except Exception as error:  # a failed shard is an answer, not a death
+            return error_response(
+                request.get("id"), kind="internal", message=repr(error)
+            )
+        return ok_response(request.get("id"), result=result)
+
+    def _run_shard(self, request: dict) -> str:
+        """Run (or re-serve) one shard; returns its result blob."""
+        blob = request["context"]
+        digest = blob_digest(blob)
+        # Memoize by (context digest, shard slice): a retried or
+        # speculated shard landing on a worker that already ran it is
+        # re-served, not recomputed.  Statelessness is preserved — the
+        # memo is a pure function of the request, and losing it only
+        # costs a recompute.  The re-served copy's stats carry the hit
+        # counter so the driver's absorb surfaces it.
+        key = (digest, tuple(request["shard"]))
+        with self._lock:
+            cached = self._results.get(key)
+            context = self._contexts.get(digest)
+        if cached is not None:
+            members, stats = cached
+            stats = dict(stats)
+            stats["shard_cache_hits"] = stats.get("shard_cache_hits", 0) + 1
+            return encode_blob((members, stats))
+        if context is None:
+            context = decode_blob(blob)
+            with self._lock:
+                # One context per run in practice; keep both memos small so
+                # a long-lived worker serving many runs cannot hoard.
+                if len(self._contexts) >= 4:
+                    self._contexts.clear()
+                self._contexts[digest] = context
+        result = run_shard(context, key[1])
+        with self._lock:
+            if len(self._results) >= 64:
+                self._results.clear()
+            self._results[key] = result
+        return encode_blob(result)
 
 
 def serve(address: str, *, fault_plan: FaultPlan | None = None) -> None:

@@ -23,8 +23,11 @@ Layout:
   constructors;
 * :mod:`repro.serve.cache` — the two-tier (memory LRU + atomic disk)
   result cache keyed by canonical core form, with quarantine-on-corruption;
-* :mod:`repro.serve.server` — :class:`ApproximationServer`: admission
-  control, per-request budgets, fault isolation, graceful drain;
+* :mod:`repro.serve.server` — :class:`~repro.serve.server.
+  JsonLinesService`, the one front door (listener, line loop,
+  ``bad-request`` answers, drain, network-fault seam) of the daemon, the
+  fleet router and the fabric worker; and :class:`ApproximationServer`
+  on it: admission control, per-request budgets, fault isolation;
 * :mod:`repro.serve.client` — the synchronous client used by the CLI,
   the tests, and the serving benchmark, with an opt-in
   :class:`RetryPolicy` (reconnect + capped jittered backoff on

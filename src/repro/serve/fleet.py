@@ -2,10 +2,11 @@
 
 One ``repro fleet`` process runs N :class:`~repro.serve.server.
 ApproximationServer` *worker* subprocesses over a single shared disk
-cache tier, and fronts them with an asyncio router speaking the same
-JSON-lines protocol the workers speak — a client cannot tell a fleet
-from a single server, except that the fleet survives what kills a
-server.
+cache tier, and fronts them with a router on the same front door the
+workers listen on (:class:`~repro.serve.server.JsonLinesService`: one
+listener, line loop, drain and ``bad-request`` discipline) — a client
+cannot tell a fleet from a single server, except that the fleet
+survives what kills a server.
 
 **Supervision** reuses the fabric coordinator's liveness discipline:
 
@@ -23,12 +24,13 @@ server.
   slot to a structured **degraded** mode (it is reported in ``stats``
   and never restarted again) rather than a silent crash loop.
 
-**Routing** balances by least outstanding requests (deterministic
-slot-order tie-break), retries connection-kind faults — refused connect,
-dropped connection, garbled frame — on a *different* worker with
-backoff, and *hedges* stragglers: a request outstanding longer than
-``hedge_after`` is duplicated on another worker and the first response
-wins.  Hedging is safe because results are idempotent under the
+**Routing** sends each request to a worker on a fresh connection (one
+round-trip helper, shared with the health probe), balances by least
+outstanding requests (deterministic slot-order tie-break), retries
+connection-kind faults — refused connect, dropped connection, garbled
+frame — on a *different* worker with backoff, and *hedges* stragglers:
+a request outstanding longer than ``hedge_after`` is duplicated on
+another worker and the first response wins.  Hedging is safe because results are idempotent under the
 canonical result key — the loser's answer is dropped with its
 connection, and both computations would have been bit-identical anyway.
 Rejections are always data: a fleet with no live workers answers
@@ -59,7 +61,6 @@ import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.core import DEFAULT_CONFIG
 from repro.parallel import backoff_delay
@@ -71,8 +72,8 @@ from repro.serve.protocol import (
     encode_message,
     error_response,
     ok_response,
-    parse_request,
 )
+from repro.serve.server import JsonLinesService
 
 __all__ = ["FleetConfig", "Fleet"]
 
@@ -191,51 +192,34 @@ class _ForwardFault(Exception):
     """A connection-kind failure of one forwarded request."""
 
 
-class Fleet:
+class Fleet(JsonLinesService):
     """Supervisor + router over N serving worker processes."""
 
+    role = "fleet"
+
     def __init__(self, config: FleetConfig) -> None:
+        super().__init__()
         self.config = config
         assert config.run_dir is not None
         self.slots = [
             _Slot(i, os.path.join(config.run_dir, f"worker-{i}.sock"))
             for i in range(config.workers)
         ]
-        self.started_at = time.time()
-        self.address: Any = None
-        self._draining = False
-        self._shutdown_event: asyncio.Event | None = None
-        self._server: asyncio.AbstractServer | None = None
-        self._writers: set[asyncio.StreamWriter] = set()
-        self._connections: set[asyncio.Task] = set()
+        self._monitor_task: asyncio.Task | None = None
         self._restart_tasks: set[asyncio.Task] = set()
-        self._active = 0
         # Router/supervisor counters for the fleet stats endpoint.
-        self.requests = 0
         self.routed = 0
         self.router_retries = 0
         self.hedges = 0
         self.hedge_wins = 0
         self.unrouteable = 0
-        self.refused_draining = 0
-        self.bad_requests = 0
         self.worker_deaths = 0
         self.worker_restarts = 0
 
     # -------------------------------------------------------------- lifecycle
 
-    def request_shutdown(self) -> None:
-        """Begin the rolling drain (idempotent; signal-handler safe)."""
-        self._draining = True
-        if self._shutdown_event is not None:
-            self._shutdown_event.set()
-
-    async def run(self) -> None:
-        """Spawn the fleet, route until a shutdown is requested, drain."""
-        loop = asyncio.get_running_loop()
-        self._shutdown_event = asyncio.Event()
-        if self._draining:
-            self._shutdown_event.set()
+    async def _start(self) -> None:
+        """Spawn the workers, then listen once one of them is ready."""
         os.makedirs(self.config.run_dir, exist_ok=True)
         for slot in self.slots:
             self._spawn(slot)
@@ -251,46 +235,21 @@ class Fleet:
         for slot, ok in zip(self.slots, ready):
             if not ok:
                 self._schedule_restart(slot, "never became ready")
-
-        limit = MAX_LINE_BYTES + 1024
-        if self.config.socket_path is not None:
-            self._server = await asyncio.start_unix_server(
-                self._on_connection, path=self.config.socket_path, limit=limit
-            )
-            self.address = self.config.socket_path
-        else:
-            self._server = await asyncio.start_server(
-                self._on_connection,
-                host=self.config.host,
-                port=self.config.port,
-                limit=limit,
-            )
-            self.address = self._server.sockets[0].getsockname()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, self.request_shutdown)
-            except (NotImplementedError, RuntimeError, ValueError):
-                pass  # hosted off the main thread; shutdown op still works
+        self._bind(self.config.socket_path, self.config.host, self.config.port)
         print(
             f"repro fleet: router listening on {self.address} "
             f"({sum(1 for s in self.slots if s.alive())}/"
             f"{self.config.workers} workers ready)",
             file=sys.stderr,
         )
-        monitor = asyncio.create_task(self._monitor())
-        try:
-            await self._shutdown_event.wait()
-            await self._drain_router()
-        finally:
-            monitor.cancel()
-            for task in list(self._restart_tasks):
-                task.cancel()
-            await self._shutdown_workers()
-            if self.config.socket_path is not None:
-                try:
-                    os.unlink(self.config.socket_path)
-                except OSError:
-                    pass
+        self._monitor_task = asyncio.create_task(self._monitor())
+
+    async def _stop(self) -> None:
+        """Stop supervising, then drain the workers one at a time."""
+        self._monitor_task.cancel()
+        for task in list(self._restart_tasks):
+            task.cancel()
+        await self._shutdown_workers()
         print(
             f"repro fleet: drained (routed {self.routed}, retried "
             f"{self.router_retries}, hedged {self.hedges}, healed "
@@ -360,6 +319,22 @@ class Fleet:
         slot.ready = False
         slot.probe_misses = 0
 
+    async def _round_trip(self, slot: _Slot, request: dict) -> dict:
+        """One request on a fresh connection to ``slot``'s worker; raises
+        ``OSError`` on a lost answer, :class:`ProtocolError` on a garbled one."""
+        reader, writer = await asyncio.open_unix_connection(
+            slot.socket_path, limit=MAX_LINE_BYTES + 1024
+        )
+        try:
+            writer.write(encode_message(request))
+            await writer.drain()
+            line = await reader.readline()
+            if not line:
+                raise ConnectionError("worker closed the connection")
+            return decode_message(line)
+        finally:
+            writer.close()
+
     async def _probe(self, slot: _Slot, op: str = "health") -> dict | None:
         """One liveness/stats probe on a fresh connection.
 
@@ -367,31 +342,13 @@ class Fleet:
         *accepts* (the listener backlog is kernel state), so a connect is
         not a pong.  Returns the response payload, or ``None``.
         """
-        timeout = self.config.health_timeout
         try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_unix_connection(
-                    slot.socket_path, limit=MAX_LINE_BYTES + 1024
-                ),
-                timeout,
+            response = await asyncio.wait_for(
+                self._round_trip(slot, {"op": op}), self.config.health_timeout
             )
-        except (OSError, asyncio.TimeoutError):
-            return None
-        try:
-            writer.write(encode_message({"op": op}))
-            await writer.drain()
-            line = await asyncio.wait_for(reader.readline(), timeout)
-            if not line:
-                return None
-            response = decode_message(line)
-            return response if response.get("ok") else None
-        except (OSError, asyncio.TimeoutError, ProtocolError):
-            return None
-        finally:
-            try:
-                writer.close()
-            except Exception:
-                pass
+        except (OSError, asyncio.TimeoutError, ValueError):
+            return None  # ValueError: a garbled or oversized frame
+        return response if response.get("ok") else None
 
     async def _await_ready(self, slot: _Slot, deadline: float) -> bool:
         end = time.monotonic() + deadline
@@ -550,90 +507,18 @@ class Fleet:
 
     # ----------------------------------------------------------------- router
 
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._writers.add(writer)
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    await self._send(
-                        writer,
-                        error_response(
-                            None,
-                            kind="bad-request",
-                            message=f"line exceeds {MAX_LINE_BYTES} bytes",
-                        ),
-                    )
-                    break
-                except (ConnectionResetError, BrokenPipeError):
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                if await self._handle_line(writer, line):
-                    break
-        finally:
-            self._writers.discard(writer)
-            try:
-                writer.close()
-            except Exception:
-                pass
-
-    async def _send(self, writer: asyncio.StreamWriter, payload: dict) -> None:
-        writer.write(encode_message(payload))
-        try:
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-
-    async def _handle_line(
-        self, writer: asyncio.StreamWriter, line: bytes
+    async def _handle_request(
+        self, writer: asyncio.StreamWriter, request: dict
     ) -> bool:
-        self.requests += 1
-        try:
-            request = parse_request(line)
-        except ProtocolError as exc:
-            self.bad_requests += 1
-            await self._send(
-                writer, error_response(None, kind=exc.kind, message=str(exc))
-            )
-            return exc.fatal
         request_id = request.get("id")
         op = request["op"]
         if op in ("stats", "health"):
             payload = await self.stats_payload(probe_workers=op == "stats")
             await self._send(writer, ok_response(request_id, **payload))
             return False
-        if op == "shutdown":
-            await self._send(writer, ok_response(request_id, draining=True))
-            self.request_shutdown()
-            return False
-        if self._draining:
-            self.refused_draining += 1
-            await self._send(
-                writer,
-                error_response(
-                    request_id,
-                    kind="shutting-down",
-                    message="fleet is draining; no new work is admitted",
-                ),
-            )
-            return False
-        self._active += 1
-        try:
-            response = await self._dispatch(request)
-            await self._send(writer, response)
-        finally:
-            self._active -= 1
-        return False
+        return await self._serve_work(
+            writer, request_id, lambda: self._dispatch(request)
+        )
 
     def _pick_slot(self, avoid: frozenset[int] | set[int]) -> _Slot | None:
         """Least-outstanding live worker, lowest index breaking ties."""
@@ -651,21 +536,7 @@ class Fleet:
         slot.outstanding += 1
         self.routed += 1
         try:
-            reader, writer = await asyncio.open_unix_connection(
-                slot.socket_path, limit=MAX_LINE_BYTES + 1024
-            )
-            try:
-                writer.write(encode_message(request))
-                await writer.drain()
-                line = await reader.readline()
-                if not line:
-                    raise ConnectionError("worker closed the connection")
-                return decode_message(line)  # ProtocolError on a garbled frame
-            finally:
-                try:
-                    writer.close()
-                except Exception:
-                    pass
+            return await self._round_trip(slot, request)
         finally:
             slot.outstanding -= 1
 
@@ -772,22 +643,6 @@ class Fleet:
             ),
             retryable=True,
         )
-
-    # ------------------------------------------------------------------ drain
-
-    async def _drain_router(self) -> None:
-        assert self._server is not None
-        self._server.close()
-        await self._server.wait_closed()
-        while self._active:
-            await asyncio.sleep(0.02)
-        for writer in list(self._writers):
-            try:
-                writer.close()
-            except Exception:
-                pass
-        if self._connections:
-            await asyncio.wait(list(self._connections), timeout=2.0)
 
     # ------------------------------------------------------------------ stats
 

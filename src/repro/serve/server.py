@@ -1,14 +1,16 @@
-"""The resident approximation daemon.
+"""The JSON-lines front door, and the resident approximation daemon on it.
 
-One process hosts one engine (the process-wide
+:class:`JsonLinesService` is the one asyncio server skeleton behind
+``repro serve``, ``repro fleet`` and ``repro worker``: the listener, the
+per-connection line loop, structured answers to malformed lines, the
+``shutdown`` op, the drain and the network-fault response seam.
+
+:class:`ApproximationServer` hosts one engine (the process-wide
 :func:`~repro.homomorphism.engine.default_engine`, whose ``hom_le`` /
-canonical-key / index memos therefore survive across requests) behind an
-asyncio front end speaking the JSON-lines protocol of
-:mod:`repro.serve.protocol` over a unix or TCP stream socket.
-
-Fault isolation is the design center — this is PR 6's robustness substrate
-lifted into a serving layer, where anything that goes wrong is scoped to
-*one request*:
+canonical-key / index memos therefore survive across requests) behind
+that front door, speaking the protocol of :mod:`repro.serve.protocol`.
+Fault isolation is its design center: anything that goes wrong is scoped
+to *one request*:
 
 * a request whose pipeline raises gets a structured ``internal`` error,
   the server lives on;
@@ -35,13 +37,16 @@ their responses are written, then the cache index is flushed and
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import os
 import signal
+import socket
+import stat
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Awaitable, Callable
 
 from repro.core import (
     ApproximationConfig,
@@ -59,6 +64,7 @@ from repro.serve.cache import (
     canonical_result_key,
 )
 from repro.serve.protocol import (
+    KNOWN_OPS,
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
@@ -69,7 +75,256 @@ from repro.serve.protocol import (
 )
 from repro.testing.faults import NETWORK_KINDS
 
-__all__ = ["ServerConfig", "ApproximationServer"]
+__all__ = ["ApproximationServer", "JsonLinesService", "ServerConfig"]
+
+
+class JsonLinesService:
+    """One JSON-lines server: bind, frame, reject, answer, drain.
+
+    Each connection is one asyncio task reading request lines; each line
+    gets exactly one response line, in order.  A line that does not parse
+    as a request of ``ops`` is answered ``bad-request``; after a line over
+    ``max_line_bytes`` framing is lost, so the connection closes once the
+    error is written.  ``shutdown`` (or :meth:`request_shutdown`) drains:
+    the listener closes, new work ops are refused ``shutting-down``,
+    admitted work finishes and is answered, then every connection closes.
+
+    Subclasses answer their ops in :meth:`_handle_request`, running work
+    ops through :meth:`_serve_work`; :meth:`_start` binds (unless the
+    constructor did) and :meth:`_stop` releases what the service holds.
+    ``fault_plan`` of a :data:`~repro.testing.faults.NETWORK_KINDS` kind
+    arms the response seam (:meth:`_respond`); other kinds are ignored
+    here.
+    """
+
+    ops: tuple[str, ...] = KNOWN_OPS
+    max_line_bytes = MAX_LINE_BYTES
+    #: Names the service in its ``shutting-down`` refusals.
+    role = "server"
+
+    def __init__(self, fault_plan: Any = None) -> None:
+        self._network_plan = (
+            fault_plan
+            if fault_plan is not None and fault_plan.kind in NETWORK_KINDS
+            else None
+        )
+        self._work_responses = 0
+        self._active = 0
+        self._draining = False
+        self._shutdown_event: asyncio.Event | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._listener: socket.socket | None = None
+        self._server: asyncio.AbstractServer | None = None
+        self._writers: set[asyncio.StreamWriter] = set()
+        self._connections: set[asyncio.Task] = set()
+        self.address: Any = None
+        self.started_at = time.time()
+        self.requests = 0
+        self.bad_requests = 0
+        self.refused_draining = 0
+
+    # -------------------------------------------------------------- lifecycle
+
+    def _bind(
+        self, socket_path: str | None, host: str | None = None, port: int = 0
+    ) -> None:
+        """Open the listener on a unix ``socket_path`` or TCP ``host:port``
+        (port 0 picks a free one; :attr:`address` reports what was bound)."""
+        if socket_path is None:
+            family = socket.AF_INET6 if ":" in host else socket.AF_INET
+            self._listener = socket.create_server((host, port), family=family)
+            self.address = self._listener.getsockname()[:2]
+            return
+        with contextlib.suppress(FileNotFoundError):
+            if stat.S_ISSOCK(os.stat(socket_path).st_mode):
+                os.unlink(socket_path)  # left behind by a dead server
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            listener.bind(socket_path)
+            listener.listen()
+        except OSError:
+            listener.close()
+            raise
+        self._listener = listener
+        self.address = socket_path
+
+    async def _start(self) -> None:
+        """Runs before serving; binds the listener if the constructor did not."""
+
+    async def _stop(self) -> None:
+        """Runs after the drain, or when serving failed."""
+
+    def request_shutdown(self) -> None:
+        """Begin a graceful drain (idempotent; signal-handler safe).
+
+        From a non-event-loop thread, schedule it with
+        ``loop.call_soon_threadsafe(service.request_shutdown)``.
+        """
+        self._draining = True
+        if self._shutdown_event is not None:
+            self._shutdown_event.set()
+
+    async def run(self) -> None:
+        """Serve until a shutdown is requested, then drain and return."""
+        loop = self._loop = asyncio.get_running_loop()
+        self._shutdown_event = asyncio.Event()
+        if self._draining:  # shutdown requested before start
+            self._shutdown_event.set()
+        await self._start()
+        listener = self._listener
+        unix = listener.family == socket.AF_UNIX
+        try:
+            self._server = await (
+                asyncio.start_unix_server if unix else asyncio.start_server
+            )(self._on_connection, sock=listener, limit=self.max_line_bytes + 1024)
+            for signum in (signal.SIGTERM, signal.SIGINT):
+                try:
+                    loop.add_signal_handler(signum, self.request_shutdown)
+                except (NotImplementedError, RuntimeError, ValueError):
+                    # Not the main thread (tests and benchmarks host
+                    # services on background threads) or an unsupported
+                    # platform; shutdown and request_shutdown() still work.
+                    pass
+            await self._shutdown_event.wait()
+            await self._drain()
+        finally:
+            listener.close()
+            if unix:
+                with contextlib.suppress(OSError):
+                    os.unlink(self.address)
+            await self._stop()
+
+    async def _drain(self) -> None:
+        """Close the listener, let admitted work finish, close connections."""
+        self._server.close()
+        while self._active:
+            await asyncio.sleep(0.02)
+        for writer in list(self._writers):
+            writer.close()
+        if self._connections:
+            await asyncio.wait(list(self._connections), timeout=2.0)
+        await self._server.wait_closed()
+
+    # ------------------------------------------------------------ connections
+
+    async def _on_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        self._writers.add(writer)
+        task = asyncio.current_task()
+        self._connections.add(task)
+        task.add_done_callback(self._connections.discard)
+        try:
+            while True:
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Stream limit overrun: framing is gone; answer once,
+                    # then hang up.
+                    await self._send(
+                        writer,
+                        error_response(
+                            None,
+                            kind="bad-request",
+                            message=f"line exceeds {self.max_line_bytes} bytes",
+                        ),
+                    )
+                    break
+                except (ConnectionResetError, BrokenPipeError):
+                    break
+                if not line:
+                    break
+                if line.strip() and await self._handle_line(writer, line):
+                    break
+        finally:
+            self._writers.discard(writer)
+            writer.close()
+
+    async def _send(self, writer: asyncio.StreamWriter, payload: dict) -> None:
+        writer.write(encode_message(payload))
+        try:
+            await writer.drain()
+        except (ConnectionResetError, BrokenPipeError):
+            pass
+
+    async def _handle_line(
+        self, writer: asyncio.StreamWriter, line: bytes
+    ) -> bool:
+        """Answer one request line; returns whether to drop the connection."""
+        self.requests += 1
+        try:
+            request = parse_request(
+                line, known_ops=self.ops, max_bytes=self.max_line_bytes
+            )
+        except ProtocolError as exc:
+            self.bad_requests += 1
+            await self._send(
+                writer, error_response(None, kind=exc.kind, message=str(exc))
+            )
+            return exc.fatal
+        if request["op"] == "shutdown":
+            await self._send(writer, ok_response(request.get("id"), draining=True))
+            self.request_shutdown()
+            return False
+        return await self._handle_request(writer, request)
+
+    async def _handle_request(
+        self, writer: asyncio.StreamWriter, request: dict
+    ) -> bool:
+        """Answer one parsed request of any op but ``shutdown``."""
+        raise NotImplementedError
+
+    async def _serve_work(
+        self,
+        writer: asyncio.StreamWriter,
+        request_id: Any,
+        work: Callable[[], Awaitable[dict]],
+    ) -> bool:
+        """Admit one work op, await ``work()``'s response and write it.
+
+        While draining the op is refused ``shutting-down``; once admitted
+        it counts as in flight, so the drain waits for its response.
+        Returns whether the connection must close.
+        """
+        if self._draining:
+            self.refused_draining += 1
+            await self._send(
+                writer,
+                error_response(
+                    request_id,
+                    kind="shutting-down",
+                    message=f"{self.role} is draining; no new work is admitted",
+                ),
+            )
+            return False
+        self._active += 1
+        try:
+            return await self._respond(writer, await work())
+        finally:
+            self._active -= 1
+
+    async def _respond(self, writer: asyncio.StreamWriter, response: dict) -> bool:
+        """Write one work-op response — the armed network faults' seam.
+
+        The ``at_check``-th work-op response, token-claimed so it fires
+        once across every process sharing the plan (a fleet's workers, a
+        fabric's), is dropped (the connection closes instead of
+        answering), delayed, or garbled.  Returns whether the connection
+        must close.
+        """
+        plan = self._network_plan
+        if plan is not None:
+            self._work_responses += 1
+            if self._work_responses == plan.at_check and plan.claim():
+                if plan.kind == "drop-connection":
+                    return True
+                if plan.kind == "delay-response":
+                    await asyncio.sleep(plan.delay)
+                else:  # "garble-frame"; closing the writer flushes it
+                    writer.write(b"\xde\xad\xbe\xef not a frame\n")
+                    return True
+        await self._send(writer, response)
+        return False
 
 
 class _RequestError(Exception):
@@ -130,16 +385,19 @@ class ServerConfig:
             raise ValueError("concurrency must be >= 1")
 
 
-class ApproximationServer:
+class ApproximationServer(JsonLinesService):
     """Resident engine + canonical result cache + admission control."""
 
+    # Defined on this class itself: the e2e benchmark's tracer
+    # (benchmarks/e2e/trace.py) wraps the daemon's per-request span by
+    # this name without touching the router's or the worker's.
+    _handle_line = JsonLinesService._handle_line
+
     def __init__(self, config: ServerConfig) -> None:
+        super().__init__(config.fault_plan)
         self.config = config
         plan = config.fault_plan
         corrupt_plan = plan if plan is not None and plan.kind == "corrupt" else None
-        self._network_plan = (
-            plan if plan is not None and plan.kind in NETWORK_KINDS else None
-        )
         self._class_plan = (
             plan
             if plan is not None
@@ -147,7 +405,6 @@ class ApproximationServer:
             and plan.kind not in NETWORK_KINDS
             else None
         )
-        self._work_responses = 0
         self.cache = ResultCache(
             config.cache_capacity,
             config.cache_dir,
@@ -157,20 +414,9 @@ class ApproximationServer:
         self._executor = ThreadPoolExecutor(
             max_workers=config.concurrency, thread_name_prefix="repro-serve"
         )
-        self._active = 0
-        self._draining = False
-        self._shutdown_event: asyncio.Event | None = None
-        self._server: asyncio.AbstractServer | None = None
-        self._writers: set[asyncio.StreamWriter] = set()
-        self._connections: set[asyncio.Task] = set()
-        self.started_at = time.time()
-        self.address: Any = None
         # Request-level counters for the stats/health endpoint.
-        self.requests = 0
         self.served = 0
         self.load_shed = 0
-        self.refused_draining = 0
-        self.bad_requests = 0
         self.internal_errors = 0
         self.drained = 0
         self.fault_counters = {
@@ -181,151 +427,29 @@ class ApproximationServer:
 
     # -------------------------------------------------------------- lifecycle
 
-    def request_shutdown(self) -> None:
-        """Begin a graceful drain (idempotent; signal-handler safe).
-
-        From a non-event-loop thread, schedule it with
-        ``loop.call_soon_threadsafe(server.request_shutdown)``.
-        """
-        self._draining = True
-        if self._shutdown_event is not None:
-            self._shutdown_event.set()
-
-    async def run(self) -> None:
-        """Serve until a shutdown is requested, then drain and return."""
-        loop = asyncio.get_running_loop()
-        self._shutdown_event = asyncio.Event()
-        if self._draining:  # shutdown requested before start
-            self._shutdown_event.set()
-        limit = MAX_LINE_BYTES + 1024
-        if self.config.socket_path is not None:
-            self._server = await asyncio.start_unix_server(
-                self._on_connection, path=self.config.socket_path, limit=limit
-            )
-            self.address = self.config.socket_path
-        else:
-            self._server = await asyncio.start_server(
-                self._on_connection,
-                host=self.config.host,
-                port=self.config.port,
-                limit=limit,
-            )
-            self.address = self._server.sockets[0].getsockname()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, self.request_shutdown)
-            except (NotImplementedError, RuntimeError, ValueError):
-                # Not the main thread (tests/benchmarks hosting the server
-                # in a background thread) or an unsupported platform; the
-                # shutdown op and request_shutdown() still work.
-                pass
+    async def _start(self) -> None:
+        self._bind(self.config.socket_path, self.config.host, self.config.port)
         print(f"repro serve: listening on {self.address}", file=sys.stderr)
-        try:
-            await self._shutdown_event.wait()
-            await self._drain()
-        finally:
-            self._executor.shutdown(wait=True)
-            self.cache.flush()
-            if self.config.socket_path is not None:
-                try:
-                    os.unlink(self.config.socket_path)
-                except OSError:
-                    pass
+
+    async def _stop(self) -> None:
+        self._executor.shutdown(wait=True)
+        self.cache.flush()
         print(
             f"repro serve: drained ({self.drained} request(s) completed "
             "during shutdown); cache index flushed",
             file=sys.stderr,
         )
 
-    async def _drain(self) -> None:
-        """Close the listener, let admitted requests finish, flush writers."""
-        assert self._server is not None
-        self._server.close()
-        await self._server.wait_closed()
-        while self._active:
-            await asyncio.sleep(0.02)
-        for writer in list(self._writers):
-            try:
-                writer.close()
-            except Exception:
-                pass
-        if self._connections:
-            await asyncio.wait(list(self._connections), timeout=2.0)
+    # ------------------------------------------------------------------- ops
 
-    # ------------------------------------------------------------ connections
-
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._writers.add(writer)
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    # Stream limit overrun: framing is gone; answer once,
-                    # then hang up.
-                    await self._send(
-                        writer,
-                        error_response(
-                            None,
-                            kind="bad-request",
-                            message=f"line exceeds {MAX_LINE_BYTES} bytes",
-                        ),
-                    )
-                    break
-                except (ConnectionResetError, BrokenPipeError):
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                fatal = await self._handle_line(writer, line)
-                if fatal:
-                    break
-        finally:
-            self._writers.discard(writer)
-            try:
-                writer.close()
-            except Exception:
-                pass
-
-    async def _send(self, writer: asyncio.StreamWriter, payload: dict) -> None:
-        writer.write(encode_message(payload))
-        try:
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-
-    async def _handle_line(
-        self, writer: asyncio.StreamWriter, line: bytes
+    async def _handle_request(
+        self, writer: asyncio.StreamWriter, request: dict
     ) -> bool:
-        """Dispatch one request line; returns whether to drop the connection."""
-        self.requests += 1
-        try:
-            request = parse_request(line)
-        except ProtocolError as exc:
-            self.bad_requests += 1
-            await self._send(
-                writer, error_response(None, kind=exc.kind, message=str(exc))
-            )
-            return exc.fatal
         request_id = request.get("id")
         op = request["op"]
-
         if op in ("stats", "health"):
             await self._send(writer, ok_response(request_id, **self.stats_payload()))
             return False
-
-        if op == "shutdown":
-            await self._send(writer, ok_response(request_id, draining=True))
-            self.request_shutdown()
-            return False
-
         if op == "sleep" and not self.config.enable_test_ops:
             self.bad_requests += 1
             await self._send(
@@ -337,20 +461,8 @@ class ApproximationServer:
                 ),
             )
             return False
-
-        # ---- admission control for the work-carrying ops ----
-        if self._draining:
-            self.refused_draining += 1
-            await self._send(
-                writer,
-                error_response(
-                    request_id,
-                    kind="shutting-down",
-                    message="server is draining; no new work is admitted",
-                ),
-            )
-            return False
-        if self._active >= self.config.queue_limit:
+        # Admission control; a draining server refuses in _serve_work.
+        if not self._draining and self._active >= self.config.queue_limit:
             self.load_shed += 1
             await self._send(
                 writer,
@@ -366,73 +478,44 @@ class ApproximationServer:
                 ),
             )
             return False
+        return await self._serve_work(
+            writer, request_id, lambda: self._work(request)
+        )
 
-        self._active += 1
-        try:
-            loop = asyncio.get_running_loop()
-            started = time.perf_counter()
-            if op == "sleep":
-                seconds = float(request.get("seconds", 0.1))
-                await loop.run_in_executor(self._executor, time.sleep, seconds)
-                response = ok_response(request_id, slept=seconds)
-            else:  # approximate
-                try:
-                    fields = await loop.run_in_executor(
-                        self._executor, self._serve_approximate, request
-                    )
-                    fields["seconds"] = round(time.perf_counter() - started, 6)
-                    response = ok_response(request_id, **fields)
-                    self.served += 1
-                except _RequestError as exc:
-                    if exc.kind == "bad-request":
-                        self.bad_requests += 1
-                    else:
-                        self.internal_errors += 1
-                    response = error_response(
-                        request_id, kind=exc.kind, message=str(exc)
-                    )
-                except Exception as exc:  # fault isolation: request-scoped
+    async def _work(self, request: dict) -> dict:
+        """Run one admitted ``approximate`` or ``sleep`` on the executor."""
+        request_id = request.get("id")
+        started = time.perf_counter()
+        if request["op"] == "sleep":
+            seconds = float(request.get("seconds", 0.1))
+            await self._loop.run_in_executor(self._executor, time.sleep, seconds)
+            response = ok_response(request_id, slept=seconds)
+        else:  # approximate
+            try:
+                fields = await self._loop.run_in_executor(
+                    self._executor, self._serve_approximate, request
+                )
+                fields["seconds"] = round(time.perf_counter() - started, 6)
+                response = ok_response(request_id, **fields)
+                self.served += 1
+            except _RequestError as exc:
+                if exc.kind == "bad-request":
+                    self.bad_requests += 1
+                else:
                     self.internal_errors += 1
-                    response = error_response(
-                        request_id,
-                        kind="internal",
-                        message=f"{type(exc).__name__}: {exc}",
-                    )
-            fatal = await self._respond_work(writer, response)
-            if self._draining:
-                self.drained += 1
-        finally:
-            self._active -= 1
-        return fatal
-
-    async def _respond_work(
-        self, writer: asyncio.StreamWriter, response: dict
-    ) -> bool:
-        """Write one work-op response — the armed network faults' seam.
-
-        Mirrors the fabric worker's ``_respond_shard`` discipline: the
-        ``at_check``-th work-op response, token-claimed so it fires once
-        across the whole fleet, is dropped (connection closed instead of
-        answered), delayed, or garbled.  Returns whether the connection
-        must close.
-        """
-        plan = self._network_plan
-        if plan is not None:
-            self._work_responses += 1
-            if self._work_responses == plan.at_check and plan.claim():
-                if plan.kind == "drop-connection":
-                    return True  # close instead of answering
-                if plan.kind == "delay-response":
-                    await asyncio.sleep(plan.delay)
-                else:  # "garble-frame"
-                    writer.write(b"\xde\xad\xbe\xef not a frame\n")
-                    try:
-                        await writer.drain()
-                    except (ConnectionResetError, BrokenPipeError):
-                        pass
-                    return True
-        await self._send(writer, response)
-        return False
+                response = error_response(
+                    request_id, kind=exc.kind, message=str(exc)
+                )
+            except Exception as exc:  # fault isolation: request-scoped
+                self.internal_errors += 1
+                response = error_response(
+                    request_id,
+                    kind="internal",
+                    message=f"{type(exc).__name__}: {exc}",
+                )
+        if self._draining:
+            self.drained += 1
+        return response
 
     # --------------------------------------------------------------- serving
 

@@ -24,11 +24,12 @@ time they run:
   (quarantine + recompute, never a crash) is exercised deterministically
   — exactly once across processes, like every other kind.
 
-The shard fabric (:mod:`repro.fabric`) adds three *network* kinds fired
-at the worker's response seam rather than through :class:`FaultyClass`
-(the serving daemon reuses the same kinds at *its* response seam — the
-``at_check``-th work-op response — so the fleet router's retry and
-hedging paths are drilled with the same discipline):
+Three *network* kinds fire at the one response seam of
+:class:`~repro.serve.server.JsonLinesService` rather than through
+:class:`FaultyClass` — on the ``at_check``-th work-op response of a
+fabric worker (shards) or a serving daemon (``approximate``/``sleep``),
+so the coordinator's and the fleet router's retry and hedging paths are
+drilled with the same discipline:
 
 * ``kind="drop-connection"`` — the worker closes the connection instead
   of answering, simulating a crash/partition mid-shard (the
@@ -60,10 +61,10 @@ from dataclasses import dataclass
 
 __all__ = ["FaultInjected", "FaultPlan", "FaultyClass", "NETWORK_KINDS"]
 
-#: Fault kinds fired at a fabric worker's response seam (not through
-#: :class:`FaultyClass`): the worker consults its plan just before
-#: writing a shard response and, on a successful claim, drops the
-#: connection, delays the response, or garbles the frame.
+#: Fault kinds fired at a service's response seam (not through
+#: :class:`FaultyClass`): a fabric worker or serving daemon consults its
+#: plan just before writing a work-op response and, on a successful
+#: claim, drops the connection, delays the response, or garbles the frame.
 NETWORK_KINDS = ("drop-connection", "delay-response", "garble-frame")
 
 
@@ -117,9 +118,8 @@ class FaultPlan:
                 raise ValueError("corrupt faults need the target file path")
             self.corrupt_file(path)
         elif self.kind in NETWORK_KINDS:
-            # Network kinds need connection context; the fabric worker's
-            # and serving daemon's response seams interpret them
-            # themselves after claim().
+            # Network kinds need connection context; the response seam
+            # (JsonLinesService._respond) interprets them after claim().
             raise ValueError(
                 f"{self.kind!r} fires at a response seam, not through fire()"
             )

@@ -1,9 +1,10 @@
-"""Wire-protocol edge cases against *live* daemons, both layers.
+"""Wire-protocol edge cases against *live* daemons, every front door.
 
 The parse-level behavior (oversized line fatal, non-JSON rejected) is
 covered in ``test_serving.py``/``test_distributed.py``; these tests
 drive the same edges through real sockets against a running
-:class:`~repro.serve.ApproximationServer` and a running
+:class:`~repro.serve.ApproximationServer`, a one-worker
+:class:`~repro.serve.Fleet` router and a running
 :class:`~repro.fabric.WorkerServer`, asserting the end-to-end contract:
 a structured error or a clean close — never a hang, never a crash, and
 the daemon keeps serving fresh connections afterwards.
@@ -25,14 +26,16 @@ import threading
 
 import pytest
 
-from repro.fabric import WorkerServer
+from repro.fabric import FABRIC_MAX_LINE_BYTES, WorkerServer
 from repro.fabric.protocol import ProtocolError, read_frame
 from repro.serve import (
     MAX_LINE_BYTES,
     ApproximationServer,
+    FleetConfig,
     ServerConfig,
     wait_for_server,
 )
+from repro.testing.chaos import HostedFleet
 
 
 class _ServerThread:
@@ -59,10 +62,17 @@ class _ServerThread:
         assert not self.thread.is_alive(), "server failed to drain"
 
 
-@pytest.fixture()
-def serve_socket(tmp_path):
+@pytest.fixture(params=["daemon", "fleet"])
+def serve_socket(request, tmp_path):
+    """The socket of a live daemon, or of a one-worker fleet's router."""
     path = str(tmp_path / "edge.sock")
-    with _ServerThread(ServerConfig(socket_path=path)):
+    if request.param == "daemon":
+        host = _ServerThread(ServerConfig(socket_path=path))
+    else:
+        host = HostedFleet(
+            FleetConfig(workers=1, socket_path=path, run_dir=str(tmp_path))
+        )
+    with host:
         yield path
 
 
@@ -156,6 +166,27 @@ class TestFabricWorkerEdges:
             sock.sendall(b'{"op": "ping"}\n')
             assert json.loads(_read_line(sock))["ok"]
 
+    def test_oversized_frame_errors_then_closes(self, fabric_worker):
+        # One byte past the worker's stream limit (the line cap plus 1 KiB)
+        # and no terminator: the worker reads every byte before it
+        # refuses, so its close is a clean FIN after the answer, never a
+        # reset that could discard the answer.
+        remaining = FABRIC_MAX_LINE_BYTES + 1024 + 1
+        chunk = b"x" * (1 << 20)
+        with _connect_tcp(fabric_worker.address) as sock:
+            while remaining:
+                piece = chunk[:remaining]
+                sock.sendall(piece)
+                remaining -= len(piece)
+            error = json.loads(_read_line(sock))
+            assert not error["ok"]
+            assert error["error"]["kind"] == "bad-request"
+            assert "exceeds" in error["error"]["message"]
+            assert sock.recv(1) == b""
+        with _connect_tcp(fabric_worker.address) as sock:
+            sock.sendall(b'{"op": "ping"}\n')
+            assert json.loads(_read_line(sock))["ok"]
+
     def test_truncated_frame_at_eof_never_wedges(self, fabric_worker):
         with _connect_tcp(fabric_worker.address) as sock:
             sock.sendall(b'{"op": "ping"')  # torn mid-frame, then gone
@@ -167,8 +198,6 @@ class TestFabricWorkerEdges:
         # The 64 MiB fabric cap is enforced by read_frame's buffer guard;
         # drive it through a real socketpair with the buffer pre-filled
         # past the cap (sending 64 MiB through the test would be waste).
-        from repro.fabric.protocol import FABRIC_MAX_LINE_BYTES
-
         left, right = socket.socketpair()
         try:
             buffer = bytearray(b"x" * (FABRIC_MAX_LINE_BYTES + 1))
@@ -177,6 +206,26 @@ class TestFabricWorkerEdges:
         finally:
             left.close()
             right.close()
+
+    def test_read_frame_spanning_many_recvs_keeps_the_next_frame(self):
+        # 4 MiB is 64 recv chunks; the second frame arrives in the same
+        # buffer as the first one's tail and must survive the first read.
+        big = b"y" * (4 << 20)
+        left, right = socket.socketpair()
+        sender = threading.Thread(
+            target=right.sendall, args=(big + b'\n{"op": "ping"}\n',)
+        )
+        sender.start()
+        try:
+            buffer = bytearray()
+            assert read_frame(left, buffer) == big
+            assert read_frame(left, buffer) == b'{"op": "ping"}'
+            assert not buffer
+        finally:
+            sender.join(timeout=30)
+            left.close()
+            right.close()
+        assert not sender.is_alive()
 
     def test_read_frame_torn_eof_is_fatal_protocol_error(self):
         left, right = socket.socketpair()
