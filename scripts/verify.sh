@@ -6,11 +6,12 @@
 #
 # Runs the tier-1 suite without the wall-clock perf-smoke / process-pool
 # tests (the `slow` marker — run `PYTHONPATH=src python -m pytest -x -q`
-# for the full tier), re-runs the robustness benchmark (cheap, and its
-# internal assertions gate budget overhead and fault-recovery
-# bit-identity), runs the data-eval, serving, distributed, and fleet
-# benchmarks in --smoke mode (data-eval asserts the columnar engine
-# beats the tuple oracle and the approximation stays sound; serving
+# for the full tier), runs the serving and protocol-edge tests once more
+# under `python -X dev` with leaked sockets and files as errors, re-runs
+# the robustness benchmark (cheap, and its internal assertions gate budget
+# overhead and fault-recovery bit-identity), runs the data-eval, serving,
+# distributed, and fleet benchmarks in --smoke mode (data-eval asserts the
+# columnar engine beats the tuple oracle and the approximation stays sound; serving
 # replays a scaled-down Zipfian log through a live daemon and runs the
 # worker-kill / cache-corruption / SIGTERM-drain fault drills;
 # distributed spins up 2 local TCP shard workers, kills one mid-run, and
@@ -44,6 +45,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -x -q -m "not slow"
+# Socket and file leaks on the serving paths fail here: dev mode turns a
+# ResourceWarning into an error, and pytest's unraisable-exception warning
+# (how a finalizer's error surfaces) into a failure.
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -X dev -W error::ResourceWarning -m pytest -q -m "not slow" \
+  -W error::pytest.PytestUnraisableExceptionWarning tests/test_protocol_edges.py tests/test_serving.py
 (cd benchmarks && PYTHONPATH=../src${PYTHONPATH:+:$PYTHONPATH} python bench_robustness.py)
 (cd benchmarks && PYTHONPATH=../src${PYTHONPATH:+:$PYTHONPATH} python bench_data_eval.py --smoke)
 (cd benchmarks && PYTHONPATH=../src${PYTHONPATH:+:$PYTHONPATH} python bench_serving.py --smoke)

@@ -23,9 +23,15 @@ from repro.cq.structure import Structure
 from repro.cq.tableau import Tableau
 from repro.hypergraphs.ghw import generalized_hypertree_width_at_most
 from repro.hypergraphs.gyo import is_acyclic
-from repro.hypergraphs.hypergraph import Hypergraph, hypergraph_of_structure
-from repro.hypergraphs.hypertree import hypertree_width_at_most
-from repro.hypergraphs.treewidth import treewidth_at_most
+from repro.hypergraphs.hypergraph import hypergraph_of_structure
+from repro.hypergraphs.hypertree import (
+    edge_masks_width_at_most,
+    hypertree_width_at_most,
+)
+from repro.hypergraphs.treewidth import (
+    adjacency_treewidth_at_most,
+    treewidth_at_most,
+)
 
 
 def primal_graph_of_structure(structure: Structure) -> nx.Graph:
@@ -86,16 +92,17 @@ class TreewidthClass(QueryClass):
         self.name = f"TW({k})"
 
     def contains_structure(self, structure: Structure) -> bool:
-        return self.contains_graph(primal_graph_of_structure(structure))
+        return treewidth_at_most(primal_graph_of_structure(structure), self.k)
 
-    def contains_graph(self, graph: nx.Graph) -> bool:
-        """Membership on an already-built primal graph ``G(Q)``.
+    def contains_adjacency(self, adjacency) -> bool:
+        """Membership on ``G(Q)`` given as loop-free neighbor bitmasks
+        (vertex ``i`` is bit ``i``).
 
-        Graph-based classes are determined by ``G(Q)`` alone, so callers
-        holding the graph (the pipeline's candidate stream keeps quotients
-        in integer-indexed form) can skip structure construction.
+        Graph-based classes are determined by ``G(Q)`` alone, so the
+        pipeline checks its integer-indexed candidates this way without
+        building a structure or a graph.
         """
-        return treewidth_at_most(graph, self.k)
+        return adjacency_treewidth_at_most(adjacency, self.k)
 
 
 class AcyclicClass(QueryClass):
@@ -110,8 +117,10 @@ class AcyclicClass(QueryClass):
     def contains_structure(self, structure: Structure) -> bool:
         return is_acyclic(hypergraph_of_structure(structure))
 
-    def contains_hypergraph(self, hypergraph: Hypergraph) -> bool:
-        return is_acyclic(hypergraph)
+    def contains_edge_masks(self, edge_masks) -> bool:
+        """Membership on ``H(Q)`` given as one bitmask per hyperedge
+        (vertex ``i`` is bit ``i``): acyclicity is hypertree width 1."""
+        return edge_masks_width_at_most(edge_masks, 1)
 
 
 class HypertreeClass(QueryClass):
@@ -126,12 +135,12 @@ class HypertreeClass(QueryClass):
         self.name = f"HTW({k})"
 
     def contains_structure(self, structure: Structure) -> bool:
-        return self.contains_hypergraph(hypergraph_of_structure(structure))
+        return hypertree_width_at_most(hypergraph_of_structure(structure), self.k)
 
-    def contains_hypergraph(self, hypergraph: Hypergraph) -> bool:
-        """Membership on an already-built hypergraph ``H(Q)`` (hypergraph
-        classes are determined by it alone)."""
-        return hypertree_width_at_most(hypergraph, self.k)
+    def contains_edge_masks(self, edge_masks) -> bool:
+        """Membership on ``H(Q)`` given as one bitmask per hyperedge (vertex
+        ``i`` is bit ``i``; hypergraph classes are determined by it alone)."""
+        return edge_masks_width_at_most(edge_masks, self.k)
 
 
 class GeneralizedHypertreeClass(QueryClass):
@@ -146,11 +155,13 @@ class GeneralizedHypertreeClass(QueryClass):
         self.name = f"GHTW({k})"
 
     def contains_structure(self, structure: Structure) -> bool:
-        return self.contains_hypergraph(hypergraph_of_structure(structure))
+        return generalized_hypertree_width_at_most(
+            hypergraph_of_structure(structure), self.k
+        )
 
-    def contains_hypergraph(self, hypergraph: Hypergraph) -> bool:
-        """Membership on an already-built hypergraph ``H(Q)``."""
-        return generalized_hypertree_width_at_most(hypergraph, self.k)
+    def contains_edge_masks(self, edge_masks) -> bool:
+        """Membership on ``H(Q)`` given as one bitmask per hyperedge."""
+        return edge_masks_width_at_most(edge_masks, self.k, general=True)
 
 
 def class_from_name(name: str) -> QueryClass:

@@ -98,8 +98,6 @@ from dataclasses import dataclass, field
 from itertools import chain, count, islice
 from typing import Iterable, Iterator
 
-import networkx as nx
-
 from repro.core.classes import QueryClass
 from repro.homomorphism.signatures import canonical_key_indexed
 from repro.core.quotients import (
@@ -114,7 +112,6 @@ from repro.core.quotients import (
 from repro.cq.structure import Structure
 from repro.cq.tableau import Tableau, pin_for
 from repro.homomorphism.engine import default_engine
-from repro.hypergraphs.hypergraph import Hypergraph
 from repro.parallel import ProcessExecutor, effective_workers
 from repro.runtime.budget import RunBudget
 from repro.runtime.checkpoint import CheckpointManager
@@ -204,8 +201,8 @@ def _primal_pairs(rows) -> set[tuple]:
 
     One shared clique expansion (distinct row elements, all unordered
     pairs), mirroring
-    :func:`repro.core.classes.primal_graph_of_structure`, so memo keys and
-    integer-fact checks cannot drift from the structure-level test.
+    :func:`repro.core.classes.primal_graph_of_structure`, so labelled memo
+    keys cannot drift from the structure-level test.
     """
     pairs: set[tuple] = set()
     for row in rows:
@@ -220,23 +217,20 @@ def candidate_check_key(cls: QueryClass, candidate) -> tuple | None:
     """The membership-memo key of a stage-1 candidate.
 
     Quotient candidates expose their facts over integer block ids, which
-    give a label-free key: equal integer (hyper)graphs mean isomorphic
+    give a label-free key: the (hyper)graph as bitmasks over block ids
+    (:func:`_integer_masks`).  Equal integer (hyper)graphs mean isomorphic
     (hyper)graphs, so the key collapses strictly more duplicate checks than
     the label-exact :func:`membership_key` — while remaining disjoint from
     it (integer vs. labelled domain components), so both can share a memo.
     Falls back to the structure-based key for materialized candidates.
     """
-    kind = getattr(cls, "kind", None)
     facts = candidate.facts()
     if facts is None:
         return membership_key(cls, candidate.materialize().structure)
-    if kind == "hypergraph":
-        edges = frozenset(frozenset(row) for _, row in facts)
-        return (cls.name, candidate.block_count, edges)
-    if kind == "graph":
-        pairs = _primal_pairs(row for _, row in facts)
-        return (cls.name, candidate.block_count, frozenset(pairs))
-    return None
+    masks = _integer_masks(cls, candidate.block_count, facts)
+    if masks is None:
+        return None
+    return (cls.name, candidate.block_count, masks)
 
 
 def dominance_key(candidate) -> tuple | None:
@@ -253,32 +247,53 @@ def dominance_key(candidate) -> tuple | None:
     return (candidate.block_count, facts, candidate.distinguished)
 
 
+def _integer_masks(cls: QueryClass, block_count: int, facts: tuple):
+    """``H(Q)`` or ``G(Q)`` of integer facts as bitmasks (block ``i`` is bit
+    ``i``; fresh extension ids are blocks too).
+
+    Hypergraph classes get the frozenset of row masks — equal exactly when
+    the edge sets are equal; graph classes get the tuple of loop-free
+    neighbor masks, one per block.  ``None`` for other kinds.
+    """
+    kind = getattr(cls, "kind", None)
+    if kind == "hypergraph":
+        edges = set()
+        for _, row in facts:
+            mask = 0
+            for value in row:
+                mask |= 1 << value
+            edges.add(mask)
+        return frozenset(edges)
+    if kind == "graph":
+        adjacency = [0] * block_count
+        for _, row in facts:
+            mask = 0
+            for value in row:
+                mask |= 1 << value
+            for value in row:
+                adjacency[value] |= mask
+        return tuple(mask & ~(1 << i) for i, mask in enumerate(adjacency))
+    return None
+
+
+#: The mask-level membership test of each class kind.
+_MASK_ENTRY_POINTS = {"hypergraph": "contains_edge_masks", "graph": "contains_adjacency"}
+
+
 def _check_integer_candidate(
     cls: QueryClass, block_count: int, facts: tuple
 ) -> bool | None:
     """Class membership straight from integer-indexed facts.
 
-    Builds the primal graph / hypergraph directly — no ``Structure``, no
-    ``Tableau`` — and asks the class's graph-level membership test.  Returns
-    ``None`` when the class offers no such entry point (the caller then
-    materializes and uses ``contains_tableau``).
+    Hands the bitmask (hyper)graph to the class's mask-level membership
+    test — no ``Structure``, ``Tableau``, ``Hypergraph`` or graph object.
+    Returns ``None`` when the class offers no such entry point (the caller
+    then materializes and uses ``contains_tableau``).
     """
-    kind = getattr(cls, "kind", None)
-    if kind == "hypergraph" and hasattr(cls, "contains_hypergraph"):
-        return bool(
-            cls.contains_hypergraph(
-                Hypergraph(
-                    (set(row) for _, row in facts),
-                    vertices=range(block_count),
-                )
-            )
-        )
-    if kind == "graph" and hasattr(cls, "contains_graph"):
-        graph = nx.Graph()
-        graph.add_nodes_from(range(block_count))
-        graph.add_edges_from(_primal_pairs(row for _, row in facts))
-        return bool(cls.contains_graph(graph))
-    return None
+    entry = _MASK_ENTRY_POINTS.get(getattr(cls, "kind", None))
+    if entry is None or not hasattr(cls, entry):
+        return None
+    return bool(getattr(cls, entry)(_integer_masks(cls, block_count, facts)))
 
 
 # ------------------------------------------------------------------ statistics

@@ -3,132 +3,23 @@
 A generalized hypertree decomposition drops the special condition: it is a
 tree decomposition whose every bag is covered by at most ``k`` hyperedges.
 Deciding ``ghw(H) ≤ k`` is NP-complete for ``k ≥ 3`` (Gottlob, Miklós,
-Schwentick — cited as [22]), so unlike :mod:`repro.hypergraphs.hypertree`
-this module performs a complete exponential search: the recursion of
-det-k-decomp with *all* sub-bags of the guard's cover tried, not only the
-maximal one.  Intended for the tableau-sized hypergraphs of this library.
+Schwentick — cited as [22]), so unlike hypertree width the search is
+complete and exponential: the bitmask kernel of
+:mod:`repro.hypergraphs.hypertree` run with ``general=True``, which tries
+*every* bag between a state's connector and the guard's maximal bag (a
+submask walk down from the maximal bag), not only the maximal one.
+Intended for the tableau-sized hypergraphs of this library.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Hashable
-
-import networkx as nx
-
 from repro.hypergraphs.hypergraph import Hypergraph
+from repro.hypergraphs.hypertree import (
+    _vertex_masks,
+    _WidthSolver,
+    edge_masks_width_at_most,
+)
 from repro.hypergraphs.treedecomp import HypertreeDecomposition
-from repro.util.disjoint_set import DisjointSet
-
-Vertex = Hashable
-
-
-class _GHWSolver:
-    def __init__(self, hypergraph: Hypergraph, k: int) -> None:
-        self.hypergraph = hypergraph
-        self.k = k
-        self.edges: list[frozenset[Vertex]] = sorted(hypergraph.edges, key=repr)
-        self.memo: dict[tuple[frozenset, frozenset], bool] = {}
-        self.choice: dict[tuple[frozenset, frozenset], tuple] = {}
-
-    def _components(self, component_edges, bag):
-        remaining = [
-            index for index in sorted(component_edges)
-            if not self.edges[index] <= bag
-        ]
-        if not remaining:
-            return []
-        union = DisjointSet(remaining)
-        anchor: dict[Vertex, int] = {}
-        for index in remaining:
-            for vertex in self.edges[index]:
-                if vertex in bag:
-                    continue
-                if vertex in anchor:
-                    union.union(anchor[vertex], index)
-                else:
-                    anchor[vertex] = index
-        out = []
-        for group in union.groups():
-            vertices = frozenset().union(*(self.edges[i] for i in group))
-            out.append((frozenset(group), frozenset(vertices) & bag))
-        return out
-
-    def decide(self, component_edges: frozenset, connector: frozenset) -> bool:
-        state = (component_edges, connector)
-        cached = self.memo.get(state)
-        if cached is not None:
-            return cached
-
-        component_vertices = frozenset().union(
-            *(self.edges[i] for i in component_edges)
-        ) if component_edges else frozenset()
-        scope = component_vertices | connector
-
-        result = False
-        for size in range(1, self.k + 1):
-            for guard in itertools.combinations(range(len(self.edges)), size):
-                cover = frozenset().union(*(self.edges[i] for i in guard))
-                if not connector <= cover:
-                    continue
-                maximal_bag = cover & scope
-                optional = sorted(maximal_bag - connector, key=repr)
-                # Try every bag between the connector and the maximal bag,
-                # largest first (the maximal bag succeeds most often).
-                for drop_size in range(len(optional) + 1):
-                    for dropped in itertools.combinations(optional, drop_size):
-                        bag = maximal_bag - frozenset(dropped)
-                        if not bag:
-                            continue
-                        children = self._components(component_edges, bag)
-                        if any(
-                            len(child_edges) >= len(component_edges)
-                            for child_edges, _ in children
-                        ):
-                            continue
-                        if all(
-                            self.decide(child_edges, child_conn)
-                            for child_edges, child_conn in children
-                        ):
-                            self.choice[state] = (guard, bag, children)
-                            result = True
-                            break
-                    if result:
-                        break
-                if result:
-                    break
-            if result:
-                break
-        self.memo[state] = result
-        return result
-
-    def build(self) -> HypertreeDecomposition | None:
-        all_edges = frozenset(range(len(self.edges)))
-        if not all_edges:
-            tree = nx.DiGraph()
-            tree.add_node("root")
-            return HypertreeDecomposition(tree, {"root": frozenset()}, {"root": frozenset()})
-        if not self.decide(all_edges, frozenset()):
-            return None
-
-        tree = nx.DiGraph()
-        chi: dict[Hashable, frozenset[Vertex]] = {}
-        guards: dict[Hashable, frozenset[frozenset[Vertex]]] = {}
-        counter = itertools.count()
-
-        def expand(state) -> Hashable:
-            guard, bag, children = self.choice[state]
-            node = next(counter)
-            tree.add_node(node)
-            chi[node] = bag
-            guards[node] = frozenset(self.edges[i] for i in guard)
-            for child_state in children:
-                child_node = expand(child_state)
-                tree.add_edge(node, child_node)
-            return node
-
-        expand((all_edges, frozenset()))
-        return HypertreeDecomposition(tree, chi, guards)
 
 
 def generalized_hypertree_decomposition(
@@ -137,12 +28,15 @@ def generalized_hypertree_decomposition(
     """A width-``≤ k`` generalized hypertree decomposition, or ``None``."""
     if k < 1:
         return None
-    return _GHWSolver(hypergraph, k).build()
+    vertices, masks = _vertex_masks(hypergraph)
+    return _WidthSolver(masks, k, general=True).decomposition(vertices)
 
 
 def generalized_hypertree_width_at_most(hypergraph: Hypergraph, k: int) -> bool:
-    """Whether ``ghw(H) ≤ k`` (complete search; exponential)."""
-    return generalized_hypertree_decomposition(hypergraph, k) is not None
+    """Whether ``ghw(H) ≤ k`` (complete search; no decomposition tree is built)."""
+    return edge_masks_width_at_most(
+        _vertex_masks(hypergraph)[1], k, general=True
+    )
 
 
 def generalized_hypertree_width(hypergraph: Hypergraph, *, max_k: int | None = None) -> int:

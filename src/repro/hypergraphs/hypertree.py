@@ -6,13 +6,25 @@ condition* ``⋃c(u) ∩ ⋃{f(t) | t ∈ T_u} ⊆ f(u)``.  Its width is
 ``max |c(u)|``; hypertree width 1 coincides with acyclicity, and CQs of
 bounded hypertree width have polynomial combined complexity.
 
-The decision procedure below follows the det-k-decomp scheme (Gottlob &
-Samer): recursively decompose (edge-component, connector) states, guessing a
-guard ``λ`` of at most ``k`` hyperedges; by the normal-form theorem of
-Gottlob–Leone–Scarcello the bag can be fixed to the maximal choice
-``χ = V(λ) ∩ (V(component) ∪ connector)``, which also enforces the special
-condition.  States are memoized, making the procedure polynomial for fixed
-``k`` up to the number of components.
+:class:`_WidthSolver` is the one decision kernel for both hypertree width
+and generalized hypertree width (:mod:`repro.hypergraphs.ghw`).  It runs the
+det-k-decomp recursion (Gottlob & Samer) over int bitmasks: a vertex is a
+bit, a hyperedge an int, and a state a pair ``(component edges, connector)``
+of masks.  Each state guesses a guard of at most ``k`` hyperedges, from
+covers precomputed once per solver.  For hypertree width the bag is fixed
+to the maximal choice ``χ = ⋃λ ∩ (V(component) ∪ connector)`` (the
+Gottlob–Leone–Scarcello normal form, which also enforces the special
+condition); for generalized hypertree width every bag between the connector
+and that maximal bag is tried, by a submask walk downwards.  The bag's
+[χ]-components come from a mask flood fill, and states are memoized, so
+the hypertree search is polynomial for fixed ``k`` up to the number of
+components.
+
+:func:`edge_masks_width_at_most` answers straight from masks (the
+pipeline's integer candidates use it, so no :class:`Hypergraph` is built
+per check); the ``*_at_most`` functions answer without building a tree;
+:func:`hypertree_decomposition` maps the solver's recorded choices back to
+vertices.
 """
 
 from __future__ import annotations
@@ -24,116 +36,149 @@ import networkx as nx
 
 from repro.hypergraphs.hypergraph import Hypergraph
 from repro.hypergraphs.treedecomp import HypertreeDecomposition
-from repro.util.disjoint_set import DisjointSet
 
 Vertex = Hashable
 
 
-class _HypertreeSolver:
-    def __init__(self, hypergraph: Hypergraph, k: int) -> None:
-        self.hypergraph = hypergraph
-        self.k = k
-        self.edges: list[frozenset[Vertex]] = sorted(hypergraph.edges, key=repr)
-        self.memo: dict[tuple[frozenset, frozenset], bool] = {}
-        self.choice: dict[tuple[frozenset, frozenset], tuple] = {}
+def _bits(mask: int) -> Iterable[int]:
+    """The indexes of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    # ---------------------------------------------------------------- helpers
 
-    def _components(
-        self, component_edges: frozenset[int], bag: frozenset[Vertex]
-    ) -> list[tuple[frozenset[int], frozenset[Vertex]]]:
-        """Split the uncovered edges into [χ]-components with connectors.
+class _WidthSolver:
+    """Decides ``htw ≤ k`` (``general=False``) or ``ghw ≤ k`` on edge masks."""
+
+    def __init__(self, edge_masks: Iterable[int], k: int, general: bool) -> None:
+        self.edges = sorted({mask for mask in edge_masks if mask})
+        self.general = general
+        self.everything = (1 << len(self.edges)) - 1
+        covers: dict[int, tuple[int, ...]] = {}
+        for size in range(1, k + 1):
+            for guard in itertools.combinations(range(len(self.edges)), size):
+                cover = 0
+                for index in guard:
+                    cover |= self.edges[index]
+                covers.setdefault(cover, guard)
+        self.guards = list(covers.items())
+        self.memo: dict[tuple[int, int], bool] = {}
+        self.choice: dict[tuple[int, int], tuple] = {}
+
+    def _split(self, members: list[tuple[int, int]], bag: int) -> list[tuple[int, int]]:
+        """The [bag]-components of a component's ``(edge bit, edge mask)``
+        members, each with its connector.
 
         Two edges are connected when they share a vertex outside ``bag``;
-        each component's connector is its vertex set intersected with the
-        bag.
+        edges inside the bag are covered and drop out.
         """
-        remaining = [
-            index for index in sorted(component_edges)
-            if not self.edges[index] <= bag
-        ]
-        if not remaining:
-            return []
-        union = DisjointSet(remaining)
-        anchor: dict[Vertex, int] = {}
-        for index in remaining:
-            for vertex in self.edges[index]:
-                if vertex in bag:
-                    continue
-                if vertex in anchor:
-                    union.union(anchor[vertex], index)
-                else:
-                    anchor[vertex] = index
-        out: list[tuple[frozenset[int], frozenset[Vertex]]] = []
-        for group in union.groups():
-            vertices = frozenset().union(*(self.edges[i] for i in group))
-            out.append((frozenset(group), frozenset(vertices) & bag))
-        return out
+        outside = ~bag
+        rest = [member for member in members if member[1] & outside]
+        children = []
+        while rest:
+            group, span = rest.pop()
+            grew = True
+            while grew:
+                grew = False
+                keep = []
+                for bit, edge in rest:
+                    if edge & span & outside:
+                        group |= bit
+                        span |= edge
+                        grew = True
+                    else:
+                        keep.append((bit, edge))
+                rest = keep
+            children.append((group, span & bag))
+        return children
 
-    def _guard_candidates(self) -> Iterable[tuple[int, ...]]:
-        indices = range(len(self.edges))
-        for size in range(1, self.k + 1):
-            yield from itertools.combinations(indices, size)
-
-    # ----------------------------------------------------------------- search
-
-    def decide(self, component_edges: frozenset[int], connector: frozenset[Vertex]) -> bool:
-        state = (component_edges, connector)
+    def decide(self, component: int, connector: int) -> bool:
+        state = (component, connector)
         cached = self.memo.get(state)
         if cached is not None:
             return cached
-
-        component_vertices = frozenset().union(
-            *(self.edges[i] for i in component_edges)
-        ) if component_edges else frozenset()
-        scope = component_vertices | connector
-
+        members = [(1 << i, self.edges[i]) for i in _bits(component)]
+        scope = connector
+        for _, edge in members:
+            scope |= edge
+        tried: set[int] = set()
         result = False
-        for guard in self._guard_candidates():
-            cover = frozenset().union(*(self.edges[i] for i in guard))
-            if not connector <= cover:
+        for cover, guard in self.guards:
+            if connector & ~cover:
                 continue
-            bag = cover & scope
-            if not bag:
-                continue
-            children = self._components(component_edges, bag)
-            # Progress: every child must be a strictly smaller edge set.
-            if any(len(child_edges) >= len(component_edges) for child_edges, _ in children):
-                continue
-            if all(self.decide(child_edges, child_conn) for child_edges, child_conn in children):
-                self.choice[state] = (guard, bag, children)
-                result = True
+            top = cover & scope
+            # Hypertree width fixes the bag to ``top``; GHW also tries
+            # every bag between the connector and ``top``.
+            base = connector if self.general else top
+            optional = top & ~base
+            sub = optional
+            while True:
+                bag = base | sub
+                if bag and bag not in tried:
+                    tried.add(bag)
+                    children = self._split(members, bag)
+                    # Progress: every child must be a strictly smaller edge set.
+                    if all(child != component for child, _ in children) and all(
+                        self.decide(*child) for child in children
+                    ):
+                        self.choice[state] = (guard, bag, children)
+                        result = True
+                        break
+                if not sub:
+                    break
+                sub = (sub - 1) & optional
+            if result:
                 break
         self.memo[state] = result
         return result
 
-    def build(self) -> HypertreeDecomposition | None:
-        all_edges = frozenset(range(len(self.edges)))
-        if not all_edges:
-            tree = nx.DiGraph()
+    def holds(self) -> bool:
+        return not self.edges or self.decide(self.everything, 0)
+
+    def decomposition(self, vertices: list[Vertex]) -> HypertreeDecomposition | None:
+        """The recorded choices as a tree over ``vertices`` (bit ``i`` is
+        ``vertices[i]``), or ``None`` when the width bound fails."""
+        tree = nx.DiGraph()
+        if not self.edges:
             tree.add_node("root")
             return HypertreeDecomposition(tree, {"root": frozenset()}, {"root": frozenset()})
-        if not self.decide(all_edges, frozenset()):
+        if not self.holds():
             return None
 
-        tree = nx.DiGraph()
+        def vertex_set(mask: int) -> frozenset[Vertex]:
+            return frozenset(vertices[i] for i in _bits(mask))
+
         chi: dict[Hashable, frozenset[Vertex]] = {}
         guards: dict[Hashable, frozenset[frozenset[Vertex]]] = {}
-        counter = itertools.count()
-
-        def expand(state: tuple[frozenset, frozenset]) -> Hashable:
+        pending: list[tuple[tuple[int, int], int | None]] = [((self.everything, 0), None)]
+        while pending:
+            state, parent = pending.pop()
             guard, bag, children = self.choice[state]
-            node = next(counter)
+            node = len(chi)
             tree.add_node(node)
-            chi[node] = bag
-            guards[node] = frozenset(self.edges[i] for i in guard)
-            for child_state in children:
-                child_node = expand(child_state)
-                tree.add_edge(node, child_node)
-            return node
-
-        expand((all_edges, frozenset()))
+            if parent is not None:
+                tree.add_edge(parent, node)
+            chi[node] = vertex_set(bag)
+            guards[node] = frozenset(vertex_set(self.edges[i]) for i in guard)
+            pending.extend((child, node) for child in children)
         return HypertreeDecomposition(tree, chi, guards)
+
+
+def _vertex_masks(hypergraph: Hypergraph) -> tuple[list[Vertex], list[int]]:
+    """The vertices in ``repr`` order (vertex ``i`` is bit ``i``) and one
+    mask per hyperedge."""
+    vertices = sorted(hypergraph.vertices, key=repr)
+    bit = {vertex: 1 << i for i, vertex in enumerate(vertices)}
+    return vertices, [sum(bit[vertex] for vertex in edge) for edge in hypergraph.edges]
+
+
+def edge_masks_width_at_most(
+    edge_masks: Iterable[int], k: int, *, general: bool = False
+) -> bool:
+    """Whether the hypergraph whose edges are ``edge_masks`` (vertex ``i``
+    is bit ``i``) has hypertree width — generalized if ``general`` — ≤ k."""
+    return k >= 1 and _WidthSolver(edge_masks, k, general).holds()
 
 
 def hypertree_decomposition(
@@ -142,12 +187,13 @@ def hypertree_decomposition(
     """A hypertree decomposition of width ≤ k, or ``None`` if none exists."""
     if k < 1:
         return None
-    return _HypertreeSolver(hypergraph, k).build()
+    vertices, masks = _vertex_masks(hypergraph)
+    return _WidthSolver(masks, k, general=False).decomposition(vertices)
 
 
 def hypertree_width_at_most(hypergraph: Hypergraph, k: int) -> bool:
-    """Whether ``htw(H) ≤ k``."""
-    return hypertree_decomposition(hypergraph, k) is not None
+    """Whether ``htw(H) ≤ k`` (no decomposition tree is built)."""
+    return edge_masks_width_at_most(_vertex_masks(hypergraph)[1], k)
 
 
 def hypertree_width(hypergraph: Hypergraph, *, max_k: int | None = None) -> int:

@@ -1,12 +1,17 @@
 """Treewidth: exact decision procedure, exact value, and heuristics.
 
 Treewidth equals the minimum over elimination orders of the maximum degree
-at elimination time.  The decision procedure ``treewidth_at_most`` explores
-elimination orders with memoization on the set of remaining vertices; the
-"filled" adjacency of a state is a function of the remaining set alone (two
-remaining vertices are adjacent iff they are adjacent in ``G`` or connected
-through eliminated vertices), which makes the memoization sound.
+at elimination time.  The decision kernel :class:`_EliminationSolver`
+explores elimination orders over neighbor bitmasks (vertex ``i`` is bit
+``i``), memoized on the int of remaining vertices; the "filled" adjacency
+of a state is a function of the remaining set alone (two remaining vertices
+are adjacent iff they are adjacent in ``G`` or connected through eliminated
+vertices), which makes the memoization sound.
 
+:func:`adjacency_treewidth_at_most` answers straight from the masks (the
+pipeline's integer candidates use it, so no graph object is built per
+check); :func:`treewidth_at_most` and :func:`tree_decomposition` map an
+``nx.Graph`` onto the same kernel, bits in ``repr`` order of the vertices.
 This is exponential in general — fine for tableau-sized graphs, which is
 where the paper needs it (class membership tests for TW(k) and the
 approximation search).  ``treewidth_upper_bound`` provides a min-fill
@@ -32,81 +37,99 @@ def _simple(graph: nx.Graph) -> nx.Graph:
     return cleaned
 
 
+def _adjacency(graph: nx.Graph) -> tuple[list[Vertex], list[int]]:
+    """The vertices in ``repr`` order and their loop-free neighbor masks."""
+    vertices = sorted(graph.nodes, key=repr)
+    bit = {vertex: i for i, vertex in enumerate(vertices)}
+    adjacency = [0] * len(vertices)
+    for u, v in graph.edges:
+        if u != v:
+            adjacency[bit[u]] |= 1 << bit[v]
+            adjacency[bit[v]] |= 1 << bit[u]
+    return vertices, adjacency
+
+
 class _EliminationSolver:
     """Decides ``tw(G) ≤ k`` and produces a witnessing elimination order."""
 
-    def __init__(self, graph: nx.Graph, k: int) -> None:
-        self.graph = _simple(graph)
+    def __init__(self, adjacency: Sequence[int], k: int) -> None:
+        self.adjacency = adjacency
         self.k = k
-        self.memo: dict[frozenset, bool] = {}
-        self.order: dict[frozenset, Vertex] = {}
+        self.memo: dict[int, bool] = {}
+        self.order: dict[int, int] = {}
 
-    def filled_neighbors(self, remaining: frozenset, vertex: Vertex) -> set[Vertex]:
-        """Neighbors of ``vertex`` in the filled graph on ``remaining``.
+    def filled_neighbors(self, remaining: int, vertex: int) -> int:
+        """Neighbours of ``vertex`` in the filled graph on ``remaining``.
 
         ``u`` is a filled neighbor iff an original path joins them whose
         interior avoids ``remaining``.
         """
-        seen = {vertex}
-        frontier = [vertex]
-        neighbors: set[Vertex] = set()
-        while frontier:
-            current = frontier.pop()
-            for nxt in self.graph.neighbors(current):
-                if nxt in seen:
-                    continue
-                seen.add(nxt)
-                if nxt in remaining:
-                    neighbors.add(nxt)
-                else:
-                    frontier.append(nxt)
+        adjacency = self.adjacency
+        seen = adjacency[vertex] | (1 << vertex)
+        neighbors = adjacency[vertex] & remaining
+        through = adjacency[vertex] & ~remaining
+        while through:
+            low = through & -through
+            through ^= low
+            new = adjacency[low.bit_length() - 1] & ~seen
+            seen |= new
+            neighbors |= new & remaining
+            through |= new & ~remaining
         return neighbors
 
-    def decide(self, remaining: frozenset) -> bool:
-        if len(remaining) <= self.k + 1:
+    def decide(self, remaining: int) -> bool:
+        if remaining.bit_count() <= self.k + 1:
             return True
         cached = self.memo.get(remaining)
         if cached is not None:
             return cached
-
+        # Eliminate low-degree vertices first (ties in bit order); once the
+        # cheapest degree exceeds k, everything later is worse.
+        candidates = []
+        bits = remaining
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            vertex = low.bit_length() - 1
+            candidates.append(
+                (self.filled_neighbors(remaining, vertex).bit_count(), vertex)
+            )
+        candidates.sort()
         result = False
-        candidates = sorted(remaining, key=repr)
-        degrees = {
-            v: self.filled_neighbors(remaining, v) for v in candidates
-        }
-        # Eliminate low-degree vertices first; a simplicial vertex of degree
-        # ≤ k can always be eliminated greedily (standard safe rule).
-        candidates.sort(key=lambda v: len(degrees[v]))
-        for vertex in candidates:
-            neighbors = degrees[vertex]
-            if len(neighbors) > self.k:
-                break  # sorted by degree: everything later is worse
-            if self.decide(remaining - {vertex}):
+        for degree, vertex in candidates:
+            if degree > self.k:
+                break
+            if self.decide(remaining & ~(1 << vertex)):
                 self.order[remaining] = vertex
                 result = True
                 break
         self.memo[remaining] = result
         return result
 
-    def elimination_order(self) -> list[Vertex] | None:
-        everything = frozenset(self.graph.nodes)
-        if not self.decide(everything):
+    def elimination_order(self) -> list[int] | None:
+        remaining = (1 << len(self.adjacency)) - 1
+        if not self.decide(remaining):
             return None
-        order: list[Vertex] = []
-        remaining = everything
-        while len(remaining) > self.k + 1:
+        order: list[int] = []
+        while remaining.bit_count() > self.k + 1:
             vertex = self.order[remaining]
             order.append(vertex)
-            remaining = remaining - {vertex}
-        order.extend(sorted(remaining, key=repr))
+            remaining &= ~(1 << vertex)
+        order.extend(i for i in range(len(self.adjacency)) if remaining >> i & 1)
         return order
+
+
+def adjacency_treewidth_at_most(adjacency: Sequence[int], k: int) -> bool:
+    """Whether the graph with loop-free neighbor masks ``adjacency``
+    (vertex ``i`` is bit ``i``) has treewidth at most ``k``."""
+    if k < 0:
+        return not adjacency
+    return _EliminationSolver(adjacency, k).decide((1 << len(adjacency)) - 1)
 
 
 def treewidth_at_most(graph: nx.Graph, k: int) -> bool:
     """Exact decision: does ``graph`` have treewidth at most ``k``?"""
-    if k < 0:
-        return graph.number_of_nodes() == 0
-    return _EliminationSolver(graph, k).decide(frozenset(_simple(graph).nodes))
+    return adjacency_treewidth_at_most(_adjacency(graph)[1], k)
 
 
 def treewidth_exact(graph: nx.Graph) -> int:
@@ -114,12 +137,12 @@ def treewidth_exact(graph: nx.Graph) -> int:
 
     An upper bound from the min-fill heuristic caps the search.
     """
-    simple = _simple(graph)
-    if simple.number_of_nodes() == 0:
+    adjacency = _adjacency(graph)[1]
+    if not adjacency:
         return -1
-    upper = treewidth_upper_bound(simple)
+    upper = treewidth_upper_bound(graph)
     for k in range(upper + 1):
-        if treewidth_at_most(simple, k):
+        if adjacency_treewidth_at_most(adjacency, k):
             return k
     return upper
 
@@ -178,15 +201,13 @@ def decomposition_from_elimination(
 
 def tree_decomposition(graph: nx.Graph, k: int) -> TreeDecomposition | None:
     """A width-``≤ k`` tree decomposition of the graph, or ``None``."""
-    simple = _simple(graph)
-    if simple.number_of_nodes() == 0:
-        empty = nx.Graph()
-        return TreeDecomposition(empty, {})
-    solver = _EliminationSolver(simple, k)
-    order = solver.elimination_order()
+    vertices, adjacency = _adjacency(graph)
+    if not vertices:
+        return TreeDecomposition(nx.Graph(), {})
+    order = _EliminationSolver(adjacency, k).elimination_order()
     if order is None:
         return None
-    decomposition = decomposition_from_elimination(simple, order)
+    decomposition = decomposition_from_elimination(graph, [vertices[i] for i in order])
     assert decomposition.width <= k
     return decomposition
 

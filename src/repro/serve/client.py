@@ -130,8 +130,12 @@ class ServeClient:
         socket_path, host, port = self._target
         if socket_path is not None:
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(self._timeout)
-            sock.connect(socket_path)
+            try:
+                sock.settimeout(self._timeout)
+                sock.connect(socket_path)
+            except BaseException:
+                sock.close()  # a failed probe must not leak its socket
+                raise
         else:
             sock = socket.create_connection((host, port), timeout=self._timeout)
         self._sock = sock

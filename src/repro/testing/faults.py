@@ -189,13 +189,13 @@ class FaultyClass:
         self._maybe_fire()
         return self._inner.contains_structure(structure)
 
-    def contains_graph(self, graph):
+    def contains_adjacency(self, adjacency):
         self._maybe_fire()
-        return self._inner.contains_graph(graph)
+        return self._inner.contains_adjacency(adjacency)
 
-    def contains_hypergraph(self, hypergraph):
+    def contains_edge_masks(self, edge_masks):
         self._maybe_fire()
-        return self._inner.contains_hypergraph(hypergraph)
+        return self._inner.contains_edge_masks(edge_masks)
 
     def __getattr__(self, attribute):
         return getattr(self._inner, attribute)

@@ -11,11 +11,9 @@ from repro.util.partitions import (
     rgs_prefixes,
     set_partitions,
 )
-from repro.util.disjoint_set import DisjointSet
 from repro.util.naming import fresh_names
 
 __all__ = [
-    "DisjointSet",
     "RefinementTrie",
     "bell_number",
     "canonical_partition",

@@ -494,10 +494,10 @@ class _PoisonedTW1(TreewidthClass):
     def __init__(self) -> None:
         super().__init__(1)
 
-    def contains_graph(self, graph) -> bool:
-        if graph.number_of_nodes() == 6:
+    def contains_adjacency(self, adjacency) -> bool:
+        if len(adjacency) == 6:
             raise ValueError("poisoned check")
-        return super().contains_graph(graph)
+        return super().contains_adjacency(adjacency)
 
 
 class TestAlwaysRaisingCheck:

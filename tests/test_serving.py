@@ -13,6 +13,7 @@ and the CLI satellites surfacing quarantined shard faults.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import os
 import signal
@@ -20,6 +21,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -328,6 +330,23 @@ def _wait_for(predicate, deadline: float = 10.0) -> None:
             return
         time.sleep(0.01)
     raise TimeoutError("condition not reached")
+
+
+class TestClientSockets:
+    def test_dead_socket_probe_leaks_no_socket(self, tmp_path, monkeypatch):
+        # A ResourceWarning raised from a socket finalizer is "unraisable":
+        # collect those instead of letting them print and pass.
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        dead = str(tmp_path / "nobody-listens.sock")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            with pytest.raises(TimeoutError):
+                wait_for_server(dead, deadline=0.05)
+            with pytest.raises(OSError):
+                ServeClient(dead)
+            gc.collect()
+        assert [str(hook.exc_value) for hook in unraisable] == []
 
 
 class TestServer:

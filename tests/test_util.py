@@ -3,7 +3,6 @@
 import pytest
 
 from repro.util import (
-    DisjointSet,
     bell_number,
     canonical_partition,
     fresh_names,
@@ -72,25 +71,6 @@ class TestRefinements:
         # except the coarsest one.
         refined = list(refinements((("a", "b", "c"),)))
         assert len(refined) == bell_number(3) - 1
-
-
-class TestDisjointSet:
-    def test_union_find(self):
-        ds = DisjointSet("abc")
-        ds.union("a", "b")
-        assert ds.connected("a", "b")
-        assert not ds.connected("a", "c")
-
-    def test_lazy_add(self):
-        ds = DisjointSet()
-        assert ds.find("new") == "new"
-
-    def test_groups(self):
-        ds = DisjointSet("abcd")
-        ds.union("a", "b")
-        ds.union("c", "d")
-        groups = {frozenset(g) for g in ds.groups()}
-        assert groups == {frozenset("ab"), frozenset("cd")}
 
 
 class TestFreshNames:

@@ -7,18 +7,117 @@ style solver and the GHW search:
 * ``htw(H) = 1  ⟺  H acyclic  ⟺  ghw(H) = 1``;
 * every produced decomposition validates against its definition;
 * ``htw(H) ≤ |E|`` trivially (guard everything at one node... per cover).
+
+:class:`TestDefinitionOracle` adds an oracle taken from the definition
+alone: ``ghw(H)`` is the least, over elimination orders of the primal
+graph, of the largest edge-cover number of an elimination bag (every tree
+decomposition refines to an elimination order whose bags sit inside its
+bags, and covers are monotone).  It is exact and brute force — 720 orders
+on six vertices — and shares no code with the solver.
 """
 
-from hypothesis import given, settings
+from functools import lru_cache
+from itertools import combinations, permutations
 
+import pytest
+from hypothesis import example, given, settings
+
+from repro.core.classes import AC, GHTW1, HTW1
 from repro.hypergraphs import (
+    Hypergraph,
     generalized_hypertree_decomposition,
     generalized_hypertree_width,
+    generalized_hypertree_width_at_most,
     hypertree_decomposition,
     hypertree_width,
+    hypertree_width_at_most,
     is_acyclic,
 )
 from tests.test_properties import hypergraphs
+
+
+def ghw_by_definition(hypergraph) -> int:
+    """``min`` over elimination orders of ``max`` edge-cover number of a bag."""
+    edges = list(hypergraph.edges)
+
+    @lru_cache(maxsize=None)
+    def cover_number(bag: frozenset) -> int:
+        for size in range(1, len(edges) + 1):
+            for chosen in combinations(edges, size):
+                if bag <= frozenset().union(*chosen):
+                    return size
+        raise AssertionError(f"{set(bag)!r} is not covered by the edges")
+
+    neighbours = {vertex: set() for vertex in hypergraph.vertices}
+    for edge in edges:
+        for vertex in edge:
+            neighbours[vertex] |= edge - {vertex}
+    best = len(edges)
+    for order in permutations(sorted(hypergraph.vertices)):
+        filled = {vertex: set(adjacent) for vertex, adjacent in neighbours.items()}
+        worst = 0
+        for vertex in order:
+            adjacent = filled.pop(vertex)
+            worst = max(worst, cover_number(frozenset(adjacent | {vertex})))
+            if worst >= best:
+                break
+            for other in adjacent:
+                filled[other] |= adjacent - {other}
+                filled[other].discard(vertex)
+        best = min(best, worst)
+    return best
+
+
+def _edge_masks(hypergraph) -> list[int]:
+    return [sum(1 << vertex for vertex in edge) for edge in hypergraph.edges]
+
+
+#: Acyclic, but a component split that also joins edges through bag
+#: vertices finds no width-1 decomposition (random draws rarely hit it).
+_JOINED_THROUGH_BAG = Hypergraph(
+    [{0, 1, 4}, {4, 5}, {1, 2, 5}, {1, 4, 5}, {3, 4, 5}]
+)
+
+
+class TestDefinitionOracle:
+    @given(hypergraphs(max_vertices=6, max_edges=5))
+    @example(_JOINED_THROUGH_BAG)
+    @settings(max_examples=60, deadline=None)
+    def test_ghw_matches_definition(self, h):
+        assert generalized_hypertree_width(h) == ghw_by_definition(h)
+
+    @given(hypergraphs(max_vertices=6, max_edges=5))
+    @settings(max_examples=40, deadline=None)
+    def test_definition_at_most_htw(self, h):
+        assert ghw_by_definition(h) <= hypertree_width(h)
+
+    @given(hypergraphs(max_vertices=6, max_edges=5))
+    @settings(max_examples=60, deadline=None)
+    def test_width_one_verdicts_agree_with_acyclicity(self, h):
+        acyclic = is_acyclic(h)
+        assert hypertree_width_at_most(h, 1) == acyclic
+        assert generalized_hypertree_width_at_most(h, 1) == acyclic
+        masks = _edge_masks(h)
+        for cls in (AC, HTW1, GHTW1):
+            assert cls.contains_edge_masks(masks) == acyclic, cls
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @given(h=hypergraphs(max_vertices=6, max_edges=5))
+    @settings(max_examples=25, deadline=None)
+    def test_decompositions_validate(self, k, h):
+        htd = hypertree_decomposition(h, k)
+        assert (htd is not None) == hypertree_width_at_most(h, k)
+        if htd is not None:
+            assert htd.width <= k
+            assert htd.is_valid(h, special_condition=True), htd.validate(h)
+        ghd = generalized_hypertree_decomposition(h, k)
+        assert (ghd is not None) == (ghw_by_definition(h) <= k)
+        assert (ghd is not None) == generalized_hypertree_width_at_most(h, k)
+        if ghd is not None:
+            assert ghd.width <= k
+            assert ghd.is_valid(h, special_condition=False), (
+                ghd.validate(h, special_condition=False)
+            )
 
 
 class TestWidthRelationships:
