@@ -33,8 +33,10 @@
 # same references, runs the solve-2w smoke once more traced (--trace 1:
 # the tracer patches names in src/ — among them ProcessExecutor's
 # __init__, imap and close — so a change that drops one fails here
-# instead of silently breaking the per-layer benchmark), runs the serve
-# workload's smoke traced too (a live fleet replay plus an in-process
+# instead of silently breaking the per-layer benchmark), runs the evaluate
+# smoke traced (trace.py's evaluation_targets patch six ColumnarKernel
+# names, product_extend among them, so a change that drops one fails
+# here too), runs the serve workload's smoke traced too (a live fleet replay plus an in-process
 # daemon whose layer table needs the names trace.py's serve_targets
 # patches: ApproximationServer._handle_line and the decode, key, cache,
 # compute and encode globals of repro.serve.server), and finally prints
@@ -63,5 +65,6 @@ python3 benchmarks/e2e/run.py --smoke --workload solve-2w
 python3 benchmarks/e2e/run.py --smoke --workload evaluate
 REPRO_EVAL_BACKEND=python python3 benchmarks/e2e/run.py --smoke --workload evaluate
 python3 benchmarks/e2e/run.py --smoke --workload solve-2w --trace 1
+python3 benchmarks/e2e/run.py --smoke --workload evaluate --trace 1
 python3 benchmarks/e2e/run.py --smoke --workload serve --trace 1
 echo "src/ lines: $(find src -name '*.py' -exec cat {} + | wc -l)"

@@ -151,16 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     approx.add_argument(
-        "--spill-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "spill cold frontier memo state (class-status map, refinement "
-            "subtries) to an LRU disk tier under DIR, so --memory-limit "
-            "tracks only resident entries"
-        ),
-    )
-    approx.add_argument(
         "--heartbeat-interval",
         type=float,
         default=2.0,
@@ -708,7 +698,6 @@ def main(argv: list[str] | None = None) -> int:
             checkpoint_path=args.checkpoint,
             greedy_fallback=args.greedy_fallback,
             fabric_workers=tuple(args.fabric_worker or ()),
-            spill_dir=args.spill_dir,
             heartbeat_interval=args.heartbeat_interval,
             shard_timeout=args.shard_timeout,
         )

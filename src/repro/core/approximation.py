@@ -68,8 +68,9 @@ class ApproximationConfig:
     The greedy descent is inherently sequential and ignores ``workers``.
 
     The budget knobs turn the exact enumeration *anytime*: ``deadline``
-    (seconds of wall clock), ``memory_limit`` (bytes, combining an RSS
-    probe with tracked frontier/memo sizes), ``max_candidates`` and
+    (seconds of wall clock), ``memory_limit`` (bytes, a ceiling on the
+    process's RSS, with the tracked frontier/memo sizes as a floor under
+    it; all frontier state stays resident), ``max_candidates`` and
     ``max_checks`` each stop the run gracefully when exceeded — the
     partial frontier comes back with ``PipelineStats.exhausted`` set, and
     every member of it is still a sound C-overapproximation (only
@@ -88,9 +89,6 @@ class ApproximationConfig:
     ``shard_timeout`` (seconds) is the per-shard deadline of both
     transports: a shard over it is abandoned — a local slot process is
     killed and respawned — and retried, so the answer stays complete.
-    ``spill_dir`` points frontier memo state (class-status map, cold
-    refinement subtries) at an on-disk LRU spill tier so
-    ``memory_limit``-bounded runs track only resident entries.
     """
 
     exact_limit: int = 9
@@ -107,7 +105,6 @@ class ApproximationConfig:
     checkpoint_path: str | None = None
     greedy_fallback: bool = False
     fabric_workers: tuple[str, ...] = ()
-    spill_dir: str | None = None
     heartbeat_interval: float = 2.0
     shard_timeout: float | None = None
 
@@ -204,7 +201,6 @@ def approximation_frontier(
         budget=config.budget(),
         checkpoint=config.checkpoint_path,
         fabric=config.fabric_workers or None,
-        spill_dir=config.spill_dir,
         heartbeat_interval=config.heartbeat_interval,
         shard_timeout=config.shard_timeout,
     )

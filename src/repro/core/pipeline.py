@@ -95,7 +95,7 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import chain, count, islice
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
 from repro.core.classes import QueryClass
@@ -115,7 +115,6 @@ from repro.homomorphism.engine import default_engine
 from repro.parallel import ProcessExecutor, effective_workers
 from repro.runtime.budget import RunBudget
 from repro.runtime.checkpoint import CheckpointManager
-from repro.runtime.spill import SpillConfig, SpillableRefinementTrie, SpilledMap
 from repro.util.partitions import RefinementTrie, code_coarsens
 
 #: Shards per fabric address.  The local pool runs one shard per worker:
@@ -422,14 +421,6 @@ class PipelineStats:
     #: Heartbeat probes that went unanswered past the deadline (each one
     #: costs the affected shard a re-dispatch).
     heartbeat_misses: int = 0
-    # --- spill counters (zero when no spill directory is configured) ----
-    #: Segment/bucket writes by the frontier's spill tiers.
-    spill_writes: int = 0
-    #: Segment/bucket reloads (cold state pulled back for a query).
-    spill_loads: int = 0
-    #: Spilled payloads that failed to read back and were dropped as
-    #: misses (fail-open; the pipeline re-derives the lost memo entries).
-    spill_load_failures: int = 0
     #: Peak resident frontier state (tracked entries, see
     #: :meth:`Frontier.tracked_entries`) observed in any single process of
     #: the run.  Absorbed with *max*, not sum: across shard workers it
@@ -645,7 +636,6 @@ class Frontier:
         *,
         stats: PipelineStats | None = None,
         ordered: bool = False,
-        spill: SpillConfig | None = None,
     ) -> None:
         self.members: list[Tableau] = []
         self._scan: list[Tableau] = []
@@ -658,20 +648,7 @@ class Frontier:
         #: sublinear (compatible-prefix walk instead of the historical
         #: linear antichain scan), so the index runs uncapped — the
         #: ``_INDEX_CAP`` backstop that silently truncated it is retired.
-        #: With ``spill`` set, both this index and the class-status memo
-        #: below become their memory-bounded spill variants (see
-        #: :mod:`repro.runtime.spill`): identical protocol, bounded
-        #: residency, fail-open reads — the only structures here that grow
-        #: with classes *seen* rather than frontier size.
-        if spill is None:
-            self._refinement_index: RefinementTrie = RefinementTrie()
-        else:
-            directory = spill.ensure_directory()
-            self._refinement_index = SpillableRefinementTrie(
-                directory,
-                spill_depth=spill.trie_depth,
-                max_resident=spill.trie_resident,
-            )
+        self._refinement_index = RefinementTrie()
         #: Repair swaps, old representative id → its replacement — index
         #: witnesses are resolved through this map at hit time.
         self._repair_forward: dict[int, Tableau] = {}
@@ -681,14 +658,7 @@ class Frontier:
         #: unabsorbed isomorphic repeats skip their searches; outcomes
         #: transfer because the frontier only descends (a member mapping
         #: into the first copy maps into every repeat).
-        if spill is None:
-            self._class_status: dict[tuple, str] = {}
-        else:
-            self._class_status = SpilledMap(
-                spill.directory,
-                max_resident=spill.map_resident,
-                name="class-status",
-            )
+        self._class_status: dict[tuple, str] = {}
         #: Per-member kernel index for the repair reverse query, keyed by
         #: ``id(member)`` — the value pins the member tableau alive so ids
         #: cannot be reused.  ``(member, trie)`` with a
@@ -1209,37 +1179,18 @@ class Frontier:
         """Entry count of the frontier's growable structures — the memory
         budget's tracked-size probe (see :meth:`RunBudget.register_probe`).
 
-        Spill-backed structures report their *resident* entries only:
-        spilled segments cost disk, not memory, and counting them would
-        make the tracked-size estimate trip ceilings the process never
-        approaches — the whole point of spilling.
+        Every entry is resident: the memos and the refinement index live in
+        memory for the whole run.  The budget's RSS probe is the ceiling
+        that binds in practice; this count is the deterministic floor
+        under it, and ``PipelineStats.peak_tracked_entries`` reports it.
         """
-        class_status = self._class_status
-        index = self._refinement_index
-        resident = getattr(class_status, "resident_len", None)
-        class_entries = resident() if resident is not None else len(class_status)
-        resident = getattr(index, "resident_len", None)
-        index_entries = resident() if resident is not None else len(index)
         return (
             len(self.members)
             + len(self._dominated_keys)
             + len(self._undominated_keys)
-            + class_entries
-            + index_entries
+            + len(self._class_status)
+            + len(self._refinement_index)
         )
-
-    def spill_counters(self) -> tuple[int, int, int]:
-        """``(writes, loads, load_failures)`` across both spill tiers.
-
-        All zeros when the frontier runs unspilled — the driver harvests
-        these into ``PipelineStats`` unconditionally.
-        """
-        writes = loads = failures = 0
-        for tier in (self._class_status, self._refinement_index):
-            writes += getattr(tier, "spills", 0)
-            loads += getattr(tier, "loads", 0)
-            failures += getattr(tier, "load_failures", 0)
-        return writes, loads, failures
 
     def snapshot(self) -> list[tuple]:
         """The frontier's resumable state, picklable.
@@ -1495,63 +1446,6 @@ def _deferred_class_key(candidate, stats: PipelineStats):
     return compute
 
 
-#: Distinguishes spill scratch directories across the Frontiers of one
-#: process (the resident server reuses a process for many runs, and one
-#: shard worker runs several shards) — pid alone is not unique enough.
-_SPILL_SEQUENCE = count()
-
-
-def _spill_config(
-    spill_dir: str | os.PathLike | None,
-    budget: RunBudget | None = None,
-) -> SpillConfig | None:
-    """A run-private :class:`SpillConfig` under ``spill_dir``.
-
-    Every spilling frontier gets its own scratch subdirectory
-    (pid + a process-wide sequence number), so concurrent shard workers
-    sharing one ``spill_dir`` — and sequential runs reusing one process —
-    never read each other's stale segments.  ``None`` passes through:
-    spilling stays off.
-
-    When a ``budget`` with a memory ceiling is armed, the resident
-    allowances are sized from it: the class-status hot tier gets one
-    eighth of the ceiling at the budget's per-entry estimate, the trie a
-    1/64 slice of that — so a tighter ``--memory-limit`` directly tightens
-    how much frontier state may stay resident before spilling to disk.
-    """
-    if spill_dir is None:
-        return None
-    kwargs: dict = {}
-    if budget is not None and budget.memory_limit is not None:
-        from repro.runtime.budget import TRACKED_ENTRY_BYTES
-
-        map_resident = max(
-            1024, int(budget.memory_limit) // TRACKED_ENTRY_BYTES // 8
-        )
-        kwargs = {
-            "map_resident": map_resident,
-            "trie_resident": max(16, map_resident // 64),
-        }
-    return SpillConfig(
-        os.path.join(
-            os.fspath(spill_dir),
-            f"run-{os.getpid()}-{next(_SPILL_SEQUENCE)}",
-        ),
-        **kwargs,
-    )
-
-
-def _harvest_spill(frontier: Frontier, stats: PipelineStats) -> None:
-    """Fold the frontier's spill-tier counters into the run's stats."""
-    writes, loads, failures = frontier.spill_counters()
-    stats.spill_writes += writes
-    stats.spill_loads += loads
-    stats.spill_load_failures += failures
-    stats.peak_tracked_entries = max(
-        stats.peak_tracked_entries, frontier.tracked_entries()
-    )
-
-
 def _budget_gate(candidates, budget: RunBudget, stats: PipelineStats):
     """Stop drawing stage-1 candidates once the budget trips.
 
@@ -1662,7 +1556,6 @@ def _reduce_inline(
     budget: RunBudget | None = None,
     checkpoint: _CheckpointSession | None = None,
     resume: dict | None = None,
-    spill: SpillConfig | None = None,
 ) -> Frontier:
     """Stages 2+3 in one process, check-first.
 
@@ -1683,7 +1576,7 @@ def _reduce_inline(
     """
     tester = MembershipTester(cls, stats)
     reorder = order == "fine_to_coarse"
-    frontier = Frontier(stats=stats, ordered=reorder, spill=spill)
+    frontier = Frontier(stats=stats, ordered=reorder)
     if budget is not None:
         budget.start()
         budget.register_probe(frontier.tracked_entries)
@@ -1721,7 +1614,6 @@ def _reduce_inline(
         if checkpoint is not None:
             checkpoint.after_candidate(frontier)
     _note_exhaustion(budget, stats)
-    _harvest_spill(frontier, stats)
     # The same quantity the budget's tracked-size probe watches: frontier
     # state plus the membership memo.  Recorded as a per-process peak
     # (max-absorbed across shards), it is the footprint a per-worker
@@ -1744,8 +1636,8 @@ def _reduce_inline(
 
 
 #: Per-worker shard context: ``(base_data, cls, max_extra_atoms,
-#: allow_fresh, automorphisms, order, generation, budget_spec,
-#: spill_dir)``, installed once per local slot process by its
+#: allow_fresh, automorphisms, order, generation, budget_spec)``,
+#: installed once per local slot process by its
 #: initializer.  Shipping the base tableau and its orbit data with the
 #: *context* instead of every task payload serializes them once per worker
 #: and spares each worker the startup endomorphism scan.
@@ -1838,7 +1730,6 @@ def run_shard(
         order,
         generation,
         budget_spec,
-        spill_dir,
     ) = context
     base = decode_tableau(base_data)
     stats = PipelineStats()
@@ -1863,7 +1754,6 @@ def run_shard(
         stats,
         order=order,
         budget=budget,
-        spill=_spill_config(spill_dir, budget),
     )
     kernels = frontier.kernel_exports()
     return (
@@ -2037,7 +1927,6 @@ def run_pipeline(
     budget: RunBudget | None = None,
     checkpoint: CheckpointManager | str | None = None,
     fabric: Iterable[str] | None = None,
-    spill_dir: str | os.PathLike | None = None,
     heartbeat_interval: float = 2.0,
     shard_timeout: float | None = None,
 ) -> PipelineResult:
@@ -2094,15 +1983,6 @@ def run_pipeline(
     Heartbeats (``heartbeat_interval``) detect hung workers, and
     stragglers are speculatively re-executed on idle workers (first
     result wins).  ``fabric`` overrides ``workers``.
-
-    ``spill_dir`` enables the memory-bounded spill policy
-    (:mod:`repro.runtime.spill`) on every frontier this run constructs —
-    driver, shard workers, and fabric merge alike: the class-status memo
-    and the refinement index (the two structures that grow with classes
-    *seen*, not frontier size) keep bounded residency with cold entries
-    on disk, and the budget's tracked-size probe counts resident entries
-    only, so ``exact_limit`` sizes that used to trip a fixed
-    ``memory_limit`` on memo growth complete inside it.
     """
     order = _resolve_admission_order(admission_order, cls, max_extra_atoms)
     generation = _resolve_generation_mode(generation, order)
@@ -2156,7 +2036,6 @@ def run_pipeline(
             order,
             generation,
             budget_spec,
-            os.fspath(spill_dir) if spill_dir is not None else None,
         )
         shard_members, faults = _run_shards(
             context,
@@ -2166,10 +2045,12 @@ def run_pipeline(
             heartbeat_interval=heartbeat_interval,
             shard_timeout=shard_timeout,
         )
-        frontier = Frontier(stats=stats, spill=_spill_config(spill_dir, budget))
+        frontier = Frontier(stats=stats)
         _merge_shards(frontier, shard_members)
         _note_exhaustion(budget, stats)
-        _harvest_spill(frontier, stats)
+        stats.peak_tracked_entries = max(
+            stats.peak_tracked_entries, frontier.tracked_entries()
+        )
         return PipelineResult(frontier.members, stats, faults)
 
     session = None
@@ -2202,6 +2083,5 @@ def run_pipeline(
         budget=budget,
         checkpoint=session,
         resume=resume,
-        spill=_spill_config(spill_dir, budget),
     )
     return PipelineResult(frontier.members, stats)

@@ -97,11 +97,16 @@ class HypertreeDecomposition:
     def validate(
         self, hypergraph: Hypergraph, *, special_condition: bool = True
     ) -> list[str]:
-        """Violations of the (generalized) hypertree conditions."""
+        """Violations of the (generalized) hypertree conditions.
+
+        Gottlob–Leone–Scarcello take ``V(H) = ⋃E(H)``: no guard can cover a
+        vertex in no hyperedge, so only vertices of some hyperedge need a
+        bag.
+        """
         problems: list[str] = []
         undirected = self.tree.to_undirected()
         base = TreeDecomposition(undirected, self.chi)
-        problems.extend(base.validate(hypergraph))
+        problems.extend(base.validate(Hypergraph(hypergraph.edges)))
 
         for node, guard in self.guards.items():
             if not guard <= hypergraph.edges:

@@ -18,10 +18,12 @@ allowance.  This package supplies the two guard rails:
 
 :mod:`repro.runtime.persist` holds the atomic write/fail-closed read
 primitives both the checkpoint store and the serving result cache
-(:mod:`repro.serve.cache`) build on.  :mod:`repro.runtime.spill` adds
-the third guard rail: LRU spill tiers (fail-*open* — their entries are
-recomputable memos) that keep the frontier's class-status memo and
-refinement index memory-bounded under a fixed ceiling.
+(:mod:`repro.serve.cache`) build on.
+
+The memory ceiling binds on the process's resident set: the budget's RSS
+probe, with the frontier's tracked-entry count as a deterministic floor
+under it.  All frontier state stays in memory for the whole run, and the
+Corollary 4.3 search is bounded by ``exact_limit``.
 """
 
 from repro.runtime.budget import RunBudget
@@ -32,20 +34,12 @@ from repro.runtime.persist import (
     atomic_write_bytes,
     load_pickle,
 )
-from repro.runtime.spill import (
-    SpillableRefinementTrie,
-    SpillConfig,
-    SpilledMap,
-)
 
 __all__ = [
     "RunBudget",
     "CheckpointManager",
     "CheckpointMismatch",
     "PersistError",
-    "SpillConfig",
-    "SpillableRefinementTrie",
-    "SpilledMap",
     "atomic_pickle",
     "atomic_write_bytes",
     "load_pickle",

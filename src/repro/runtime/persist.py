@@ -5,8 +5,8 @@ Both durable stores in the system — the checkpoint snapshots of
 cache (:mod:`repro.serve.cache`) — need the same two guarantees:
 
 * **Atomic replacement.**  A write lands completely or not at all: the
-  payload goes to a process-private temp file first (flushed and, by
-  default, fsynced), then ``os.replace`` swaps it in.  A crash mid-write
+  payload goes to a process-private temp file first (flushed and
+  fsynced), then ``os.replace`` swaps it in.  A crash mid-write
   can never corrupt an existing file, and readers never observe a partial
   one.
 * **Fail-closed reads.**  A file that cannot be read back — truncated,
@@ -44,14 +44,12 @@ class PersistError(RuntimeError):
     """A persisted payload is unreadable (missing, truncated, garbled)."""
 
 
-def atomic_write_bytes(path: str | os.PathLike, data: bytes, *, fsync: bool = True) -> None:
+def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
     """Write ``data`` to ``path`` atomically (temp file + ``os.replace``).
 
     The temp file lives next to the target (same filesystem, so the rename
     is atomic) and carries the pid, so concurrent writers from different
-    processes never collide on it.  ``fsync=False`` skips the disk flush
-    for callers whose durability window tolerates the page cache (e.g.
-    warm-cache entries that can always be recomputed).
+    processes never collide on it.
     """
     path = os.fspath(path)
     tmp_path = f"{path}.tmp.{os.getpid()}"
@@ -59,8 +57,7 @@ def atomic_write_bytes(path: str | os.PathLike, data: bytes, *, fsync: bool = Tr
         with open(tmp_path, "wb") as handle:
             handle.write(data)
             handle.flush()
-            if fsync:
-                os.fsync(handle.fileno())
+            os.fsync(handle.fileno())
         os.replace(tmp_path, path)
     finally:
         # A failed write must not leave temp droppings behind.
@@ -97,12 +94,10 @@ def file_lock(path: str | os.PathLike) -> Iterator[None]:
             os.close(fd)
 
 
-def atomic_pickle(path: str | os.PathLike, payload: Any, *, fsync: bool = True) -> None:
+def atomic_pickle(path: str | os.PathLike, payload: Any) -> None:
     """Pickle ``payload`` and write it atomically to ``path``."""
     atomic_write_bytes(
-        path,
-        pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
-        fsync=fsync,
+        path, pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     )
 
 

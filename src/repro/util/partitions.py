@@ -163,13 +163,9 @@ class RefinementTrie:
     :meth:`repro.core.pipeline.Frontier._refinement_lookup`'s uniqueness
     argument — so the walk returns the first complete match it finds.
 
-    Children are plain dicts, but a subclass may *spill* whole subtrees
-    to disk, replacing the child dict with an opaque non-dict slot
-    marker.  Every walk resolves such markers through
-    :meth:`_resolve_child`, which the spilling subclass overrides to
-    reload the segment (see :class:`repro.runtime.spill.
-    SpillableRefinementTrie`); the base class never creates markers, so
-    the ``type(child) is dict`` fast path is all it ever pays.
+    Nodes are plain dicts held in memory.  :meth:`codes` exports the trie
+    as picklable ``(code, payload)`` pairs and :meth:`add` rebuilds it,
+    which is how shard workers ship their kernel tries to the driver.
     """
 
     __slots__ = ("_root", "_size")
@@ -185,13 +181,6 @@ class RefinementTrie:
     def __len__(self) -> int:
         return self._size
 
-    def _resolve_child(self, parent: dict, edge: int, marker: object) -> dict:
-        """Turn a spilled-slot marker back into a child dict (subclass hook)."""
-        raise TypeError(
-            f"trie child {marker!r} is not a node and no spill loader is "
-            "installed"
-        )
-
     def add(self, codes: Sequence[int], payload: object = None) -> None:
         """Store ``codes`` with ``payload`` (overwriting an equal code)."""
         node = self._root
@@ -199,8 +188,6 @@ class RefinementTrie:
             child = node.get(value)
             if child is None:
                 child = node[value] = {}
-            elif type(child) is not dict:
-                child = self._resolve_child(node, value, child)
             node = child
         if self._LEAF not in node:
             self._size += 1
@@ -211,7 +198,7 @@ class RefinementTrie:
 
         The export side of shipping a trie across a process or network
         boundary as plain picklable tuples: the receiver rebuilds with
-        :meth:`add`.  Spilled segments are transparently reloaded.
+        :meth:`add`.
         """
         stack: list[tuple[dict, tuple[int, ...]]] = [(self._root, ())]
         while stack:
@@ -220,8 +207,6 @@ class RefinementTrie:
                 if value == self._LEAF:
                     yield prefix, child
                 else:
-                    if type(child) is not dict:
-                        child = self._resolve_child(node, value, child)
                     stack.append((child, prefix + (value,)))
 
     def find_refinement(
@@ -247,12 +232,8 @@ class RefinementTrie:
                 if value == self._LEAF:
                     continue
                 if value == fresh:
-                    if type(child) is not dict:
-                        child = self._resolve_child(node, value, child)
                     stack.append((child, depth + 1, assigned + (c_block,)))
                 elif value < fresh and assigned[value] == c_block:
-                    if type(child) is not dict:
-                        child = self._resolve_child(node, value, child)
                     stack.append((child, depth + 1, assigned))
         return False, None
 
@@ -285,15 +266,11 @@ class RefinementTrie:
                 if value == self._LEAF:
                     continue
                 if bound is None:
-                    if type(child) is not dict:
-                        child = self._resolve_child(node, value, child)
                     image[query_block] = value
                     if walk(child, depth + 1, image):
                         return True
                     del image[query_block]
                 elif bound == value:
-                    if type(child) is not dict:
-                        child = self._resolve_child(node, value, child)
                     if walk(child, depth + 1, image):
                         return True
             return False

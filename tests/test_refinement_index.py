@@ -4,7 +4,8 @@ Satellite coverage for the PR that retired the ``_INDEX_CAP`` linear
 antichain scan: the trie's two dual queries must agree with the linear
 reference scan on randomized partition-code sets (antichains included),
 and refinement hits must surface repair-correct witnesses under
-eviction-free operation.
+eviction-free operation.  A trie exported with ``codes()`` and rebuilt
+with ``add`` (how shard kernel tries travel) must answer the same.
 """
 
 import random
@@ -110,6 +111,34 @@ class TestTrieAgreesWithLinearScan:
                 entries, query, lambda e, q: code_coarsens(e, q)
             )
             assert trie.find_refinement(query)[0] == expected
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_export_rebuild_round_trip(self, seed):
+        # Shard workers ship kernel tries as codes() pairs and the driver
+        # rebuilds them with add(): the rebuilt trie must hold the same
+        # entries and answer every query as the original does.
+        rng = random.Random(seed + 3000)
+        trie = RefinementTrie()
+        for _ in range(rng.randint(20, 150)):
+            codes = random_rgs(rng, 7)
+            trie.add(codes, ("witness", codes))
+        exported = list(trie.codes())
+        assert all(payload == ("witness", codes) for codes, payload in exported)
+        rebuilt = RefinementTrie()
+        for codes, payload in exported:
+            rebuilt.add(codes, payload)
+        assert len(rebuilt) == len(trie) == len(exported)
+        assert sorted(rebuilt.codes()) == sorted(exported)
+        for _ in range(300):
+            query = random_rgs(rng, 7)
+            hit, payload = rebuilt.find_refinement(query)
+            assert hit == trie.find_refinement(query)[0]
+            if hit:
+                assert code_coarsens(payload[1], query)
+            hit, payload = rebuilt.find_coarsening(query)
+            assert hit == trie.find_coarsening(query)[0]
+            if hit:
+                assert code_coarsens(query, payload[1])
 
     def test_duplicate_add_overwrites_payload(self):
         trie = RefinementTrie()

@@ -391,6 +391,30 @@ class TestBudgetedPipeline:
         assert result.stats.exhausted
         assert "memory ceiling" in result.stats.exhaustion_reason
 
+    def test_tracked_entries_counts_every_resident_structure(self):
+        from repro.core.pipeline import Frontier
+
+        frontier = Frontier(stats=PipelineStats())
+        assert frontier.tracked_entries() == 0
+        for i, key in enumerate(itertools.product(range(4), repeat=2)):
+            frontier._class_status[("class", key)] = ("checking", i)
+        frontier._dominated_keys.update({"a", "b", "c"})
+        frontier._refinement_index.add((0, 1, 0), None)
+        assert frontier.tracked_entries() == 16 + 3 + 1
+
+    @pytest.mark.parametrize(
+        "workers", [1, pytest.param(2, marks=pytest.mark.slow)]
+    )
+    def test_peak_tracked_entries_reported(self, workers):
+        # The per-process footprint the memory ceiling binds on reaches
+        # the stats on both the inline and the sharded path.
+        tableau = LIGHT.tableau()
+        serial = run_pipeline(tableau, TW1, max_extra_atoms=0)
+        result = run_pipeline(tableau, TW1, max_extra_atoms=0, workers=workers)
+        assert result.frontier == serial.frontier
+        assert result.stats.peak_tracked_entries >= len(result.frontier) > 0
+        assert result.stats.peak_tracked_entries >= result.stats.checks_run
+
     def test_config_budget_construction(self):
         assert ApproximationConfig().budget() is None
         budget = ApproximationConfig(deadline=5.0, max_candidates=7).budget()

@@ -14,6 +14,10 @@ graph, of the largest edge-cover number of an elimination bag (every tree
 decomposition refines to an elimination order whose bags sit inside its
 bags, and covers are monotone).  It is exact and brute force — 720 orders
 on six vertices — and shares no code with the solver.
+
+Drawn hypergraphs sometimes carry one extra vertex in no hyperedge.  As in
+Gottlob–Leone–Scarcello, whose ``V(H)`` is ``⋃E(H)``, such a vertex needs
+no bag: no guard could cover it.
 """
 
 from functools import lru_cache
@@ -21,6 +25,7 @@ from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.classes import AC, GHTW1, HTW1
 from repro.hypergraphs import (
@@ -33,7 +38,19 @@ from repro.hypergraphs import (
     hypertree_width_at_most,
     is_acyclic,
 )
-from tests.test_properties import hypergraphs
+from tests.test_properties import hypergraphs as edge_hypergraphs
+
+#: A vertex no drawn hyperedge uses (drawn vertices stay below 6).
+_ISOLATED = 99
+
+
+def hypergraphs(max_vertices: int = 6, max_edges: int = 5):
+    """Random hypergraphs, about half of them plus the vertex ``_ISOLATED``."""
+    return st.tuples(edge_hypergraphs(max_vertices, max_edges), st.booleans()).map(
+        lambda drawn: Hypergraph(drawn[0].edges, vertices={_ISOLATED})
+        if drawn[1]
+        else drawn[0]
+    )
 
 
 def ghw_by_definition(hypergraph) -> int:
@@ -48,12 +65,12 @@ def ghw_by_definition(hypergraph) -> int:
                     return size
         raise AssertionError(f"{set(bag)!r} is not covered by the edges")
 
-    neighbours = {vertex: set() for vertex in hypergraph.vertices}
+    neighbours = {vertex: set() for edge in edges for vertex in edge}
     for edge in edges:
         for vertex in edge:
             neighbours[vertex] |= edge - {vertex}
     best = len(edges)
-    for order in permutations(sorted(hypergraph.vertices)):
+    for order in permutations(sorted(neighbours)):
         filled = {vertex: set(adjacent) for vertex, adjacent in neighbours.items()}
         worst = 0
         for vertex in order:
@@ -77,6 +94,9 @@ def _edge_masks(hypergraph) -> list[int]:
 _JOINED_THROUGH_BAG = Hypergraph(
     [{0, 1, 4}, {4, 5}, {1, 2, 5}, {1, 4, 5}, {3, 4, 5}]
 )
+
+#: A path plus a vertex in no hyperedge: its decompositions must validate.
+_WITH_ISOLATED = Hypergraph([{0, 1}, {1, 2}], vertices={_ISOLATED})
 
 
 class TestDefinitionOracle:
@@ -103,6 +123,7 @@ class TestDefinitionOracle:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @given(h=hypergraphs(max_vertices=6, max_edges=5))
+    @example(h=_WITH_ISOLATED)
     @settings(max_examples=25, deadline=None)
     def test_decompositions_validate(self, k, h):
         htd = hypertree_decomposition(h, k)
@@ -141,6 +162,7 @@ class TestWidthRelationships:
 
 class TestDecompositionValidity:
     @given(hypergraphs(max_vertices=6, max_edges=5))
+    @example(_WITH_ISOLATED)
     @settings(max_examples=30, deadline=None)
     def test_htw_decomposition_validates(self, h):
         width = hypertree_width(h)
@@ -152,6 +174,7 @@ class TestDecompositionValidity:
         )
 
     @given(hypergraphs(max_vertices=6, max_edges=5))
+    @example(_WITH_ISOLATED)
     @settings(max_examples=25, deadline=None)
     def test_ghw_decomposition_validates(self, h):
         width = generalized_hypertree_width(h)
