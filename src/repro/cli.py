@@ -114,8 +114,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help=(
-            "periodically snapshot the run's frontier and stream cursor to "
-            "PATH, and resume from PATH if it exists (serial plain-quotient "
+            "periodically snapshot the run's frontier, stream cursor and "
+            "pruning marks to PATH, and resume from PATH if it exists, "
+            "replaying the same candidate stream (serial plain-quotient "
             "runs only); the file is removed when the run completes"
         ),
     )

@@ -46,10 +46,12 @@ representatives in the serial order: pooled and fabric frontiers are
 **bit-identical** to ``workers=1``.
 
 Stage 3 is a *dominance-aware reduction engine*.  On plain quotient streams
-(graph classes, and hypergraph classes with the extension space off) the
-reducer replays the stream **fine-to-coarse** — candidates bucketed by
-descending block count, which is free in integer form — so a quotient is
-reduced before any coarsening of it.  The partition-coarsening positive
+(graph classes, and hypergraph classes with the extension space off) stage
+1 walks the partition lattice **fine-to-coarse** — by descending block
+count, each level in growth-string order — so a quotient is reduced before
+any coarsening of it, and the reducer's ``strictly_dominated`` marks stop
+the walk below every quotient some member maps into and not back: those
+subtrees are never generated.  The partition-coarsening positive
 fast path then decides most dominance verdicts in O(n) integer comparisons
 (the frontier's finer members refine the coarser candidates), turning it
 from an opportunistic check into the common case and letting most
@@ -71,17 +73,19 @@ point of need (the refinement index absorbs most repeats for free), and
 every other stream is canonically deduplicated at the source.  The serial
 reducer always runs the class check before the dominance scan.
 
-Determinism: the candidate stream is a function of the query, the class
-and the knobs alone, and so is every counter of a run — no decision reads
-a clock (the only clock reads feed ``check_seconds`` and
-``dominance_seconds``), so two runs do the same work and a checkpoint
-cursor replays the same stream.  The serial path is bit-identical to the
-pre-pipeline implementation, and sharded runs are bit-identical to the
-serial path for any worker count.  Every regime prunes only candidates
-isomorphic to an earlier stream element, so frontiers are identical across
-regimes — the first-generated member of each →-minimal class is never
-pruned, and representative repair converges on exactly it whatever else
-survives.
+Determinism: the candidate stream is a function of the query, the class,
+the knobs and the walk's strictness marks, which are deterministic too, and
+so is every counter of a run — no decision reads a clock (the only clock
+reads feed ``check_seconds`` and ``dominance_seconds``), so two runs do the
+same work and a checkpoint replays the same stream (its snapshot carries
+the marks and the frontier state they are read from).  The serial path is
+bit-identical to the pre-pipeline implementation, and sharded runs are
+bit-identical to the serial path for any worker count.  Every regime prunes
+only candidates isomorphic to an earlier stream element, and the walk only
+strictly dominated ones, so frontiers are identical across regimes and
+admission orders — the first-generated member of each →-minimal class is
+never pruned, and representative repair converges on exactly it whatever
+else survives.
 
 Engine handles are never pickled: slot processes rebuild their own
 :class:`~repro.homomorphism.engine.HomEngine` via the pid check in
@@ -95,7 +99,7 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterable, Iterator
 
 from repro.core.classes import QueryClass
@@ -104,8 +108,11 @@ from repro.core.quotients import (
     GENERATION_MODES,
     QuotientCandidate,
     base_automorphism_inverses,
+    # Unused here since the lattice walk replaced the buffered replay;
+    # benchmarks/e2e/trace.py patches both names on this module, until the
+    # trace ledger of ROADMAP open item 4 lets it stop patching by name.
     coarseness_buckets,
-    coarseness_ordered,  # unused here; benchmarks/e2e/trace.py patches it
+    coarseness_ordered,
     iter_extended_candidates,
     iter_quotient_candidates,
 )
@@ -396,6 +403,11 @@ class PipelineStats:
     #: trie answered the dominance direction exactly, so the merge ran no
     #: reverse hom search for it.
     kernel_trie_merge_hits: int = 0
+    #: Pinned homomorphisms enumerated to build members' kernel indexes
+    #: (:meth:`Frontier._kernel_trie_for`), a capped-out scan counted up to
+    #: one past ``Frontier._KERNEL_HOM_CAP``; sharded runs build one per
+    #: shipped member.
+    kernel_homs_scanned: int = 0
     # --- coordinator counters (zero on serial runs) ----------------------
     #: Shards re-dispatched after a lost attempt — a connection, heartbeat,
     #: deadline or error fault (the at-least-once path; duplicates are
@@ -641,7 +653,10 @@ class Frontier:
         self._scan: list[Tableau] = []
         self._codes: dict[int, tuple[int, ...]] = {}
         self._generation: dict[int, int] = {}
-        self._dominated_keys: set = set()
+        #: Dominated key → whether it was recorded as *strictly* dominated
+        #: (a member maps in, the candidate does not map back).  Strictness
+        #: holds for isomorphic copies and survives the frontier's descent.
+        self._dominated_keys: dict = {}
         self._undominated_keys: dict = {}
         #: Trie over the codes of uncovered dominated-or-admitted
         #: candidates, each entry carrying its repair witness.  Lookups are
@@ -653,7 +668,7 @@ class Frontier:
         #: witnesses are resolved through this map at hit time.
         self._repair_forward: dict[int, Tableau] = {}
         #: Resolution outcome per isomorphism class (fact-level canonical
-        #: key → "admitted"/"dominated").  Raw streams consult it through
+        #: key → "admitted"/"dominated"/"strict").  Raw streams consult it through
         #: :meth:`resolve`'s ``late_key`` just before a dominance scan, so
         #: unabsorbed isomorphic repeats skip their searches; outcomes
         #: transfer because the frontier only descends (a member mapping
@@ -784,7 +799,7 @@ class Frontier:
         self._stats.dominance_seconds += time.perf_counter() - started
         if key is not None:
             if verdict:
-                self._dominated_keys.add(key)
+                self._dominated_keys.setdefault(key, False)
             else:
                 self._undominated_keys[key] = self._stats.admitted
         if verdict:
@@ -881,6 +896,7 @@ class Frontier:
                         for element in elements
                     )
                 )
+            self._stats.kernel_homs_scanned += scanned
         self._kernel_tries[id(witness)] = (witness, trie)
         return trie
 
@@ -920,7 +936,7 @@ class Frontier:
 
     def _repair(
         self, candidate, witness, generation, membership, *, equivalent=None
-    ) -> None:
+    ) -> bool | None:
         """Swap ``witness`` for the earlier-generated equivalent ``candidate``.
 
         Fine-to-coarse admission can put a later-generated member on the
@@ -936,20 +952,22 @@ class Frontier:
         serial generation-order baseline keeps.  The swap exchanges
         hom-equivalent tableaux, so every memoized dominance verdict stays
         valid.  ``equivalent`` short-circuits the reverse query when the
-        caller already computed it.
+        caller already computed it.  Returns the reverse query's answer
+        (``None`` when the generations did not call for it): ``False``
+        proves the candidate strictly dominated by the witness.
         """
         if witness is None or generation is None:
-            return
+            return None
         witness_generation = self._generation.get(id(witness))
         if witness_generation is None or witness_generation <= generation:
-            return
+            return None
         codes = candidate.codes
         if equivalent is None:
             equivalent = self._member_le(candidate, codes, witness)
         if not equivalent:
-            return
+            return False
         if membership is not None and not membership():
-            return
+            return True
         tableau = candidate.materialize()
         position = next(
             i for i, member in enumerate(self.members) if member is witness
@@ -966,6 +984,7 @@ class Frontier:
         self._generation[id(tableau)] = generation
         self._repair_forward[id(witness)] = tableau
         self._stats.representative_repairs += 1
+        return True
 
     def resolve(
         self,
@@ -1010,6 +1029,13 @@ class Frontier:
 
         Fine-to-coarse reductions (``ordered=True``) answer most
         resolutions from the refinement index with zero engine calls.
+        They also mark a candidate ``strictly_dominated`` (the lattice
+        walk's feedback, see :func:`~repro.core.quotients.
+        iter_quotient_candidates`) where strictness is already known at no
+        extra cost: a refinement-index hit whose witness is ``None``, a
+        repair or forced reverse query coming back non-equivalent, or a
+        memo hit on a key recorded as strict.  No query is spent to decide
+        it.
         Repair stays exact on index hits: if the candidate were equivalent
         to a current member, that member would be the *unique* member
         mapping into it, hence also the unique member behind the index
@@ -1023,6 +1049,8 @@ class Frontier:
             # keys share a block count, so under any supported order the
             # earlier candidate had the lower generation and any repair
             # already happened there — nothing further to do.
+            if self._dominated_keys[key]:
+                _mark_strict(candidate)
             return "dominated"
         codes = candidate.codes
         if cached is None and self._ordered and codes is not None:
@@ -1031,8 +1059,17 @@ class Frontier:
                 self._stats.dominance_memo_hits += 1
                 self._stats.dominated_without_search += 1
                 if key is not None:
-                    self._dominated_keys.add(key)
-                self._repair(candidate, hit_witness, generation, membership)
+                    self._dominated_keys.setdefault(key, False)
+                # A ``None`` witness: the entry's class is off the frontier,
+                # so a member maps into the entry and not back, hence into
+                # this coarsening of it and not back either.  Otherwise the
+                # repair's reverse query, when the generations call for it,
+                # tells whether the candidate maps back into the witness.
+                if hit_witness is None or (
+                    self._repair(candidate, hit_witness, generation, membership)
+                    is False
+                ):
+                    self._note_strict(candidate, key)
                 return "dominated"
         if membership is not None and not membership():
             return "rejected"
@@ -1045,18 +1082,21 @@ class Frontier:
                 if class_key is not None:
                     status = self._class_status.get(class_key)
                     if status is not None:
-                        # "admitted" or "dominated": either way a member
-                        # maps into the earlier isomorphic copy, hence
-                        # into this candidate — no scan needed.
+                        # "admitted", "dominated" or "strict": either way a
+                        # member maps into the earlier isomorphic copy,
+                        # hence into this candidate — no scan needed.
                         self._stats.class_status_hits += 1
                         self._stats.dominated_without_search += 1
                         if key is not None:
-                            self._dominated_keys.add(key)
+                            self._dominated_keys.setdefault(key, False)
+                        if status == "strict":
+                            self._note_strict(candidate, key)
                         return "dominated"
             verdict, witness = self._scan_dominance(
                 candidate.materialize(), codes, key
             )
         if verdict:
+            status = "dominated"
             if self._ordered:
                 # Establish once whether this candidate's class sits on the
                 # frontier (the repair's reverse query, forced even when
@@ -1068,10 +1108,13 @@ class Frontier:
                     self._repair(
                         candidate, witness, generation, None, equivalent=True
                     )
+                else:
+                    self._note_strict(candidate, key)
+                    status = "strict"
                 self._record_refinement(codes, witness if equivalent else None)
             else:
                 self._repair(candidate, witness, generation, None)
-            self._set_class_status(class_key, "dominated")
+            self._set_class_status(class_key, status)
             return "dominated"
         tableau = candidate.materialize()
         self.insert(tableau, codes, generation=generation)
@@ -1082,6 +1125,13 @@ class Frontier:
     def _set_class_status(self, class_key: tuple | None, status: str) -> None:
         if class_key is not None:
             self._class_status[class_key] = status
+
+    def _note_strict(self, candidate, key: tuple | None) -> None:
+        """Record that ``candidate`` (and every copy under ``key``) is
+        strictly dominated."""
+        if key is not None:
+            self._dominated_keys[key] = True
+        _mark_strict(candidate)
 
     def insert(
         self,
@@ -1192,37 +1242,56 @@ class Frontier:
             + len(self._refinement_index)
         )
 
-    def snapshot(self) -> list[tuple]:
+    def snapshot(self) -> dict:
         """The frontier's resumable state, picklable.
 
-        Members in admission order, each with its partition codes and
-        generation stamp.  The perf-only structures (dominance memo,
-        class-status memo, refinement index beyond admitted members, kernel
-        tries) are deliberately *not* captured: every verdict they
-        short-circuit is reproduced identically by the full scan they
-        replace, so a restore that drops them changes counters, never the
-        frontier.
+        ``members``: the members in admission order, each with its
+        partition codes and generation stamp.  An ordered frontier also
+        keeps the state that decides which strictness evidence is free —
+        the dominated keys with their strict flags, the undominated keys,
+        the class-status memo and the refinement index, whose witnesses
+        are resolved to member positions (``None`` once off the
+        frontier) — because its
+        ``strictly_dominated`` marks prune the lattice walk, so a restore
+        without them would prune differently and generate a different
+        stream.  The kernel tries, the check memo and the scan order only
+        decide how an answer is found, never which, and are not captured:
+        a restore without them changes counters, never the frontier or the
+        stream.
         """
-        return [
-            (
-                encode_tableau(member),
-                self._codes.get(id(member)),
-                self._generation.get(id(member)),
+        state: dict = {
+            "members": [
+                (
+                    encode_tableau(member),
+                    self._codes.get(id(member)),
+                    self._generation.get(id(member)),
+                )
+                for member in self.members
+            ]
+        }
+        if self._ordered:
+            position = {id(member): i for i, member in enumerate(self.members)}
+            index = []
+            for codes, witness in self._refinement_index.codes():
+                while witness is not None and id(witness) not in position:
+                    witness = self._repair_forward.get(id(witness))
+                index.append(
+                    (codes, None if witness is None else position[id(witness)])
+                )
+            state.update(
+                dominated=dict(self._dominated_keys),
+                undominated=dict(self._undominated_keys),
+                class_status=dict(self._class_status),
+                index=index,
             )
-            for member in self.members
-        ]
+        return state
 
-    def restore(self, snapshot: Iterable[tuple]) -> None:
-        """Rebuild members (plus codes/generations) from :meth:`snapshot`.
-
-        Only valid on an empty frontier.  Admitted members are re-seeded
-        into the refinement index (ordered reductions record them there on
-        admission), so resumed runs keep the index's positive fast path for
-        everything already admitted.
-        """
+    def restore(self, snapshot: dict) -> None:
+        """Rebuild the state :meth:`snapshot` captured (only valid on an
+        empty frontier of the same admission order)."""
         if self.members:
             raise ValueError("restore() needs an empty frontier")
-        for encoded, codes, generation in snapshot:
+        for encoded, codes, generation in snapshot["members"]:
             member = decode_tableau(encoded)
             self.members.append(member)
             self._scan.append(member)
@@ -1230,30 +1299,40 @@ class Frontier:
                 self._codes[id(member)] = codes
             if generation is not None:
                 self._generation[id(member)] = generation
-            self._record_refinement(codes, member)
+        if "index" in snapshot:
+            self._dominated_keys.update(snapshot["dominated"])
+            self._undominated_keys.update(snapshot["undominated"])
+            self._class_status.update(snapshot["class_status"])
+            for codes, position in snapshot["index"]:
+                self._refinement_index.add(
+                    codes, None if position is None else self.members[position]
+                )
 
-    def kernel_exports(self) -> list[tuple[tuple[int, ...], ...] | None]:
+    def kernel_exports(
+        self, base: Tableau
+    ) -> list[tuple[tuple[int, ...], ...] | None]:
         """Per-member kernel indexes as plain code tuples, members order.
 
         The shard-result counterpart of :meth:`snapshot`: each entry is
-        the member's built kernel trie flattened to a tuple of partition
-        codes (``None`` when no trie was built or the hom scan capped
-        out).  Plain nested tuples of ints are cheaply picklable, so shard
-        workers ship them with their frontiers and :meth:`merge` rebuilds
-        the tries coordinator-side — the reverse queries the worker
-        already paid to index are never re-answered by the driver's
-        engine.  Only *already-built* tries are exported; exporting never
-        forces the hom enumeration.
+        the member's kernel trie (:meth:`_kernel_trie_for` over ``base``)
+        flattened to a tuple of partition codes, ``None`` when the hom
+        scan capped out at ``_KERNEL_HOM_CAP``.  Every member is indexed,
+        not only those whose reverse queries already built a trie: the
+        merge decides an incoming member's dominance by one trie walk per
+        current member instead of an engine scan, and a shard whose walk
+        pruned the stream asks too few reverse queries to build the tries
+        on its own.  Plain nested tuples of ints are cheaply picklable, so
+        shard workers ship them with their frontiers and :meth:`merge`
+        rebuilds the tries coordinator-side.
         """
         exports: list[tuple[tuple[int, ...], ...] | None] = []
         for member in self.members:
-            cached = self._kernel_tries.get(id(member))
-            if cached is None or cached[1] is None:
-                exports.append(None)
-            else:
-                exports.append(
-                    tuple(prefix for prefix, _ in cached[1].codes())
-                )
+            trie = self._kernel_trie_for(base, member)
+            exports.append(
+                None
+                if trie is None
+                else tuple(prefix for prefix, _ in trie.codes())
+            )
         return exports
 
     def merge(
@@ -1321,7 +1400,7 @@ class Frontier:
                     self._stats.dominance_memo_hits += 1
                     self._stats.dominated_without_search += 1
                     if key is not None:
-                        self._dominated_keys.add(key)
+                        self._dominated_keys.setdefault(key, False)
                     continue
             trie: RefinementTrie | None = None
             if kernel_codes is not None:
@@ -1351,7 +1430,7 @@ class Frontier:
                     if decided is True:
                         self._stats.dominated_without_search += 1
                         if key is not None:
-                            self._dominated_keys.add(key)
+                            self._dominated_keys.setdefault(key, False)
                 elif cached is False or decided is False:
                     self.insert(member, member_codes, use_kernel_tries=True)
                     admitted = True
@@ -1391,16 +1470,18 @@ def _candidate_source(
     shard: tuple[int, int] | None = None,
     automorphisms: list[list[int]] | None = None,
     generation: str = "canonical",
+    order: str = "insertion",
 ) -> Iterator:
     """Stage 1: the class-appropriate candidate stream.
 
     Graph classes — and hypergraph classes with the extension space switched
-    off — consume the lazy integer-form quotient stream; extension-space
-    runs consume the integer-form extension stream (extension atoms over
-    block + fresh ids, orbit-pruned per quotient family) — every class the
-    pipeline supports now shares the same lazy fast path.  ``automorphisms``
-    is the precomputed base orbit data from :func:`_base_orbit_data`;
-    ``generation`` is the stage-1 regime (see
+    off — consume the lazy integer-form quotient stream, walked over the
+    partition lattice fine-to-coarse when ``order`` is ``"fine_to_coarse"``;
+    extension-space runs consume the integer-form extension stream
+    (extension atoms over block + fresh ids, orbit-pruned per quotient
+    family) — every class the pipeline supports now shares the same lazy
+    fast path.  ``automorphisms`` is the precomputed base orbit data from
+    :func:`_base_orbit_data`; ``generation`` is the stage-1 regime (see
     :func:`_resolve_generation_mode`).
     """
     if getattr(cls, "kind", None) == "graph" or max_extra_atoms <= 0:
@@ -1409,6 +1490,7 @@ def _candidate_source(
             shard=shard,
             automorphisms=automorphisms,
             generation=generation,
+            fine_to_coarse=order == "fine_to_coarse",
         )
     return iter_extended_candidates(
         tableau,
@@ -1446,23 +1528,6 @@ def _deferred_class_key(candidate, stats: PipelineStats):
     return compute
 
 
-def _budget_gate(candidates, budget: RunBudget, stats: PipelineStats):
-    """Stop drawing stage-1 candidates once the budget trips.
-
-    The earliest possible stop: nothing downstream of the gate sees another
-    candidate, so buffering reducers stop growing their buffer.
-    The candidate cap is enforced against ``stats.generated``, which the
-    consumer increments — exact on lazy (one-in-one-out) streams; during a
-    fine-to-coarse buffering phase only the deadline and the memory ceiling
-    can truncate the buffer, and the cap binds in the reduction loop
-    instead.
-    """
-    for candidate in candidates:
-        if budget.exceeded(stats) is not None:
-            return
-        yield candidate
-
-
 def _note_exhaustion(budget: RunBudget | None, stats: PipelineStats) -> None:
     """Mark the run exhausted if its budget tripped (idempotent)."""
     if budget is not None and budget.reason is not None:
@@ -1475,15 +1540,20 @@ class _CheckpointSession:
     """One run's binding of a checkpoint manager to pipeline state.
 
     Tracks the *cursor* — how many stage-3 candidates (in reduction order)
-    have been fully processed — and snapshots ``(cursor, frontier, stats)``
-    at the manager's cadence.  On resume the frontier and stats are
-    restored, the stream is regenerated in full (generation is cheap next
-    to checks) and its first ``cursor`` candidates are skipped.  The stream
-    is a function of the run key alone, so the skipped prefix is exactly
-    the processed one, under every generation regime and admission order.
+    have been fully processed — and the generation stamps of those the
+    reducer marked ``strictly_dominated``, and snapshots ``(cursor, strict,
+    frontier, stats)`` at the manager's cadence.  On resume the frontier
+    and stats are restored and the stream is regenerated from the start
+    (generation is cheap next to checks): :meth:`replay` skips its first
+    ``cursor`` candidates and puts the recorded marks back on them, so the
+    lattice walk prunes exactly the subtrees it pruned before the stop.
+    The stream is a function of the run key and those marks, so the
+    skipped prefix is exactly the processed one and the rest of the stream
+    is the uninterrupted run's, under every generation regime and
+    admission order.
     """
 
-    __slots__ = ("manager", "run_key", "stats", "cursor")
+    __slots__ = ("manager", "run_key", "stats", "cursor", "strict")
 
     def __init__(
         self, manager: CheckpointManager, run_key: tuple, stats: PipelineStats
@@ -1492,6 +1562,7 @@ class _CheckpointSession:
         self.run_key = run_key
         self.stats = stats
         self.cursor = 0
+        self.strict: list[int] = []
 
     def load(self) -> dict | None:
         return self.manager.load(self.run_key)
@@ -1499,12 +1570,14 @@ class _CheckpointSession:
     def _payload(self, frontier: Frontier) -> dict:
         return {
             "cursor": self.cursor,
+            "strict": list(self.strict),
             "frontier": frontier.snapshot(),
             "stats": self.stats.as_dict(),
         }
 
     def restore(self, payload: dict, frontier: Frontier) -> None:
         self.cursor = payload["cursor"]
+        self.strict = list(payload["strict"])
         frontier.restore(payload["frontier"])
         for name, value in payload["stats"].items():
             if name in PipelineStats.__dataclass_fields__:
@@ -1515,8 +1588,23 @@ class _CheckpointSession:
         self.stats.exhaustion_reason = ""
         self.stats.resumed_candidates = self.cursor
 
-    def after_candidate(self, frontier: Frontier) -> None:
+    def replay(self, candidates: Iterable) -> Iterator:
+        """``candidates`` without its first ``cursor`` elements, whose
+        strictness marks are restored as the walk passes them."""
+        strict = set(self.strict)
+        skip = self.cursor
+        for candidate in candidates:
+            if skip:
+                skip -= 1
+                if candidate.generation in strict:
+                    _mark_strict(candidate)
+                continue
+            yield candidate
+
+    def after_candidate(self, frontier: Frontier, candidate) -> None:
         self.cursor += 1
+        if getattr(candidate, "strictly_dominated", False):
+            self.strict.append(candidate.generation)
         if self.manager.maybe_save(
             self.run_key, lambda: self._payload(frontier)
         ):
@@ -1528,6 +1616,14 @@ class _CheckpointSession:
 
     def finalize(self) -> None:
         self.manager.finalize()
+
+
+def _mark_strict(candidate) -> None:
+    """Set a walked candidate's ``strictly_dominated`` mark (candidates
+    without the slot — extended candidates, tableau adapters — are never
+    walked and are ignored)."""
+    if getattr(candidate, "strictly_dominated", None) is False:
+        candidate.strictly_dominated = True
 
 
 def _mark_family_dominated(candidate) -> None:
@@ -1564,15 +1660,16 @@ def _reduce_inline(
     :meth:`Frontier.resolve`).  The order only decides which work is spent,
     not the result: a dominated candidate can never join nor evict.
 
-    ``order="fine_to_coarse"`` replays the candidate stream finest-first
-    (:func:`~repro.core.quotients.coarseness_ordered`): a quotient is then
+    ``order="fine_to_coarse"`` expects the lattice walk
+    (``iter_quotient_candidates(fine_to_coarse=True)``): a quotient is then
     reduced before any coarsening of it, so most dominance verdicts resolve
     through the coarsening fast path with zero engine searches, and
     representative repair plus a final generation-order sort keep the
-    result **bit-identical** to the insertion-order reduction.  Meant for
-    streams without generator feedback (plain quotient streams): the
-    stream is buffered in full, so ``extensions_dominated`` flags never
-    reach the enumerator.
+    result **bit-identical** to the insertion-order reduction.  The
+    frontier's ``strictly_dominated`` marks reach the walk between two
+    candidates, so strictly dominated subtrees are never generated.  The
+    budget is checked once per candidate, before the candidate is reduced:
+    nothing is buffered, so that is the earliest stop.
     """
     tester = MembershipTester(cls, stats)
     reorder = order == "fine_to_coarse"
@@ -1581,20 +1678,10 @@ def _reduce_inline(
         budget.start()
         budget.register_probe(frontier.tracked_entries)
         budget.register_probe(lambda: len(tester._memo))
-        if reorder and checkpoint is None:
-            # Fine-to-coarse buffers the whole stream before reducing, so
-            # the deadline/memory stop must reach stage 1 directly.  Under
-            # checkpointing the gate stays off: a truncated buffer would
-            # reorder differently from the full stream, breaking the
-            # cursor's alignment on resume — budget stops then align to
-            # stage-3 candidate boundaries instead.
-            candidates = _budget_gate(candidates, budget, stats)
     if resume is not None and checkpoint is not None:
         checkpoint.restore(resume, frontier)
-    if reorder:
-        candidates = chain.from_iterable(coarseness_buckets(candidates))
     if checkpoint is not None and checkpoint.cursor:
-        candidates = islice(candidates, checkpoint.cursor, None)
+        candidates = checkpoint.replay(candidates)
     for candidate in candidates:
         if budget is not None and budget.exceeded(stats) is not None:
             break
@@ -1612,7 +1699,7 @@ def _reduce_inline(
             if reorder and stats.hom_le_calls == calls_before:
                 stats.admissions_resolved_by_order += 1
         if checkpoint is not None:
-            checkpoint.after_candidate(frontier)
+            checkpoint.after_candidate(frontier, candidate)
     _note_exhaustion(budget, stats)
     # The same quantity the budget's tracked-size probe watches: frontier
     # state plus the membership memo.  Recorded as a per-process peak
@@ -1669,8 +1756,8 @@ def _partition_codes(quotient: QuotientCandidate) -> tuple[int, ...]:
     )
 
 
-def _stream_positions(candidates: Iterable, positions: list) -> Iterator:
-    """Record each candidate's stream position, in stream order.
+def _stream_positions(candidates: Iterable, positions: dict) -> Iterator:
+    """Record each candidate's stream position under its generation stamp.
 
     A stream position is ``(codes, rank)``: the partition codes of the
     candidate's quotient and its rank within that quotient's family — 0
@@ -1681,8 +1768,8 @@ def _stream_positions(candidates: Iterable, positions: list) -> Iterator:
     last quotient.  Partition codes are restricted growth strings, whose
     lexicographic order is the order of the unsharded stream, and a
     family never spans shards — so positions from different shards never
-    tie and sort into serial stream order.  Each candidate's
-    ``generation`` is set to its index in ``positions``.
+    tie and sort into serial stream order.  A walked candidate keeps the
+    growth-string rank the walk stamped; any other gets its arrival index.
     """
     family, codes, rank = None, None, 0
     for candidate in candidates:
@@ -1694,8 +1781,9 @@ def _stream_positions(candidates: Iterable, positions: list) -> Iterator:
             if owner is not family:
                 family, codes, rank = owner, _partition_codes(owner), 0
             rank += 1
-        candidate.generation = len(positions)
-        positions.append((codes, rank))
+        if candidate.generation is None:
+            candidate.generation = len(positions)
+        positions[candidate.generation] = (codes, rank)
         yield candidate
 
 
@@ -1709,13 +1797,15 @@ def run_shard(
     last attempt in the driver — the slot path installs ``context`` once
     per process, the others thread it per call, all run the same code.
     Shard workers share the driver's admission order and generation
-    regime: plain quotient slices are reduced fine-to-coarse
-    (coarseness-ordered shard iteration — the buffered slice is one
-    shard, not the whole stream), extension slices in generation order.  Each returned member ships as ``(encoded tableau,
-    partition codes, kernel codes, stream position)`` — codes over the
+    regime: plain quotient slices are walked fine-to-coarse from the
+    shard's prefix roots (pruning only on what the shard's own frontier
+    knows), extension slices run in generation order.  Each returned
+    member ships as ``(encoded tableau, partition codes, kernel codes,
+    stream position)`` — codes over the
     shared base element order (``None`` off the integer path), kernel
-    codes the member's built kernel index flattened by
-    :meth:`Frontier.kernel_exports` (``None`` when never built), and the
+    codes the member's kernel index flattened by
+    :meth:`Frontier.kernel_exports` (``None`` when its hom scan capped
+    out), and the
     position from :func:`_stream_positions` — so the driver's merge can
     replay the union of shards in serial stream order, route cross-shard
     admissions through the refinement index, and decide dominance through
@@ -1736,9 +1826,17 @@ def run_shard(
     # Budgets apply per shard: each worker rebuilds the spec (the remaining
     # deadline and the caps are frozen at dispatch time), so a shard that
     # exhausts its slice of the budget returns its partial frontier and the
-    # driver's absorb ORs the ``exhausted`` flags together.
-    budget = RunBudget(**budget_spec) if budget_spec is not None else None
-    positions: list = []
+    # driver's absorb ORs the ``exhausted`` flags together.  A spec with a
+    # ``started_at`` (local shards: the driver's monotonic clock reading
+    # when it froze the deadline) anchors the deadline there, so pool
+    # start-up and dispatch are charged to the run.
+    budget = None
+    if budget_spec is not None:
+        spec = dict(budget_spec)
+        started_at = spec.pop("started_at", None)
+        budget = RunBudget(**spec)
+        budget.start(started_at)
+    positions: dict = {}
     candidates = _candidate_source(
         base,
         cls,
@@ -1747,6 +1845,7 @@ def run_shard(
         shard=shard,
         automorphisms=automorphisms,
         generation=generation,
+        order=order,
     )
     frontier = _reduce_inline(
         _stream_positions(candidates, positions),
@@ -1755,7 +1854,7 @@ def run_shard(
         order=order,
         budget=budget,
     )
-    kernels = frontier.kernel_exports()
+    kernels = frontier.kernel_exports(base)
     return (
         tuple(
             (
@@ -1874,12 +1973,12 @@ def _resolve_admission_order(
     """The effective stage-3 admission order for a pipeline run.
 
     ``"auto"`` picks fine-to-coarse exactly for *plain quotient* streams
-    (graph classes, and hypergraph classes with the extension space off) —
-    the streams without generator feedback, where buffering is sound.
-    Extension-space runs stay in generation order: their reducer feeds
-    dominance verdicts back into the (lazy) enumerator, which a buffered
-    replay would silence.  The dashed spellings ``"generation"`` and
-    ``"fine-to-coarse"`` are accepted as aliases.
+    (graph classes, and hypergraph classes with the extension space off),
+    which stage 1 walks over the partition lattice.  Extension-space runs
+    stay in generation order: the extension enumerator bypasses the walk,
+    and its reducer feeds family dominance back to it per quotient.  The
+    dashed spellings ``"generation"`` and ``"fine-to-coarse"`` are
+    accepted as aliases.
     """
     admission_order = _ADMISSION_ORDER_ALIASES.get(
         admission_order, admission_order
@@ -1897,9 +1996,8 @@ def _resolve_generation_mode(generation: str, order: str) -> str:
 
     ``"auto"`` resolves by the admission order alone.  Fine-to-coarse
     streams (by default the plain quotient streams, serially and in every
-    shard worker) go ``"orbit"``: their reduction is deferred until the
-    stream is buffered, and the reducer canonicalizes at the point of need
-    (``late_key``) — only candidates the dominance memo, the refinement
+    shard worker) go ``"orbit"``: the reducer canonicalizes at the point of
+    need (``late_key``) — only candidates the dominance memo, the refinement
     index and a memoized class check all missed pay a canonization, so the
     stream pays at most what canonical generation pays.  The orbit filter
     stays on because on symmetric bases (cycles: ~10x duplication) it
@@ -1942,7 +2040,7 @@ def run_pipeline(
     ``"insertion"``, the historical generation order, via representative
     repair — and extension streams in generation order.  ``generation``
     selects stage 1's dedup regime (:func:`_resolve_generation_mode`):
-    ``"auto"`` replays fine-to-coarse streams orbit-pruned
+    ``"auto"`` walks fine-to-coarse streams orbit-pruned
     (canonicalization deferred to the reducer's point of need) and
     deduplicates every other stream canonically; ``"canonical"``,
     ``"orbit"`` and ``"raw"`` pin the regime.  Results are invariant
@@ -1952,16 +2050,19 @@ def run_pipeline(
     each class whatever survives.
 
     ``budget`` (a :class:`~repro.runtime.budget.RunBudget`) turns the run
-    *anytime*: when a budget dimension trips, stage 1 stops producing and
+    *anytime*: when a budget dimension trips, the reduction stops before
+    its next candidate and
     the best-so-far frontier is returned with ``stats.exhausted`` set —
     every member still a sound C-overapproximation, only
     minimality/completeness forfeited.  With ``workers > 1`` or ``fabric``
     the budget applies per shard (remaining deadline and caps frozen at
-    dispatch).  ``checkpoint`` (a
+    dispatch; local shards count the deadline from that instant, fabric
+    workers from their own start).  ``checkpoint`` (a
     :class:`~repro.runtime.checkpoint.CheckpointManager` or a path) enables
     periodic snapshot/resume — serial plain-quotient-stream runs only,
     under any generation regime and admission order (the stream is a
-    function of the run key, so a resume replays it exactly).
+    function of the run key and of the walk's strictness marks, which the
+    snapshot carries, so a resume replays it exactly).
     Sharded runs, local or ``fabric``, all go through one
     :class:`~repro.fabric.coordinator.FabricCoordinator`: a lost shard is
     re-dispatched with capped exponential backoff (at-least-once — a
@@ -2027,6 +2128,11 @@ def run_pipeline(
                 "max_candidates": budget.max_candidates,
                 "max_checks": budget.max_checks,
             }
+            if not fabric_addresses:
+                # Local slots share this host's monotonic clock: they
+                # count the deadline from now, not from their own start.
+                # Fabric workers on other hosts keep the relative deadline.
+                budget_spec["started_at"] = time.monotonic()
         context = (
             encode_tableau(tableau),
             cls,
@@ -2057,7 +2163,7 @@ def run_pipeline(
     resume = None
     if checkpoint_manager is not None:
         run_key = (
-            "pipeline-checkpoint-v1",
+            "pipeline-checkpoint-v2",
             encode_tableau(tableau),
             cls.name,
             max_extra_atoms,
@@ -2074,6 +2180,7 @@ def run_pipeline(
         allow_fresh=allow_fresh,
         automorphisms=automorphisms,
         generation=generation,
+        order=order,
     )
     frontier = _reduce_inline(
         candidates,

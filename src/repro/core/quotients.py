@@ -39,9 +39,19 @@ several callers rely on.
 whole stream: ``"canonical"`` (full fact-level dedup), ``"orbit"``
 (automorphism-orbit pruning only) or ``"raw"`` (no stage-1 dedup;
 downstream memos and the refinement index absorb the repeats).  Every
-regime prunes only candidates isomorphic to an earlier stream element, and
-each emits a stream that is a function of the tableau alone, so downstream
-results are identical across regimes and across runs.
+regime prunes only candidates isomorphic to an earlier stream element.
+
+With ``fine_to_coarse=True`` the quotient stream is not listed but *walked*:
+a reverse search (Avis–Fukuda) over the partition lattice from the finest
+partition down, one level per block count, each level in
+restricted-growth-string order.  The canonical parent of a partition splits
+off, as a singleton, the largest element that sits in a non-singleton
+block, so every partition is reached exactly once.  The consumer marks a
+candidate ``strictly_dominated`` when it already knows that some frontier
+member maps into the quotient and not back; the walk then skips the
+candidate's subtree, coarsenings of it, which are strictly dominated too.
+The stream is then a function of the tableau and of those marks, which are
+deterministic.
 """
 
 from __future__ import annotations
@@ -55,10 +65,11 @@ from repro.homomorphism.engine import default_engine
 from repro.homomorphism.signatures import canonical_key_indexed
 from repro.util.naming import fresh_names
 from repro.util.partitions import (
+    _blocks_of,
     bell_number,
     partition_to_mapping,
+    rgs_codes,
     rgs_prefixes,
-    set_partitions,
 )
 
 
@@ -113,6 +124,82 @@ def _completion_counts(remaining: int, blocks: int) -> list[int]:
     return counts
 
 
+def _rank_table(n_elements: int) -> list[list[int]]:
+    """``table[r][k]``: completions of a growth-string prefix that opened
+    ``k`` blocks by ``r`` more elements (:func:`_completion_counts` per
+    ``r``), the counts behind :func:`_rgs_rank`."""
+    return [_completion_counts(r, n_elements) for r in range(n_elements + 1)]
+
+
+def _rgs_rank(code: tuple[int, ...], table: list[list[int]]) -> int:
+    """The position of ``code`` among all restricted growth strings of its
+    length in lexicographic order — the partition's index in the unsharded
+    raw stream.  Each value ``v`` at position ``i`` passes over ``v``
+    smaller values, each of which keeps the blocks opened so far."""
+    n = len(code)
+    rank = opened = 0
+    for i, value in enumerate(code):
+        if value:
+            rank += value * table[n - i - 1][opened]
+        if value == opened:
+            opened += 1
+    return rank
+
+
+def _lattice_levels(
+    n_elements: int,
+    prefixes: list[tuple[int, ...]] | None,
+    table: list[list[int]],
+    pruned: set[int],
+) -> Iterator[tuple[int, dict[int, tuple]]]:
+    """The partition lattice, finest level first, as a reverse search.
+
+    Yields ``(block_count, level)`` with ``level`` mapping each node's
+    :func:`_rgs_rank` to ``(code, start)``.  The roots are the shard
+    prefixes (one empty prefix for the whole stream), each followed by
+    singletons.  A node's children merge one singleton element ``e >=
+    start`` into an earlier block, whose largest element is then below
+    ``e``; ``start`` is one past the last element in a non-singleton block
+    (at least the prefix length), so ``e`` becomes the largest element in a
+    non-singleton block and the node is the child's canonical parent.
+    Every partition extending a prefix is therefore reached exactly once,
+    and the prefix walks of a shard split tile its slice.
+
+    Before asking for the next level the caller adds to ``pruned`` the
+    ranks whose children must not be generated; the walk clears it once
+    the level is expanded.  Elements after ``start`` are singletons with
+    consecutive labels, so a child's code and rank follow from its
+    parent's in O(n): merging ``e`` (label ``opened``, the blocks before
+    it) into block ``b`` moves the rank from the largest completion of
+    ``code[:e]`` to the largest completion of ``code[:e] + (b,)``.
+    """
+    levels: dict[int, dict[int, tuple]] = {}
+    for prefix in [()] if prefixes is None else prefixes:
+        opened = max(prefix, default=-1) + 1
+        count = opened + n_elements - len(prefix)
+        code = prefix + tuple(range(opened, count))
+        levels.setdefault(count, {})[_rgs_rank(code, table)] = (code, len(prefix))
+    while levels:
+        count = max(levels)
+        level = levels.pop(count)
+        yield count, level
+        children: dict[int, tuple] = {}
+        for rank, (code, start) in level.items():
+            if rank in pruned:
+                continue
+            for e in range(start, n_elements):
+                opened = code[e]
+                step = table[n_elements - e - 1][opened]
+                first = rank - table[n_elements - e][opened] + step
+                head = code[:e]
+                tail = tuple(range(opened, opened + n_elements - e - 1))
+                for b in range(opened):
+                    children[first + b * step] = (head + (b,) + tail, e + 1)
+        pruned.clear()
+        if children:
+            levels.setdefault(count - 1, {}).update(children)
+
+
 def shard_prefixes(
     n_elements: int, shard: tuple[int, int] | None
 ) -> list[tuple[int, ...]] | None:
@@ -128,13 +215,14 @@ def shard_prefixes(
 
 
 def _partition_stream(
-    elements: list, prefixes: list[tuple[int, ...]] | None
-) -> Iterable[tuple[tuple, ...]]:
-    """All partitions of ``elements``, or one shard's disjoint slice."""
+    n_elements: int, prefixes: list[tuple[int, ...]] | None
+) -> Iterable[tuple[int, ...]]:
+    """The growth-string codes of all partitions of ``n_elements``
+    elements, or of one shard's disjoint slice, in listing order."""
     if prefixes is None:
-        return set_partitions(elements)
+        return rgs_codes(n_elements)
     return itertools.chain.from_iterable(
-        set_partitions(elements, prefix=prefix) for prefix in prefixes
+        rgs_codes(n_elements, prefix=prefix) for prefix in prefixes
     )
 
 
@@ -259,13 +347,23 @@ class QuotientCandidate:
     stream uses it to recognize a quotient that repeats an earlier extended
     candidate's isomorphism class.
 
-    ``generation`` is the candidate's position in its (unreordered) stream,
-    stamped by :func:`coarseness_ordered` when the pipeline replays the
-    stream fine-to-coarse: the dominance-aware reducer uses it to repair
-    frontier representatives back to the first-generated member of each
-    equivalence class and to restore generation order in its output, which
-    is what keeps the reordered reduction bit-identical to the serial
-    baseline.  ``None`` on streams that are consumed in generation order.
+    ``generation`` orders the candidate like the unreordered stream: the
+    lattice walk stamps the partition's growth-string rank (an int, so it
+    indexes shard stream positions and goes into checkpoints as is), and
+    :func:`coarseness_ordered` the position in the stream it buffers.  The
+    dominance-aware reducer uses it to repair frontier representatives
+    back to the first-generated member of each equivalence class and to
+    restore generation order in its output, which is what keeps the
+    fine-to-coarse reduction bit-identical to the serial baseline.  ``None``
+    on streams that are consumed in generation order.
+
+    ``strictly_dominated`` is the reducer's feedback to the lattice walk:
+    set when the frontier already knows, at no extra cost, that a member
+    maps into the quotient and the quotient does not map back.  Then every
+    coarsening is strictly dominated as well (the quotient map carries the
+    member on, and a map back from a coarsening would give one from the
+    quotient), and stays so as the frontier descends, so the walk skips
+    the candidate's children.
 
     ``extensions_dominated`` is consumer feedback to the extension stream:
     the quotient map embeds into every member of the quotient's extension
@@ -291,6 +389,7 @@ class QuotientCandidate:
         "key",
         "generation",
         "extensions_dominated",
+        "strictly_dominated",
         "_facts",
         "_tableau",
     )
@@ -319,6 +418,7 @@ class QuotientCandidate:
         self.key = key
         self.generation = None
         self.extensions_dominated = False
+        self.strictly_dominated = False
         self._facts = facts
         self._tableau = tableau
 
@@ -375,6 +475,7 @@ def iter_quotient_candidates(
     automorphisms: list[list[int]] | None | object = _DERIVE,
     seen_keys: set | None = None,
     generation: str = "canonical",
+    fine_to_coarse: bool = False,
 ) -> Iterator[QuotientCandidate]:
     """The quotient candidate stream in lazy (unmaterialized) form.
 
@@ -395,6 +496,16 @@ def iter_quotient_candidates(
     earlier stream element, so downstream frontiers are invariant —
     including bit-identical serial results — across the regimes.
 
+    ``fine_to_coarse=True`` walks the partition lattice instead
+    (:func:`_lattice_levels`): by descending block count, each level in
+    growth-string order — the order :func:`coarseness_ordered` gives the
+    listed stream — with ``generation`` stamped to the growth-string rank.
+    After each yield the walk reads the candidate's ``strictly_dominated``
+    mark and, when it is set, generates none of the candidate's children.
+    A repeat the regime does not emit keeps its children: pruning it with
+    its marked copy pruned under 1% more on the benchmark queries, and
+    finding an orbit repeat's copy cost more than the walk it saved.
+
     ``automorphisms`` takes precomputed base orbit data (the result of
     :func:`base_automorphism_inverses`) so repeated or distributed runs skip
     the endomorphism scan; the default derives it here.  ``seen_keys`` lets
@@ -407,7 +518,8 @@ def iter_quotient_candidates(
     if generation not in GENERATION_MODES:
         raise ValueError(f"unknown generation mode {generation!r}")
     elements = sorted(tableau.structure.domain, key=repr)
-    prefixes = _shard_prefixes(len(elements), shard)
+    n_elements = len(elements)
+    prefixes = _shard_prefixes(n_elements, shard)
     structure = tableau.structure
     index_of = {element: index for index, element in enumerate(elements)}
     names = tuple(
@@ -420,97 +532,114 @@ def iter_quotient_candidates(
     ]
     covered = {value for _, row in base_facts for value in row}
     covered.update(index_of[d] for d in tableau.distinguished)
-    n_elements = len(elements)
     if len(covered) < n_elements:
         # Isolated elements (possible only with an explicitly enlarged
         # domain) would defeat the integer fast path's refinement; fall back
         # to tableau-level canonical forms, which handle them.  Candidates
         # on this path are pre-materialized and carry no integer facts.
         seen = _CanonicalSeen()
-        for partition in _partition_stream(elements, prefixes):
+
+        def candidate_at(code: tuple[int, ...]):
+            partition = _blocks_of(elements, code)
             quotient = tableau.rename(partition_to_mapping(partition))
-            if seen.first_sighting(quotient):
-                yield QuotientCandidate(
-                    partition,
-                    None,
-                    len(partition),
-                    None,
+            if not seen.first_sighting(quotient):
+                return None
+            return QuotientCandidate(
+                partition,
+                None,
+                len(partition),
+                None,
+                tableau,
+                None,
+                names,
+                tableau=quotient,
+            )
+
+    else:
+        distinguished_idx = tuple(index_of[d] for d in tableau.distinguished)
+        if automorphisms is _DERIVE:
+            automorphisms = _automorphism_inverses(tableau, elements, index_of)
+        orbit = automorphisms if generation != "raw" else None
+        if seen_keys is None:
+            seen_keys = set()
+        identity = tuple(range(n_elements))
+        identity_facts = tuple(sorted(set(base_facts)))
+
+        def candidate_at(code: tuple[int, ...]):
+            if code == identity:
+                # The identity quotient: the only partition with |domain|
+                # blocks, and isomorphism preserves block count, so it
+                # cannot duplicate (or be duplicated by) anything — skip
+                # the canonization.
+                return QuotientCandidate(
+                    _blocks_of(elements, code),
+                    code,
+                    n_elements,
+                    distinguished_idx,
                     tableau,
-                    None,
+                    base_facts,
                     names,
-                    tableau=quotient,
+                    facts=identity_facts,
                 )
+            if orbit and not _orbit_minimal(code, n_elements, orbit):
+                return None
+            partition = _blocks_of(elements, code)
+            mapped_distinguished = tuple(code[value] for value in distinguished_idx)
+            if generation != "canonical":
+                return QuotientCandidate(
+                    partition,
+                    code,
+                    len(partition),
+                    mapped_distinguished,
+                    tableau,
+                    base_facts,
+                    names,
+                )
+            mapped_facts = tuple(
+                sorted(
+                    {
+                        (relation_id, tuple(code[value] for value in row))
+                        for relation_id, row in base_facts
+                    }
+                )
+            )
+            key = canonical_key_indexed(
+                len(partition), list(mapped_facts), mapped_distinguished
+            )
+            if key is not None:
+                if key in seen_keys:
+                    return None
+                seen_keys.add(key)
+            return QuotientCandidate(
+                partition,
+                code,
+                len(partition),
+                mapped_distinguished,
+                tableau,
+                base_facts,
+                names,
+                facts=mapped_facts,
+                key=key,
+            )
+
+    if not fine_to_coarse:
+        for code in _partition_stream(n_elements, prefixes):
+            candidate = candidate_at(code)
+            if candidate is not None:
+                yield candidate
         return
 
-    distinguished_idx = tuple(index_of[d] for d in tableau.distinguished)
-    if automorphisms is _DERIVE:
-        automorphisms = _automorphism_inverses(tableau, elements, index_of)
-    if seen_keys is None:
-        seen_keys = set()
-    code = [0] * n_elements
-    identity_facts = tuple(sorted(set(base_facts)))
-    for partition in _partition_stream(elements, prefixes):
-        if len(partition) == n_elements:
-            # The identity quotient: the only partition with |domain| blocks,
-            # and isomorphism preserves block count, so it cannot duplicate
-            # (or be duplicated by) anything — skip the canonization.
-            yield QuotientCandidate(
-                partition,
-                tuple(range(n_elements)),
-                n_elements,
-                distinguished_idx,
-                tableau,
-                base_facts,
-                names,
-                facts=identity_facts,
-            )
-            continue
-        block_count = len(partition)
-        for block_id, block in enumerate(partition):
-            for element in block:
-                code[index_of[element]] = block_id
-        if generation != "raw" and automorphisms and not _orbit_minimal(
-            code, n_elements, automorphisms
-        ):
-            continue
-        if generation != "canonical":
-            yield QuotientCandidate(
-                partition,
-                tuple(code),
-                block_count,
-                tuple(code[value] for value in distinguished_idx),
-                tableau,
-                base_facts,
-                names,
-            )
-            continue
-        mapped_facts = tuple(
-            sorted(
-                {
-                    (relation_id, tuple(code[value] for value in row))
-                    for relation_id, row in base_facts
-                }
-            )
-        )
-        mapped_distinguished = tuple(code[value] for value in distinguished_idx)
-        key = canonical_key_indexed(
-            block_count, list(mapped_facts), mapped_distinguished
-        )
-        if key is not None:
-            if key in seen_keys:
+    pruned: set[int] = set()
+    levels = _lattice_levels(n_elements, prefixes, _rank_table(n_elements), pruned)
+    for _, level in levels:
+        for rank in sorted(level):
+            candidate = candidate_at(level[rank][0])
+            if candidate is None:
                 continue
-            seen_keys.add(key)
-        yield QuotientCandidate(
-            partition,
-            tuple(code),
-            block_count,
-            mapped_distinguished,
-            tableau,
-            base_facts,
-            names,
-            facts=mapped_facts,
-            key=key,
-        )
+            candidate.generation = rank
+            yield candidate
+            if candidate.strictly_dominated:
+                pruned.add(rank)
 
 
 def coarseness_ordered(candidates: Iterable) -> Iterator:
@@ -527,10 +656,11 @@ def coarseness_ordered(candidates: Iterable) -> Iterator:
     first.
 
     Sound only for streams without generator feedback: the stream is fully
-    consumed before anything is yielded, so ``extensions_dominated`` flags
-    set during the reduction would never reach the (exhausted) enumerator.
-    The pipeline therefore applies it to *plain quotient* streams only
-    (graph classes, and hypergraph classes with the extension space off).
+    consumed before anything is yielded, so feedback flags set during the
+    reduction would never reach the (exhausted) enumerator.  The pipeline
+    no longer buffers: its fine-to-coarse streams come from the lattice
+    walk (``iter_quotient_candidates(fine_to_coarse=True)``), which yields
+    this order without listing what it prunes.
     """
     for bucket in coarseness_buckets(candidates):
         yield from bucket
@@ -571,8 +701,8 @@ def iter_quotient_tableaux(
     if not dedup:
         elements = sorted(tableau.structure.domain, key=repr)
         prefixes = _shard_prefixes(len(elements), shard)
-        for partition in _partition_stream(elements, prefixes):
-            yield tableau.rename(partition_to_mapping(partition))
+        for code in _partition_stream(len(elements), prefixes):
+            yield tableau.rename(partition_to_mapping(_blocks_of(elements, code)))
         return
     for candidate in iter_quotient_candidates(tableau, shard=shard):
         yield candidate.materialize()

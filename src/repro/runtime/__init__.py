@@ -12,9 +12,10 @@ allowance.  This package supplies the two guard rails:
   C-overapproximation — stopping early forfeits only minimality and
   completeness, never soundness.
 * :mod:`repro.runtime.checkpoint` — :class:`CheckpointManager`, periodic
-  atomic snapshots of the frontier, the partition-stream cursor, and the
-  pipeline stats, so a run killed mid-enumeration resumes to a
-  bit-identical final frontier.
+  atomic snapshots of the frontier, the stream cursor with the
+  strictly-dominated marks the lattice walk pruned by, and the pipeline
+  stats, so a run killed mid-enumeration resumes to a bit-identical final
+  frontier over the same candidate stream.
 
 :mod:`repro.runtime.persist` holds the atomic write/fail-closed read
 primitives both the checkpoint store and the serving result cache

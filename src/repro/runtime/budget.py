@@ -148,10 +148,11 @@ class RunBudget:
         """The sticky exhaustion reason, or ``None`` while within budget."""
         return self._reason
 
-    def start(self) -> None:
-        """Anchor the deadline clock (idempotent)."""
+    def start(self, at: float | None = None) -> None:
+        """Anchor the deadline clock (idempotent): at ``at``, a reading of
+        this budget's clock taken earlier, or now."""
         if self._started_at is None:
-            self._started_at = self._clock()
+            self._started_at = self._clock() if at is None else at
 
     def elapsed(self) -> float:
         """Seconds since :meth:`start` (0.0 if never started)."""

@@ -1,11 +1,13 @@
 """Checkpoint/resume for long enumeration runs.
 
 A :class:`CheckpointManager` periodically snapshots the pipeline's
-resumable state — the partition-stream cursor, the frontier (members in
-admission order with their refinement codes and generation stamps), and
-the stats counters — to a single file, written atomically (temp file +
-``os.replace``) so a crash mid-write can never corrupt an existing
-snapshot.
+resumable state — the stream cursor, the generation stamps of the
+processed candidates the reducer marked strictly dominated, the frontier
+(members in admission order with their refinement codes and generation
+stamps, plus, on fine-to-coarse runs, the memos that decide which
+strictness evidence is free), and the stats counters — to a single file,
+written atomically (temp file + ``os.replace``) so a crash mid-write can
+never corrupt an existing snapshot.
 
 Snapshots are pickled, not JSON: the frontier serialization reuses the
 pipeline's ``encode_tableau`` integer form, whose nested tuples must
@@ -19,10 +21,14 @@ refuses a snapshot whose run key differs from the current run's
 stream would silently skip or duplicate candidates.
 
 Resume soundness rests on the candidate stream being a function of the run
-key: every generation regime emits the same stream on every run, so the
-resumed run regenerates it in full and skips its first *k* candidates (the
-processed prefix).  Replaying the prefix, rather than skipping it at the
-source, also rebuilds the stateful ``"canonical"`` regime's seen-key set.
+key and of the strictness marks the reducer feeds back to the fine-to-coarse
+lattice walk (which skips the coarsenings of a strictly dominated quotient).
+The resumed run regenerates the stream from the start, skips its first *k*
+candidates (the processed prefix) and puts the recorded marks back on them
+as it passes, so the walk prunes exactly what the interrupted run pruned and
+the rest of the stream is the uninterrupted run's.  Replaying the prefix,
+rather than skipping it at the source, also rebuilds the stateful
+``"canonical"`` regime's seen-key set.
 """
 
 from __future__ import annotations

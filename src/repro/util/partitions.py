@@ -86,7 +86,7 @@ def rgs_prefixes(depth: int) -> list[tuple[int, ...]]:
 def _blocks_of(
     items: Sequence[Hashable], codes: Sequence[int]
 ) -> tuple[tuple[Hashable, ...], ...]:
-    block_count = max(codes) + 1
+    block_count = max(codes, default=-1) + 1
     blocks: list[list[Hashable]] = [[] for _ in range(block_count)]
     for item, code in zip(items, codes):
         blocks[code].append(item)
@@ -198,12 +198,14 @@ class RefinementTrie:
 
         The export side of shipping a trie across a process or network
         boundary as plain picklable tuples: the receiver rebuilds with
-        :meth:`add`.
+        :meth:`add`.  Pairs come depth-first in each node's child order,
+        so re-adding them in this order rebuilds every node's children in
+        the same order, and lookups surface the same hits as before.
         """
         stack: list[tuple[dict, tuple[int, ...]]] = [(self._root, ())]
         while stack:
             node, prefix = stack.pop()
-            for value, child in node.items():
+            for value, child in reversed(node.items()):
                 if value == self._LEAF:
                     yield prefix, child
                 else:

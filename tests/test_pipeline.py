@@ -432,9 +432,9 @@ class TestAdmissionOrder:
         assert ordered.frontier == baseline.frontier
 
     def test_fine_to_coarse_extension_stream_matches_generation_order(self):
-        # Forcing fine-to-coarse on an extension stream buffers it (the
-        # family feedback never reaches the enumerator); representative
-        # repair still returns the generation-order frontier.
+        # Forcing fine-to-coarse on an extension stream keeps generation
+        # order (the extension enumerator bypasses the lattice walk) under
+        # the ordered frontier's shortcuts, which change no verdict.
         tableau = cycle_with_chords(6).tableau()
         cls = HypertreeClass(1)
         baseline = run_pipeline(tableau, cls, max_extra_atoms=1, allow_fresh=True)
@@ -601,14 +601,26 @@ class TestGenerationModes:
         assert raw.frontier == canonical.frontier
 
     def test_raw_stream_is_bell_sized(self):
+        # The listed raw stream emits every partition; the fine-to-coarse
+        # walk over the same regime skips strictly dominated subtrees and
+        # keeps the frontier.
         tableau = self.MEMBER_HEAVY.tableau()
-        result = run_pipeline(
-            tableau, HypertreeClass(2), max_extra_atoms=0, generation="raw"
+        listed = run_pipeline(
+            tableau,
+            HypertreeClass(2),
+            max_extra_atoms=0,
+            generation="raw",
+            admission_order="insertion",
         )
-        assert result.stats.generated == bell_number(
+        assert listed.stats.generated == bell_number(
             len(tableau.structure.domain)
         )
-        assert result.stats.index_evictions == 0
+        walked = run_pipeline(
+            tableau, HypertreeClass(2), max_extra_atoms=0, generation="raw"
+        )
+        assert walked.frontier == listed.frontier
+        assert walked.stats.generated < listed.stats.generated
+        assert walked.stats.index_evictions == 0
 
     @pytest.mark.slow
     @pytest.mark.parametrize(

@@ -16,11 +16,18 @@ from repro.core.pipeline import _check_integer_candidate
 from repro.core.quotients import (
     ExtensionCandidate,
     _integer_automorphisms,
+    _lattice_levels,
+    _rank_table,
+    _rgs_rank,
+    _shard_prefixes,
+    coarseness_buckets,
     iter_extended_candidates,
+    iter_quotient_candidates,
 )
 from repro.homomorphism import hom_equivalent, hom_le
 from repro.homomorphism.signatures import canonical_key
-from repro.util import bell_number
+from repro.util import bell_number, rgs_codes
+from repro.util.partitions import code_coarsens
 from repro.workloads import cycle_with_chords
 
 
@@ -180,6 +187,103 @@ class TestIntegerExtensionStream:
     def test_distinguished_elements_pin_automorphisms(self):
         facts = ((0, (0, 1)), (0, (1, 2)), (0, (2, 0)))
         assert _integer_automorphisms(3, facts, (0,)) == []
+
+
+def _path(n: int):
+    """A directed path on ``n`` variables: no automorphisms, no isolated
+    elements, so every partition is a distinct stream element."""
+    return parse_query(
+        "Q() :- " + ", ".join(f"E(x{i}, x{i + 1})" for i in range(n - 1))
+    ).tableau()
+
+
+def _walked_codes(n: int, prefixes) -> list[tuple[int, ...]]:
+    table = _rank_table(n)
+    return [
+        level[rank][0]
+        for _, level in _lattice_levels(n, prefixes, table, set())
+        for rank in sorted(level)
+    ]
+
+
+class TestLatticeWalk:
+    """The fine-to-coarse reverse search over the partition lattice."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_unpruned_walk_yields_every_partition_once(self, n):
+        walked = [
+            candidate.codes
+            for candidate in iter_quotient_candidates(
+                _path(n), generation="raw", fine_to_coarse=True
+            )
+        ]
+        assert len(walked) == len(set(walked)) == bell_number(n)
+
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_rank_is_the_position_in_the_listed_stream(self, n):
+        table = _rank_table(n)
+        assert [_rgs_rank(code, table) for code in rgs_codes(n)] == list(
+            range(bell_number(n))
+        )
+
+    @pytest.mark.parametrize("generation", ["raw", "orbit", "canonical"])
+    @pytest.mark.parametrize("shard", [None, (0, 2), (1, 3)])
+    def test_order_and_stamps_match_the_buffered_replay(self, generation, shard):
+        tableau = cycle_with_chords(7, ((0, 3),)).tableau()
+        listed = list(
+            iter_quotient_candidates(tableau, generation=generation, shard=shard)
+        )
+        replayed = [c for bucket in coarseness_buckets(iter(listed)) for c in bucket]
+        walked = list(
+            iter_quotient_candidates(
+                tableau, generation=generation, shard=shard, fine_to_coarse=True
+            )
+        )
+        assert [c.codes for c in walked] == [c.codes for c in replayed]
+        assert [c.partition for c in walked] == [c.partition for c in replayed]
+        # The stamps are growth-string ranks: ints ordered like the
+        # unreordered stream, as the buffered replay's positions are.
+        table = _rank_table(len(tableau.structure.domain))
+        assert all(c.generation == _rgs_rank(c.codes, table) for c in walked)
+        by_stamp = sorted(walked, key=lambda c: c.generation)
+        assert [c.codes for c in by_stamp] == [c.codes for c in listed]
+
+    @pytest.mark.parametrize("count", [2, 3, 4])
+    @pytest.mark.parametrize("n", [3, 5, 7, 8])
+    def test_prefix_walks_tile_the_shard_slices(self, n, count):
+        tiles = []
+        for index in range(count):
+            prefixes = _shard_prefixes(n, (index, count))
+            codes = _walked_codes(n, prefixes)
+            depth = len(prefixes[0]) if prefixes else 0
+            assert all(code[:depth] in prefixes for code in codes)
+            assert sorted(codes) == sorted(
+                code
+                for prefix in prefixes
+                for code in rgs_codes(n, prefix=prefix)
+            )
+            tiles.extend(codes)
+        assert sorted(tiles) == list(rgs_codes(n))
+
+    def test_marked_candidates_lose_their_subtrees_only(self):
+        # Marking a candidate skips its reverse-search subtree: every
+        # partition the walk then leaves out coarsens a marked one, and
+        # everything else is still emitted.
+        tableau = _path(6)
+        marked: list[tuple[int, ...]] = []
+        walked = []
+        for candidate in iter_quotient_candidates(
+            tableau, generation="raw", fine_to_coarse=True
+        ):
+            walked.append(candidate.codes)
+            if candidate.block_count == 4 and len(marked) < 3:
+                candidate.strictly_dominated = True
+                marked.append(candidate.codes)
+        skipped = set(rgs_codes(6)) - set(walked)
+        assert skipped
+        assert all(
+            any(code_coarsens(mark, code) for mark in marked) for code in skipped
+        )
 
 
 class TestExtensionSharding:

@@ -41,8 +41,10 @@ from repro.testing import FaultInjected, FaultPlan, FaultyClass
 from repro.workloads import cycle_with_chords
 
 HTW2 = HypertreeClass(2)
+TW2 = TreewidthClass(2)
 LIGHT = cycle_with_chords(6)
 MEMBER_HEAVY = cycle_with_chords(8, ((0, 3), (1, 4), (2, 6)))
+CHORDED_7 = cycle_with_chords(7, ((0, 3), (1, 4), (2, 5)))
 
 
 def _sound(base_tableau, cls, frontier) -> bool:
@@ -89,6 +91,15 @@ class TestRunBudget:
             if verdict is not None:
                 break
         assert verdict == "deadline (5s) exceeded"
+
+    def test_start_anchors_at_an_earlier_clock_reading(self):
+        now = [10.0]
+        budget = RunBudget(deadline=1.0, clock=lambda: now[0])
+        budget.start(9.5)
+        budget.start()  # idempotent: the earlier anchor stays
+        assert budget.exceeded() is None
+        now[0] = 10.6
+        assert budget.exceeded() == "deadline (1s) exceeded"
 
     def test_reason_is_sticky_across_dimensions(self):
         # Once one dimension trips, later calls keep reporting it even if
@@ -398,7 +409,7 @@ class TestBudgetedPipeline:
         assert frontier.tracked_entries() == 0
         for i, key in enumerate(itertools.product(range(4), repeat=2)):
             frontier._class_status[("class", key)] = ("checking", i)
-        frontier._dominated_keys.update({"a", "b", "c"})
+        frontier._dominated_keys.update(dict.fromkeys("abc", False))
         frontier._refinement_index.add((0, 1, 0), None)
         assert frontier.tracked_entries() == 16 + 3 + 1
 
@@ -454,6 +465,35 @@ class TestBudgetedPipeline:
         )
         assert pooled.frontier == serial.frontier
         assert not pooled.stats.exhausted
+
+
+class TestShardDeadlineAnchor:
+    """A local shard counts the deadline from the driver's freeze instant."""
+
+    def test_deadline_spent_before_dispatch_trips_the_shard(self):
+        from repro.core.pipeline import encode_tableau, run_shard
+
+        spec = {
+            "deadline": 5.0,
+            "memory_limit": None,
+            "max_candidates": None,
+            "max_checks": None,
+            "started_at": time.monotonic() - 10.0,
+        }
+        context = (
+            encode_tableau(LIGHT.tableau()),
+            HTW2,
+            0,
+            True,
+            None,
+            "fine_to_coarse",
+            "canonical",
+            spec,
+        )
+        _, stats = run_shard(context, (0, 2))
+        assert stats["exhausted"]
+        assert "deadline" in stats["exhaustion_reason"]
+        assert stats["checks_run"] == 0
 
 
 # --------------------------------------------------------------------------
@@ -663,6 +703,58 @@ class TestCheckpointResume:
         resumed = run_pipeline(tableau, TW1, checkpoint=_manager(path), **kwargs)
         assert resumed.frontier == clean.frontier
         assert resumed.stats.resumed_candidates >= 5
+        assert resumed.stats.generated == clean.stats.generated
+
+    # The smoke specs the fine-to-coarse walk prunes hardest: a resume
+    # must replay the interrupted run's pruning, not only its cursor.
+    PRUNED = [
+        (CHORDED_7, HTW2, 8),
+        (CHORDED_7, HTW2, 15),
+        (CHORDED_7, TW2, 8),
+        (CHORDED_7, TW2, 15),
+        (CHORDED_7, TW2, 30),
+    ]
+
+    @pytest.mark.parametrize("query,cls,check", PRUNED)
+    def test_resume_replays_the_pruned_walk(self, tmp_path, query, cls, check):
+        tableau = query.tableau()
+        clean = run_pipeline(tableau, cls, max_extra_atoms=0)
+        assert clean.stats.generated < 877  # the walk pruned something
+        path = tmp_path / "run.ckpt"
+        faulty = FaultyClass(cls, FaultPlan("raise", check, str(tmp_path / "token")))
+        with pytest.raises(FaultInjected):
+            run_pipeline(tableau, faulty, max_extra_atoms=0, checkpoint=_manager(path))
+        assert path.exists()
+        resumed = run_pipeline(
+            tableau, cls, max_extra_atoms=0, checkpoint=_manager(path)
+        )
+        assert resumed.stats.resumed_candidates >= 5
+        assert resumed.frontier == clean.frontier
+        assert resumed.stats.generated == clean.stats.generated
+
+    @pytest.mark.slow
+    def test_sigkill_resume_replays_the_pruned_walk(self, tmp_path):
+        tableau = CHORDED_7.tableau()
+        clean = run_pipeline(tableau, TW2, max_extra_atoms=0)
+        path = tmp_path / "run.ckpt"
+        plan = FaultPlan("kill", 30, str(tmp_path / "token"))
+
+        def doomed():
+            run_pipeline(
+                tableau,
+                FaultyClass(TW2, plan),
+                max_extra_atoms=0,
+                checkpoint=_manager(path),
+            )
+
+        process = multiprocessing.get_context("fork").Process(target=doomed)
+        process.start()
+        process.join(timeout=120)
+        assert process.exitcode == -signal.SIGKILL
+        resumed = run_pipeline(
+            tableau, TW2, max_extra_atoms=0, checkpoint=_manager(path)
+        )
+        assert resumed.frontier == clean.frontier
         assert resumed.stats.generated == clean.stats.generated
 
     def test_exhausted_budget_leaves_a_resumable_checkpoint(self, tmp_path):

@@ -46,6 +46,7 @@ PIPELINE_COUNTERS = (
     "hom_le_calls",
     "dominance_tests",
     "late_canonizations",
+    "kernel_homs_scanned",
 )
 EVAL_COUNTERS = ("rows_scanned", "rows_hashed", "rows_emitted")
 
