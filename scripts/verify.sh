@@ -24,7 +24,10 @@
 # (tests/test_work_counters.py, including its slow workers=2 cases: the
 # pipeline and evaluation counters of the e2e smoke queries must not rise
 # above tests/work_counters.json; a fall passes with a warning naming the
-# case and the counter), runs the end-to-end benchmark's solve-plain,
+# case and the counter), runs tests/test_reference.py with its slow
+# workers=2 cases (pipeline frontiers, serial and merged from shards,
+# against a brute-force solver built from the paper's definitions), runs
+# the end-to-end benchmark's solve-plain,
 # solve-ext, solve-2w and evaluate workloads in --smoke mode (a few seconds
 # each; exit 1 when a frontier, or evaluate's approximations and answer
 # sets, differ from the committed references — solve-2w runs the sharded
@@ -59,6 +62,7 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -X dev -W error::ResourceWarnin
 (cd benchmarks && PYTHONPATH=../src${PYTHONPATH:+:$PYTHONPATH} python bench_fleet.py --smoke)
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.testing.chaos --count 20
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q tests/test_work_counters.py
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q tests/test_reference.py
 python3 benchmarks/e2e/run.py --smoke --workload solve-plain
 python3 benchmarks/e2e/run.py --smoke --workload solve-ext
 python3 benchmarks/e2e/run.py --smoke --workload solve-2w

@@ -7,14 +7,14 @@ This module makes the three stages explicit and independently scalable::
     ┌──────────────────────┐    ┌──────────────────────┐    ┌──────────────────────┐
     │ iter_quotient_       │    │ class-membership     │    │ →-minimal frontier   │
     │   candidates /       │ →  │   checks             │ →  │ (Frontier)           │
-    │ iter_extended_       │    │ · key-memoized: for  │    │ · online dominance / │
-    │   candidates         │    │   graph (hypergraph) │    │   eviction via       │
-    │ · canonical dedup or │    │   classes the verdict│    │   hom_le(memo=False) │
-    │   orbit pruning,     │    │   depends only on    │    │   — stream pairs     │
-    │   fixed per run by   │    │   G(Q) (H(Q)), so    │    │   never repeat, so   │
-    │   the stream's shape │    │   candidates sharing │    │   canonical memo     │
-    │                      │    │   a (hyper)graph     │    │   keys cost more     │
-    │ · extension atoms    │    │   share one check    │    │   than they save     │
+    │ iter_extended_       │    │ · key-memoized: for  │    │ · dominance scan via │
+    │   candidates         │    │   graph (hypergraph) │    │   hom_le(memo=False) │
+    │ · canonical dedup or │    │   classes the verdict│    │ · candidate → member │
+    │   orbit pruning,     │    │   depends only on    │    │   queries through    │
+    │   fixed per run by   │    │   G(Q) (H(Q)), so    │    │   the member's hom-  │
+    │   the stream's shape │    │   candidates sharing │    │   kernel index; the  │
+    │                      │    │   a (hyper)graph     │    │   engine only where  │
+    │ · extension atoms    │    │   share one check    │    │   it cannot decide   │
     │   over block + fresh │    │ · straight off the   │    │ · dominance memo     │
     │   ids, orbit-pruned  │    │   integer facts: a   │    │   under integer-form │
     │   per quotient family│    │   non-member never   │    │   keys               │
@@ -51,12 +51,15 @@ Stage 3 is a *dominance-aware reduction engine*.  On plain quotient streams
 count, each level in growth-string order — so a quotient is reduced before
 any coarsening of it, and the reducer's ``strictly_dominated`` marks stop
 the walk below every quotient some member maps into and not back: those
-subtrees are never generated.  The partition-coarsening positive
-fast path then decides most dominance verdicts in O(n) integer comparisons
-(the frontier's finer members refine the coarser candidates), turning it
-from an opportunistic check into the common case and letting most
-admissions resolve with **zero** ``hom_le`` searches
-(``PipelineStats.admissions_resolved_by_order``).  Reordering stays
+subtrees are never generated.  The refinement index — a trie over the
+partitions already found dominated or admitted — then decides most
+dominance verdicts with no search (a recorded finer partition refines the
+coarser candidate, so the quotient map carries its dominating member on),
+letting most admissions resolve with **zero** ``hom_le`` searches
+(``PipelineStats.admissions_resolved_by_order``).  The reverse question,
+whether a candidate maps into a member (eviction, repair), is answered by
+the member's kernel index: one bounded enumeration of the member's
+homomorphisms from the base, then a trie walk per candidate.  Reordering stays
 bit-identical to the serial generation-order baseline through **forward
 representative repair**: members carry their generation index, a candidate
 found equivalent to a later-generated member replaces it
@@ -345,33 +348,29 @@ class PipelineStats:
     #: with their task context instead of re-deriving at startup.
     orbit_derivations: int = 0
     #: Engine-backed order queries issued by the frontier (dominance scans,
-    #: eviction scans, representative repairs).  Coarsening fast paths and
-    #: dominance-memo hits do not count — the counter is the wall-clock-free
+    #: and the eviction and repair queries no kernel index decided).
+    #: Coarsening fast paths, kernel-index answers and dominance-memo hits
+    #: do not count — the counter is the wall-clock-free
     #: guard for the fine-to-coarse admission order, which exists precisely
     #: to resolve admissions without engine searches.
     hom_le_calls: int = 0
-    #: "Dominated" verdicts that needed no member scan: dominance-memo hits
-    #: plus refinement-index hits.  (``dominance_memo_hits`` counts hits of
-    #: either verdict; this isolates the positive ones.)
+    #: "Dominated" verdicts that needed no dominance scan: dominance-memo,
+    #: refinement-index and class-status hits, and the merge's drops
+    #: (decided by :meth:`Frontier._maps_into`, through the incoming
+    #: member's kernel index wherever one was shipped).
     dominated_without_search: int = 0
     #: Stage-3 resolutions (dominance verdict plus any repair and eviction
     #: work) that completed with zero engine ``hom_le`` calls.  Counted only
     #: while the fine-to-coarse admission order is active: under it a
-    #: coarser candidate usually meets a strictly finer frontier member
-    #: whose partition refines its own, so the coarsening fast path (an
-    #: O(n) integer comparison) decides the admission outright.
+    #: coarser candidate usually meets a strictly finer recorded partition
+    #: that refines its own, so the refinement index decides the
+    #: admission outright.
     admissions_resolved_by_order: int = 0
     #: Frontier representatives swapped back to an earlier-generated
     #: equivalent candidate (:meth:`Frontier._repair`) — the forward
     #: repair that keeps reordered reductions bit-identical to the serial
     #: generation-order baseline.
     representative_repairs: int = 0
-    #: Refinement-index entries dropped by a capacity backstop.  The trie
-    #: index is uncapped (the historical ``_INDEX_CAP`` antichain cap is
-    #: retired), so this stays zero — it is the tripwire that makes any
-    #: reintroduced cap visible in ``--stats`` instead of silently
-    #: truncating the index like the old backstop did.
-    index_evictions: int = 0
     #: Mid-run flips of the stage-1 generation regime.  The regime is fixed
     #: per run, so this stays 0; kept because benchmark reports read it.
     generation_switches: int = 0
@@ -398,13 +397,13 @@ class PipelineStats:
     #: Candidates skipped on resume because a checkpoint already covered
     #: them (the restored ``generated`` count still includes them).
     resumed_candidates: int = 0
-    #: Candidate classes resolved at merge time by a shard-shipped kernel
-    #: trie (satellite of the fabric work): the incoming member's own
-    #: trie answered the dominance direction exactly, so the merge ran no
-    #: reverse hom search for it.
-    kernel_trie_merge_hits: int = 0
+    #: Candidate → member queries answered by a member's kernel index
+    #: (:meth:`Frontier._maps_into`): eviction, representative repair, the
+    #: forced reverse query and the merge's dominance check against
+    #: shard-shipped tries, each decided by one trie walk and no search.
+    kernel_trie_hits: int = 0
     #: Pinned homomorphisms enumerated to build members' kernel indexes
-    #: (:meth:`Frontier._kernel_trie_for`), a capped-out scan counted up to
+    #: (:meth:`Frontier._kernel_trie`), a capped-out scan counted up to
     #: one past ``Frontier._KERNEL_HOM_CAP``; sharded runs build one per
     #: shipped member.
     kernel_homs_scanned: int = 0
@@ -561,42 +560,38 @@ class Frontier:
 
     ``add`` implements the online update: a candidate dominated by (or
     equivalent to) a member is dropped; otherwise it evicts every member it
-    maps into and joins.  All order queries go through
-    ``hom_le(memo=False)`` — a streamed candidate meets the frontier exactly
-    once, so computing canonical memo keys for the pair would cost more than
-    the (signature-guarded) search it tries to avoid.
+    maps into and joins.  The two directions of an order query are asked
+    differently.  "Does some member map into the candidate?" is the
+    dominance scan: one ``hom_le(memo=False)`` per member, in admission
+    order — a streamed candidate meets the frontier exactly once, so
+    canonical memo keys for the pair would cost more than the
+    (signature-guarded) search they try to avoid.  "Does the candidate map
+    into member ``w``?" — eviction, representative repair, the forced
+    reverse query of ordered reductions and the merge's dominance check
+    against shipped kernel tries — goes through one helper,
+    :meth:`_maps_into`, which answers same-base quotients from ``w``'s
+    kernel index and asks the engine only for what that index cannot
+    decide.
 
-    Dominance tests scan members in a private move-to-front order:
-    consecutive candidates are structurally close (neighbouring partitions),
-    so the member that dominated the last candidate very likely dominates
-    the next one, and front-loading it turns the typical scan into a single
-    successful search.  The scan order is pure bookkeeping — ``any`` over a
-    set of members — while :attr:`members` itself stays in admission order,
-    so results and their order are unchanged.
+    Candidates from one quotient stream carry their partition ``codes``
+    (restricted-growth strings over the shared ``base``).  Partition
+    coarsening is then a sound positive fast path: if ``codes(b)``
+    coarsens ``codes(a)`` the quotient map ``T/a → T/b`` *is* a
+    homomorphism, deciding ``a → b`` in O(n) integer comparisons with no
+    search.
 
-    Candidates from one quotient stream can also carry their partition
-    ``codes`` (restricted-growth strings over the shared base).  When both
-    sides of an order query have codes, partition coarsening is a sound
-    positive fast path: if ``codes(b)`` coarsens ``codes(a)`` the quotient
-    map ``T/a → T/b`` *is* a homomorphism, deciding ``a → b`` in O(n)
-    integer comparisons with no search.  (Coarsening is sufficient, not
-    necessary — failures still fall through to the engine.)
-
-    Dominance verdicts are additionally memoized under the candidate's
-    integer-form ``key`` (see :func:`dominance_key`): candidates with equal
-    keys are isomorphic, and since the frontier only descends in the
-    →-order, a "dominated" verdict stays valid for the rest of the run — a
-    member that mapped into the candidate can only ever be replaced by
-    something lower, which maps in too.  "Not dominated" verdicts are
-    reusable only until the next admission.  On raw (dedup-off) candidate
-    streams most candidates repeat an earlier integer form, so this removes
-    the majority of dominance searches outright.
+    Dominance verdicts are memoized under the candidate's integer-form
+    ``key`` (see :func:`dominance_key`): candidates with equal keys are
+    isomorphic, and since the frontier only descends in the →-order, a
+    "dominated" verdict stays valid for the rest of the run — a member
+    that mapped into the candidate can only ever be replaced by something
+    lower, which maps in too.
 
     The frontier is *dominance-aware* across admission orders: members can
     carry a ``generation`` index (their position in the unreordered
     candidate stream), and when a dominance scan finds a candidate
     equivalent to a *later-generated* member — which only happens when the
-    reducer replays the stream fine-to-coarse — the representative is
+    reducer walks the stream fine-to-coarse — the representative is
     repaired back to the earlier-generated candidate
     (:meth:`_repair`).  Together with
     :meth:`restore_generation_order` this makes the reordered reduction
@@ -604,60 +599,54 @@ class Frontier:
     the first-generated class member of each →-minimal equivalence class,
     listed in generation order.
 
-    ``merge`` folds another frontier's members through ``add``; since the
-    →-minimal set is unique up to homomorphic equivalence, merging is
-    associative and commutative *up to equivalence of representatives*,
-    which is what lets per-shard frontiers combine in any grouping.
+    ``merge`` folds another frontier's members through the same update;
+    since the →-minimal set is unique up to homomorphic equivalence,
+    merging is associative and commutative *up to equivalence of
+    representatives*, which is what lets per-shard frontiers combine in
+    any grouping.
     """
 
     __slots__ = (
         "members",
-        "_scan",
+        "_base",
         "_codes",
         "_generation",
         "_dominated_keys",
-        "_undominated_keys",
         "_refinement_index",
         "_repair_forward",
         "_class_status",
         "_kernel_tries",
-        "_kernel_queries",
         "_ordered",
         "_engine",
         "_stats",
     )
 
     #: Cap on homomorphisms scanned while building one member's kernel
-    #: index (:meth:`_kernel_trie_for`); a member beyond it falls back to
+    #: index (:meth:`_kernel_trie`); a member beyond it falls back to
     #: per-candidate engine queries.  Loop-heavy members can absorb very
     #: many homomorphisms, and a capped-out enumeration is pure waste, so
     #: the cap is deliberately modest — such members are exactly the ones
     #: whose engine queries resolve fast anyway.
     _KERNEL_HOM_CAP = 512
 
-    #: Engine-backed reverse queries a member must attract before its
-    #: kernel index is built.  The hom enumeration behind the index is
-    #: worth one-time cost only when many candidates are tested against
-    #: the member (raw member-heavy streams: thousands); member-light
-    #: streams ask a handful of reverse queries per member and must not
-    #: pay an enumeration that can cost more than all of them together.
-    _KERNEL_BUILD_AFTER = 8
-
     def __init__(
         self,
         *,
+        base: Tableau | None = None,
         stats: PipelineStats | None = None,
         ordered: bool = False,
     ) -> None:
         self.members: list[Tableau] = []
-        self._scan: list[Tableau] = []
+        #: The tableau the candidates are quotients of; partition codes are
+        #: over its ``repr``-sorted element order.  Without it no kernel
+        #: index is built and reverse queries go to the engine.
+        self._base = base
         self._codes: dict[int, tuple[int, ...]] = {}
         self._generation: dict[int, int] = {}
         #: Dominated key → whether it was recorded as *strictly* dominated
         #: (a member maps in, the candidate does not map back).  Strictness
         #: holds for isomorphic copies and survives the frontier's descent.
         self._dominated_keys: dict = {}
-        self._undominated_keys: dict = {}
         #: Trie over the codes of uncovered dominated-or-admitted
         #: candidates, each entry carrying its repair witness.  Lookups are
         #: sublinear (compatible-prefix walk instead of the historical
@@ -674,57 +663,15 @@ class Frontier:
         #: transfer because the frontier only descends (a member mapping
         #: into the first copy maps into every repeat).
         self._class_status: dict[tuple, str] = {}
-        #: Per-member kernel index for the repair reverse query, keyed by
-        #: ``id(member)`` — the value pins the member tableau alive so ids
-        #: cannot be reused.  ``(member, trie)`` with a
+        #: Per-member kernel index, keyed by ``id(member)`` — the value
+        #: pins the member tableau alive so ids cannot be reused.
+        #: ``(member, trie)`` with a
         #: :class:`~repro.util.partitions.RefinementTrie` of hom kernels,
         #: or ``(member, None)`` when the hom scan capped out.
         self._kernel_tries: dict[int, tuple[Tableau, RefinementTrie | None]] = {}
-        #: Reverse queries answered by the engine per member so far — the
-        #: build trigger for the lazy kernel index (see
-        #: ``_KERNEL_BUILD_AFTER``).
-        self._kernel_queries: dict[int, int] = {}
         self._ordered = ordered
         self._engine = default_engine()
         self._stats = stats if stats is not None else PipelineStats()
-
-    #: Whether every block of ``fine`` lies inside a block of ``coarse``
-    #: (the shared O(n) coarsening test of :mod:`repro.util.partitions`).
-    _coarsens = staticmethod(code_coarsens)
-
-    def _le(
-        self,
-        source: Tableau,
-        source_codes: tuple[int, ...] | None,
-        target: Tableau,
-        target_codes: tuple[int, ...] | None,
-    ) -> bool:
-        if self._coarsens(source_codes, target_codes):
-            return True
-        self._stats.hom_le_calls += 1
-        return self._engine.hom_le(source, target, memo=False)
-
-    def cached_dominance(self, key: tuple | None) -> bool | None:
-        """The memoized dominance verdict for an integer form, if still valid.
-
-        "Dominated" never expires (the frontier only descends); "not
-        dominated" is valid only while no admission happened since it was
-        recorded.  Callers can consult this before materializing a
-        candidate — a hit answers the stage-3 question with no tableau, no
-        search.
-        """
-        if key is None:
-            return None
-        # Memo hits deliberately leave `dominated`/`dominance_tests` alone:
-        # those two counters describe *searched* verdicts only.
-        if key in self._dominated_keys:
-            self._stats.dominance_memo_hits += 1
-            self._stats.dominated_without_search += 1
-            return True
-        if self._undominated_keys.get(key) == self._stats.admitted:
-            self._stats.dominance_memo_hits += 1
-            return False
-        return None
 
     def absorbable(self, candidate) -> bool:
         """Whether zero-cost evidence already settles this candidate.
@@ -750,74 +697,38 @@ class Frontier:
             return True
         return False
 
+    def _search(self, source: Tableau, target: Tableau) -> bool:
+        """One engine-backed order query, counted in ``hom_le_calls``."""
+        self._stats.hom_le_calls += 1
+        return self._engine.hom_le(source, target, memo=False)
+
     def _scan_dominance(
-        self,
-        candidate: Tableau,
-        codes: tuple[int, ...] | None,
-        key: tuple | None,
-    ) -> tuple[bool, Tableau | None]:
-        """The timed member scan behind :meth:`dominated`.
+        self, candidate: Tableau, key: tuple | None
+    ) -> Tableau | None:
+        """The timed member scan behind :meth:`dominated`: the first member
+        that maps into ``candidate``, ``None`` when none does.
 
-        Returns the verdict plus the member that witnessed it (``None`` for
-        negative verdicts) — the witness is what representative repair
-        needs.  Memo bookkeeping is identical to the historical scan.
-
-        The scan runs in two phases: a *coarsening pre-pass* testing every
-        member's partition codes against the candidate's (O(n) integer
-        comparisons per member, no search), then the engine-backed
-        move-to-front pass.  Under fine-to-coarse admission the frontier's
-        members are at least as fine as the candidate, so the pre-pass
-        decides most scans outright — paying a ``hom_le`` on the
-        front members first (the historical single pass) would waste
-        searches that are strictly pricier than checking every member's
-        codes.  Which member witnesses a positive verdict is bookkeeping
-        only: if the candidate has an equivalent member, that member is the
-        unique one mapping into it, so any witness found is the right one.
+        The witness is what representative repair needs.  Which member
+        witnesses a positive verdict is immaterial: if the candidate has
+        an equivalent member, that member is the unique one mapping into
+        it, so any witness found is the right one.
         """
         started = time.perf_counter()
-        verdict, witness = False, None
-        member_codes = self._codes
-        if codes is not None:
-            for position, member in enumerate(self._scan):
-                if self._coarsens(member_codes.get(id(member)), codes):
-                    verdict, witness = True, member
-                    if position:
-                        self._scan.insert(0, self._scan.pop(position))
-                    break
-        if not verdict:
-            # The pre-pass already rejected every coarsening witness (and
-            # with ``codes`` None there can be none), so this pass goes
-            # straight to the engine.
-            for position, member in enumerate(self._scan):
-                self._stats.hom_le_calls += 1
-                if self._engine.hom_le(member, candidate, memo=False):
-                    verdict, witness = True, member
-                    if position:
-                        self._scan.insert(0, self._scan.pop(position))
-                    break
+        witness = next(
+            (member for member in self.members if self._search(member, candidate)),
+            None,
+        )
         self._stats.dominance_tests += 1
         self._stats.dominance_seconds += time.perf_counter() - started
-        if key is not None:
-            if verdict:
-                self._dominated_keys.setdefault(key, False)
-            else:
-                self._undominated_keys[key] = self._stats.admitted
-        if verdict:
+        if witness is not None:
             self._stats.dominated += 1
-        return verdict, witness
+            if key is not None:
+                self._dominated_keys.setdefault(key, False)
+        return witness
 
-    def dominated(
-        self,
-        candidate: Tableau,
-        codes: tuple[int, ...] | None = None,
-        key: tuple | None = None,
-    ) -> bool:
+    def dominated(self, candidate: Tableau) -> bool:
         """Whether some member maps into ``candidate``."""
-        cached = self.cached_dominance(key)
-        if cached is not None:
-            return cached
-        verdict, _ = self._scan_dominance(candidate, codes, key)
-        return verdict
+        return self._scan_dominance(candidate, None) is not None
 
     def _refinement_lookup(
         self, codes: tuple[int, ...]
@@ -855,35 +766,34 @@ class Frontier:
         if self._ordered and codes is not None:
             self._refinement_index.add(codes, witness)
 
-    def _kernel_trie_for(
-        self, base: Tableau, witness: Tableau
-    ) -> RefinementTrie | None:
-        """The witness's kernel index: the kernels of every pinned
-        homomorphism ``base → witness``, as partition codes over the base
+    def _kernel_trie(self, member: Tableau) -> RefinementTrie | None:
+        """The member's kernel index: the kernels of every pinned
+        homomorphism ``base → member``, as partition codes over the base
         element order, in a :class:`~repro.util.partitions.RefinementTrie`.
 
-        A quotient candidate ``c`` (of the same base) maps into the witness
-        iff some hom ``base → witness`` is constant on ``c``'s blocks —
-        i.e. iff ``c``'s partition refines one of these kernels — so the
-        index answers the repair reverse query ``c → witness`` in one
+        A quotient ``c`` of the base maps into the member iff some hom
+        ``base → member`` is constant on ``c``'s blocks — i.e. iff ``c``'s
+        partition refines one of these kernels — so one
         :meth:`~repro.util.partitions.RefinementTrie.find_coarsening` walk
-        instead of a per-candidate engine search.  Built once per member
-        on first use (the hom enumeration is amortized over every
-        candidate tested against the member — on raw streams that is the
-        dominant repair cost); ``None`` when the enumeration exceeded
-        ``_KERNEL_HOM_CAP`` (callers then fall back to the engine).  An
-        empty trie is exact: no pinned hom exists, so nothing maps in.
+        answers ``c → member`` exactly.  Built on the member's first query
+        (or seeded by :meth:`merge` from a shard's export) and kept while
+        the member is on the frontier.  ``None`` when the enumeration
+        exceeded ``_KERNEL_HOM_CAP`` or the frontier has no base.  An empty
+        trie is exact: no pinned hom exists, so nothing maps in.
         """
-        cached = self._kernel_tries.get(id(witness))
+        cached = self._kernel_tries.get(id(member))
         if cached is not None:
             return cached[1]
+        base = self._base
+        if base is None:
+            return None
         trie: RefinementTrie | None = RefinementTrie()
-        pin = pin_for(base, witness)
+        pin = pin_for(base, member)
         if pin is not None:
             elements = sorted(base.structure.domain, key=repr)
             scanned = 0
             for hom in self._engine.iter_homomorphisms(
-                base.structure, witness.structure, pin=pin
+                base.structure, member.structure, pin=pin
             ):
                 scanned += 1
                 if scanned > self._KERNEL_HOM_CAP:
@@ -897,42 +807,35 @@ class Frontier:
                     )
                 )
             self._stats.kernel_homs_scanned += scanned
-        self._kernel_tries[id(witness)] = (witness, trie)
+        self._kernel_tries[id(member)] = (member, trie)
         return trie
 
-    def _member_le(self, candidate, codes, witness: Tableau) -> bool:
-        """``candidate → witness`` — the repair/equivalence reverse query.
+    def _maps_into(
+        self, source, codes: tuple[int, ...] | None, member: Tableau
+    ) -> bool:
+        """``source → member``: every candidate → member question.
 
-        Decided, in order, by the coarsening fast path (candidate codes
-        refine the witness's), the witness's kernel index (quotient
-        candidates only), and the engine.  The kernel index is what keeps
-        raw streams cheap: the forced equivalence queries of the ordered
-        reduction repeat against the same few members, and a trie walk per
-        candidate replaces a (mostly futile) search per candidate.  The
-        index is built lazily — a member answers its first
-        ``_KERNEL_BUILD_AFTER`` queries through the engine, so streams
-        that only ever ask a handful never pay the hom enumeration.
+        ``source`` is a tableau or a stage-1 candidate (materialized only
+        if the engine is asked), ``codes`` its partition codes over the
+        base (``None`` off the integer path).  Decided, in order, by
+        partition coarsening (``codes`` refine the member's own codes), the
+        member's kernel index (:meth:`_kernel_trie`, exact for any quotient
+        of the base), and the engine — for sources without codes, such as
+        extended candidates, and for members whose hom scan capped out.
+        One bounded enumeration per member replaces a search per
+        candidate.
         """
-        if codes is not None and code_coarsens(codes, self._codes.get(id(witness))):
-            return True
-        base = getattr(candidate, "base", None)
-        if codes is not None and base is not None:
-            cached = self._kernel_tries.get(id(witness))
-            if cached is not None:
-                trie = cached[1]
-            else:
-                asked = self._kernel_queries.get(id(witness), 0) + 1
-                if asked <= self._KERNEL_BUILD_AFTER:
-                    self._kernel_queries[id(witness)] = asked
-                    trie = None
-                else:
-                    self._kernel_queries.pop(id(witness), None)
-                    trie = self._kernel_trie_for(base, witness)
+        if codes is not None:
+            if code_coarsens(codes, self._codes.get(id(member))):
+                return True
+            trie = self._kernel_trie(member)
             if trie is not None:
+                self._stats.kernel_trie_hits += 1
                 hit, _ = trie.find_coarsening(codes)
                 return hit
-        self._stats.hom_le_calls += 1
-        return self._engine.hom_le(candidate.materialize(), witness, memo=False)
+        if not isinstance(source, Tableau):
+            source = source.materialize()
+        return self._search(source, member)
 
     def _repair(
         self, candidate, witness, generation, membership, *, equivalent=None
@@ -950,11 +853,12 @@ class Frontier:
         verified), it replaces the witness — the frontier converges on the
         first-generated member of each equivalence class, exactly what the
         serial generation-order baseline keeps.  The swap exchanges
-        hom-equivalent tableaux, so every memoized dominance verdict stays
-        valid.  ``equivalent`` short-circuits the reverse query when the
-        caller already computed it.  Returns the reverse query's answer
-        (``None`` when the generations did not call for it): ``False``
-        proves the candidate strictly dominated by the witness.
+        hom-equivalent tableaux, so every memoized dominance verdict and the
+        witness's kernel index stay valid.  ``equivalent`` short-circuits
+        the reverse query when the caller already computed it.  Returns the
+        reverse query's answer (``None`` when the generations did not call
+        for it): ``False`` proves the candidate strictly dominated by the
+        witness.
         """
         if witness is None or generation is None:
             return None
@@ -963,7 +867,7 @@ class Frontier:
             return None
         codes = candidate.codes
         if equivalent is None:
-            equivalent = self._member_le(candidate, codes, witness)
+            equivalent = self._maps_into(candidate, codes, witness)
         if not equivalent:
             return False
         if membership is not None and not membership():
@@ -973,15 +877,14 @@ class Frontier:
             i for i, member in enumerate(self.members) if member is witness
         )
         self.members[position] = tableau
-        scan_position = next(
-            i for i, member in enumerate(self._scan) if member is witness
-        )
-        self._scan[scan_position] = tableau
         self._codes.pop(id(witness), None)
         if codes is not None:
             self._codes[id(tableau)] = codes
         self._generation.pop(id(witness), None)
         self._generation[id(tableau)] = generation
+        kernel = self._kernel_tries.pop(id(witness), None)
+        if kernel is not None:
+            self._kernel_tries[id(tableau)] = (tableau, kernel[1])
         self._repair_forward[id(witness)] = tableau
         self._stats.representative_repairs += 1
         return True
@@ -1043,17 +946,20 @@ class Frontier:
         (or skipping repair when the entry's class provably left the
         frontier) reproduces exactly what a full scan would have done.
         """
-        cached = self.cached_dominance(key)
-        if cached is True:
+        if key is not None and key in self._dominated_keys:
             # An isomorphic candidate resolved "dominated" earlier.  Equal
             # keys share a block count, so under any supported order the
             # earlier candidate had the lower generation and any repair
-            # already happened there — nothing further to do.
+            # already happened there — nothing further to do.  Memo hits
+            # leave `dominated`/`dominance_tests` alone: those two counters
+            # describe *searched* verdicts only.
+            self._stats.dominance_memo_hits += 1
+            self._stats.dominated_without_search += 1
             if self._dominated_keys[key]:
                 _mark_strict(candidate)
             return "dominated"
         codes = candidate.codes
-        if cached is None and self._ordered and codes is not None:
+        if self._ordered and codes is not None:
             hit, hit_witness = self._refinement_lookup(codes)
             if hit:
                 self._stats.dominance_memo_hits += 1
@@ -1073,29 +979,22 @@ class Frontier:
                 return "dominated"
         if membership is not None and not membership():
             return "rejected"
-        class_key = None
-        if cached is False:
-            verdict, witness = False, None
-        else:
-            if late_key is not None:
-                class_key = late_key()
-                if class_key is not None:
-                    status = self._class_status.get(class_key)
-                    if status is not None:
-                        # "admitted", "dominated" or "strict": either way a
-                        # member maps into the earlier isomorphic copy,
-                        # hence into this candidate — no scan needed.
-                        self._stats.class_status_hits += 1
-                        self._stats.dominated_without_search += 1
-                        if key is not None:
-                            self._dominated_keys.setdefault(key, False)
-                        if status == "strict":
-                            self._note_strict(candidate, key)
-                        return "dominated"
-            verdict, witness = self._scan_dominance(
-                candidate.materialize(), codes, key
-            )
-        if verdict:
+        class_key = late_key() if late_key is not None else None
+        if class_key is not None:
+            status = self._class_status.get(class_key)
+            if status is not None:
+                # "admitted", "dominated" or "strict": either way a member
+                # maps into the earlier isomorphic copy, hence into this
+                # candidate — no scan needed.
+                self._stats.class_status_hits += 1
+                self._stats.dominated_without_search += 1
+                if key is not None:
+                    self._dominated_keys.setdefault(key, False)
+                if status == "strict":
+                    self._note_strict(candidate, key)
+                return "dominated"
+        witness = self._scan_dominance(candidate.materialize(), key)
+        if witness is not None:
             status = "dominated"
             if self._ordered:
                 # Establish once whether this candidate's class sits on the
@@ -1103,7 +1002,7 @@ class Frontier:
                 # the generations would not warrant it): index hits through
                 # the entry then know for certain whether repair can ever
                 # apply — a ``None`` witness is a proof, not a guess.
-                equivalent = self._member_le(candidate, codes, witness)
+                equivalent = self._maps_into(candidate, codes, witness)
                 if equivalent:
                     self._repair(
                         candidate, witness, generation, None, equivalent=True
@@ -1139,77 +1038,33 @@ class Frontier:
         codes: tuple[int, ...] | None = None,
         *,
         generation: int | None = None,
-        use_kernel_tries: bool = False,
     ) -> None:
-        """Admit a known-undominated class member, evicting what it beats.
-
-        Engine-backed eviction queries are batched through
-        :meth:`~repro.homomorphism.engine.HomEngine.hom_le_many` (the
-        candidate-side signature and search plan are shared across the
-        member scan) after coarsening-witnessed pairs are decided inline.
-
-        ``use_kernel_tries`` additionally decides eviction queries through
-        the scanned member's kernel index when one is seeded (``candidate →
-        member`` holds iff the candidate's partition refines some hom
-        kernel of the member — exact in both directions for same-base
-        quotients).  Only :meth:`merge` sets it: the serial path's members
-        never carry seeded tries, and keeping the flag off there leaves
-        its engine-call counters untouched.
-        """
-        member_codes = self._codes
-        beaten: dict[int, bool] = {}
-        searched: list[Tableau] = []
-        for member in self.members:
-            if self._coarsens(codes, member_codes.get(id(member))):
-                beaten[id(member)] = True
-                continue
-            if use_kernel_tries and codes is not None:
-                cached = self._kernel_tries.get(id(member))
-                if cached is not None and cached[1] is not None:
-                    hit, _ = cached[1].find_coarsening(codes)
-                    beaten[id(member)] = hit
-                    self._stats.kernel_trie_merge_hits += 1
-                    continue
-            searched.append(member)
-        if searched:
-            self._stats.hom_le_calls += len(searched)
-            for member, verdict in zip(
-                searched,
-                self._engine.hom_le_many(candidate, searched, memo=False),
-            ):
-                beaten[id(member)] = verdict
+        """Admit a known-undominated class member, evicting every member
+        it maps into (each eviction query through :meth:`_maps_into`)."""
         survivors = [
-            member for member in self.members if not beaten[id(member)]
+            member
+            for member in self.members
+            if not self._maps_into(candidate, codes, member)
         ]
         self._stats.evicted += len(self.members) - len(survivors)
         self._stats.admitted += 1
         survivors.append(candidate)
         if len(survivors) != len(self.members) + 1:
             kept = set(map(id, survivors))
-            self._scan = [m for m in self._scan if id(m) in kept]
-            self._codes = {
-                key: value for key, value in member_codes.items() if key in kept
-            }
-            self._generation = {
-                key: value
-                for key, value in self._generation.items()
-                if key in kept
-            }
+            for table in (self._codes, self._generation, self._kernel_tries):
+                for stale in [key for key in table if key not in kept]:
+                    del table[stale]
         self.members = survivors
-        self._scan.insert(0, candidate)
         if codes is not None:
             self._codes[id(candidate)] = codes
         if generation is not None:
             self._generation[id(candidate)] = generation
 
     def add(
-        self,
-        candidate: Tableau,
-        codes: tuple[int, ...] | None = None,
-        key: tuple | None = None,
+        self, candidate: Tableau, codes: tuple[int, ...] | None = None
     ) -> bool:
         """The online frontier update; returns whether the candidate joined."""
-        if self.dominated(candidate, codes, key):
+        if self.dominated(candidate):
             return False
         self.insert(candidate, codes)
         return True
@@ -1237,7 +1092,6 @@ class Frontier:
         return (
             len(self.members)
             + len(self._dominated_keys)
-            + len(self._undominated_keys)
             + len(self._class_status)
             + len(self._refinement_index)
         )
@@ -1248,16 +1102,14 @@ class Frontier:
         ``members``: the members in admission order, each with its
         partition codes and generation stamp.  An ordered frontier also
         keeps the state that decides which strictness evidence is free —
-        the dominated keys with their strict flags, the undominated keys,
-        the class-status memo and the refinement index, whose witnesses
-        are resolved to member positions (``None`` once off the
-        frontier) — because its
+        the dominated keys with their strict flags, the class-status memo
+        and the refinement index, whose witnesses are resolved to member
+        positions (``None`` once off the frontier) — because its
         ``strictly_dominated`` marks prune the lattice walk, so a restore
         without them would prune differently and generate a different
-        stream.  The kernel tries, the check memo and the scan order only
-        decide how an answer is found, never which, and are not captured:
-        a restore without them changes counters, never the frontier or the
-        stream.
+        stream.  The kernel tries and the check memo only decide how an
+        answer is found, never which, and are not captured: a restore
+        without them changes counters, never the frontier or the stream.
         """
         state: dict = {
             "members": [
@@ -1280,7 +1132,6 @@ class Frontier:
                 )
             state.update(
                 dominated=dict(self._dominated_keys),
-                undominated=dict(self._undominated_keys),
                 class_status=dict(self._class_status),
                 index=index,
             )
@@ -1294,40 +1145,34 @@ class Frontier:
         for encoded, codes, generation in snapshot["members"]:
             member = decode_tableau(encoded)
             self.members.append(member)
-            self._scan.append(member)
             if codes is not None:
                 self._codes[id(member)] = codes
             if generation is not None:
                 self._generation[id(member)] = generation
         if "index" in snapshot:
             self._dominated_keys.update(snapshot["dominated"])
-            self._undominated_keys.update(snapshot["undominated"])
             self._class_status.update(snapshot["class_status"])
             for codes, position in snapshot["index"]:
                 self._refinement_index.add(
                     codes, None if position is None else self.members[position]
                 )
 
-    def kernel_exports(
-        self, base: Tableau
-    ) -> list[tuple[tuple[int, ...], ...] | None]:
+    def kernel_exports(self) -> list[tuple[tuple[int, ...], ...] | None]:
         """Per-member kernel indexes as plain code tuples, members order.
 
         The shard-result counterpart of :meth:`snapshot`: each entry is
-        the member's kernel trie (:meth:`_kernel_trie_for` over ``base``)
-        flattened to a tuple of partition codes, ``None`` when the hom
-        scan capped out at ``_KERNEL_HOM_CAP``.  Every member is indexed,
-        not only those whose reverse queries already built a trie: the
-        merge decides an incoming member's dominance by one trie walk per
-        current member instead of an engine scan, and a shard whose walk
-        pruned the stream asks too few reverse queries to build the tries
-        on its own.  Plain nested tuples of ints are cheaply picklable, so
-        shard workers ship them with their frontiers and :meth:`merge`
-        rebuilds the tries coordinator-side.
+        the member's kernel trie (:meth:`_kernel_trie`) flattened to a
+        tuple of partition codes, ``None`` when the hom scan capped out at
+        ``_KERNEL_HOM_CAP``.  Every member is indexed, not only those whose
+        reverse queries already built a trie: the merge decides an
+        incoming member's dominance by one trie walk per current member
+        instead of an engine scan.  Plain nested tuples of ints are cheaply
+        picklable, so shard workers ship them with their frontiers and
+        :meth:`merge` rebuilds the tries coordinator-side.
         """
         exports: list[tuple[tuple[int, ...], ...] | None] = []
         for member in self.members:
-            trie = self._kernel_trie_for(base, member)
+            trie = self._kernel_trie(member)
             exports.append(
                 None
                 if trie is None
@@ -1341,44 +1186,22 @@ class Frontier:
         codes: Iterable[tuple[int, ...] | None] | None = None,
         kernel_tries: Iterable | None = None,
     ) -> "Frontier":
-        """Fold another frontier (or member list) into this one.
+        """Fold another frontier (or member list) into this one, in order.
 
-        Each incoming member is keyed by its engine canonical form (under
-        an ``("iso", …)`` namespace disjoint from the integer-form
-        :func:`dominance_key` space), so the shared dominance memo
-        short-circuits repeats before any ``hom_le``: shard merges
-        routinely present members isomorphic to ones an earlier merge
-        already resolved — per-shard dedup state cannot see across shards —
-        and a memoized "dominated" verdict now answers them with no scan.
-        Canonical keys for the batch are requested together through
-        :meth:`~repro.homomorphism.engine.HomEngine.canonical_key_many`.
-        Merging an empty frontier is a no-op, and re-merging a shard's
-        members is absorbed by the same memo — the idempotence the
-        fabric's at-least-once re-dispatch relies on.
-
-        ``codes`` optionally carries each member's partition codes over the
-        *shared base element order* (shard workers return them with their
-        frontiers).  They feed the same refinement index the fine-to-coarse
-        reducer uses — the index's soundness needs only that the frontier
-        descends, not any admission order: an incoming member refined by a
-        recorded dominated-or-admitted partition is dominated with no scan
-        and no search, so cross-shard repeats and coarsenings resolve in
-        one trie walk.  Admitted members are recorded in turn (dominated
-        ones are not — ``add`` surfaces no repair witness, and merged
-        members carry no generation, so only admissions have a sound
-        witness to store).
-
-        ``kernel_tries`` optionally carries each member's
-        :meth:`kernel_exports` entry.  A member arriving with one has its
-        trie rebuilt and used to *decide the dominance scan outright*
-        whenever every current member has codes: ``existing → incoming``
-        holds iff the existing member's partition refines some hom kernel
-        of the incoming one, so one trie walk per current member replaces
-        the engine scan, exactly (the trie is only shipped when the hom
-        enumeration completed).  Undominated members insert directly with
-        ``use_kernel_tries=True`` so their eviction queries go through the
-        tries seeded by earlier merges; admitted members' tries are seeded
-        for the merges after them.
+        Each incoming member meets the frontier through :meth:`_maps_into`,
+        in both directions: it is dropped when some current member maps
+        into it, and otherwise admitted by :meth:`insert`, evicting every
+        member it maps into.  ``codes`` optionally carries each member's
+        partition codes over the *shared base element order*, and
+        ``kernel_tries`` each member's :meth:`kernel_exports` entry (shard
+        workers return both with their frontiers).  The shipped trie is
+        seeded as the incoming member's kernel index, so "does a current
+        member map into it?" is one trie walk per current member with
+        codes, and the members merged after it ask their eviction queries
+        the same way.  Merging an empty frontier is a no-op, and
+        re-merging a shard's members drops every one of them as dominated
+        by its earlier copy — the idempotence the fabric's at-least-once
+        re-dispatch relies on.
         """
         members = list(members)
         code_list: list = list(codes) if codes is not None else [None] * len(
@@ -1389,58 +1212,29 @@ class Frontier:
             if kernel_tries is not None
             else [None] * len(members)
         )
-        keys = self._engine.canonical_key_many(members)
-        for member, member_codes, kernel_codes, canonical in zip(
-            members, code_list, trie_list, keys
+        for member, member_codes, kernel_codes in zip(
+            members, code_list, trie_list
         ):
-            key = ("iso", canonical) if canonical is not None else None
+            if kernel_tries is not None:
+                # Seeded even when the shard's scan capped out (``None``),
+                # so the member is never scanned again here.
+                trie = None
+                if kernel_codes is not None:
+                    trie = RefinementTrie()
+                    for entry in kernel_codes:
+                        trie.add(tuple(entry))
+                self._kernel_tries[id(member)] = (member, trie)
             if member_codes is not None:
-                hit, _ = self._refinement_index.find_refinement(member_codes)
-                if hit:
-                    self._stats.dominance_memo_hits += 1
-                    self._stats.dominated_without_search += 1
-                    if key is not None:
-                        self._dominated_keys.setdefault(key, False)
-                    continue
-            trie: RefinementTrie | None = None
-            if kernel_codes is not None:
-                trie = RefinementTrie()
-                for entry in kernel_codes:
-                    trie.add(tuple(entry))
-            admitted = False
-            if trie is None:
-                admitted = self.add(member, member_codes, key=key)
+                self._codes[id(member)] = member_codes
+            if any(
+                self._maps_into(existing, self._codes.get(id(existing)), member)
+                for existing in self.members
+            ):
+                self._stats.dominated_without_search += 1
+                self._codes.pop(id(member), None)
+                self._kernel_tries.pop(id(member), None)
             else:
-                cached = self.cached_dominance(key)
-                decided: bool | None = None
-                if cached is None:
-                    member_code_map = self._codes
-                    if all(
-                        id(existing) in member_code_map
-                        for existing in self.members
-                    ):
-                        decided = any(
-                            trie.find_coarsening(
-                                member_code_map[id(existing)]
-                            )[0]
-                            for existing in self.members
-                        )
-                        self._stats.kernel_trie_merge_hits += 1
-                if cached is True or decided is True:
-                    if decided is True:
-                        self._stats.dominated_without_search += 1
-                        if key is not None:
-                            self._dominated_keys.setdefault(key, False)
-                elif cached is False or decided is False:
-                    self.insert(member, member_codes, use_kernel_tries=True)
-                    admitted = True
-                else:
-                    admitted = self.add(member, member_codes, key=key)
-            if admitted:
-                if member_codes is not None:
-                    self._refinement_index.add(member_codes, member)
-                if trie is not None:
-                    self._kernel_tries[id(member)] = (member, trie)
+                self.insert(member, member_codes)
         return self
 
 
@@ -1648,6 +1442,7 @@ def _reduce_inline(
     cls: QueryClass,
     stats: PipelineStats,
     *,
+    base: Tableau | None = None,
     order: str = "insertion",
     budget: RunBudget | None = None,
     checkpoint: _CheckpointSession | None = None,
@@ -1663,17 +1458,19 @@ def _reduce_inline(
     ``order="fine_to_coarse"`` expects the lattice walk
     (``iter_quotient_candidates(fine_to_coarse=True)``): a quotient is then
     reduced before any coarsening of it, so most dominance verdicts resolve
-    through the coarsening fast path with zero engine searches, and
+    through the refinement index with zero engine searches, and
     representative repair plus a final generation-order sort keep the
     result **bit-identical** to the insertion-order reduction.  The
     frontier's ``strictly_dominated`` marks reach the walk between two
     candidates, so strictly dominated subtrees are never generated.  The
     budget is checked once per candidate, before the candidate is reduced:
-    nothing is buffered, so that is the earliest stop.
+    nothing is buffered, so that is the earliest stop.  ``base`` is the
+    tableau the candidates are quotients of; it lets the frontier build
+    its members' kernel indexes.
     """
     tester = MembershipTester(cls, stats)
     reorder = order == "fine_to_coarse"
-    frontier = Frontier(stats=stats, ordered=reorder)
+    frontier = Frontier(base=base, stats=stats, ordered=reorder)
     if budget is not None:
         budget.start()
         budget.register_probe(frontier.tracked_entries)
@@ -1851,10 +1648,11 @@ def run_shard(
         _stream_positions(candidates, positions),
         cls,
         stats,
+        base=base,
         order=order,
         budget=budget,
     )
-    kernels = frontier.kernel_exports(base)
+    kernels = frontier.kernel_exports()
     return (
         tuple(
             (
@@ -2151,7 +1949,7 @@ def run_pipeline(
             heartbeat_interval=heartbeat_interval,
             shard_timeout=shard_timeout,
         )
-        frontier = Frontier(stats=stats)
+        frontier = Frontier(base=tableau, stats=stats)
         _merge_shards(frontier, shard_members)
         _note_exhaustion(budget, stats)
         stats.peak_tracked_entries = max(
@@ -2163,7 +1961,7 @@ def run_pipeline(
     resume = None
     if checkpoint_manager is not None:
         run_key = (
-            "pipeline-checkpoint-v2",
+            "pipeline-checkpoint-v3",
             encode_tableau(tableau),
             cls.name,
             max_extra_atoms,
@@ -2186,6 +1984,7 @@ def run_pipeline(
         candidates,
         cls,
         stats,
+        base=tableau,
         order=order,
         budget=budget,
         checkpoint=session,

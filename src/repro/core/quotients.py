@@ -424,8 +424,8 @@ class QuotientCandidate:
 
     @property
     def base(self) -> Tableau:
-        """The base tableau this candidate is a quotient of (the reducer's
-        kernel-index equivalence tests factor homomorphisms through it)."""
+        """The base tableau this candidate is a quotient of (its element
+        order is the one partition codes are written over)."""
         return self._base
 
     @classmethod

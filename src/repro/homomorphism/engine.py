@@ -205,34 +205,12 @@ class HomEngine:
     def canonical_key_many(
         self, tableaux: Iterable[Tableau]
     ) -> list[tuple | None]:
-        """Batched :meth:`canonical_key`: one request for many tableaux.
+        """:meth:`canonical_key` of many tableaux, in order.
 
-        The cache probe is hoisted out of the per-tableau path (one local
-        lookup pair instead of a method dispatch per key), and every
-        computed key lands in the shared cache before the next request —
-        so a batch with repeated or isomorphic-by-identity entries pays
-        one canonization per distinct tableau.  The frontier's ``merge``
-        uses this for shard results, where repeats across shards are the
-        common case; raw-mode streams route their rare key requests (a
-        collision needing an isomorphism-level verdict) through the same
-        entry.
+        Nothing in the library calls it; ``benchmarks/e2e/trace.py``
+        patches it by name.
         """
-        lookup = self._canon_keys.lookup
-        store = self._canon_keys.store
-        keys: list[tuple | None] = []
-        for tableau in tableaux:
-            cache_key = (tableau.structure, tableau.distinguished)
-            key = lookup(cache_key, default=False)
-            if key is False:
-                key = canonical_key(
-                    tableau.structure,
-                    tableau.distinguished,
-                    max_domain=self.canon_max_domain,
-                    branch_budget=self.canon_branch_budget,
-                )
-                store(cache_key, key)
-            keys.append(key)
-        return keys
+        return [self.canonical_key(tableau) for tableau in tableaux]
 
     # ------------------------------------------------------------- search
 
@@ -470,47 +448,13 @@ class HomEngine:
         *,
         memo: bool = False,
     ) -> list[bool]:
-        """Batched ``hom_le``: one source against many targets.
+        """:meth:`hom_le` of one source against many targets, in order.
 
-        Source-side work is shared across the batch — the refutation
-        signature is computed once up front (instead of once per pair), and
-        the search plan behind :meth:`find_homomorphism` is a single cache
-        entry the whole batch reuses.  Verdicts match per-pair
-        :meth:`hom_le` exactly.  The frontier's eviction scan and the
-        representative-repair step of the approximation pipeline call this
-        with ``memo=False`` (their pairs never repeat, matching the
-        rationale documented on :meth:`hom_le`); repeat-heavy callers can
-        opt back into the canonical-key memo with ``memo=True``.
+        The source's refutation signature and search plan are cached, so
+        the batch shares them across its targets.  Nothing in the library
+        calls it; ``benchmarks/e2e/trace.py`` patches it by name.
         """
-        source_signature = self.signature(source.structure)
-        verdicts: list[bool] = []
-        for target in targets:
-            if memo:
-                verdicts.append(self.hom_le(source, target))
-                continue
-            pin = pin_for(source, target)
-            if pin is None:
-                verdicts.append(False)
-                continue
-            if (
-                source.structure == target.structure
-                and source.distinguished == target.distinguished
-            ):
-                verdicts.append(True)
-                continue
-            if refutes_hom(
-                source_signature, self.signature(target.structure), pin
-            ):
-                self.stats["refuted"] += 1
-                verdicts.append(False)
-                continue
-            verdicts.append(
-                self.find_homomorphism(
-                    source.structure, target.structure, pin=pin
-                )
-                is not None
-            )
-        return verdicts
+        return [self.hom_le(source, target, memo=memo) for target in targets]
 
     def tableau_hom(self, source: Tableau, target: Tableau) -> Assignment | None:
         """An actual tableau homomorphism (not just the memoized verdict)."""

@@ -404,9 +404,7 @@ class TestFabricPlumbing:
         result = run_pipeline(
             tableau, TW1, max_extra_atoms=0, workers=2
         )
-        # Kernel hits are workload-dependent; the invariant worth pinning
-        # is that the counter exists and the run is sound with it wired.
-        assert result.stats.kernel_trie_merge_hits >= 0
+        assert result.stats.kernel_trie_hits > 0
         assert result.stats.shards > 0
 
 

@@ -512,24 +512,18 @@ class TestFrontier:
         assert frontier.merge([]).members == [loop]
         assert frontier.merge(iter(())).members == [loop]
 
-    def test_merge_short_circuits_known_isomorphic_members(self):
+    def test_merge_keeps_the_first_of_isomorphic_members(self):
         # Shard merges present members isomorphic to already-merged ones
-        # (per-shard dedup cannot see across shards).  The first duplicate
-        # pays one dominance scan; later ones must hit the shared dominance
-        # memo under their canonical ("iso") key and run no scan at all.
-        stats = PipelineStats()
-        frontier = Frontier(stats=stats)
+        # (per-shard dedup cannot see across shards): each later copy is
+        # dominated by the first and dropped.
+        frontier = Frontier()
         copies = [
             parse_query(f"Q() :- E({v}, {v})").tableau() for v in "xyz"
         ]
         frontier.merge([copies[0]])
         frontier.merge([copies[1]])
-        scans_after_first_duplicate = stats.dominance_tests
         frontier.merge([copies[2]])
         assert frontier.members == [copies[0]]
-        assert stats.dominance_tests == scans_after_first_duplicate
-        assert stats.dominance_memo_hits >= 1
-        assert stats.dominated_without_search >= 1
 
     def test_hom_le_many_matches_pairwise_verdicts(self):
         engine = default_engine()
@@ -620,7 +614,6 @@ class TestGenerationModes:
         )
         assert walked.frontier == listed.frontier
         assert walked.stats.generated < listed.stats.generated
-        assert walked.stats.index_evictions == 0
 
     @pytest.mark.slow
     @pytest.mark.parametrize(

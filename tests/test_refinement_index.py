@@ -13,8 +13,13 @@ import random
 import pytest
 
 from repro.core.pipeline import Frontier, PipelineStats
-from repro.core.quotients import coarseness_ordered, iter_quotient_candidates
+from repro.core.quotients import (
+    coarseness_ordered,
+    iter_extended_candidates,
+    iter_quotient_candidates,
+)
 from repro.cq import parse_query
+from repro.homomorphism.engine import HomEngine
 from repro.util import RefinementTrie, code_coarsens
 
 TRIANGLE = parse_query("Q() :- E(x, y), E(y, z), E(z, x)")
@@ -203,8 +208,7 @@ class TestRepairWitnesses:
 
     def test_index_runs_uncapped_without_evictions(self):
         # The historical _INDEX_CAP silently truncated the index; the trie
-        # records every uncovered dominated-or-admitted candidate and the
-        # eviction tripwire stays zero.
+        # records every uncovered dominated-or-admitted candidate.
         stats = PipelineStats()
         frontier = Frontier(stats=stats, ordered=True)
         for generation, candidate in enumerate(
@@ -220,5 +224,64 @@ class TestRepairWitnesses:
                 membership=lambda: True,
             )
         assert not hasattr(Frontier, "_INDEX_CAP")
-        assert stats.index_evictions == 0
         assert len(frontier._refinement_index) > 0
+
+
+# The frontier's reverse query (candidate → member) against the engine, over
+# every quotient of small bases: a cycle, a chorded cycle, a ternary query
+# and a base with head variables.
+KERNEL_BASES = {
+    "cycle": "Q() :- E(x0, x1), E(x1, x2), E(x2, x3), E(x3, x4), E(x4, x0)",
+    "chorded cycle": (
+        "Q() :- E(x0, x1), E(x1, x2), E(x2, x3), E(x3, x4), E(x4, x0), E(x0, x2)"
+    ),
+    "ternary": "Q() :- R(x1, x2, x3), R(x3, x4, x5), R(x5, x1, x1)",
+    "head variables": "Q(x, z) :- E(x, y), E(y, z), E(z, w), E(w, x)",
+}
+
+
+def _kernel_members(tableau):
+    """Targets of the reverse query: each deduplicated quotient with its
+    codes, plus a sample of the extended candidates (no codes)."""
+    members = [
+        (quotient.materialize(), quotient.codes)
+        for quotient in iter_quotient_candidates(tableau)
+    ]
+    extended = [
+        candidate
+        for candidate in iter_extended_candidates(tableau, max_extra_atoms=1)
+        if candidate.codes is None
+    ]
+    members += [(candidate.materialize(), None) for candidate in extended[::25]]
+    return members
+
+
+class TestKernelIndex:
+    @pytest.mark.parametrize("cap", [None, 2])
+    @pytest.mark.parametrize("name", sorted(KERNEL_BASES))
+    def test_reverse_query_matches_engine(self, name, cap, monkeypatch):
+        if cap is not None:
+            monkeypatch.setattr(Frontier, "_KERNEL_HOM_CAP", cap)
+        tableau = parse_query(KERNEL_BASES[name]).tableau()
+        stats = PipelineStats()
+        frontier = Frontier(base=tableau, stats=stats)
+        engine = HomEngine()
+        members = _kernel_members(tableau)
+        assert any(codes is None for _, codes in members), "an extended member"
+        for member, codes in members:
+            if codes is not None:
+                frontier._codes[id(member)] = codes
+        for candidate in iter_quotient_candidates(tableau, generation="raw"):
+            source = candidate.materialize()
+            for member, _ in members:
+                assert frontier._maps_into(
+                    candidate, candidate.codes, member
+                ) == engine.hom_le(source, member), (str(source), str(member))
+        tries = [trie for _, trie in frontier._kernel_tries.values()]
+        if cap is None:
+            assert None not in tries
+            assert stats.kernel_trie_hits > 0
+        else:
+            # Capped-out members fall back to the engine.
+            assert None in tries
+            assert stats.hom_le_calls > 0

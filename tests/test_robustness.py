@@ -434,12 +434,15 @@ class TestBudgetedPipeline:
 
     @pytest.mark.slow
     def test_pooled_deadline_drains_and_returns(self):
+        # The extension space of the member-heavy query: unbudgeted, this
+        # pooled solve takes over 2 s on a 2-CPU host, far past the
+        # deadline even on a warm pool.
         tableau = MEMBER_HEAVY.tableau()
         started = time.monotonic()
         result = run_pipeline(
             tableau,
             HTW2,
-            max_extra_atoms=0,
+            max_extra_atoms=1,
             workers=2,
             budget=RunBudget(deadline=0.1),
             shard_timeout=5.0,
