@@ -18,7 +18,8 @@ elements of the set of class-C tableaux homomorphically above ``(T_Q, x̄)``.
   integer-form pipeline stage as plain quotients
   (:func:`repro.core.quotients.iter_extended_candidates`): extension atoms
   are enumerated over block + fresh ids, orbit-pruned per quotient family,
-  and rejected candidates never build a ``Structure``.
+  rejected candidates never build a ``Structure``, and one the class-check
+  memo already rejects is dropped before it is canonized.
 
 * For queries too large to enumerate, a randomized greedy descent provides a
   sound best-effort answer: a class member contained in ``Q`` that no

@@ -67,7 +67,8 @@ found equivalent to a later-generated member replaces it
 into generation order at the end.  Extension-space runs keep generation
 order: their reducer feeds dominance back into the lazy enumerator, which
 skips the extension family of every quotient the frontier already
-dominates.
+dominates, and stage 2 feeds its memo back, so an extended candidate the
+memo already rejects is dropped before it is canonized.
 
 Stage 1's dedup regime (``run_pipeline``'s ``generation`` knob) is fixed
 per run by the shape of the stream, never by measurements: fine-to-coarse
@@ -84,8 +85,9 @@ same work and a checkpoint replays the same stream (its snapshot carries
 the marks and the frontier state they are read from).  The serial path is
 bit-identical to the pre-pipeline implementation, and sharded runs are
 bit-identical to the serial path for any worker count.  Every regime prunes
-only candidates isomorphic to an earlier stream element, and the walk only
-strictly dominated ones, so frontiers are identical across regimes and
+only candidates isomorphic to an earlier stream element, the walk only
+strictly dominated ones and the extension stream's memo lookup only
+rejected ones, so frontiers are identical across regimes and
 admission orders — the first-generated member of each →-minimal class is
 never pruned, and representative repair converges on exactly it whatever
 else survives.
@@ -118,6 +120,7 @@ from repro.core.quotients import (
     coarseness_ordered,
     iter_extended_candidates,
     iter_quotient_candidates,
+    row_mask,
 )
 from repro.cq.structure import Structure
 from repro.cq.tableau import Tableau, pin_for
@@ -266,13 +269,7 @@ def _integer_masks(cls: QueryClass, block_count: int, facts: tuple):
     """
     kind = getattr(cls, "kind", None)
     if kind == "hypergraph":
-        edges = set()
-        for _, row in facts:
-            mask = 0
-            for value in row:
-                mask |= 1 << value
-            edges.add(mask)
-        return frozenset(edges)
+        return frozenset(row_mask(row) for _, row in facts)
     if kind == "graph":
         adjacency = [0] * block_count
         for _, row in facts:
@@ -312,6 +309,10 @@ def _check_integer_candidate(
 class PipelineStats:
     """Counters and stage timings of one pipeline run."""
 
+    #: Candidates stage 1 yielded to the reducer.  The extension stream
+    #: does not yield a candidate the check memo already rejects
+    #: (:meth:`MembershipTester.known_rejected`); such a skip counts as a
+    #: ``check_memo_hit`` only.
     generated: int = 0
     checks_run: int = 0
     #: Canonical keys computed *at reduction time* (raw/orbit streams only):
@@ -496,6 +497,9 @@ class MembershipTester:
     Accepts stage-1 candidates (quotient candidates or adapted tableaux);
     integer-form candidates are checked straight off their integer facts so
     a non-member is rejected without ever materializing a ``Structure``.
+    Verdicts are memoized under :func:`candidate_check_key`.  The extension
+    stream reads the memo too, before it keys a candidate
+    (:meth:`known_rejected`), so a run builds its tester before its stream.
     """
 
     def __init__(self, cls: QueryClass, stats: PipelineStats) -> None:
@@ -529,6 +533,24 @@ class MembershipTester:
         if verdict:
             self._stats.members += 1
         return verdict
+
+    def known_rejected(self, block_count: int, edge_masks: frozenset) -> bool:
+        """Whether the memo already rejects the integer hypergraph candidate
+        with ``H(Q)`` = ``edge_masks`` (row bitmasks over ``block_count``
+        ids).
+
+        A memo-only lookup under the candidate's exact
+        :func:`candidate_check_key`: no check runs, and only a memoized
+        ``False`` answers ``True``, counted as the ``check_memo_hit`` the
+        candidate's own check would have scored.  For a hypergraph class
+        that is the candidate's own verdict, so
+        :func:`~repro.core.quotients.iter_extended_candidates` drops it
+        unkeyed.  For other kinds the memo never holds such a key.
+        """
+        if self._memo.get((self._cls.name, block_count, edge_masks)) is not False:
+            return False
+        self._stats.check_memo_hits += 1
+        return True
 
 
 def iter_membership(
@@ -1265,6 +1287,7 @@ def _candidate_source(
     automorphisms: list[list[int]] | None = None,
     generation: str = "canonical",
     order: str = "insertion",
+    known_rejected=None,
 ) -> Iterator:
     """Stage 1: the class-appropriate candidate stream.
 
@@ -1276,7 +1299,9 @@ def _candidate_source(
     family) — every class the pipeline supports now shares the same lazy
     fast path.  ``automorphisms`` is the precomputed base orbit data from
     :func:`_base_orbit_data`; ``generation`` is the stage-1 regime (see
-    :func:`_resolve_generation_mode`).
+    :func:`_resolve_generation_mode`).  ``known_rejected`` is the run's
+    :meth:`MembershipTester.known_rejected`; only the extension stream
+    consults it, to drop memoized rejections before keying them.
     """
     if getattr(cls, "kind", None) == "graph" or max_extra_atoms <= 0:
         return iter_quotient_candidates(
@@ -1293,6 +1318,7 @@ def _candidate_source(
         shard=shard,
         automorphisms=automorphisms,
         generation=generation,
+        known_rejected=known_rejected,
     )
 
 
@@ -1447,6 +1473,7 @@ def _reduce_inline(
     budget: RunBudget | None = None,
     checkpoint: _CheckpointSession | None = None,
     resume: dict | None = None,
+    tester: MembershipTester | None = None,
 ) -> Frontier:
     """Stages 2+3 in one process, check-first.
 
@@ -1467,8 +1494,16 @@ def _reduce_inline(
     nothing is buffered, so that is the earliest stop.  ``base`` is the
     tableau the candidates are quotients of; it lets the frontier build
     its members' kernel indexes.
+
+    ``tester`` is the stage-2 tester whose
+    :meth:`~MembershipTester.known_rejected` the stream was built with
+    (:func:`_candidate_source`); the extension stream then never yields a
+    candidate the memo already rejects, so ``stats.generated`` counts what
+    the stream yields and the skipped rejections count as
+    ``check_memo_hits``.  Without one a fresh tester is used.
     """
-    tester = MembershipTester(cls, stats)
+    if tester is None:
+        tester = MembershipTester(cls, stats)
     reorder = order == "fine_to_coarse"
     frontier = Frontier(base=base, stats=stats, ordered=reorder)
     if budget is not None:
@@ -1634,6 +1669,7 @@ def run_shard(
         budget = RunBudget(**spec)
         budget.start(started_at)
     positions: dict = {}
+    tester = MembershipTester(cls, stats)
     candidates = _candidate_source(
         base,
         cls,
@@ -1643,6 +1679,7 @@ def run_shard(
         automorphisms=automorphisms,
         generation=generation,
         order=order,
+        known_rejected=tester.known_rejected,
     )
     frontier = _reduce_inline(
         _stream_positions(candidates, positions),
@@ -1651,6 +1688,7 @@ def run_shard(
         base=base,
         order=order,
         budget=budget,
+        tester=tester,
     )
     kernels = frontier.kernel_exports()
     return (
@@ -1971,6 +2009,7 @@ def run_pipeline(
         )
         session = _CheckpointSession(checkpoint_manager, run_key, stats)
         resume = session.load()
+    tester = MembershipTester(cls, stats)
     candidates = _candidate_source(
         tableau,
         cls,
@@ -1979,6 +2018,7 @@ def run_pipeline(
         automorphisms=automorphisms,
         generation=generation,
         order=order,
+        known_rejected=tester.known_rejected,
     )
     frontier = _reduce_inline(
         candidates,
@@ -1989,5 +2029,6 @@ def run_pipeline(
         budget=budget,
         checkpoint=session,
         resume=resume,
+        tester=tester,
     )
     return PipelineResult(frontier.members, stats)

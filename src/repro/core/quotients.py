@@ -57,7 +57,7 @@ deterministic.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.cq.structure import Structure
 from repro.cq.tableau import Tableau
@@ -922,6 +922,17 @@ def _integer_automorphisms(
     return perms
 
 
+def row_mask(row: tuple[int, ...]) -> int:
+    """An integer fact row's element set as a bitmask (id ``i`` is bit
+    ``i``): one hyperedge of ``H(Q)``, shared by the pipeline's hypergraph
+    check keys and the extension stream's memo lookups so the two cannot
+    drift."""
+    mask = 0
+    for value in row:
+        mask |= 1 << value
+    return mask
+
+
 def _integer_extension_pool(
     names: tuple[str, ...],
     arities: tuple[int, ...],
@@ -973,6 +984,7 @@ def iter_extended_candidates(
     shard: tuple[int, int] | None = None,
     automorphisms: list[list[int]] | None | object = _DERIVE,
     generation: str = "canonical",
+    known_rejected: Callable[[int, frozenset], bool] | None = None,
 ) -> Iterator[QuotientCandidate | ExtensionCandidate]:
     """The deduplicated extension-space stream in lazy integer form.
 
@@ -1000,10 +1012,29 @@ def iter_extended_candidates(
 
     Like the quotient stream the dedup prunes only candidates isomorphic to
     an earlier stream element, which keeps downstream frontiers
-    bit-identical.  Quotient-level pruning remains quotient-vs-quotient
-    (extension keys never suppress a quotient): skipping a quotient skips
-    its whole extension family, which is only sound when the surviving
-    isomorphic copy grows the same family.
+    bit-identical.  A quotient whose key is already in the shared keyspace
+    (an earlier extended candidate's isomorphism class) is not yielded,
+    but its extension family is still grown: skipping a family is only
+    sound when a surviving isomorphic copy grows the same family, and the
+    suppressed quotient's family exists nowhere else.
+
+    Two kinds of consumer feedback, read while the generator is suspended,
+    end candidates at the source:
+
+    * ``QuotientCandidate.extensions_dominated`` — set by the reducer once
+      the frontier holds a member mapping into the quotient — skips the
+      quotient's whole family, which is then dominated;
+    * ``known_rejected(block_count, edge_masks)`` — stage 2's memo-only
+      lookup (:meth:`repro.core.pipeline.MembershipTester.known_rejected`),
+      given the candidate's ``H(Q)`` as row bitmasks (:func:`row_mask`) —
+      drops an orbit-unique extended candidate whose class check the memo
+      already answered ``False``, before its key, its sorted facts or its
+      :class:`ExtensionCandidate` exist.  A rejected candidate never
+      reaches the frontier, and its skipped key only means that a later
+      isomorphic copy is skipped or checked and rejected in turn, since
+      hypergraph classes are isomorphism-invariant (a later isomorphic
+      quotient is yielded instead of suppressed, and grows its family
+      either way).
 
     ``shard`` splits at the quotient level, so each quotient's extension
     family stays in its shard; ``automorphisms`` is the *base* tableau's
@@ -1078,6 +1109,7 @@ def iter_extended_candidates(
         )
         if not pool:
             continue
+        quotient_masks = frozenset(row_mask(row) for _, row in quotient_facts)
         perms = _integer_automorphisms(block_count, quotient_facts, distinguished)
         pool_perms: list[tuple[int, ...]] = []
         if perms:
@@ -1118,6 +1150,13 @@ def iter_extended_candidates(
                             mapped.append(next_fresh)
                             next_fresh += 1
                     extension_facts.append((relation_id, tuple(mapped)))
+                if known_rejected is not None and known_rejected(
+                    next_fresh,
+                    quotient_masks.union(
+                        row_mask(row) for _, row in extension_facts
+                    ),
+                ):
+                    continue
                 facts = tuple(
                     sorted(itertools.chain(quotient_facts, extension_facts))
                 )

@@ -1,12 +1,14 @@
-"""A definition-level reference for plain quotient frontiers.
+"""A definition-level reference for approximation frontiers.
 
 Corollary 4.3: the C-approximations of a CQ are, up to equivalence, the
-→-minimal quotients of its tableau that lie in C.  This module computes
-that set by brute force from the definitions, sharing no code with the
-pipeline, the engine or the width solvers:
+→-minimal quotients of its tableau that lie in C; for hypergraph classes
+Theorem 6.1 and Claim 6.2 widen the candidates to quotients plus extension
+atoms.  This module computes that set by brute force from the definitions,
+sharing no code with the pipeline, the engine or the width solvers:
 
 * every set partition of the variables is listed (restricted growth
-  strings), so tableaux are capped at :data:`MAX_VARIABLES`;
+  strings), so tableaux are capped at :data:`MAX_VARIABLES`, each quotient
+  with every single extension atom if asked (:func:`extensions`);
 * membership is decided on the quotient's (hyper)graph: TW(k) by
   elimination orders, AC (= HTW(1) = GHTW(1)) by the GYO reduction, GHTW(k)
   by edge covers of the bags of elimination orders (Gottlob–Leone–Scarcello,
@@ -53,6 +55,22 @@ def quotient(structure, code) -> tuple[int, frozenset, tuple]:
     _, facts, head = structure
     mapped = frozenset((name, tuple(code[v] for v in row)) for name, row in facts)
     return max(code, default=-1) + 1, mapped, tuple(code[d] for d in head)
+
+
+def extensions(structure, allow_fresh: bool):
+    """The quotient plus one Claim 6.2 extension atom, for every atom: a
+    relation of the quotient over its elements and, with ``allow_fresh``, a
+    fresh element in any position, covering two or more elements and not
+    already a fact."""
+    n, facts, head = structure
+    values = list(range(n)) + [None] * allow_fresh
+    for name, arity in sorted({(name, len(row)) for name, row in facts}):
+        for pattern in itertools.product(values, repeat=arity):
+            if len(set(pattern) - {None}) < 2 or (name, pattern) in facts:
+                continue
+            fresh = itertools.count(n)
+            row = tuple(next(fresh) if v is None else v for v in pattern)
+            yield n + pattern.count(None), facts | {(name, row)}, head
 
 
 def maps_into(source, target) -> bool:
@@ -168,21 +186,26 @@ def member(class_name: str, structure) -> bool:
     raise ValueError(f"no reference definition for {class_name}")
 
 
-def reference_frontier(tableau, class_name: str) -> list[tuple]:
-    """One quotient per →-minimal equivalence class of the quotients in
-    the class, as ``(n, facts, head)`` structures."""
+def reference_frontier(
+    tableau, class_name: str, *, extra_atoms: int = 0, allow_fresh: bool = False
+) -> list[tuple]:
+    """One candidate per →-minimal equivalence class of the candidates in
+    the class, as ``(n, facts, head)`` structures.  The candidates are the
+    quotients, and with ``extra_atoms=1`` each quotient's extensions too."""
     base = structure_of(tableau)
-    if base[0] > MAX_VARIABLES:
-        raise ValueError(f"the reference enumerates at most {MAX_VARIABLES} variables")
+    if base[0] > MAX_VARIABLES or extra_atoms not in (0, 1):
+        raise ValueError(f"the reference takes {MAX_VARIABLES} variables, one extra atom")
     frontier: list[tuple] = []
     for code in partitions(base[0]):
-        candidate = quotient(base, code)
-        if not member(class_name, candidate):
-            continue
-        if any(maps_into(kept, candidate) for kept in frontier):
-            continue
-        frontier = [kept for kept in frontier if not maps_into(candidate, kept)]
-        frontier.append(candidate)
+        plain = quotient(base, code)
+        extended = extensions(plain, allow_fresh) if extra_atoms else ()
+        for candidate in itertools.chain([plain], extended):
+            if not member(class_name, candidate) or any(
+                maps_into(kept, candidate) for kept in frontier
+            ):
+                continue
+            frontier = [k for k in frontier if not maps_into(candidate, k)]
+            frontier.append(candidate)
     return frontier
 
 

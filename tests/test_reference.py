@@ -7,25 +7,39 @@ through ``run_pipeline`` under every generation regime and admission
 order; each frontier must match the reference up to hom-equivalence, every
 knob setting must give the same (``==``) frontier, and every partition the
 fine-to-coarse walk skipped must be strictly dominated by a reference
-member.
+member.  Extension-space frontiers (Theorem 6.1 / Claim 6.2, one extension
+atom, with and without fresh elements) are pinned the same way for
+hypergraph classes, and every extended candidate the stream drops as a
+memoized rejection must be rejected by the class's definition.
 """
 
 from __future__ import annotations
+
+import sys
 
 import pytest
 
 import repro.core.pipeline as pipeline
 from repro.core import class_from_name
-from repro.core.pipeline import run_pipeline
+from repro.core.pipeline import (
+    MembershipTester,
+    _base_orbit_data,
+    encode_tableau,
+    run_pipeline,
+    run_shard,
+)
+from repro.core.quotients import ExtensionCandidate
+from repro.cq import parse_query
 from repro.testing.reference import (
     equivalent_frontiers,
+    member,
     partitions,
     quotient,
     reference_frontier,
     strictly_dominated,
     structure_of,
 )
-from repro.workloads import random_cq, random_graph_query
+from repro.workloads import cycle_with_chords, random_cq, random_graph_query
 
 SETTINGS = [
     (generation, order)
@@ -143,3 +157,161 @@ def test_two_workers_match_the_serial_frontier(query, class_name):
             workers=2,
         )
         assert sharded.frontier == serial.frontier, (generation, order)
+
+
+#: Seeded hypergraph CQs with at most five variables whose extension-space
+#: frontiers hold extended candidates, one per class the extension space
+#: serves.
+EXTENSION_CASES = [
+    (f"ternary(5v,4a,seed=73)/{cls}", random_cq({"R": 3}, 5, 4, seed=73), cls)
+    for cls in ("AC", "HTW(1)", "GHTW(1)")
+] + [
+    (
+        "ternary(5v,4a,head1,seed=70)/HTW(1)",
+        random_cq({"R": 3}, 5, 4, seed=70, head_size=1),
+        "HTW(1)",
+    ),
+    (
+        "mixed(5v,4a,seed=74)/GHTW(1)",
+        random_cq({"R": 3, "E": 2}, 5, 4, seed=74),
+        "GHTW(1)",
+    ),
+    (
+        "ternary(4v,3a,head1,seed=72)/AC",
+        random_cq({"R": 3}, 4, 3, seed=72, head_size=1),
+        "AC",
+    ),
+]
+
+EXTENSION_PARAMS = [
+    pytest.param(query, class_name, fresh, id=f"{name}{' +fresh' if fresh else ''}")
+    for name, query, class_name in EXTENSION_CASES
+    for fresh in (False, True)
+]
+
+
+@pytest.mark.parametrize("query,class_name,fresh", EXTENSION_PARAMS)
+def test_extension_frontiers_match_the_definition(query, class_name, fresh):
+    tableau = query.tableau()
+    cls = class_from_name(class_name)
+    reference = reference_frontier(
+        tableau, cls.name, extra_atoms=1, allow_fresh=fresh
+    )
+    result = run_pipeline(tableau, cls, max_extra_atoms=1, allow_fresh=fresh)
+    base_facts = len(structure_of(tableau)[1])
+    assert any(len(m[1]) > base_facts for m in reference), "no extended member"
+    assert equivalent_frontiers([structure_of(m) for m in result.frontier], reference)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("query,class_name,fresh", EXTENSION_PARAMS[::3])
+def test_two_workers_match_the_extension_reference(query, class_name, fresh):
+    tableau = query.tableau()
+    cls = class_from_name(class_name)
+    serial = run_pipeline(tableau, cls, max_extra_atoms=1, allow_fresh=fresh)
+    sharded = run_pipeline(
+        tableau, cls, max_extra_atoms=1, allow_fresh=fresh, workers=2
+    )
+    assert sharded.frontier == serial.frontier
+    reference = reference_frontier(
+        tableau, cls.name, extra_atoms=1, allow_fresh=fresh
+    )
+    assert equivalent_frontiers(
+        [structure_of(m) for m in sharded.frontier], reference
+    )
+
+
+def _record_skips(monkeypatch) -> list:
+    """Record every extended candidate the stream drops unkeyed.
+
+    The stream asks :meth:`MembershipTester.known_rejected` with the
+    candidate's hypergraph masks only, so the recorder reads the dropped
+    candidate itself off the asking frame (the stream's loop state): the
+    test then checks what was dropped, not what was asked.  Each entry is
+    the :class:`ExtensionCandidate` the stream would have built.
+    """
+    skipped: list = []
+    lookup = MembershipTester.known_rejected
+
+    def recording(self, block_count, edge_masks):
+        verdict = lookup(self, block_count, edge_masks)
+        if verdict:
+            stream = sys._getframe(1).f_locals
+            parent = stream["candidate"]
+            skipped.append(
+                ExtensionCandidate(
+                    parent,
+                    tuple(stream["pool"][i] for i in stream["combo"]),
+                    stream["names"],
+                    tuple(
+                        sorted(stream["quotient_facts"] + tuple(stream["extension_facts"]))
+                    ),
+                    block_count,
+                    parent.distinguished,
+                    None,
+                )
+            )
+        return verdict
+
+    monkeypatch.setattr(MembershipTester, "known_rejected", recording)
+    return skipped
+
+
+CYCLE_6 = cycle_with_chords(6)
+TERNARY_C3 = parse_query("Q() :- R(x1,x2,x3), R(x3,x4,x5), R(x5,x6,x1)")
+
+#: The e2e smoke extension specs plus seeded hypergraph CQs.
+SKIP_CASES = [
+    ("C6/HTW1 +ext", CYCLE_6, "HTW1", False),
+    ("ternary-C3(6v)/AC +ext", TERNARY_C3, "AC", False),
+    ("C6/HTW1 +fresh-ext", CYCLE_6, "HTW1", True),
+    ("ternary(5v,4a,seed=73)/HTW1", random_cq({"R": 3}, 5, 4, seed=73), "HTW1", False),
+    (
+        "mixed(5v,4a,seed=74)/GHTW1 +fresh",
+        random_cq({"R": 3, "E": 2}, 5, 4, seed=74),
+        "GHTW1",
+        True,
+    ),
+    (
+        "ternary(6v,4a,head1,seed=3)/AC +fresh",
+        random_cq({"R": 3}, 6, 4, seed=3, head_size=1),
+        "AC",
+        True,
+    ),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "query,class_name,fresh",
+    [case[1:] for case in SKIP_CASES],
+    ids=[case[0] for case in SKIP_CASES],
+)
+def test_skipped_extensions_are_rejected_by_definition(
+    monkeypatch, query, class_name, fresh, workers
+):
+    tableau = query.tableau()
+    cls = class_from_name(class_name)
+    skipped = _record_skips(monkeypatch)
+    if workers == 1:
+        run_pipeline(tableau, cls, max_extra_atoms=1, allow_fresh=fresh)
+    else:
+        # The slot task's body, run in this process so the recorder sees
+        # each shard's fresh tester.
+        context = (
+            encode_tableau(tableau),
+            cls,
+            1,
+            fresh,
+            _base_orbit_data(tableau, pipeline.PipelineStats()),
+            "insertion",
+            "canonical",
+            None,
+        )
+        for index in range(workers):
+            run_shard(context, (index, workers))
+    assert skipped, "no extended candidate was dropped unkeyed"
+    for candidate in skipped:
+        extended = candidate.materialize()
+        assert not cls.contains_tableau(extended), extended
+        assert not member(cls.name, structure_of(extended)), extended
