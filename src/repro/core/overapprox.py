@@ -59,12 +59,11 @@ def syntactic_overapproximations(
 
     The class-membership filter over the (exponentially many) atom subsets
     is the pipeline's stage 2 (:func:`~repro.core.pipeline.iter_membership`):
-    verdicts are memoized under the subsets' primal graphs / hypergraphs, so
-    subsets sharing a (hyper)graph share one check.  (Subset queries enter
-    the stage through
-    :meth:`~repro.core.quotients.QuotientCandidate.from_tableau` — the same
-    candidate interface the integer-form quotient/extension streams use, so
-    all stage-2 consumers share one code path.)
+    each subset query's tableau enters it as its own identity quotient in
+    integer form (:meth:`~repro.core.quotients.QuotientCandidate.
+    from_tableau`), and verdicts are memoized under the label-free primal
+    graph / hypergraph, so subsets with isomorphic (hyper)graphs share one
+    check.
     """
     if cls.contains_query(query):
         return [query]

@@ -179,84 +179,35 @@ def decode_tableau(data: tuple) -> Tableau:
 # ------------------------------------------------------------ membership keys
 
 
-def membership_key(cls: QueryClass, structure: Structure) -> tuple | None:
-    """A key under which class membership of ``structure`` is constant.
-
-    Graph-based classes (Section 4) are by definition determined by the
-    graph ``G(Q)`` and hypergraph-based classes (Section 6) by ``H(Q)``, so
-    two candidates with equal primal graph (hypergraph) share one verdict —
-    and the candidate stream is full of such coincidences that survive
-    isomorphism dedup (e.g. quotients differing only in edge orientation,
-    or extension atoms permuting the same variable set).  Returns ``None``
-    for classes of unknown kind, which disables memoization for them.
-    """
-    kind = getattr(cls, "kind", None)
-    if kind == "hypergraph":
-        edges = frozenset(
-            frozenset(row)
-            for rows in structure.relations.values()
-            for row in rows
-        )
-        return (cls.name, structure.domain, edges)
-    if kind == "graph":
-        rows = (
-            row
-            for relation_rows in structure.relations.values()
-            for row in relation_rows
-        )
-        return (cls.name, structure.domain, frozenset(_primal_pairs(rows)))
-    return None
-
-
-def _primal_pairs(rows) -> set[tuple]:
-    """The primal-graph edge pairs of an iterable of fact rows.
-
-    One shared clique expansion (distinct row elements, all unordered
-    pairs), mirroring
-    :func:`repro.core.classes.primal_graph_of_structure`, so labelled memo
-    keys cannot drift from the structure-level test.
-    """
-    pairs: set[tuple] = set()
-    for row in rows:
-        distinct = sorted(set(row), key=repr)
-        for i, u in enumerate(distinct):
-            for v in distinct[i + 1 :]:
-                pairs.add((u, v))
-    return pairs
-
-
 def candidate_check_key(cls: QueryClass, candidate) -> tuple | None:
     """The membership-memo key of a stage-1 candidate.
 
-    Quotient candidates expose their facts over integer block ids, which
-    give a label-free key: the (hyper)graph as bitmasks over block ids
-    (:func:`_integer_masks`).  Equal integer (hyper)graphs mean isomorphic
-    (hyper)graphs, so the key collapses strictly more duplicate checks than
-    the label-exact :func:`membership_key` — while remaining disjoint from
-    it (integer vs. labelled domain components), so both can share a memo.
-    Falls back to the structure-based key for materialized candidates.
+    Graph-based classes (Section 4) are by definition determined by the
+    graph ``G(Q)`` and hypergraph-based classes (Section 6) by ``H(Q)``, so
+    candidates with equal (hyper)graphs share one verdict — and the
+    candidate stream is full of such coincidences that survive isomorphism
+    dedup (e.g. quotients differing only in edge orientation, or extension
+    atoms permuting the same variable set).  The key is label-free: the
+    (hyper)graph as bitmasks over the candidate's integer ids
+    (:func:`_integer_masks`), so equal keys mean isomorphic (hyper)graphs.
+    ``None`` for classes of unknown kind, which disables memoization for
+    them.
     """
-    facts = candidate.facts()
-    if facts is None:
-        return membership_key(cls, candidate.materialize().structure)
-    masks = _integer_masks(cls, candidate.block_count, facts)
+    masks = _integer_masks(cls, candidate.block_count, candidate.facts())
     if masks is None:
         return None
     return (cls.name, candidate.block_count, masks)
 
 
-def dominance_key(candidate) -> tuple | None:
+def dominance_key(candidate) -> tuple:
     """A key under which stage-1 candidates are isomorphic *as tableaux*.
 
     Unlike :func:`candidate_check_key` this keeps the relational layout and
     the distinguished tuple: equal keys mean the identity on block ids is an
-    isomorphism, so frontier verdicts transfer between the candidates.
-    ``None`` for candidates without an integer form.
+    isomorphism, so frontier verdicts transfer between the candidates (of
+    one base, whose relation ids they share).
     """
-    facts = candidate.facts()
-    if facts is None:
-        return None
-    return (candidate.block_count, facts, candidate.distinguished)
+    return (candidate.block_count, candidate.facts(), candidate.distinguished)
 
 
 def _integer_masks(cls: QueryClass, block_count: int, facts: tuple):
@@ -494,8 +445,8 @@ class PipelineResult:
 class MembershipTester:
     """Stage 2 inline: key-memoized, timed class-membership checks.
 
-    Accepts stage-1 candidates (quotient candidates or adapted tableaux);
-    integer-form candidates are checked straight off their integer facts so
+    Accepts stage-1 candidates, all in integer form: a class with a
+    mask-level entry point checks them straight off their integer facts, so
     a non-member is rejected without ever materializing a ``Structure``.
     Verdicts are memoized under :func:`candidate_check_key`.  The extension
     stream reads the memo too, before it keys a candidate
@@ -517,12 +468,9 @@ class MembershipTester:
                     self._stats.members += 1
                 return cached
         started = time.perf_counter()
-        facts = candidate.facts()
-        verdict = None
-        if facts is not None:
-            verdict = _check_integer_candidate(
-                self._cls, candidate.block_count, facts
-            )
+        verdict = _check_integer_candidate(
+            self._cls, candidate.block_count, candidate.facts()
+        )
         if verdict is None:
             verdict = bool(self._cls.contains_tableau(candidate.materialize()))
         elapsed = time.perf_counter() - started
@@ -562,7 +510,9 @@ def iter_membership(
     """Stage 2 as a reusable stream over plain tableaux.
 
     For callers that hold tableaux (e.g. the syntactic overapproximation
-    search): yields ``(tableau, is_member)`` in input order, verdicts
+    search): yields ``(tableau, is_member)`` in input order, each tableau
+    checked as its own identity quotient
+    (:meth:`~repro.core.quotients.QuotientCandidate.from_tableau`), verdicts
     memoized under :func:`candidate_check_key`.
     """
     if stats is None:
@@ -631,6 +581,7 @@ class Frontier:
     __slots__ = (
         "members",
         "_base",
+        "_base_elements",
         "_codes",
         "_generation",
         "_dominated_keys",
@@ -663,6 +614,9 @@ class Frontier:
         #: over its ``repr``-sorted element order.  Without it no kernel
         #: index is built and reverse queries go to the engine.
         self._base = base
+        self._base_elements = (
+            None if base is None else sorted(base.structure.domain, key=repr)
+        )
         self._codes: dict[int, tuple[int, ...]] = {}
         self._generation: dict[int, int] = {}
         #: Dominated key → whether it was recorded as *strictly* dominated
@@ -812,7 +766,7 @@ class Frontier:
         trie: RefinementTrie | None = RefinementTrie()
         pin = pin_for(base, member)
         if pin is not None:
-            elements = sorted(base.structure.domain, key=repr)
+            elements = self._base_elements
             scanned = 0
             for hom in self._engine.iter_homomorphisms(
                 base.structure, member.structure, pin=pin
@@ -839,7 +793,7 @@ class Frontier:
 
         ``source`` is a tableau or a stage-1 candidate (materialized only
         if the engine is asked), ``codes`` its partition codes over the
-        base (``None`` off the integer path).  Decided, in order, by
+        base (``None`` for an extended candidate).  Decided, in order, by
         partition coarsening (``codes`` refine the member's own codes), the
         member's kernel index (:meth:`_kernel_trie`, exact for any quotient
         of the base), and the engine — for sources without codes, such as
@@ -1328,20 +1282,17 @@ def _deferred_class_key(candidate, stats: PipelineStats):
     Returns a zero-argument callable producing the candidate's fact-level
     canonical key: the stage-1 key when the enumerator computed one, else —
     for raw/orbit candidates — the same :func:`canonical_key_indexed` form
-    computed on demand (counted in ``stats.late_canonizations``).  ``None``
-    for candidates without integer facts (the materialized fallback path),
-    whose repeats are absorbed by the engine-level memos instead.
+    computed on demand (counted in ``stats.late_canonizations``).
     """
 
     def compute():
-        key = getattr(candidate, "key", None)
+        key = candidate.key
         if key is None:
-            facts = candidate.facts()
-            if facts is None:
-                return None
             stats.late_canonizations += 1
             key = canonical_key_indexed(
-                candidate.block_count, list(facts), candidate.distinguished
+                candidate.block_count,
+                list(candidate.facts()),
+                candidate.distinguished,
             )
         return key
 
@@ -1439,9 +1390,8 @@ class _CheckpointSession:
 
 
 def _mark_strict(candidate) -> None:
-    """Set a walked candidate's ``strictly_dominated`` mark (candidates
-    without the slot — extended candidates, tableau adapters — are never
-    walked and are ignored)."""
+    """Set a walked candidate's ``strictly_dominated`` mark (extended
+    candidates lack the slot: they are never walked, and are ignored)."""
     if getattr(candidate, "strictly_dominated", None) is False:
         candidate.strictly_dominated = True
 
@@ -1456,8 +1406,7 @@ def _mark_family_dominated(candidate) -> None:
     frontier only descends), its whole extension family is dominated.  The
     flag feeds back into :func:`~repro.core.quotients.
     iter_extended_candidates`, which skips the family at the source.
-    Candidates without the feedback slot (plain tableau adapters) are
-    ignored.
+    Extended candidates lack the feedback slot and are ignored.
     """
     if getattr(candidate, "extensions_dominated", None) is False:
         candidate.extensions_dominated = True
@@ -1568,26 +1517,6 @@ def _install_shard_context(context: tuple) -> None:
     _SHARD_CONTEXT = context
 
 
-def _partition_codes(quotient: QuotientCandidate) -> tuple[int, ...]:
-    """The restricted growth string of a stream quotient's partition.
-
-    Stream quotients carry it as ``codes``; the isolated-element fallback
-    leaves ``codes`` unset, so it is rebuilt from the partition over the
-    base's element order (``repr``-sorted, as the stream enumerates it).
-    """
-    if quotient.codes is not None:
-        return quotient.codes
-    block_of = {
-        element: block_id
-        for block_id, block in enumerate(quotient.partition)
-        for element in block
-    }
-    return tuple(
-        block_of[element]
-        for element in sorted(quotient.base.structure.domain, key=repr)
-    )
-
-
 def _stream_positions(candidates: Iterable, positions: dict) -> Iterator:
     """Record each candidate's stream position under its generation stamp.
 
@@ -1595,24 +1524,22 @@ def _stream_positions(candidates: Iterable, positions: dict) -> Iterator:
     candidate's quotient and its rank within that quotient's family — 0
     for the quotient, then 1, 2, ... for its extended candidates in
     enumeration order.  An extended candidate takes its ``parent``'s
-    codes (the parent itself may have been suppressed from the stream); a
-    parentless one (the tableau-level extension fallback) belongs to the
-    last quotient.  Partition codes are restricted growth strings, whose
-    lexicographic order is the order of the unsharded stream, and a
-    family never spans shards — so positions from different shards never
-    tie and sort into serial stream order.  A walked candidate keeps the
+    codes (the parent itself may have been suppressed from the stream).
+    Partition codes are restricted growth strings, whose lexicographic
+    order is the order of the unsharded stream, and a family never spans
+    shards — so positions from different shards never tie and sort into
+    serial stream order.  A walked candidate keeps the
     growth-string rank the walk stamped; any other gets its arrival index.
     """
     family, codes, rank = None, None, 0
     for candidate in candidates:
         parent = getattr(candidate, "parent", None)
-        if parent is None and candidate.partition:
-            family, codes, rank = candidate, _partition_codes(candidate), 0
-        else:
-            owner = family if parent is None else parent
-            if owner is not family:
-                family, codes, rank = owner, _partition_codes(owner), 0
+        if parent is None:
+            family, codes, rank = candidate, candidate.codes, 0
+        elif parent is family:
             rank += 1
+        else:
+            family, codes, rank = parent, parent.codes, 1
         if candidate.generation is None:
             candidate.generation = len(positions)
         positions[candidate.generation] = (codes, rank)
@@ -1634,7 +1561,7 @@ def run_shard(
     knows), extension slices run in generation order.  Each returned
     member ships as ``(encoded tableau, partition codes, kernel codes,
     stream position)`` — codes over the
-    shared base element order (``None`` off the integer path), kernel
+    shared base element order (``None`` for an extended candidate), kernel
     codes the member's kernel index flattened by
     :meth:`Frontier.kernel_exports` (``None`` when its hom scan capped
     out), and the
@@ -1999,7 +1926,7 @@ def run_pipeline(
     resume = None
     if checkpoint_manager is not None:
         run_key = (
-            "pipeline-checkpoint-v3",
+            "pipeline-checkpoint-v4",
             encode_tableau(tableau),
             cls.name,
             max_extra_atoms,

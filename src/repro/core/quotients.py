@@ -21,10 +21,12 @@ an earlier plain quotient (or to an earlier extended candidate of another
 quotient) is deduplicated too.
 
 Both enumerators accept ``dedup=True``: candidates are then deduplicated by
-canonical form (:func:`repro.homomorphism.signatures.canonical_key`).
-Distinct partitions of a symmetric tableau routinely produce isomorphic
-quotients (a directed ``n``-cycle has ``Bell(n)`` partitions but far fewer
-quotients up to isomorphism), and every downstream consumer —
+the canonical form of their integer form
+(:func:`repro.homomorphism.signatures.canonical_key_indexed`), which every
+base has (:func:`_integer_form`: an element in no fact is a block without
+facts).  Distinct partitions of a symmetric tableau routinely produce
+isomorphic quotients (a directed ``n``-cycle has ``Bell(n)`` partitions but
+far fewer quotients up to isomorphism), and every downstream consumer —
 class-membership tests, the frontier's ``hom_le`` churn, core computation —
 is isomorphism-invariant, so deduplication changes nothing up to homomorphic
 equivalence while shrinking the candidate stream several-fold.
@@ -226,6 +228,31 @@ def _partition_stream(
     )
 
 
+def _integer_form(
+    tableau: Tableau,
+) -> tuple[list, dict, tuple[str, ...], list[tuple[int, tuple[int, ...]]], tuple]:
+    """The tableau over integers: ``(elements, index_of, names, facts,
+    distinguished)``.
+
+    Elements are ``repr``-sorted and indexed in that order (partition codes
+    are written over it); relations are indexed by sorted name over the
+    whole vocabulary, so a relation without facts still has an id the
+    extension pool can use; facts and distinguished elements are over the
+    element indexes.  An element in no fact is an index no fact mentions.
+    """
+    structure = tableau.structure
+    elements = sorted(structure.domain, key=repr)
+    index_of = {element: index for index, element in enumerate(elements)}
+    names = tuple(sorted(structure.vocabulary))
+    facts = [
+        (relation_id, tuple(index_of[value] for value in row))
+        for relation_id, name in enumerate(names)
+        for row in structure.tuples(name)
+    ]
+    distinguished = tuple(index_of[d] for d in tableau.distinguished)
+    return elements, index_of, names, facts, distinguished
+
+
 def _automorphism_inverses(
     tableau: Tableau,
     elements: list,
@@ -284,8 +311,7 @@ def base_automorphism_inverses(
     :func:`repro.core.pipeline.decode_tableau` preserves).  ``None`` when
     the endomorphism scan exceeds ``cap`` (orbit pruning is then off).
     """
-    elements = sorted(tableau.structure.domain, key=repr)
-    index_of = {element: index for index, element in enumerate(elements)}
+    elements, index_of, *_ = _integer_form(tableau)
     return _automorphism_inverses(tableau, elements, index_of, cap=cap)
 
 
@@ -307,45 +333,30 @@ def _orbit_minimal(code: list[int], n: int, inverses: list[list[int]]) -> bool:
     return True
 
 
-class _CanonicalSeen:
-    """Tracks canonical forms; tableaux without a computable form pass through."""
-
-    def __init__(self) -> None:
-        self._seen: set[tuple] = set()
-
-    def first_sighting(self, tableau: Tableau) -> bool:
-        # The engine's canonical-form cache is shared with the hom_le memo
-        # keys, so keys computed here are reused by the frontier's order
-        # queries on the surviving candidates.
-        key = default_engine().canonical_key(tableau)
-        if key is None:
-            return True
-        if key in self._seen:
-            return False
-        self._seen.add(key)
-        return True
-
-
 class QuotientCandidate:
     """A quotient described without building it (the pipeline's stage-1 unit).
 
     Carries the partition plus the quotient's facts in integer-indexed form
-    (elements replaced by block ids, relations by ids into :attr:`names`).
-    The actual :class:`~repro.cq.tableau.Tableau` is built only on demand by
-    :meth:`materialize` — class-membership checks for graph/hypergraph
-    classes need nothing beyond the integer facts, so non-members of the
-    approximation pipeline never pay for ``Structure`` construction.
-    Integer facts are themselves computed lazily (:meth:`facts`) so pure
-    tableau consumers skip them when dedup decided not to canonize.
+    (elements replaced by block ids, relations by their index in the sorted
+    vocabulary), on every base: a block of elements that occur in no fact
+    is a block without facts.  The actual :class:`~repro.cq.tableau.Tableau`
+    is built only on demand by :meth:`materialize` — class-membership checks
+    for graph/hypergraph classes need nothing beyond the integer facts, so
+    non-members of the approximation pipeline never pay for ``Structure``
+    construction.  Integer facts are themselves computed lazily
+    (:meth:`facts`) so pure tableau consumers skip them when dedup decided
+    not to canonize.
 
     Two candidates of the same stream with equal ``(block_count, facts(),
     distinguished)`` are isomorphic via the induced block bijection — the
     integer form is itself a useful (label-free) memo key for class checks.
-    ``key`` carries the fact-level canonical form when the enumerator
-    computed one for dedup (``None`` otherwise: the identity quotient, the
-    orbit and raw regimes, canonizer effort caps) — the extension
-    stream uses it to recognize a quotient that repeats an earlier extended
-    candidate's isomorphism class.
+    ``codes`` is the partition's restricted growth string over the base's
+    element order; only :meth:`from_tableau` leaves it ``None``.  ``key``
+    carries the fact-level canonical form when the enumerator computed one
+    for dedup (``None`` otherwise: the identity quotient, the orbit and raw
+    regimes, canonizer effort caps) — the extension stream uses it to
+    recognize a quotient that repeats an earlier extended candidate's
+    isomorphism class.
 
     ``generation`` orders the candidate like the unreordered stream: the
     lattice walk stamps the partition's growth-string rank (an int, so it
@@ -385,7 +396,6 @@ class QuotientCandidate:
         "distinguished",
         "_base",
         "_base_facts",
-        "names",
         "key",
         "generation",
         "extensions_dominated",
@@ -399,10 +409,9 @@ class QuotientCandidate:
         partition: tuple[tuple, ...],
         codes: tuple[int, ...] | None,
         block_count: int,
-        distinguished: tuple[int, ...] | None,
+        distinguished: tuple[int, ...],
         base: Tableau,
-        base_facts: list[tuple[int, tuple[int, ...]]] | None,
-        names: tuple[str, ...],
+        base_facts: list[tuple[int, tuple[int, ...]]],
         *,
         facts: tuple[tuple[int, tuple[int, ...]], ...] | None = None,
         tableau: Tableau | None = None,
@@ -414,7 +423,6 @@ class QuotientCandidate:
         self.distinguished = distinguished
         self._base = base
         self._base_facts = base_facts
-        self.names = names
         self.key = key
         self.generation = None
         self.extensions_dominated = False
@@ -430,23 +438,29 @@ class QuotientCandidate:
 
     @classmethod
     def from_tableau(cls, tableau: Tableau) -> "QuotientCandidate":
-        """Adapter giving a plain tableau the stage-1 candidate interface.
+        """A plain tableau as its own identity quotient, for callers that
+        hold tableaux rather than partitions (the serial stage-2 stream
+        :func:`repro.core.pipeline.iter_membership`).
 
-        No integer form (``facts()`` is ``None``, ``codes`` is ``None``), so
-        class checks and dominance fall back to the materialized structure —
-        the entry point for callers that hold tableaux rather than
-        partitions: the serial stage-2 stream
-        :func:`repro.core.pipeline.iter_membership` (the syntactic
-        overapproximation search) and the extension stream's non-integer
-        fallback.
+        Its integer facts are over the tableau's own element order, not a
+        run base's, so it carries no ``codes``: partition coarsening and
+        kernel indexes would misread them.
         """
-        return cls((), None, 0, None, tableau, None, (), tableau=tableau)
+        elements, _, _, facts, distinguished = _integer_form(tableau)
+        return cls(
+            tuple((element,) for element in elements),
+            None,
+            len(elements),
+            distinguished,
+            tableau,
+            facts,
+            facts=tuple(sorted(set(facts))),
+            tableau=tableau,
+        )
 
-    def facts(self) -> tuple[tuple[int, tuple[int, ...]], ...] | None:
-        """The quotient's facts over block ids (``None`` if unavailable —
-        the isolated-element fallback path, where only the materialized
-        tableau is authoritative)."""
-        if self._facts is None and self.codes is not None:
+    def facts(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """The quotient's facts over block ids."""
+        if self._facts is None:
             code = self.codes
             self._facts = tuple(
                 sorted(
@@ -517,99 +531,37 @@ def iter_quotient_candidates(
     """
     if generation not in GENERATION_MODES:
         raise ValueError(f"unknown generation mode {generation!r}")
-    elements = sorted(tableau.structure.domain, key=repr)
+    elements, index_of, _, base_facts, distinguished_idx = _integer_form(tableau)
     n_elements = len(elements)
     prefixes = _shard_prefixes(n_elements, shard)
-    structure = tableau.structure
-    index_of = {element: index for index, element in enumerate(elements)}
-    names = tuple(
-        sorted(name for name, rows in structure.relations.items() if rows)
-    )
-    base_facts = [
-        (relation_id, tuple(index_of[value] for value in row))
-        for relation_id, name in enumerate(names)
-        for row in structure.relations[name]
-    ]
-    covered = {value for _, row in base_facts for value in row}
-    covered.update(index_of[d] for d in tableau.distinguished)
-    if len(covered) < n_elements:
-        # Isolated elements (possible only with an explicitly enlarged
-        # domain) would defeat the integer fast path's refinement; fall back
-        # to tableau-level canonical forms, which handle them.  Candidates
-        # on this path are pre-materialized and carry no integer facts.
-        seen = _CanonicalSeen()
+    if automorphisms is _DERIVE:
+        automorphisms = _automorphism_inverses(tableau, elements, index_of)
+    orbit = automorphisms if generation != "raw" else None
+    if seen_keys is None:
+        seen_keys = set()
+    identity = tuple(range(n_elements))
+    identity_facts = tuple(sorted(set(base_facts)))
 
-        def candidate_at(code: tuple[int, ...]):
-            partition = _blocks_of(elements, code)
-            quotient = tableau.rename(partition_to_mapping(partition))
-            if not seen.first_sighting(quotient):
-                return None
+    def candidate_at(code: tuple[int, ...]):
+        if code == identity:
+            # The identity quotient: the only partition with |domain|
+            # blocks, and isomorphism preserves block count, so it cannot
+            # duplicate (or be duplicated by) anything — skip the
+            # canonization.
             return QuotientCandidate(
-                partition,
-                None,
-                len(partition),
-                None,
+                _blocks_of(elements, code),
+                code,
+                n_elements,
+                distinguished_idx,
                 tableau,
-                None,
-                names,
-                tableau=quotient,
+                base_facts,
+                facts=identity_facts,
             )
-
-    else:
-        distinguished_idx = tuple(index_of[d] for d in tableau.distinguished)
-        if automorphisms is _DERIVE:
-            automorphisms = _automorphism_inverses(tableau, elements, index_of)
-        orbit = automorphisms if generation != "raw" else None
-        if seen_keys is None:
-            seen_keys = set()
-        identity = tuple(range(n_elements))
-        identity_facts = tuple(sorted(set(base_facts)))
-
-        def candidate_at(code: tuple[int, ...]):
-            if code == identity:
-                # The identity quotient: the only partition with |domain|
-                # blocks, and isomorphism preserves block count, so it
-                # cannot duplicate (or be duplicated by) anything — skip
-                # the canonization.
-                return QuotientCandidate(
-                    _blocks_of(elements, code),
-                    code,
-                    n_elements,
-                    distinguished_idx,
-                    tableau,
-                    base_facts,
-                    names,
-                    facts=identity_facts,
-                )
-            if orbit and not _orbit_minimal(code, n_elements, orbit):
-                return None
-            partition = _blocks_of(elements, code)
-            mapped_distinguished = tuple(code[value] for value in distinguished_idx)
-            if generation != "canonical":
-                return QuotientCandidate(
-                    partition,
-                    code,
-                    len(partition),
-                    mapped_distinguished,
-                    tableau,
-                    base_facts,
-                    names,
-                )
-            mapped_facts = tuple(
-                sorted(
-                    {
-                        (relation_id, tuple(code[value] for value in row))
-                        for relation_id, row in base_facts
-                    }
-                )
-            )
-            key = canonical_key_indexed(
-                len(partition), list(mapped_facts), mapped_distinguished
-            )
-            if key is not None:
-                if key in seen_keys:
-                    return None
-                seen_keys.add(key)
+        if orbit and not _orbit_minimal(code, n_elements, orbit):
+            return None
+        partition = _blocks_of(elements, code)
+        mapped_distinguished = tuple(code[value] for value in distinguished_idx)
+        if generation != "canonical":
             return QuotientCandidate(
                 partition,
                 code,
@@ -617,10 +569,32 @@ def iter_quotient_candidates(
                 mapped_distinguished,
                 tableau,
                 base_facts,
-                names,
-                facts=mapped_facts,
-                key=key,
             )
+        mapped_facts = tuple(
+            sorted(
+                {
+                    (relation_id, tuple(code[value] for value in row))
+                    for relation_id, row in base_facts
+                }
+            )
+        )
+        key = canonical_key_indexed(
+            len(partition), list(mapped_facts), mapped_distinguished
+        )
+        if key is not None:
+            if key in seen_keys:
+                return None
+            seen_keys.add(key)
+        return QuotientCandidate(
+            partition,
+            code,
+            len(partition),
+            mapped_distinguished,
+            tableau,
+            base_facts,
+            facts=mapped_facts,
+            key=key,
+        )
 
     if not fine_to_coarse:
         for code in _partition_stream(n_elements, prefixes):
@@ -1042,10 +1016,9 @@ def iter_extended_candidates(
     the quotient layer's regime (a repeat the orbit or raw regime lets
     through re-grows a family whose members are each dominated or
     isomorphic to an earlier candidate, so results stay bit-identical
-    across regimes here too).  Bases outside the integer fast path (isolated domain elements,
-    vocabulary relations without facts) fall back to the historical
-    tableau-level enumeration, wrapped via
-    :meth:`QuotientCandidate.from_tableau`.
+    across regimes here too).  Every base takes this path: an element in no
+    fact is a block the pool covers like any other, and a vocabulary
+    relation without facts still names pool atoms (:func:`_integer_form`).
     """
     if max_extra_atoms <= 0:
         yield from iter_quotient_candidates(
@@ -1055,30 +1028,8 @@ def iter_extended_candidates(
             generation=generation,
         )
         return
-    structure = tableau.structure
-    names = tuple(
-        sorted(name for name, rows in structure.relations.items() if rows)
-    )
-    covered = {
-        value
-        for rows in structure.relations.values()
-        for row in rows
-        for value in row
-    }
-    covered.update(tableau.distinguished)
-    if len(names) != len(structure.vocabulary) or len(covered) < len(
-        structure.domain
-    ):
-        yield from _iter_extended_candidates_fallback(
-            tableau,
-            max_extra_atoms=max_extra_atoms,
-            allow_fresh=allow_fresh,
-            shard=shard,
-            automorphisms=automorphisms,
-            generation=generation,
-        )
-        return
-    arities = tuple(structure.arity(name) for name in names)
+    names = _integer_form(tableau)[2]
+    arities = tuple(tableau.structure.arity(name) for name in names)
     quotient_keys: set = set()
     extension_keys: set = set()
     for candidate in iter_quotient_candidates(
@@ -1174,39 +1125,6 @@ def iter_extended_candidates(
                     distinguished,
                     key,
                 )
-
-
-def _iter_extended_candidates_fallback(
-    tableau: Tableau,
-    *,
-    max_extra_atoms: int,
-    allow_fresh: bool,
-    shard: tuple[int, int] | None,
-    automorphisms: list[list[int]] | None | object,
-    generation: str,
-) -> Iterator[QuotientCandidate]:
-    """Tableau-level extension stream (the historical path) as candidates.
-
-    Used when the base has no integer form: quotient-level dedup through
-    the candidate stream, extension-level dedup through engine canonical
-    forms, extended candidates wrapped without integer facts.
-    """
-    seen = _CanonicalSeen()
-    for candidate in iter_quotient_candidates(
-        tableau, shard=shard, automorphisms=automorphisms, generation=generation
-    ):
-        yield candidate
-        if candidate.extensions_dominated:
-            continue
-        quotient = candidate.materialize()
-        extension_pool = list(
-            iter_extension_atoms(quotient.structure, allow_fresh=allow_fresh)
-        )
-        for count in range(1, max_extra_atoms + 1):
-            for extras in itertools.combinations(extension_pool, count):
-                extended = _with_extensions(quotient, extras)
-                if seen.first_sighting(extended):
-                    yield QuotientCandidate.from_tableau(extended)
 
 
 def iter_extended_tableaux(

@@ -381,13 +381,14 @@ class Structure:
     quotient = rename  # a quotient is a rename by a non-injective map
 
     def add_facts(self, facts: Iterable[tuple[str, Tuple_]]) -> "Structure":
-        """A new structure with extra facts added."""
+        """A new structure with extra facts added (the vocabulary kept, so
+        relations without facts keep their arities)."""
         extended: dict[str, set[Tuple_]] = {
             name: set(rows) for name, rows in self.relations.items()
         }
         for name, row in facts:
             extended.setdefault(name, set()).add(tuple(row))
-        return Structure(extended, domain=self._domain)
+        return Structure(extended, vocabulary=self._vocabulary, domain=self._domain)
 
     def remove_facts(self, facts: Iterable[tuple[str, Tuple_]]) -> "Structure":
         """A new structure with the given facts removed (domain preserved)."""

@@ -30,6 +30,7 @@ from repro.core import (
     run_pipeline,
 )
 from repro.core.pipeline import PipelineStats, _reduce_inline
+from repro.core.quotients import QuotientCandidate
 from repro.cq import is_contained_in, parse_query
 from repro.evaluation import numpy_available
 from repro.workloads import cycle_with_chords, random_graph_query
@@ -117,7 +118,7 @@ class TestPerfSmoke:
         # ~20x on this workload; the 2x guard plus the skip on
         # unmeasurably fast baselines keeps the test from ever flaking on
         # noise.
-        from test_pipeline import _LegacyTableauCandidate, legacy_extended_stream
+        from test_pipeline import legacy_extended_stream
 
         tableau = parse_query(
             "Q() :- R(x1, x2, x3), R(x3, x4, x5), R(x5, x6, x1)"
@@ -126,7 +127,7 @@ class TestPerfSmoke:
         legacy_s, legacy = elapsed(
             lambda: _reduce_inline(
                 (
-                    _LegacyTableauCandidate(t)
+                    QuotientCandidate.from_tableau(t)
                     for t in legacy_extended_stream(tableau, 1, False)
                 ),
                 cls,

@@ -25,14 +25,14 @@ from repro.core import (
     encode_tableau,
     greedy_approximate,
     iter_membership,
-    membership_key,
     run_pipeline,
 )
 import repro.core.pipeline as pipeline_module
 import repro.core.quotients as quotients_module
 from repro.core.approximation import candidate_tableaux
-from repro.core.pipeline import PipelineStats, _reduce_inline
+from repro.core.pipeline import PipelineStats, _reduce_inline, candidate_check_key
 from repro.core.quotients import (
+    QuotientCandidate,
     _shard_prefixes,
     _with_extensions,
     coarseness_ordered,
@@ -133,21 +133,21 @@ class TestTableauCodec:
         assert 9 in back.structure.domain
 
 
-class TestMembershipKey:
+def _check_key(cls, query_text):
+    candidate = QuotientCandidate.from_tableau(parse_query(query_text).tableau())
+    return candidate_check_key(cls, candidate)
+
+
+class TestCandidateCheckKey:
     def test_graph_key_ignores_orientation(self):
-        forward = parse_query("Q() :- E(x, y), E(y, z)").tableau().structure
-        backward = parse_query("Q() :- E(y, x), E(z, y)").tableau().structure
-        assert membership_key(TW1, forward) == membership_key(TW1, backward)
+        forward = _check_key(TW1, "Q() :- E(x, y), E(y, z)")
+        backward = _check_key(TW1, "Q() :- E(y, x), E(z, y)")
+        assert forward == backward
 
     def test_hypergraph_key_ignores_argument_order(self):
-        a = parse_query("Q() :- R(x, y, z)").tableau().structure
-        b = parse_query("Q() :- R(z, x, y)").tableau().structure
-        assert membership_key(AC, a) == membership_key(AC, b)
-
-    def test_distinct_domains_get_distinct_keys(self):
-        a = parse_query("Q() :- E(x, y)").tableau().structure
-        b = parse_query("Q() :- E(x, z)").tableau().structure
-        assert membership_key(TW1, a) != membership_key(TW1, b)
+        a = _check_key(AC, "Q() :- R(x, y, z)")
+        b = _check_key(AC, "Q() :- R(z, x, y)")
+        assert a == b
 
     def test_unknown_kind_disables_memo(self):
         class Oddball(QueryClass):
@@ -157,8 +157,7 @@ class TestMembershipKey:
             def contains_structure(self, structure):
                 return True
 
-        structure = TRIANGLE.tableau().structure
-        assert membership_key(Oddball(), structure) is None
+        assert _check_key(Oddball(), "Q() :- E(x, y), E(y, z), E(z, x)") is None
 
     def test_memoized_stream_matches_direct_checks(self):
         tableau = TERNARY.tableau()
@@ -231,12 +230,10 @@ class TestDeterminism:
             )
             assert serial == parallel, workers  # same queries, same order
 
-    #: Bases off the integer fast path: a vocabulary relation without
-    #: facts sends the extension stream through
-    #: ``_iter_extended_candidates_fallback`` (parentless extended
-    #: candidates), an isolated element sends the quotient stream through
-    #: its materialized fallback (quotients without codes).
-    FALLBACK_BASES = [
+    #: Bases no CQ has: a vocabulary relation without facts (its id still
+    #: names extension atoms) and an isolated element (a block without
+    #: facts).
+    PADDED_BASES = [
         (
             Tableau(
                 Structure(
@@ -260,8 +257,8 @@ class TestDeterminism:
     ]
 
     @pytest.mark.parametrize("workers", [2, 3])
-    @pytest.mark.parametrize("tableau,cls,extra_atoms", FALLBACK_BASES)
-    def test_workers_bit_identical_off_the_integer_path(
+    @pytest.mark.parametrize("tableau,cls,extra_atoms", PADDED_BASES)
+    def test_workers_bit_identical_on_padded_bases(
         self, tableau, cls, extra_atoms, workers
     ):
         serial = run_pipeline(tableau, cls, max_extra_atoms=extra_atoms)
@@ -379,7 +376,7 @@ class TestAdmissionOrder:
         cls = HypertreeClass(2)
         legacy = _reduce_inline(
             (
-                _LegacyTableauCandidate(t)
+                QuotientCandidate.from_tableau(t)
                 for t in iter_quotient_tableaux(tableau, dedup=True)
             ),
             cls,
@@ -416,11 +413,9 @@ class TestAdmissionOrder:
         assert ordered.frontier == baseline.frontier
         assert ordered.stats.representative_repairs >= 1
 
-    def test_fine_to_coarse_handles_candidates_without_codes(self):
-        # Isolated domain elements force the enumerator's materialized
-        # fallback: candidates carry a block count but no codes, so the
-        # refinement index and coarsening fast paths are unavailable while
-        # the order and repair machinery still run.
+    def test_fine_to_coarse_on_a_base_with_an_isolated_element(self):
+        # An isolated domain element is a block without facts: the lattice
+        # walk, the refinement index and the kernel tries all run over it.
         structure = Structure(
             {"E": [("x", "y")]}, domain=["x", "y", "z"]
         )
@@ -817,22 +812,6 @@ class TestGreedyBudgets:
         assert "5 samples" in str(excinfo.value)
 
 
-class _LegacyTableauCandidate:
-    """The pre-PR stage-1 adapter: materialized tableaux, no integer form."""
-
-    block_count = None
-    codes = None
-
-    def __init__(self, tableau):
-        self._tableau = tableau
-
-    def facts(self):
-        return None
-
-    def materialize(self):
-        return self._tableau
-
-
 def legacy_extended_stream(tableau, max_extra_atoms, allow_fresh):
     """Faithful replica of the pre-PR ``iter_extended_tableaux(dedup=True)``:
     materialized quotients, extension atoms enumerated over the quotient's
@@ -889,12 +868,12 @@ class TestExtensionStreamDifferential:
         legacy_stats = PipelineStats()
         legacy = _reduce_inline(
             (
-                _LegacyTableauCandidate(t)
+                QuotientCandidate.from_tableau(t)
                 for t in legacy_extended_stream(tableau, 1, fresh)
             )
             if cls.kind == "hypergraph"
             else (
-                _LegacyTableauCandidate(t)
+                QuotientCandidate.from_tableau(t)
                 for t in iter_quotient_tableaux(tableau, dedup=True)
             ),
             cls,

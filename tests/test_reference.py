@@ -9,12 +9,17 @@ knob setting must give the same (``==``) frontier, and every partition the
 fine-to-coarse walk skipped must be strictly dominated by a reference
 member.  Extension-space frontiers (Theorem 6.1 / Claim 6.2, one extension
 atom, with and without fresh elements) are pinned the same way for
-hypergraph classes, and every extended candidate the stream drops as a
-memoized rejection must be rejected by the class's definition.
+hypergraph classes, under every setting too, and every extended candidate
+the stream drops as a memoized rejection must be rejected by the class's
+definition.  Padded bases, which no CQ has (domain elements in no fact,
+one of them distinguished), run the same comparisons, and on two of them
+every quotient and one-atom extension checks the canonical keys against
+a brute-force isomorphism test.
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 
 import pytest
@@ -28,10 +33,16 @@ from repro.core.pipeline import (
     run_pipeline,
     run_shard,
 )
-from repro.core.quotients import ExtensionCandidate
-from repro.cq import parse_query
+from repro.core.quotients import (
+    ExtensionCandidate,
+    iter_extended_candidates,
+    iter_quotient_candidates,
+)
+from repro.cq import Structure, Tableau, parse_query
+from repro.homomorphism.signatures import canonical_key_indexed
 from repro.testing.reference import (
     equivalent_frontiers,
+    extensions,
     member,
     partitions,
     quotient,
@@ -85,6 +96,38 @@ CASES = (
         for seed, cls in [(51, "TW(1)"), (53, "AC"), (53, "GHTW(2)"), (60, "AC")]
     ]
 )
+
+
+def padded(query, isolated: int, *, head: bool):
+    """``query``'s tableau plus ``isolated`` domain elements ``w0, w1, ...``
+    in no fact, the first appended to the distinguished tuple when
+    ``head``: a base no CQ has."""
+    tableau = query.tableau()
+    structure = tableau.structure
+    extra = [f"w{i}" for i in range(isolated)]
+    return Tableau(
+        Structure(
+            structure.relations,
+            vocabulary=structure.vocabulary,
+            domain=structure.domain | set(extra),
+        ),
+        tableau.distinguished + tuple(extra[:head]),
+    )
+
+
+def _frontier_across_settings(tableau, cls, **knobs) -> list:
+    """The serial frontier under every setting, asserted ``==`` across
+    settings."""
+    frontiers = {
+        (generation, order): run_pipeline(
+            tableau, cls, generation=generation, admission_order=order, **knobs
+        ).frontier
+        for generation, order in SETTINGS
+    }
+    first = frontiers[SETTINGS[0]]
+    for setting, frontier in frontiers.items():
+        assert frontier == first, setting
+    return first
 
 
 def _record_walk(monkeypatch) -> list:
@@ -197,10 +240,12 @@ def test_extension_frontiers_match_the_definition(query, class_name, fresh):
     reference = reference_frontier(
         tableau, cls.name, extra_atoms=1, allow_fresh=fresh
     )
-    result = run_pipeline(tableau, cls, max_extra_atoms=1, allow_fresh=fresh)
+    frontier = _frontier_across_settings(
+        tableau, cls, max_extra_atoms=1, allow_fresh=fresh
+    )
     base_facts = len(structure_of(tableau)[1])
     assert any(len(m[1]) > base_facts for m in reference), "no extended member"
-    assert equivalent_frontiers([structure_of(m) for m in result.frontier], reference)
+    assert equivalent_frontiers([structure_of(m) for m in frontier], reference)
 
 
 @pytest.mark.slow
@@ -315,3 +360,192 @@ def test_skipped_extensions_are_rejected_by_definition(
         extended = candidate.materialize()
         assert not cls.contains_tableau(extended), extended
         assert not member(cls.name, structure_of(extended)), extended
+
+
+#: Seeded CQs of at most five variables plus one or two domain elements in
+#: no fact (the first distinguished where marked), at most six elements.
+#: name -> (query, elements added, first one distinguished, class)
+PADDED_CASES = {
+    "graph(5v,6a,seed=1)+w(head)/TW(1)": (
+        random_graph_query(5, 6, seed=1), 1, True, "TW(1)"
+    ),
+    "graph(4v,5a,seed=2)+2w(head)/TW(1)": (
+        random_graph_query(4, 5, seed=2), 2, True, "TW(1)"
+    ),
+    "ternary(5v,4a,seed=73)+w/AC": (
+        random_cq({"R": 3}, 5, 4, seed=73), 1, False, "AC"
+    ),
+    "ternary(4v,3a,head1,seed=72)+2w(head)/HTW(1)": (
+        random_cq({"R": 3}, 4, 3, seed=72, head_size=1), 2, True, "HTW(1)"
+    ),
+    "mixed(4v,3a,seed=71)+w(head)/AC": (
+        random_cq({"R": 3, "E": 2}, 4, 3, seed=71), 1, True, "AC"
+    ),
+}
+
+PADDED_PARAMS = [
+    pytest.param(
+        padded(query, isolated, head=head),
+        class_name,
+        extra_atoms,
+        fresh,
+        id=f"{name}{suffix}",
+    )
+    for name, (query, isolated, head, class_name) in PADDED_CASES.items()
+    for extra_atoms, fresh, suffix in [
+        (0, False, ""),
+        (1, False, " +ext"),
+        (1, True, " +fresh-ext"),
+    ]
+]
+
+
+@pytest.mark.parametrize("tableau,class_name,extra_atoms,fresh", PADDED_PARAMS)
+def test_padded_frontiers_match_the_definition(
+    tableau, class_name, extra_atoms, fresh
+):
+    cls = class_from_name(class_name)
+    reference = reference_frontier(
+        tableau, cls.name, extra_atoms=extra_atoms, allow_fresh=fresh
+    )
+    frontier = _frontier_across_settings(
+        tableau, cls, max_extra_atoms=extra_atoms, allow_fresh=fresh
+    )
+    assert equivalent_frontiers([structure_of(m) for m in frontier], reference)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "tableau,class_name,extra_atoms,fresh", PADDED_PARAMS[::2]
+)
+def test_two_workers_match_the_padded_reference(
+    tableau, class_name, extra_atoms, fresh
+):
+    cls = class_from_name(class_name)
+    knobs = dict(max_extra_atoms=extra_atoms, allow_fresh=fresh)
+    serial = run_pipeline(tableau, cls, **knobs)
+    sharded = run_pipeline(tableau, cls, workers=2, **knobs)
+    assert sharded.frontier == serial.frontier
+    reference = reference_frontier(
+        tableau, cls.name, extra_atoms=extra_atoms, allow_fresh=fresh
+    )
+    assert equivalent_frontiers(
+        [structure_of(m) for m in sharded.frontier], reference
+    )
+
+
+def _isomorphic(a, b) -> bool:
+    """Whether a bijection maps structure ``a`` onto ``b``, head onto head:
+    a search over bijections that drops a partial one as soon as a fact
+    whose elements it has all placed misses ``b``."""
+    n, facts, head = a
+    if (n, len(facts), len(head)) != (b[0], len(b[1]), len(b[2])):
+        return False
+    image: dict[int, int] = {}
+    for element, value in zip(head, b[2]):
+        if image.setdefault(element, value) != value:
+            return False
+    if len(set(image.values())) != len(image):
+        return False
+    order = [v for v in range(n) if v not in image]
+    due: dict[int, list] = {}
+    for name, row in facts:
+        free = [v for v in row if v not in image]
+        due.setdefault(max(free, default=-1), []).append((name, row))
+
+    def holds(element) -> bool:
+        return all(
+            (name, tuple(image[v] for v in row)) in b[1]
+            for name, row in due.get(element, ())
+        )
+
+    def assign(position: int) -> bool:
+        if position == len(order):
+            return True
+        element = order[position]
+        for value in set(range(n)) - set(image.values()):
+            image[element] = value
+            if holds(element) and assign(position + 1):
+                return True
+            del image[element]
+        return False
+
+    return holds(-1) and assign(0)
+
+
+def _invariant(structure) -> tuple:
+    """An isomorphism invariant: each element's (relation, position) slots
+    and head positions, as a sorted multiset."""
+    n, facts, head = structure
+    slots: list[list] = [[] for _ in range(n)]
+    for name, row in facts:
+        for position, v in enumerate(row):
+            slots[v].append((name, position))
+    for position, v in enumerate(head):
+        slots[v].append(("head", position))
+    return n, len(facts), tuple(sorted(tuple(sorted(s)) for s in slots))
+
+
+#: Padded bases with every quotient and one-atom extension canonized and
+#: checked against the brute-force isomorphism test.
+COLLISION_CASES = [
+    pytest.param(
+        padded(parse_query("Q() :- E(x, y), E(y, z), E(z, x)"), 1, head=True),
+        True,
+        id="C3+w(head) +fresh",
+    ),
+    pytest.param(
+        padded(random_cq({"R": 3}, 4, 2, seed=5), 2, head=True),
+        False,
+        id="ternary(4v,2a,seed=5)+2w(head)",
+    ),
+]
+
+
+@pytest.mark.parametrize("tableau,fresh", COLLISION_CASES)
+def test_equal_keys_mean_isomorphic_and_the_stream_keeps_one_per_class(
+    tableau, fresh
+):
+    base = structure_of(tableau)
+    relation_ids = {
+        name: i for i, name in enumerate(sorted(tableau.structure.vocabulary))
+    }
+    space = [
+        candidate
+        for code in partitions(base[0])
+        for plain in [quotient(base, code)]
+        for candidate in itertools.chain([plain], extensions(plain, fresh))
+    ]
+    by_key: dict = {}
+    for candidate in space:
+        n, facts, head = candidate
+        key = canonical_key_indexed(
+            n, sorted((relation_ids[name], row) for name, row in facts), head
+        )
+        assert key is not None
+        by_key.setdefault(key, []).append(candidate)
+    for group in by_key.values():
+        for candidate in group[1:]:
+            assert _isomorphic(group[0], candidate), (group[0], candidate)
+
+    quotients = [quotient(base, code) for code in partitions(base[0])]
+    for stream, full in [
+        (iter_quotient_candidates(tableau, generation="canonical"), quotients),
+        (
+            iter_extended_candidates(
+                tableau,
+                max_extra_atoms=1,
+                allow_fresh=fresh,
+                generation="canonical",
+            ),
+            space,
+        ),
+    ]:
+        kept: dict = {}
+        for candidate in stream:
+            structure = structure_of(candidate.materialize())
+            kept.setdefault(_invariant(structure), []).append(structure)
+        for candidate in full:
+            copies = kept.get(_invariant(candidate), [])
+            matches = sum(_isomorphic(candidate, copy) for copy in copies)
+            assert matches == 1, candidate

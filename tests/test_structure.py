@@ -123,6 +123,13 @@ class TestStructureConstructions:
         assert (1, 1) in extended.tuples("E")
         assert extended.total_tuples == 4
 
+    def test_add_facts_keeps_empty_relation_arities(self):
+        for domain in ([1, 2], ["a", "b"]):
+            s = Structure({"E": [tuple(domain)], "F": []}, vocabulary={"E": 2, "F": 3})
+            extended = s.add_facts([("E", tuple(reversed(domain)))])
+            assert extended.arity("F") == 3
+            assert extended.vocabulary == s.vocabulary
+
     def test_remove_facts_keeps_domain(self):
         trimmed = triangle().remove_facts([("E", (1, 2))])
         assert trimmed.total_tuples == 2

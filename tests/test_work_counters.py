@@ -33,8 +33,9 @@ from repro.core import (
     all_approximations,
     approximate,
     class_from_name,
+    run_pipeline,
 )
-from repro.cq import Structure, parse_query
+from repro.cq import Structure, Tableau, parse_query
 from repro.evaluation import EvalStats
 from repro.workloads import stream_tuples
 
@@ -79,6 +80,9 @@ EXTENSION = {
     "C6/HTW1 +fresh-ext": (CYCLE_6, "HTW1", 1, True),
 }
 SOLVE = {**PLAIN, **EXTENSION}
+#: A base no CQ has, pinned serially: name -> (query, class, domain
+#: elements added in no fact).
+PADDED = {"C4+isolated/TW1": ("Q() :- E(a,b), E(b,c), E(c,d), E(d,a)", "TW1", 1)}
 
 # The evaluate patterns of benchmarks/e2e/evaluate.py, copied as literals.
 #: name -> (query, class, database)
@@ -137,6 +141,22 @@ def solve_counters(name: str, workers: int) -> dict[str, int]:
     return {counter: getattr(stats, counter) for counter in PIPELINE_COUNTERS}
 
 
+def padded_counters(name: str) -> dict[str, int]:
+    query, cls, isolated = PADDED[name]
+    structure = parse_query(query).tableau().structure
+    base = Tableau(
+        Structure(
+            structure.relations,
+            vocabulary=structure.vocabulary,
+            domain=structure.domain | {f"w{i}" for i in range(isolated)},
+        )
+    )
+    result = _with_fresh_engine(
+        lambda: run_pipeline(base, class_from_name(cls), max_extra_atoms=0)
+    )
+    return {counter: getattr(result.stats, counter) for counter in PIPELINE_COUNTERS}
+
+
 def _database(key: str) -> Structure:
     relations, count, domain, skew, seed = DATABASES[key]
     rng = random.Random(seed)
@@ -172,6 +192,7 @@ def evaluate_counters(name: str) -> dict[str, int]:
 #: sharded over two pool workers, which must do the same work every time.
 CASES = {
     **{f"solve/{name}": (solve_counters, name, 1) for name in SOLVE},
+    **{f"solve/{name}": (padded_counters, name) for name in PADDED},
     **{f"solve-2w/{name}": (solve_counters, name, 2) for name in PLAIN},
     **{f"evaluate/{name}": (evaluate_counters, name) for name in PATTERNS},
 }
