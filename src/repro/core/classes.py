@@ -22,7 +22,7 @@ from repro.cq.query import ConjunctiveQuery
 from repro.cq.structure import Structure
 from repro.cq.tableau import Tableau
 from repro.hypergraphs.ghw import generalized_hypertree_width_at_most
-from repro.hypergraphs.gyo import is_acyclic
+from repro.hypergraphs.gyo import edge_masks_acyclic, is_acyclic
 from repro.hypergraphs.hypergraph import hypergraph_of_structure
 from repro.hypergraphs.hypertree import (
     edge_masks_width_at_most,
@@ -119,8 +119,8 @@ class AcyclicClass(QueryClass):
 
     def contains_edge_masks(self, edge_masks) -> bool:
         """Membership on ``H(Q)`` given as one bitmask per hyperedge
-        (vertex ``i`` is bit ``i``): acyclicity is hypertree width 1."""
-        return edge_masks_width_at_most(edge_masks, 1)
+        (vertex ``i`` is bit ``i``), by the GYO reduction."""
+        return edge_masks_acyclic(edge_masks)
 
 
 class HypertreeClass(QueryClass):

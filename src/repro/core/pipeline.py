@@ -59,7 +59,9 @@ letting most admissions resolve with **zero** ``hom_le`` searches
 (``PipelineStats.admissions_resolved_by_order``).  The reverse question,
 whether a candidate maps into a member (eviction, repair), is answered by
 the member's kernel index: one bounded enumeration of the member's
-homomorphisms from the base, then a trie walk per candidate.  Reordering stays
+homomorphisms from the base, then a trie walk per candidate — and, for an
+extended candidate, a check of its atoms against the images of the homs
+the walk finds.  Reordering stays
 bit-identical to the serial generation-order baseline through **forward
 representative repair**: members carry their generation index, a candidate
 found equivalent to a later-generated member replaces it
@@ -352,7 +354,8 @@ class PipelineStats:
     #: Candidate → member queries answered by a member's kernel index
     #: (:meth:`Frontier._maps_into`): eviction, representative repair, the
     #: forced reverse query and the merge's dominance check against
-    #: shard-shipped tries, each decided by one trie walk and no search.
+    #: shard-shipped tries, each decided by one trie walk and no search
+    #: (an extended candidate's also by its atoms against the kept images).
     kernel_trie_hits: int = 0
     #: Pinned homomorphisms enumerated to build members' kernel indexes
     #: (:meth:`Frontier._kernel_trie`), a capped-out scan counted up to
@@ -541,9 +544,10 @@ class Frontier:
     into member ``w``?" — eviction, representative repair, the forced
     reverse query of ordered reductions and the merge's dominance check
     against shipped kernel tries — goes through one helper,
-    :meth:`_maps_into`, which answers same-base quotients from ``w``'s
-    kernel index and asks the engine only for what that index cannot
-    decide.
+    :meth:`_maps_into`, which answers same-base quotients, and the
+    extended candidates over them, from ``w``'s kernel index (the pinned
+    homs ``base → w``) and asks the engine only for what that index
+    cannot decide.
 
     Candidates from one quotient stream carry their partition ``codes``
     (restricted-growth strings over the shared ``base``).  Partition
@@ -745,17 +749,22 @@ class Frontier:
     def _kernel_trie(self, member: Tableau) -> RefinementTrie | None:
         """The member's kernel index: the kernels of every pinned
         homomorphism ``base → member``, as partition codes over the base
-        element order, in a :class:`~repro.util.partitions.RefinementTrie`.
+        element order, in a :class:`~repro.util.partitions.RefinementTrie`
+        whose payload at a kernel is the list of those homs' images (each
+        a tuple of member elements over the base element order).
 
         A quotient ``c`` of the base maps into the member iff some hom
         ``base → member`` is constant on ``c``'s blocks — i.e. iff ``c``'s
         partition refines one of these kernels — so one
         :meth:`~repro.util.partitions.RefinementTrie.find_coarsening` walk
-        answers ``c → member`` exactly.  Built on the member's first query
-        (or seeded by :meth:`merge` from a shard's export) and kept while
-        the member is on the frontier.  ``None`` when the enumeration
-        exceeded ``_KERNEL_HOM_CAP`` or the frontier has no base.  An empty
-        trie is exact: no pinned hom exists, so nothing maps in.
+        answers ``c → member`` exactly; the images answer the extended
+        candidates over such quotients (:meth:`_extension_maps_into`).
+        Built on the member's first query (or seeded by :meth:`merge` from
+        a shard's export, which ships kernels without images) and kept
+        while the member is on the frontier.  ``None`` when the
+        enumeration exceeded ``_KERNEL_HOM_CAP`` or the frontier has no
+        base.  An empty trie is exact: no pinned hom exists, so nothing
+        maps in.
         """
         cached = self._kernel_tries.get(id(member))
         if cached is not None:
@@ -767,6 +776,7 @@ class Frontier:
         pin = pin_for(base, member)
         if pin is not None:
             elements = self._base_elements
+            images: dict[tuple[int, ...], list[tuple]] = {}
             scanned = 0
             for hom in self._engine.iter_homomorphisms(
                 base.structure, member.structure, pin=pin
@@ -775,16 +785,56 @@ class Frontier:
                 if scanned > self._KERNEL_HOM_CAP:
                     trie = None
                     break
+                image = tuple(hom[element] for element in elements)
                 label: dict = {}
-                trie.add(
-                    tuple(
-                        label.setdefault(hom[element], len(label))
-                        for element in elements
-                    )
-                )
+                kernel = tuple(label.setdefault(value, len(label)) for value in image)
+                images.setdefault(kernel, []).append(image)
             self._stats.kernel_homs_scanned += scanned
+            if trie is not None:
+                for kernel, kept in images.items():
+                    trie.add(kernel, kept)
         self._kernel_tries[id(member)] = (member, trie)
         return trie
+
+    @staticmethod
+    def _extension_maps_into(
+        extension: tuple, trie: RefinementTrie, member: Tableau
+    ) -> bool | None:
+        """``Q/π + atoms → member`` from the member's kernel homs.
+
+        ``extension`` is an :class:`~repro.core.quotients.
+        ExtensionCandidate`'s ``(codes of π, atoms)``.  The candidate maps
+        into the member iff some pinned hom ``base → member`` is constant
+        on π's blocks — a kernel the trie finds coarsening π — and sends
+        every atom onto a fact of the member.  A fresh position occurs in
+        its atom only, so it matches anything and each atom is matched on
+        its block positions alone, independently of the others.  ``None``
+        when a kernel carries no images (a shard-shipped trie): the
+        caller asks the engine.
+        """
+        codes, atoms = extension
+        first: list[int] = []
+        for index, block in enumerate(codes):
+            if block == len(first):
+                first.append(index)
+        checks = []
+        for name, row in atoms:
+            positions = [i for i, value in enumerate(row) if isinstance(value, int)]
+            targets = {
+                tuple(fact[i] for i in positions)
+                for fact in member.structure.tuples(name)
+            }
+            checks.append(([first[row[i]] for i in positions], targets))
+        for images in trie.coarsenings(codes):
+            if images is None:
+                return None
+            for image in images:
+                if all(
+                    tuple(image[i] for i in indexes) in targets
+                    for indexes, targets in checks
+                ):
+                    return True
+        return False
 
     def _maps_into(
         self, source, codes: tuple[int, ...] | None, member: Tableau
@@ -794,12 +844,14 @@ class Frontier:
         ``source`` is a tableau or a stage-1 candidate (materialized only
         if the engine is asked), ``codes`` its partition codes over the
         base (``None`` for an extended candidate).  Decided, in order, by
-        partition coarsening (``codes`` refine the member's own codes), the
-        member's kernel index (:meth:`_kernel_trie`, exact for any quotient
-        of the base), and the engine — for sources without codes, such as
-        extended candidates, and for members whose hom scan capped out.
-        One bounded enumeration per member replaces a search per
-        candidate.
+        partition coarsening (``codes`` refine the member's own codes) and
+        the member's kernel index (:meth:`_kernel_trie`): a trie walk for
+        any quotient of the base, the kept homs' images for an extended
+        candidate (its ``extension``, :meth:`_extension_maps_into`).  Both
+        are exact.  The engine answers the rest: plain tableaux (merged
+        members), members whose hom scan capped out, and extended
+        candidates against a shard-shipped trie.  One bounded enumeration
+        per member replaces a search per candidate.
         """
         if codes is not None:
             if code_coarsens(codes, self._codes.get(id(member))):
@@ -809,6 +861,14 @@ class Frontier:
                 self._stats.kernel_trie_hits += 1
                 hit, _ = trie.find_coarsening(codes)
                 return hit
+        else:
+            extension = getattr(source, "extension", None)
+            trie = None if extension is None else self._kernel_trie(member)
+            if trie is not None:
+                answer = self._extension_maps_into(extension, trie, member)
+                if answer is not None:
+                    self._stats.kernel_trie_hits += 1
+                    return answer
         if not isinstance(source, Tableau):
             source = source.materialize()
         return self._search(source, member)
@@ -992,7 +1052,7 @@ class Frontier:
             self._set_class_status(class_key, status)
             return "dominated"
         tableau = candidate.materialize()
-        self.insert(tableau, codes, generation=generation)
+        self.insert(tableau, codes, generation=generation, source=candidate)
         self._record_refinement(codes, tableau)
         self._set_class_status(class_key, "admitted")
         return "admitted"
@@ -1014,13 +1074,17 @@ class Frontier:
         codes: tuple[int, ...] | None = None,
         *,
         generation: int | None = None,
+        source=None,
     ) -> None:
         """Admit a known-undominated class member, evicting every member
-        it maps into (each eviction query through :meth:`_maps_into`)."""
+        it maps into (each eviction query through :meth:`_maps_into`,
+        asked of ``source`` — the stage-1 candidate ``candidate`` was
+        materialized from — when given)."""
+        query = candidate if source is None else source
         survivors = [
             member
             for member in self.members
-            if not self._maps_into(candidate, codes, member)
+            if not self._maps_into(query, codes, member)
         ]
         self._stats.evicted += len(self.members) - len(survivors)
         self._stats.admitted += 1

@@ -758,6 +758,13 @@ class ExtensionCandidate:
     by its parent's partition codes, and since the quotient embeds into
     each of its extensions, the family is skipped once the reducer flags
     the parent (``QuotientCandidate.extensions_dominated``).
+
+    ``extension`` is ``(quotient codes, atoms)``: the parent's partition
+    codes over the base element order and the extension atoms as
+    ``(relation name, row)``, each row entry a quotient block id or a
+    ``("fresh", i)`` marker.  The frontier answers "does this candidate
+    map into member ``w``?" from it and ``w``'s kernel homomorphisms
+    (:meth:`repro.core.pipeline.Frontier._maps_into`).
     """
 
     __slots__ = (
@@ -766,22 +773,21 @@ class ExtensionCandidate:
         "parent",
         "key",
         "generation",
-        "_atoms",
-        "_names",
+        "extension",
         "_facts",
         "_tableau",
     )
 
     #: Extended candidates are not quotients of the base, so partition-code
     #: coarsening is no homomorphism witness for them (in either direction
-    #: of a frontier query) — they carry no codes.
+    #: of a frontier query), and the refinement index must never see them:
+    #: they carry no codes.  Their parent's codes are in ``extension``.
     codes = None
 
     def __init__(
         self,
         quotient: QuotientCandidate,
-        atoms: tuple[tuple[int, tuple], ...],
-        names: tuple[str, ...],
+        atoms: tuple[tuple[str, tuple], ...],
         facts: tuple[tuple[int, tuple[int, ...]], ...],
         block_count: int,
         distinguished: tuple[int, ...],
@@ -790,8 +796,7 @@ class ExtensionCandidate:
         self.parent = quotient
         self.key = key
         self.generation = None
-        self._atoms = atoms
-        self._names = names
+        self.extension = (quotient.codes, atoms)
         self._facts = facts
         self.block_count = block_count
         self.distinguished = distinguished
@@ -810,13 +815,13 @@ class ExtensionCandidate:
             partition = self.parent.partition
             extras = tuple(
                 (
-                    self._names[relation_id],
+                    name,
                     tuple(
                         partition[value][0] if isinstance(value, int) else value
                         for value in row
                     ),
                 )
-                for relation_id, row in self._atoms
+                for name, row in self.extension[1]
             )
             self._tableau = _with_extensions(self.parent.materialize(), extras)
         return self._tableau
@@ -1118,8 +1123,7 @@ def iter_extended_candidates(
                     extension_keys.add(key)
                 yield ExtensionCandidate(
                     candidate,
-                    tuple(pool[i] for i in combo),
-                    names,
+                    tuple((names[pool[i][0]], pool[i][1]) for i in combo),
                     facts,
                     next_fresh,
                     distinguished,

@@ -228,6 +228,20 @@ class HomEngine:
         images (unknown pinned elements raise ``ValueError``), ``candidates``
         restricts candidate sets.
         """
+        return self._homomorphisms(source, target, pin, candidates, refute=True)
+
+    def _homomorphisms(
+        self,
+        source: Structure,
+        target: Structure,
+        pin: Mapping[Element, Element] | None,
+        candidates: Mapping[Element, Iterable[Element]] | None,
+        *,
+        refute: bool,
+    ) -> Iterator[Assignment]:
+        """:meth:`iter_homomorphisms`; ``refute=False`` skips the signature
+        refutation for callers that already ran it on the same pair and
+        pin (:meth:`hom_le`), so a refuted query is counted once."""
         index = self._index_for(target)
         plan = self._plan_for(source)
         facts = plan.facts
@@ -248,7 +262,7 @@ class HomEngine:
                 domains[element] &= {image}
         if any(not values for values in domains.values()):
             return
-        if refutes_hom(self.signature(source), self.signature(target), pin):
+        if refute and refutes_hom(self.signature(source), self.signature(target), pin):
             self.stats["refuted"] += 1
             return
         self.stats["searches"] += 1
@@ -421,10 +435,7 @@ class HomEngine:
             self.stats["refuted"] += 1
             return False
         if not memo:
-            return (
-                self.find_homomorphism(source.structure, target.structure, pin=pin)
-                is not None
-            )
+            return self._searched(source, target, pin)
         key = self._memo_key(source, target)
         cached = self._hom_le_memo.lookup(key)
         if cached is not None:
@@ -434,12 +445,17 @@ class HomEngine:
             self.stats["iso_fast_paths"] += 1
             result = True  # isomorphic tableaux: the isomorphism is a hom
         else:
-            result = (
-                self.find_homomorphism(source.structure, target.structure, pin=pin)
-                is not None
-            )
+            result = self._searched(source, target, pin)
         self._hom_le_memo.store(key, result)
         return result
+
+    def _searched(self, source: Tableau, target: Tableau, pin) -> bool:
+        """Whether the search finds a pinned hom, after :meth:`hom_le` has
+        already run the refutation."""
+        homs = self._homomorphisms(
+            source.structure, target.structure, pin, None, refute=False
+        )
+        return next(homs, None) is not None
 
     def hom_le_many(
         self,

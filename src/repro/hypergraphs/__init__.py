@@ -9,7 +9,6 @@ from repro.hypergraphs.gyo import (
     gyo_join_tree,
     is_acyclic,
     is_acyclic_query,
-    is_acyclic_structure,
     join_tree,
 )
 from repro.hypergraphs.treedecomp import HypertreeDecomposition, TreeDecomposition
@@ -51,7 +50,6 @@ __all__ = [
     "hypertree_width_at_most",
     "is_acyclic",
     "is_acyclic_query",
-    "is_acyclic_structure",
     "join_tree",
     "query_ghw_at_most",
     "query_hypertree_width_at_most",

@@ -13,12 +13,8 @@ Intended for the tableau-sized hypergraphs of this library.
 
 from __future__ import annotations
 
-from repro.hypergraphs.hypergraph import Hypergraph
-from repro.hypergraphs.hypertree import (
-    _vertex_masks,
-    _WidthSolver,
-    edge_masks_width_at_most,
-)
+from repro.hypergraphs.hypergraph import Hypergraph, _vertex_masks
+from repro.hypergraphs.hypertree import _WidthSolver, edge_masks_width_at_most
 from repro.hypergraphs.treedecomp import HypertreeDecomposition
 
 

@@ -6,15 +6,23 @@ hyperedges contained in other hyperedges.  Acyclicity is equivalent to the
 existence of a tree decomposition whose bags are exactly hyperedges
 (Section 3) and to hypertree width 1 (Section 6); Yannakakis' algorithm
 evaluates acyclic CQs along the join tree the reduction produces.
+
+:func:`edge_masks_acyclic` runs the reduction on int bitmasks (a vertex is
+a bit, a hyperedge an int).  It is the one acyclicity decision of the
+library: :func:`is_acyclic` answers through it, and so does every width-1
+check — hypertree width 1 and generalized hypertree width 1 are both
+acyclicity (:func:`repro.hypergraphs.hypertree.edge_masks_width_at_most`).
+:func:`gyo_join_tree` runs the same reduction on labelled vertex sets for
+the callers that need the join tree itself.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 import networkx as nx
 
-from repro.hypergraphs.hypergraph import Hypergraph
+from repro.hypergraphs.hypergraph import Hypergraph, _vertex_masks
 
 Vertex = Hashable
 
@@ -76,10 +84,38 @@ def gyo_join_tree(
     return tree
 
 
+def edge_masks_acyclic(edge_masks: Iterable[int]) -> bool:
+    """Whether the hypergraph whose edges are ``edge_masks`` (vertex ``i``
+    is bit ``i``) is (α-)acyclic.
+
+    Each round applies both GYO rules to every edge at once: clear the
+    bits that occur in a single edge, then drop empty edges and edges
+    strictly inside another (the set merges duplicates).  The reduction is
+    confluent, so removing all such edges together decides the same as one
+    at a time; the hypergraph is acyclic iff nothing is left.
+    """
+    edges = set(edge_masks)
+    while edges:
+        seen = shared = 0
+        for edge in edges:
+            shared |= seen & edge
+            seen |= edge
+        stripped = {edge & shared for edge in edges}
+        stripped.discard(0)
+        reduced = {
+            edge
+            for edge in stripped
+            if not any(edge != other and edge & other == edge for other in stripped)
+        }
+        if reduced == edges:
+            return False
+        edges = reduced
+    return True
+
+
 def is_acyclic(hypergraph: Hypergraph) -> bool:
     """Whether the hypergraph is (α-)acyclic."""
-    labelled = [(edge, edge) for edge in hypergraph.edges]
-    return gyo_join_tree(labelled) is not None
+    return edge_masks_acyclic(_vertex_masks(hypergraph)[1])
 
 
 def join_tree(hypergraph: Hypergraph) -> nx.Graph | None:
@@ -93,10 +129,3 @@ def is_acyclic_query(query) -> bool:
     from repro.hypergraphs.hypergraph import hypergraph_of_query
 
     return is_acyclic(hypergraph_of_query(query))
-
-
-def is_acyclic_structure(structure) -> bool:
-    """Whether a tableau/structure is acyclic in the hypergraph sense."""
-    from repro.hypergraphs.hypergraph import hypergraph_of_structure
-
-    return is_acyclic(hypergraph_of_structure(structure))

@@ -118,3 +118,11 @@ def hypergraph_of_structure(structure) -> Hypergraph:
     return Hypergraph(
         (set(row) for _, row in structure.facts()), vertices=structure.domain
     )
+
+
+def _vertex_masks(hypergraph: Hypergraph) -> tuple[list[Vertex], list[int]]:
+    """The vertices in ``repr`` order (vertex ``i`` is bit ``i``) and one
+    mask per hyperedge."""
+    vertices = sorted(hypergraph.vertices, key=repr)
+    bit = {vertex: 1 << i for i, vertex in enumerate(vertices)}
+    return vertices, [sum(bit[vertex] for vertex in edge) for edge in hypergraph.edges]

@@ -6,8 +6,13 @@ condition* ``⋃c(u) ∩ ⋃{f(t) | t ∈ T_u} ⊆ f(u)``.  Its width is
 ``max |c(u)|``; hypertree width 1 coincides with acyclicity, and CQs of
 bounded hypertree width have polynomial combined complexity.
 
-:class:`_WidthSolver` is the one decision kernel for both hypertree width
-and generalized hypertree width (:mod:`repro.hypergraphs.ghw`).  It runs the
+Width 1 is decided by the GYO reduction: hypertree width 1 and generalized
+hypertree width 1 are both α-acyclicity (Gottlob, Leone, Scarcello), so
+:func:`edge_masks_width_at_most` hands ``k = 1`` to
+:func:`repro.hypergraphs.gyo.edge_masks_acyclic`.  For ``k ≥ 2``, and for
+every decomposition that is built, :class:`_WidthSolver` is the one
+decision kernel for both hypertree width and generalized hypertree width
+(:mod:`repro.hypergraphs.ghw`).  It runs the
 det-k-decomp recursion (Gottlob & Samer) over int bitmasks: a vertex is a
 bit, a hyperedge an int, and a state a pair ``(component edges, connector)``
 of masks.  Each state guesses a guard of at most ``k`` hyperedges, from
@@ -34,7 +39,8 @@ from typing import Hashable, Iterable
 
 import networkx as nx
 
-from repro.hypergraphs.hypergraph import Hypergraph
+from repro.hypergraphs.gyo import edge_masks_acyclic
+from repro.hypergraphs.hypergraph import Hypergraph, _vertex_masks
 from repro.hypergraphs.treedecomp import HypertreeDecomposition
 
 Vertex = Hashable
@@ -165,19 +171,18 @@ class _WidthSolver:
         return HypertreeDecomposition(tree, chi, guards)
 
 
-def _vertex_masks(hypergraph: Hypergraph) -> tuple[list[Vertex], list[int]]:
-    """The vertices in ``repr`` order (vertex ``i`` is bit ``i``) and one
-    mask per hyperedge."""
-    vertices = sorted(hypergraph.vertices, key=repr)
-    bit = {vertex: 1 << i for i, vertex in enumerate(vertices)}
-    return vertices, [sum(bit[vertex] for vertex in edge) for edge in hypergraph.edges]
-
-
 def edge_masks_width_at_most(
     edge_masks: Iterable[int], k: int, *, general: bool = False
 ) -> bool:
     """Whether the hypergraph whose edges are ``edge_masks`` (vertex ``i``
-    is bit ``i``) has hypertree width — generalized if ``general`` — ≤ k."""
+    is bit ``i``) has hypertree width — generalized if ``general`` — ≤ k.
+
+    Width 1, of either kind, is α-acyclicity (Gottlob, Leone, Scarcello),
+    so ``k = 1`` is decided by the GYO reduction
+    (:func:`~repro.hypergraphs.gyo.edge_masks_acyclic`) instead of the
+    decomposition search."""
+    if k == 1:
+        return edge_masks_acyclic(edge_masks)
     return k >= 1 and _WidthSolver(edge_masks, k, general).holds()
 
 

@@ -242,44 +242,42 @@ class RefinementTrie:
     def find_coarsening(
         self, codes: Sequence[int]
     ) -> tuple[bool, object | None]:
-        """``(hit, payload)`` for some stored code that ``codes`` refines.
+        """``(hit, payload)`` for some stored code that ``codes`` refines
+        (the first one :meth:`coarsenings` surfaces)."""
+        for payload in self.coarsenings(codes):
+            return True, payload
+        return False, None
+
+    def coarsenings(self, codes: Sequence[int]) -> Iterator[object]:
+        """Yield the payload of every stored code that ``codes`` refines.
 
         The dual of :meth:`find_refinement`: a hit means every block of
-        ``codes`` lies inside a block of some stored code.  The walk
-        maintains the map *query-block → stored-block* instead — a child
-        is compatible when the query block at this position is unbound or
-        already bound to exactly this stored block.  (``codes`` need not be
-        a restricted growth string here; only its equality pattern
-        matters.)
+        ``codes`` lies inside a block of the stored code.  The walk keeps
+        the map *query block → stored block*: at a query block's first
+        position every child is compatible and binds it, at a later
+        position only the child of the bound stored block is.  Only the
+        query's equality pattern matters (it is relabelled first-seen
+        first, so a bound block is always an index into the map).
         """
-        codes = tuple(codes)
-        n = len(codes)
-        hit: list = [None]
-
-        def walk(node: dict, depth: int, image: dict) -> bool:
+        label: dict[int, int] = {}
+        query = [label.setdefault(value, len(label)) for value in codes]
+        n = len(query)
+        stack: list[tuple[dict, int, tuple[int, ...]]] = [(self._root, 0, ())]
+        while stack:
+            node, depth, image = stack.pop()
             if depth == n:
                 if self._LEAF in node:
-                    hit[0] = node[self._LEAF]
-                    return True
-                return False
-            query_block = codes[depth]
-            bound = image.get(query_block)
-            for value, child in node.items():
-                if value == self._LEAF:
-                    continue
-                if bound is None:
-                    image[query_block] = value
-                    if walk(child, depth + 1, image):
-                        return True
-                    del image[query_block]
-                elif bound == value:
-                    if walk(child, depth + 1, image):
-                        return True
-            return False
-
-        if walk(self._root, 0, {}):
-            return True, hit[0]
-        return False, None
+                    yield node[self._LEAF]
+                continue
+            block = query[depth]
+            if block < len(image):
+                child = node.get(image[block])
+                if child is not None:
+                    stack.append((child, depth + 1, image))
+            else:
+                for value, child in node.items():
+                    if value != self._LEAF:
+                        stack.append((child, depth + 1, image + (value,)))
 
 
 def partition_to_mapping(

@@ -24,7 +24,9 @@ def cycle_hg(n: int) -> Hypergraph:
 
 class TestHypertreeWidth:
     def test_acyclic_iff_width_1(self):
-        # Gottlob-Leone-Scarcello: htw(H) = 1 iff H is acyclic.
+        # Gottlob-Leone-Scarcello: htw(H) = 1 iff H is acyclic.  Width-1
+        # checks run the GYO kernel too, so the decomposition search is
+        # the independent side.
         examples = [
             Hypergraph([{"a", "b"}, {"b", "c"}]),
             Hypergraph([{"a", "b", "c"}, {"c", "d"}, {"d", "e", "f"}]),
@@ -34,6 +36,7 @@ class TestHypertreeWidth:
         ]
         for h in examples:
             assert (hypertree_width(h) == 1) == is_acyclic(h), h
+            assert (hypertree_decomposition(h, 1) is not None) == is_acyclic(h), h
 
     def test_cycles_have_width_2(self):
         for n in (3, 4, 5, 6):

@@ -286,8 +286,10 @@ def _record_skips(monkeypatch) -> list:
             skipped.append(
                 ExtensionCandidate(
                     parent,
-                    tuple(stream["pool"][i] for i in stream["combo"]),
-                    stream["names"],
+                    tuple(
+                        (stream["names"][stream["pool"][i][0]], stream["pool"][i][1])
+                        for i in stream["combo"]
+                    ),
                     tuple(
                         sorted(stream["quotient_facts"] + tuple(stream["extension_facts"]))
                     ),

@@ -12,7 +12,8 @@ import random
 
 import pytest
 
-from repro.core.pipeline import Frontier, PipelineStats
+from repro.core.classes import class_from_name
+from repro.core.pipeline import Frontier, PipelineStats, run_pipeline
 from repro.core.quotients import (
     coarseness_ordered,
     iter_extended_candidates,
@@ -21,6 +22,7 @@ from repro.core.quotients import (
 from repro.cq import parse_query
 from repro.homomorphism.engine import HomEngine
 from repro.util import RefinementTrie, code_coarsens
+from repro.workloads import cycle_with_chords
 
 TRIANGLE = parse_query("Q() :- E(x, y), E(y, z), E(z, x)")
 
@@ -285,3 +287,122 @@ class TestKernelIndex:
             # Capped-out members fall back to the engine.
             assert None in tries
             assert stats.hom_le_calls > 0
+
+    @pytest.mark.parametrize("cap", [None, 2])
+    @pytest.mark.parametrize("fresh", [False, True])
+    @pytest.mark.parametrize("name", sorted(KERNEL_BASES))
+    def test_extended_reverse_query_matches_engine(self, name, fresh, cap, monkeypatch):
+        """An extended candidate's reverse query, answered from the
+        member's kernel homs (or by the engine past the cap)."""
+        if cap is not None:
+            monkeypatch.setattr(Frontier, "_KERNEL_HOM_CAP", cap)
+        tableau = parse_query(KERNEL_BASES[name]).tableau()
+        stats = PipelineStats()
+        frontier = Frontier(base=tableau, stats=stats)
+        engine = HomEngine()
+        members = [member for member, _ in _kernel_members(tableau)]
+        extended = [
+            candidate
+            for candidate in iter_extended_candidates(
+                tableau, max_extra_atoms=1, allow_fresh=fresh
+            )
+            if candidate.codes is None
+        ]
+        for candidate in extended[::7]:
+            source = candidate.materialize()
+            for member in members:
+                assert frontier._maps_into(candidate, None, member) == engine.hom_le(
+                    source, member
+                ), (str(source), str(member))
+        tries = [trie for _, trie in frontier._kernel_tries.values()]
+        if cap is None:
+            assert None not in tries
+            assert stats.hom_le_calls == 0
+        else:
+            assert None in tries
+            assert stats.hom_le_calls > 0
+
+
+# The extension specs of the end-to-end solve benchmark, full and smoke:
+# name -> (query, class, allow_fresh).
+EXTENSION_SPECS = {
+    "ternary(6v,4atoms)/HTW1 +ext": (
+        "Q() :- R(x1,x2,x3), R(x3,x4,x5), R(x5,x6,x1), R(x2,x4,x6)",
+        "HTW1",
+        False,
+    ),
+    "C8/HTW1 +ext": (str(cycle_with_chords(8)), "HTW1", False),
+    "C7+ch/HTW1 +ext": (str(cycle_with_chords(7, ((0, 3),))), "HTW1", False),
+    "C7/HTW1 +fresh-ext": (str(cycle_with_chords(7)), "HTW1", True),
+    "ternary-C3(6v)/AC +ext": (
+        "Q() :- R(x1,x2,x3), R(x3,x4,x5), R(x5,x6,x1)",
+        "AC",
+        False,
+    ),
+    "C6/HTW1 +ext": (str(cycle_with_chords(6)), "HTW1", False),
+    "C6/HTW1 +fresh-ext": (str(cycle_with_chords(6)), "HTW1", True),
+}
+
+
+def _eviction_pairs(monkeypatch) -> list:
+    """Record every ``(extended candidate, member, answer)`` reverse query
+    the frontier answers."""
+    pairs: list = []
+    answer_of = Frontier._maps_into
+
+    def recording(self, source, codes, member):
+        answer = answer_of(self, source, codes, member)
+        if getattr(source, "extension", None) is not None:
+            pairs.append((source.materialize(), member, answer))
+        return answer
+
+    monkeypatch.setattr(Frontier, "_maps_into", recording)
+    return pairs
+
+
+@pytest.mark.parametrize("name", sorted(EXTENSION_SPECS))
+def test_extension_eviction_queries_match_engine(name, monkeypatch):
+    query, cls, fresh = EXTENSION_SPECS[name]
+    pairs = _eviction_pairs(monkeypatch)
+    result = run_pipeline(
+        parse_query(query).tableau(),
+        class_from_name(cls),
+        max_extra_atoms=1,
+        allow_fresh=fresh,
+    )
+    engine = HomEngine()
+    for source, member, answer in pairs:
+        assert answer == engine.hom_le(source, member), (str(source), str(member))
+    # Only the ternary specs admit an extended candidate while members it
+    # could evict are on the frontier; the cycle specs meet no such pair,
+    # so fresh positions are covered by the small-base test above.
+    if name.startswith("ternary"):
+        assert pairs
+        assert result.stats.kernel_homs_scanned > 0
+
+
+def test_extension_eviction_queries_past_the_cap_ask_the_engine(monkeypatch):
+    """With the cap forced below the members' hom counts, the kernel scans
+    cap out and the engine answers the eviction queries."""
+    monkeypatch.setattr(Frontier, "_KERNEL_HOM_CAP", 1)
+    query, cls, fresh = EXTENSION_SPECS["ternary-C3(6v)/AC +ext"]
+    pairs = _eviction_pairs(monkeypatch)
+    tries: list = []
+    build = Frontier._kernel_trie
+
+    def recording(self, member):
+        trie = build(self, member)
+        tries.append(trie)
+        return trie
+
+    monkeypatch.setattr(Frontier, "_kernel_trie", recording)
+    run_pipeline(
+        parse_query(query).tableau(),
+        class_from_name(cls),
+        max_extra_atoms=1,
+        allow_fresh=fresh,
+    )
+    engine = HomEngine()
+    assert pairs and None in tries
+    for source, member, answer in pairs:
+        assert answer == engine.hom_le(source, member), (str(source), str(member))

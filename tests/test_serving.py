@@ -556,6 +556,8 @@ class TestDaemonLifecycle:
         finally:
             if daemon.poll() is None:
                 daemon.kill()
+                daemon.wait()
+            daemon.stderr.close()
         index = json.loads((Path(cache_dir) / "index.json").read_text())
         assert index["disk_entries"] == 1
 
@@ -576,6 +578,8 @@ class TestDaemonLifecycle:
         finally:
             if restarted.poll() is None:
                 restarted.kill()
+                restarted.wait()
+            restarted.stderr.close()
 
 
 # --------------------------------------------------------------------------

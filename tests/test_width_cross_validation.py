@@ -20,14 +20,16 @@ Gottlob–Leone–Scarcello, whose ``V(H)`` is ``⋃E(H)``, such a vertex needs
 no bag: no guard could cover it.
 """
 
+import random
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.classes import AC, GHTW1, HTW1
+from repro.testing import reference
 from repro.hypergraphs import (
     Hypergraph,
     generalized_hypertree_decomposition,
@@ -38,6 +40,8 @@ from repro.hypergraphs import (
     hypertree_width_at_most,
     is_acyclic,
 )
+from repro.hypergraphs.gyo import edge_masks_acyclic
+from repro.hypergraphs.hypertree import _WidthSolver, edge_masks_width_at_most
 from tests.test_properties import hypergraphs as edge_hypergraphs
 
 #: A vertex no drawn hyperedge uses (drawn vertices stay below 6).
@@ -114,7 +118,13 @@ class TestDefinitionOracle:
     @given(hypergraphs(max_vertices=6, max_edges=5))
     @settings(max_examples=60, deadline=None)
     def test_width_one_verdicts_agree_with_acyclicity(self, h):
-        acyclic = is_acyclic(h)
+        # The oracles share no code with the GYO kernel every width-1 check
+        # now runs: the reference's set-based GYO and the decomposition
+        # search at k = 1.
+        acyclic = reference.acyclic(h.edges)
+        assert (hypertree_decomposition(h, 1) is not None) == acyclic
+        assert (generalized_hypertree_decomposition(h, 1) is not None) == acyclic
+        assert is_acyclic(h) == acyclic
         assert hypertree_width_at_most(h, 1) == acyclic
         assert generalized_hypertree_width_at_most(h, 1) == acyclic
         masks = _edge_masks(h)
@@ -150,7 +160,7 @@ class TestWidthRelationships:
     @given(hypergraphs(max_vertices=6, max_edges=5))
     @settings(max_examples=40, deadline=None)
     def test_width_one_iff_acyclic(self, h):
-        acyclic = is_acyclic(h)
+        acyclic = reference.acyclic(h.edges)
         assert (hypertree_width(h) == 1) == acyclic
         assert (generalized_hypertree_width(h) == 1) == acyclic
 
@@ -191,3 +201,46 @@ class TestDecompositionValidity:
         width = hypertree_width(h)
         if width > 1:
             assert hypertree_decomposition(h, width - 1) is None
+
+
+# --------------------------------------------------------------------------
+# The width-1 kernel: bitmask GYO against the decomposition search
+# --------------------------------------------------------------------------
+
+
+def _small_mask_hypergraphs():
+    """Edge-mask lists on at most 5 vertices with at most 5 edges.
+
+    Every multiset of at most 4 edges over 4 vertices (empty, duplicate,
+    nested and single-vertex edges included), then 3000 seeded draws of 5
+    edges over 5 vertices, each edge empty, a copy or a submask of an
+    earlier edge, a single vertex or random.
+    """
+    for count in range(5):
+        yield from combinations_with_replacement(range(16), count)
+    rng = random.Random(20120521)
+    for _ in range(3000):
+        masks: list[int] = []
+        for _ in range(rng.randint(1, 5)):
+            kind = rng.randrange(5) if masks else rng.choice((0, 3, 4))
+            if kind == 0:
+                masks.append(0)
+            elif kind == 1:
+                masks.append(rng.choice(masks))
+            elif kind == 2:
+                masks.append(rng.choice(masks) & rng.randrange(32))
+            elif kind == 3:
+                masks.append(1 << rng.randrange(5))
+            else:
+                masks.append(rng.randrange(32))
+        yield tuple(masks)
+
+
+def test_width_one_kernel_matches_the_decomposition_search_and_the_reference():
+    for masks in _small_mask_hypergraphs():
+        edges = [{bit for bit in range(5) if mask >> bit & 1} for mask in masks]
+        expected = reference.acyclic(edges)
+        assert edge_masks_acyclic(masks) == expected, masks
+        for general in (False, True):
+            assert _WidthSolver(masks, 1, general).holds() == expected, (masks, general)
+            assert edge_masks_width_at_most(masks, 1, general=general) == expected
