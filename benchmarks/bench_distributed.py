@@ -134,7 +134,6 @@ def shard_stream_extents(tableau, worker_counts=(1, 2)) -> dict[int, list[int]]:
                 for _ in iter_quotient_candidates(
                     tableau,
                     shard=(rank, count),
-                    automorphisms=None,
                     generation="raw",
                 )
             )

@@ -32,11 +32,13 @@ fast path, so this benchmark tracks:
   still bit-identical to serial.
 
 Writes machine-readable ``BENCH_robustness.json`` at the repository root
-so the perf trajectory is tracked across PRs.
+so the perf trajectory is tracked across PRs.  ``--smoke`` runs the same
+workloads with the same assertions, one pair per row, and writes nothing.
 """
 
 from __future__ import annotations
 
+import argparse
 import gc
 import json
 import math
@@ -171,7 +173,7 @@ def _overhead_pct(ratio: float) -> float:
     return round(100.0 * (1.0 / ratio - 1.0), 1)
 
 
-def budget_overhead() -> dict:
+def budget_overhead(repeats: int = REPEATS) -> dict:
     tableau = HEADLINE_QUERY.tableau()
     # One untimed warm-up so process-global caches (imports, decomposition
     # scratch) don't bill their cost to whichever variant runs first.
@@ -186,7 +188,7 @@ def budget_overhead() -> dict:
             max_extra_atoms=0,
             budget=_generous_budget(),
         ),
-        REPEATS,
+        repeats,
     )
     assert budgeted.frontier == plain.frontier, "budgeted run not bit-identical"
     assert not budgeted.stats.exhausted, "generous budget reported exhaustion"
@@ -227,7 +229,7 @@ def budget_overhead() -> dict:
     }
 
 
-def checkpoint_overhead() -> dict:
+def checkpoint_overhead(repeats: int = REPEATS) -> dict:
     # Checkpointing changes neither the generation regime nor the stream,
     # so the delta between the two sides is the snapshot cost alone.
     tableau = HEADLINE_QUERY.tableau()
@@ -248,7 +250,7 @@ def checkpoint_overhead() -> dict:
     plain_s, ckpt_s, ratio, plain, ckpt = _paired(
         lambda: run_pipeline(tableau, HEADLINE_CLASS, max_extra_atoms=0),
         checkpointed,
-        REPEATS,
+        repeats,
     )
     assert ckpt.frontier == plain.frontier, "checkpointed run not bit-identical"
     return {
@@ -263,7 +265,7 @@ def checkpoint_overhead() -> dict:
     }
 
 
-def recovery_latency() -> dict:
+def recovery_latency(repeats: int = REPEATS) -> dict:
     query = cycle_with_chords(8, ((0, 3), (1, 4), (2, 6)))
     tableau = query.tableau()
     serial = run_pipeline(tableau, HEADLINE_CLASS, max_extra_atoms=0)
@@ -281,7 +283,7 @@ def recovery_latency() -> dict:
             tableau, HEADLINE_CLASS, max_extra_atoms=0, workers=2
         ),
         faulted,
-        REPEATS,
+        repeats,
     )
     assert clean.frontier == serial.frontier
     assert recovered.frontier == serial.frontier, "recovery not bit-identical"
@@ -298,8 +300,12 @@ def recovery_latency() -> dict:
     }
 
 
-def run_all() -> dict:
-    rows = [budget_overhead(), checkpoint_overhead(), recovery_latency()]
+def run_all(repeats: int = REPEATS) -> dict:
+    rows = [
+        budget_overhead(repeats),
+        checkpoint_overhead(repeats),
+        recovery_latency(repeats),
+    ]
     headline = rows[0]
     return {
         "benchmark": "robustness",
@@ -333,7 +339,29 @@ def run_all() -> dict:
     }
 
 
+def smoke() -> None:
+    """Every row's assertions, one pair each, for scripts/verify.sh — no
+    JSON or report rewrite."""
+    budget, checkpoint, recovery = run_all(repeats=1)["workloads"]
+    print(
+        f"smoke ok: {budget['clock_reads']} clock reads and "
+        f"{budget['rss_reads']} RSS reads for {budget['candidates']} "
+        f"candidates (probe bound {budget['probe_bound']}); "
+        f"{checkpoint['checkpoints_written']} checkpoints and "
+        f"{recovery['pool_respawns']} pool respawn(s), bit-identical"
+    )
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument(
+        "--smoke",
+        action="store_true",
+        help="one pair per row, assertions only (no BENCH_robustness.json write)",
+    )
+    if parser.parse_args().smoke:
+        smoke()
+        return
     payload = run_all()
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     body = table(

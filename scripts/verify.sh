@@ -7,10 +7,10 @@
 # Runs the tier-1 suite without the wall-clock perf-smoke / process-pool
 # tests (the `slow` marker — run `PYTHONPATH=src python -m pytest -x -q`
 # for the full tier), runs the serving and protocol-edge tests once more
-# under `python -X dev` with leaked sockets and files as errors, re-runs
-# the robustness benchmark (cheap, and its internal assertions gate budget
-# overhead and fault-recovery bit-identity), runs the data-eval, serving,
-# distributed, and fleet benchmarks in --smoke mode (data-eval asserts the
+# under `python -X dev` with leaked sockets and files as errors, runs the
+# robustness, data-eval, serving, distributed, and fleet benchmarks in
+# --smoke mode (robustness asserts the counted budget-work bound and
+# fault-recovery bit-identity, one pair per row; data-eval asserts the
 # columnar engine beats the tuple oracle and the approximation stays sound; serving
 # replays a scaled-down Zipfian log through a live daemon and runs the
 # worker-kill / cache-corruption / SIGTERM-drain fault drills;
@@ -55,7 +55,7 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -x -q -m "not slow"
 # (how a finalizer's error surfaces) into a failure.
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -X dev -W error::ResourceWarning -m pytest -q -m "not slow" \
   -W error::pytest.PytestUnraisableExceptionWarning tests/test_protocol_edges.py tests/test_serving.py
-(cd benchmarks && PYTHONPATH=../src${PYTHONPATH:+:$PYTHONPATH} python bench_robustness.py)
+(cd benchmarks && PYTHONPATH=../src${PYTHONPATH:+:$PYTHONPATH} python bench_robustness.py --smoke)
 (cd benchmarks && PYTHONPATH=../src${PYTHONPATH:+:$PYTHONPATH} python bench_data_eval.py --smoke)
 (cd benchmarks && PYTHONPATH=../src${PYTHONPATH:+:$PYTHONPATH} python bench_serving.py --smoke)
 (cd benchmarks && PYTHONPATH=../src${PYTHONPATH:+:$PYTHONPATH} python bench_distributed.py --smoke)

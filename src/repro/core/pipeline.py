@@ -29,10 +29,10 @@ or ``fabric=`` (network workers, :mod:`repro.fabric`) the partition stream
 is split by restricted-growth-string prefix
 (:func:`repro.core.quotients._shard_prefixes`) and each shard runs the
 whole three-stage loop on its slice (:func:`run_shard`): one shard per
-local worker, two per fabric address.  The encoded base tableau and its
-automorphism/orbit data — derived once in the driver, never re-derived at
-worker startup — reach each local slot process once, through its
-initializer, rather than once per task.  One
+local worker, two per fabric address.  The encoded base tableau reaches
+each local slot process once, through its initializer, rather than once
+per task.  Each shard derives the base's orbit data itself, by a bounded
+search over its decoded copy, whose element order is the driver's.  One
 :class:`~repro.fabric.coordinator.FabricCoordinator` dispatches the
 shards of either transport and retries the lost ones.  Corollary 4.3's
 frontier is the →-minimal set over all candidates, so the frontier of a
@@ -114,7 +114,6 @@ from repro.homomorphism.signatures import canonical_key_indexed
 from repro.core.quotients import (
     GENERATION_MODES,
     QuotientCandidate,
-    base_automorphism_inverses,
     # Unused here since the lattice walk replaced the buffered replay;
     # benchmarks/e2e/trace.py patches both names on this module, until the
     # trace ledger of ROADMAP open item 4 lets it stop patching by name.
@@ -296,11 +295,6 @@ class PipelineStats:
     #: so this stays 0; kept because benchmark reports read it.
     order_switches: int = 0
     shards: int = 0
-    #: How many times the base tableau's automorphism/orbit data was derived
-    #: (the endomorphism scan behind stage 1's orbit pruning).  Exactly one
-    #: per run: the driver derives once and shard workers receive the data
-    #: with their task context instead of re-deriving at startup.
-    orbit_derivations: int = 0
     #: Engine-backed order queries issued by the frontier (dominance scans,
     #: and the eviction and repair queries no kernel index decided).
     #: Coarsening fast paths, kernel-index answers and dominance-memo hits
@@ -1281,20 +1275,6 @@ class Frontier:
 # ----------------------------------------------------------------- the driver
 
 
-def _base_orbit_data(
-    tableau: Tableau, stats: PipelineStats
-) -> list[list[int]] | None:
-    """Derive the base tableau's automorphism/orbit data, counted.
-
-    The one place the pipeline runs the endomorphism scan behind stage 1's
-    orbit pruning: the driver calls it once per run and threads the result
-    through every candidate source — including shard task contexts, so pool
-    workers never re-derive it (``stats.orbit_derivations`` pins that).
-    """
-    stats.orbit_derivations += 1
-    return base_automorphism_inverses(tableau)
-
-
 def _candidate_source(
     tableau: Tableau,
     cls: QueryClass,
@@ -1302,7 +1282,6 @@ def _candidate_source(
     max_extra_atoms: int,
     allow_fresh: bool,
     shard: tuple[int, int] | None = None,
-    automorphisms: list[list[int]] | None = None,
     generation: str = "canonical",
     order: str = "insertion",
     known_rejected=None,
@@ -1315,8 +1294,8 @@ def _candidate_source(
     extension-space runs consume the integer-form extension stream
     (extension atoms over block + fresh ids, orbit-pruned per quotient
     family) — every class the pipeline supports now shares the same lazy
-    fast path.  ``automorphisms`` is the precomputed base orbit data from
-    :func:`_base_orbit_data`; ``generation`` is the stage-1 regime (see
+    fast path.  Each stream derives the base's orbit data itself;
+    ``generation`` is the stage-1 regime (see
     :func:`_resolve_generation_mode`).  ``known_rejected`` is the run's
     :meth:`MembershipTester.known_rejected`; only the extension stream
     consults it, to drop memoized rejections before keying them.
@@ -1325,7 +1304,6 @@ def _candidate_source(
         return iter_quotient_candidates(
             tableau,
             shard=shard,
-            automorphisms=automorphisms,
             generation=generation,
             fine_to_coarse=order == "fine_to_coarse",
         )
@@ -1334,7 +1312,6 @@ def _candidate_source(
         max_extra_atoms=max_extra_atoms,
         allow_fresh=allow_fresh,
         shard=shard,
-        automorphisms=automorphisms,
         generation=generation,
         known_rejected=known_rejected,
     )
@@ -1568,11 +1545,10 @@ def _reduce_inline(
 
 
 #: Per-worker shard context: ``(base_data, cls, max_extra_atoms,
-#: allow_fresh, automorphisms, order, generation, budget_spec)``,
-#: installed once per local slot process by its
-#: initializer.  Shipping the base tableau and its orbit data with the
-#: *context* instead of every task payload serializes them once per worker
-#: and spares each worker the startup endomorphism scan.
+#: allow_fresh, order, generation, budget_spec)``, installed once per local
+#: slot process by its initializer.  Shipping the encoded base tableau with
+#: the *context* instead of every task payload serializes it once per
+#: worker; the orbit data is not shipped, each shard's stream derives it.
 _SHARD_CONTEXT: tuple | None = None
 
 
@@ -1619,10 +1595,13 @@ def run_shard(
     ``shard`` op (:mod:`repro.fabric.worker`) and the coordinator's
     last attempt in the driver — the slot path installs ``context`` once
     per process, the others thread it per call, all run the same code.
-    Shard workers share the driver's admission order and generation
-    regime: plain quotient slices are walked fine-to-coarse from the
-    shard's prefix roots (pruning only on what the shard's own frontier
-    knows), extension slices run in generation order.  Each returned
+    The context carries no orbit data: the shard's stream derives the
+    base's automorphisms from the decoded base, whose element names — and
+    so its integer form — are the driver's.  Shard workers share the
+    driver's admission order and generation regime: plain quotient slices
+    are walked fine-to-coarse from the shard's prefix roots (pruning only
+    on what the shard's own frontier knows), extension slices run in
+    generation order.  Each returned
     member ships as ``(encoded tableau, partition codes, kernel codes,
     stream position)`` — codes over the
     shared base element order (``None`` for an extended candidate), kernel
@@ -1639,7 +1618,6 @@ def run_shard(
         cls,
         max_extra_atoms,
         allow_fresh,
-        automorphisms,
         order,
         generation,
         budget_spec,
@@ -1667,7 +1645,6 @@ def run_shard(
         max_extra_atoms=max_extra_atoms,
         allow_fresh=allow_fresh,
         shard=shard,
-        automorphisms=automorphisms,
         generation=generation,
         order=order,
         known_rejected=tester.known_rejected,
@@ -1936,7 +1913,6 @@ def run_pipeline(
     stats = PipelineStats()
     if budget is not None:
         budget.start()
-    automorphisms = _base_orbit_data(tableau, stats)
 
     if sharded:
         if fabric_addresses:
@@ -1965,7 +1941,6 @@ def run_pipeline(
             cls,
             max_extra_atoms,
             allow_fresh,
-            automorphisms,
             order,
             generation,
             budget_spec,
@@ -1990,7 +1965,7 @@ def run_pipeline(
     resume = None
     if checkpoint_manager is not None:
         run_key = (
-            "pipeline-checkpoint-v4",
+            "pipeline-checkpoint-v5",
             encode_tableau(tableau),
             cls.name,
             max_extra_atoms,
@@ -2006,7 +1981,6 @@ def run_pipeline(
         cls,
         max_extra_atoms=max_extra_atoms,
         allow_fresh=allow_fresh,
-        automorphisms=automorphisms,
         generation=generation,
         order=order,
         known_rejected=tester.known_rejected,

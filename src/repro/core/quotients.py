@@ -63,7 +63,6 @@ from typing import Callable, Iterable, Iterator
 
 from repro.cq.structure import Structure
 from repro.cq.tableau import Tableau
-from repro.homomorphism.engine import default_engine
 from repro.homomorphism.signatures import canonical_key_indexed
 from repro.util.naming import fresh_names
 from repro.util.partitions import (
@@ -253,79 +252,26 @@ def _integer_form(
     return elements, index_of, names, facts, distinguished
 
 
-def _automorphism_inverses(
-    tableau: Tableau,
-    elements: list,
-    index_of: dict,
-    *,
-    cap: int = 512,
-) -> list[list[int]] | None:
-    """Non-identity automorphisms of the base tableau, as inverse index
-    permutations (distinguished elements fixed point-wise).
+def _orbit_minimal(
+    code: list[int], n: int, automorphisms: list[list[int]]
+) -> bool:
+    """Whether the partition's growth string is lex-minimal among its
+    images under ``automorphisms`` (image permutations, as
+    :func:`_integer_automorphisms` returns them).
 
-    Bijective endomorphisms of a finite structure are automorphisms, so the
-    engine's endomorphism enumeration suffices; if more than ``cap``
-    endomorphisms are scanned the search is abandoned and ``None`` disables
-    orbit pruning (rare — the bases here have a handful of endomorphisms).
-    """
-    structure = tableau.structure
-    pin = {element: element for element in tableau.distinguished}
-    n = len(elements)
-    inverses: list[list[int]] = []
-    scanned = 0
-    for endo in default_engine().iter_homomorphisms(structure, structure, pin=pin):
-        scanned += 1
-        if scanned > cap:
-            return None
-        if len(set(endo.values())) != n:
-            continue
-        inverse = [0] * n
-        is_identity = True
-        for i, element in enumerate(elements):
-            j = index_of[endo[element]]
-            inverse[j] = i
-            if j != i:
-                is_identity = False
-        if not is_identity:
-            inverses.append(inverse)
-    return inverses
-
-
-#: Sentinel for "derive the base automorphisms in here" (the default).  The
-#: pipeline passes precomputed data instead — derived once per run and, for
-#: the shard strategy, shipped to the workers with the task context — while
-#: ``None`` means "derivation was attempted but capped out" and disables
-#: orbit pruning.
-_DERIVE = object()
-
-
-def base_automorphism_inverses(
-    tableau: Tableau, *, cap: int = 512
-) -> list[list[int]] | None:
-    """The base tableau's orbit data in shippable (picklable) form.
-
-    Non-identity automorphisms as inverse permutations of the sorted-element
-    index space — exactly what :func:`iter_quotient_candidates` derives
-    internally, exposed so one derivation can be reused across shards and
-    pool workers (the index space depends only on the element names, which
-    :func:`repro.core.pipeline.decode_tableau` preserves).  ``None`` when
-    the endomorphism scan exceeds ``cap`` (orbit pruning is then off).
-    """
-    elements, index_of, *_ = _integer_form(tableau)
-    return _automorphism_inverses(tableau, elements, index_of, cap=cap)
-
-
-def _orbit_minimal(code: list[int], n: int, inverses: list[list[int]]) -> bool:
-    """Whether the partition's growth string is lex-minimal in its orbit.
-
-    Applying an automorphism ``σ`` to a partition yields an isomorphic
+    Relabelling a partition by an automorphism yields an isomorphic
     quotient, so only the lex-minimal restricted-growth string per orbit
-    needs canonization — the rest are skipped outright.
+    needs canonization — the rest are skipped outright.  Each test reads
+    the partition through ``perm``, i.e. relabels it by ``perm``'s inverse;
+    over the whole group that is the same set of relabellings.  Over a
+    capped subset it is still sound: a skipped partition has a
+    lexicographically earlier isomorphic image, whose own chain of images
+    ends at a partition the stream keeps.
     """
-    for inverse in inverses:
+    for perm in automorphisms:
         relabel: dict[int, int] = {}
         for j in range(n):
-            label = relabel.setdefault(code[inverse[j]], len(relabel))
+            label = relabel.setdefault(code[perm[j]], len(relabel))
             if label != code[j]:
                 if label < code[j]:
                     return False
@@ -430,12 +376,6 @@ class QuotientCandidate:
         self._facts = facts
         self._tableau = tableau
 
-    @property
-    def base(self) -> Tableau:
-        """The base tableau this candidate is a quotient of (its element
-        order is the one partition codes are written over)."""
-        return self._base
-
     @classmethod
     def from_tableau(cls, tableau: Tableau) -> "QuotientCandidate":
         """A plain tableau as its own identity quotient, for callers that
@@ -486,7 +426,6 @@ def iter_quotient_candidates(
     tableau: Tableau,
     *,
     shard: tuple[int, int] | None = None,
-    automorphisms: list[list[int]] | None | object = _DERIVE,
     seen_keys: set | None = None,
     generation: str = "canonical",
     fine_to_coarse: bool = False,
@@ -520,9 +459,10 @@ def iter_quotient_candidates(
     its marked copy pruned under 1% more on the benchmark queries, and
     finding an orbit repeat's copy cost more than the walk it saved.
 
-    ``automorphisms`` takes precomputed base orbit data (the result of
-    :func:`base_automorphism_inverses`) so repeated or distributed runs skip
-    the endomorphism scan; the default derives it here.  ``seen_keys`` lets
+    The orbit data is the base's automorphisms, found by
+    :func:`_integer_automorphisms` on the integer form (not searched under
+    ``"raw"``).  Every stream derives its own — each shard too — since the
+    search is bounded by its node cap.  ``seen_keys`` lets
     a caller observe the canonical keys of the emitted quotients (the
     extension stream checks its fact-level keys against them); the set is
     only ever *added to* — quotient-level pruning stays quotient-vs-quotient,
@@ -531,16 +471,18 @@ def iter_quotient_candidates(
     """
     if generation not in GENERATION_MODES:
         raise ValueError(f"unknown generation mode {generation!r}")
-    elements, index_of, _, base_facts, distinguished_idx = _integer_form(tableau)
+    elements, _, _, base_facts, distinguished_idx = _integer_form(tableau)
     n_elements = len(elements)
     prefixes = _shard_prefixes(n_elements, shard)
-    if automorphisms is _DERIVE:
-        automorphisms = _automorphism_inverses(tableau, elements, index_of)
-    orbit = automorphisms if generation != "raw" else None
     if seen_keys is None:
         seen_keys = set()
     identity = tuple(range(n_elements))
     identity_facts = tuple(sorted(set(base_facts)))
+    orbit = (
+        _integer_automorphisms(n_elements, identity_facts, distinguished_idx)
+        if generation != "raw"
+        else []
+    )
 
     def candidate_at(code: tuple[int, ...]):
         if code == identity:
@@ -834,19 +776,19 @@ def _integer_automorphisms(
     *,
     node_cap: int = 4096,
 ) -> list[list[int]]:
-    """Non-identity automorphisms of an integer-form quotient.
+    """Non-identity automorphisms of an integer-form structure: a base
+    tableau (stage 1's orbit data) or a quotient (one extension family's).
 
-    Returned as image permutations (``perm[v]`` is the image of block
+    Returned as image permutations (``perm[v]`` is the image of element
     ``v``) that map the fact set onto itself and fix distinguished elements
-    pointwise — the orbit data of one extension family.  A direct
-    fact-level backtracker: candidate images are confined to elements with
-    equal (distinguished-position, slot-profile) colors, and every fact is
-    verified the moment its largest element is assigned.  The search stops
-    at ``node_cap`` nodes and returns what it found: orbit pruning with a
-    *subset* of the automorphisms is still sound — a pruned extension set
-    is mapped to a lexicographically earlier one, whose own pruning chain
-    terminates at a kept representative, and compositions of automorphisms
-    are automorphisms.
+    pointwise.  A direct fact-level backtracker: candidate images are
+    confined to elements with equal (distinguished-position, slot-profile)
+    colors, and every fact is verified the moment its largest element is
+    assigned.  The search stops at ``node_cap`` nodes and returns what it
+    found: orbit pruning with a *subset* of the automorphisms is still
+    sound — a pruned partition or extension set is mapped to a
+    lexicographically earlier one, whose own pruning chain terminates at a
+    kept representative.
     """
     if n <= 1 or not facts:
         return []
@@ -961,7 +903,6 @@ def iter_extended_candidates(
     max_extra_atoms: int = 1,
     allow_fresh: bool = True,
     shard: tuple[int, int] | None = None,
-    automorphisms: list[list[int]] | None | object = _DERIVE,
     generation: str = "canonical",
     known_rejected: Callable[[int, frozenset], bool] | None = None,
 ) -> Iterator[QuotientCandidate | ExtensionCandidate]:
@@ -1016,20 +957,18 @@ def iter_extended_candidates(
       either way).
 
     ``shard`` splits at the quotient level, so each quotient's extension
-    family stays in its shard; ``automorphisms`` is the *base* tableau's
-    orbit data as in :func:`iter_quotient_candidates`; ``generation`` is
-    the quotient layer's regime (a repeat the orbit or raw regime lets
-    through re-grows a family whose members are each dominated or
-    isomorphic to an earlier candidate, so results stay bit-identical
-    across regimes here too).  Every base takes this path: an element in no
-    fact is a block the pool covers like any other, and a vocabulary
-    relation without facts still names pool atoms (:func:`_integer_form`).
+    family stays in its shard; ``generation`` is the quotient layer's
+    regime (a repeat the orbit or raw regime lets through re-grows a family
+    whose members are each dominated or isomorphic to an earlier candidate,
+    so results stay bit-identical across regimes here too).  Every base
+    takes this path: an element in no fact is a block the pool covers like
+    any other, and a vocabulary relation without facts still names pool
+    atoms (:func:`_integer_form`).
     """
     if max_extra_atoms <= 0:
         yield from iter_quotient_candidates(
             tableau,
             shard=shard,
-            automorphisms=automorphisms,
             generation=generation,
         )
         return
@@ -1040,7 +979,6 @@ def iter_extended_candidates(
     for candidate in iter_quotient_candidates(
         tableau,
         shard=shard,
-        automorphisms=automorphisms,
         seen_keys=quotient_keys,
         generation=generation,
     ):

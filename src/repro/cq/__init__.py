@@ -13,8 +13,6 @@ from repro.cq.containment import (
 )
 from repro.cq.minimize import is_minimal, minimize
 from repro.cq.builders import (
-    bidirected_cycle_query,
-    directed_cycle_query,
     loop_query,
     path_query,
     trivial_bipartite_query,
@@ -31,9 +29,7 @@ __all__ = [
     "Tableau",
     "Vocabulary",
     "are_equivalent",
-    "bidirected_cycle_query",
     "containment_witness",
-    "directed_cycle_query",
     "is_contained_in",
     "is_minimal",
     "is_strictly_contained_in",

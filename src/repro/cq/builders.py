@@ -55,28 +55,6 @@ def path_query(length: int, *, head: Sequence[str] = ()) -> ConjunctiveQuery:
     return ConjunctiveQuery(tuple(head), atoms)
 
 
-def directed_cycle_query(length: int, *, head: Sequence[str] = ()) -> ConjunctiveQuery:
-    """The Boolean query whose tableau is the directed cycle of the length."""
-    if length < 1:
-        raise ValueError("cycles must have at least one edge")
-    atoms = [
-        Atom("E", (f"x{i}", f"x{(i + 1) % length}")) for i in range(length)
-    ]
-    return ConjunctiveQuery(tuple(head), atoms)
-
-
-def bidirected_cycle_query(length: int) -> ConjunctiveQuery:
-    """The Boolean query whose tableau is the cycle with both orientations."""
-    if length < 2:
-        raise ValueError("bidirected cycles need at least two variables")
-    atoms = []
-    for i in range(length):
-        u, v = f"x{i}", f"x{(i + 1) % length}"
-        atoms.append(Atom("E", (u, v)))
-        atoms.append(Atom("E", (v, u)))
-    return ConjunctiveQuery((), atoms)
-
-
 def loop_query() -> ConjunctiveQuery:
     """``Q() :- E(x, x)``, the trivial acyclic approximation over graphs."""
     return ConjunctiveQuery((), [Atom("E", ("x", "x"))])

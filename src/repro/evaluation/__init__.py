@@ -41,7 +41,6 @@ from repro.evaluation.treewidth_eval import treewidth_evaluate
 from repro.evaluation.hypertree_eval import hypertree_evaluate
 from repro.evaluation.engine import (
     AUTO_TREEWIDTH_LIMIT,
-    boolean_answer,
     evaluate,
     is_in_answer,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "backend_name",
     "atom_join_tree",
     "backtracking_evaluate",
-    "boolean_answer",
     "empty",
     "evaluate",
     "hom_evaluate",

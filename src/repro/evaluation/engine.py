@@ -76,11 +76,6 @@ def evaluate(
     return backtracking_evaluate(query, db, stats)
 
 
-def boolean_answer(answers: Answer) -> bool:
-    """Interpret an answer set of a Boolean query."""
-    return bool(answers)
-
-
 def is_in_answer(
     query: ConjunctiveQuery,
     db: Structure,

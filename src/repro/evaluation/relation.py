@@ -9,7 +9,7 @@ semijoin and projection — all hash-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
 
 from repro.cq.query import Atom
 from repro.cq.structure import Structure
@@ -46,10 +46,6 @@ class Bindings:
     def values_of(self, column: str) -> set[Value]:
         index = self.column_index()[column]
         return {row[index] for row in self.rows}
-
-    def as_dicts(self) -> Iterable[dict[str, Value]]:
-        for row in self.rows:
-            yield dict(zip(self.columns, row))
 
 
 def unit() -> Bindings:

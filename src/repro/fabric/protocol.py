@@ -5,7 +5,7 @@ The fabric reuses the serving protocol's JSON-lines envelope
 line, one response line each, structured errors) with its own op
 vocabulary (:data:`FABRIC_OPS`) and a much larger line cap
 (:data:`FABRIC_MAX_LINE_BYTES`): shard requests carry the run's pickled
-context (base tableau, query class, orbit data) and shard responses
+context (base tableau, query class, run knobs) and shard responses
 carry pickled member tableaux with their partition and kernel codes —
 payloads that dwarf query strings.  Binary payloads travel as base64
 pickle *blobs* inside JSON string fields, keeping the framing pure JSON
@@ -50,7 +50,6 @@ from repro.serve.protocol import (
     encode_message,
     error_response,
     ok_response,
-    parse_request,
 )
 
 __all__ = [
@@ -67,7 +66,6 @@ __all__ = [
     "error_response",
     "ok_response",
     "parse_address",
-    "parse_fabric_request",
     "read_frame",
 ]
 
@@ -99,13 +97,6 @@ def decode_blob(blob: str) -> Any:
 def blob_digest(blob: str) -> str:
     """The worker's context-cache key for a blob (content digest)."""
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
-
-
-def parse_fabric_request(line: bytes | str) -> dict[str, Any]:
-    """The envelope check with the fabric's ops and line cap."""
-    return parse_request(
-        line, known_ops=FABRIC_OPS, max_bytes=FABRIC_MAX_LINE_BYTES
-    )
 
 
 def parse_address(spec: str) -> tuple[str, Any]:

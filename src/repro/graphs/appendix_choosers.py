@@ -116,49 +116,6 @@ def build_chain(
     return Chain(structure, tuple(junctions), tuple(blocks))
 
 
-# ------------------------------------------------------------ rail automaton
-
-
-def _chain_pairs(
-    blocks: Sequence[frozenset[int]], *, forbidden_rails: frozenset[int] = frozenset()
-) -> frozenset[tuple[int, int]]:
-    """The (start-tip, end-tip) relation of a tip-to-tip chain.
-
-    ``blocks`` must have even length (descend, ascend, descend, ...).
-    States are tips ``1..4`` and hubs ``("v",)``/``("u", i)``; rails in
-    ``forbidden_rails`` may not be used (for the image-inside-Z analysis of
-    Corollary 8.12).
-    """
-    allowed_tips = [t for t in TIPS if t not in forbidden_rails]
-    states: dict[int, set] = {t: {t} for t in allowed_tips}
-    for position, block in enumerate(blocks):
-        descending = position % 2 == 0
-        new_states: dict[int, set] = {t: set() for t in states}
-        for start, current in states.items():
-            for state in current:
-                if descending:
-                    tip = state
-                    if tip in block and tip not in forbidden_rails:
-                        new_states[start].add(("v",))
-                    if 5 in block and tip not in forbidden_rails:
-                        new_states[start].add(("u", tip))
-                else:
-                    if state == ("v",):
-                        for m in block & {1, 2, 3, 4}:
-                            if m not in forbidden_rails:
-                                new_states[start].add(m)
-                    elif isinstance(state, tuple) and state[0] == "u":
-                        if 5 in block:
-                            new_states[start].add(state[1])
-        states = new_states
-    return frozenset(
-        (start, end)
-        for start, current in states.items()
-        for end in current
-        if isinstance(end, int)
-    )
-
-
 def chooser_relation(i: int, j: int) -> frozenset[tuple[int, int]]:
     """The target relation of an ``(i, j)``-chooser over ``X = {1, 2, 3}``."""
     if i not in (1, 2, 3) or j not in (1, 2, 3):

@@ -18,7 +18,7 @@ digraph into a balanced one.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Mapping
 
 from repro.cq.structure import Structure
 from repro.graphs.digraph import edges, nodes, weak_components
@@ -167,21 +167,3 @@ def digraph_hom_exists(
         )
         is not None
     )
-
-
-def iter_digraph_homomorphisms(
-    source: Structure,
-    target: Structure,
-    *,
-    pin: Mapping[Element, Element] | None = None,
-    use_level_filter: bool = True,
-) -> Iterable[dict[Element, Element]]:
-    """Enumerate digraph homomorphisms with the balancedness prefilters."""
-    from repro.homomorphism.search import iter_homomorphisms
-
-    candidates = None
-    if use_level_filter:
-        if is_balanced(target) and not is_balanced(source):
-            return
-        candidates = level_candidates(source, target)
-    yield from iter_homomorphisms(source, target, pin=pin, candidates=candidates)

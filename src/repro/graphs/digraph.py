@@ -61,23 +61,6 @@ def underlying_graph(g: Structure) -> nx.Graph:
     return graph
 
 
-def to_networkx(g: Structure) -> nx.DiGraph:
-    graph = nx.DiGraph()
-    graph.add_nodes_from(nodes(g))
-    graph.add_edges_from(edges(g))
-    return graph
-
-
-def from_networkx(graph: nx.Graph | nx.DiGraph) -> Structure:
-    """A digraph structure from networkx; undirected edges become 2-cycles."""
-    if graph.is_directed():
-        return digraph(graph.edges(), graph.nodes())
-    both = [(u, v) for u, v in graph.edges()] + [
-        (v, u) for u, v in graph.edges() if u != v
-    ]
-    return digraph(both, graph.nodes())
-
-
 def symmetric_closure(g: Structure) -> Structure:
     """Add the reverse of every edge (the digraph ``G↔`` of an undirected G)."""
     return add_edges(g, [(v, u) for u, v in edges(g)])
@@ -185,9 +168,3 @@ class PointedDigraph:
     def __mul__(self, other: "PointedDigraph") -> "PointedDigraph":
         return self.concat(other)
 
-
-def concat_all(first: PointedDigraph, *rest: PointedDigraph) -> PointedDigraph:
-    result = first
-    for piece in rest:
-        result = result.concat(piece)
-    return result

@@ -155,18 +155,6 @@ class HomEngine:
             "iso_fast_paths": 0,
         }
 
-    # ------------------------------------------------------------- caches
-
-    def clear_caches(self) -> None:
-        for cache in (
-            self._indexes,
-            self._plans,
-            self._signatures,
-            self._canon_keys,
-            self._hom_le_memo,
-        ):
-            cache.clear()
-
     def _index_for(self, target: Structure) -> _TargetIndex:
         index = self._indexes.lookup(target)
         if index is None:

@@ -46,14 +46,6 @@ def load_structure(path: str | Path) -> Structure:
     return structure_from_dict(json.loads(Path(path).read_text()))
 
 
-def query_to_text(query: ConjunctiveQuery) -> str:
-    return str(query)
-
-
-def query_from_text(text: str) -> ConjunctiveQuery:
-    return parse_query(text)
-
-
 def dump_query(query: ConjunctiveQuery, path: str | Path) -> None:
     Path(path).write_text(str(query) + "\n")
 

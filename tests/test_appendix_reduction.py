@@ -8,6 +8,7 @@ import pytest
 from repro.graphs import digraph_hom_exists, height, is_balanced, levels
 from repro.graphs.appendix_reduction import (
     phi,
+    phi_tilde,
     s_gadget,
     s_n_k,
     w_path,
@@ -106,6 +107,21 @@ class TestPhiScaffolding:
         structure, _ = phi(nx.path_graph(2))
         assert is_balanced(structure)
         assert height(structure) == 25
+
+    def test_phi_tilde_hangs_one_s_n_k_per_vertex(self):
+        # Proposition 8.18: φ̃(G) is φ(G) plus one S_n^k per vertex, glued
+        # at the gadget's z onto the k-th vertex node.
+        graph = nx.complete_graph(3)
+        base, names = phi(graph)
+        structure, tilde_names = phi_tilde(graph)
+        assert tilde_names == names
+        assert base.tuples("E") <= structure.tuples("E")
+        n = len(names["vertices"])
+        gadget_edges = sum(
+            len(s_n_k(n, k, tag=f"_s{k}")[0].tuples("E")) for k in range(1, n + 1)
+        )
+        assert len(structure.tuples("E")) == len(base.tuples("E")) + gadget_edges
+        assert is_balanced(structure)
 
 
 class TestReductionEndToEnd:

@@ -10,6 +10,7 @@ from repro.cq import (
     is_strictly_contained_in,
     minimize,
     parse_query,
+    trivial_query,
 )
 
 
@@ -26,6 +27,26 @@ class TestContainment:
         triangle = parse_query("Q() :- E(x, y), E(y, z), E(z, x)")
         assert is_contained_in(loop, triangle)
         assert not is_contained_in(triangle, loop)
+
+    def test_trivial_query_is_contained_in_every_boolean_cq(self):
+        # Q_trivial (Section 4.1): every tableau maps onto its one looped
+        # variable, so it is contained in each Boolean CQ over the
+        # vocabulary, and strictly so in a loop-free one.
+        vocabulary = {"E": 2, "R": 3}
+        trivial = trivial_query(vocabulary)
+        assert trivial.atoms == parse_query(
+            "Q() :- E(x, x), R(x, x, x)"
+        ).atoms
+        for text in (
+            "Q() :- E(x, y), E(y, z), E(z, x)",
+            "Q() :- R(x, y, z), E(z, x)",
+            "Q() :- E(x, x), R(x, y, y)",
+        ):
+            query = parse_query(text)
+            assert is_contained_in(trivial, query)
+        assert not is_contained_in(parse_query("Q() :- E(x, y)"), trivial)
+        with pytest.raises(ValueError):
+            trivial_query({})
 
     def test_containment_witness_is_a_tableau_hom(self):
         q_long = parse_query("Q() :- E(x, y), E(y, z)")

@@ -889,25 +889,3 @@ class TestExtensionStreamDifferential:
         serial = run_pipeline(tableau, AC, allow_fresh=False)
         pooled = run_pipeline(tableau, AC, allow_fresh=False, workers=2)
         assert pooled.frontier == serial.frontier
-
-
-class TestOrbitShipping:
-    """Base-tableau orbit data is derived once and shipped, never re-derived."""
-
-    def test_orbit_derivation_runs_once_serially(self):
-        result = run_pipeline(TERNARY.tableau(), AC, allow_fresh=False)
-        assert result.stats.orbit_derivations == 1
-
-    def test_orbit_derivation_runs_once_with_shard_workers(self):
-        # Worker stats are absorbed into the driver's: if a worker derived
-        # the orbit data at startup instead of using the shipped copy, the
-        # absorbed counter would exceed one.
-        result = run_pipeline(
-            TERNARY.tableau(), AC, allow_fresh=False, workers=2
-        )
-        assert result.stats.shards > 0
-        assert result.stats.orbit_derivations == 1
-
-    def test_orbit_derivation_runs_once_with_check_workers(self):
-        result = run_pipeline(TERNARY.tableau(), AC, allow_fresh=False, workers=2)
-        assert result.stats.orbit_derivations == 1

@@ -14,7 +14,10 @@ the stream drops as a memoized rejection must be rejected by the class's
 definition.  Padded bases, which no CQ has (domain elements in no fact,
 one of them distinguished), run the same comparisons, and on two of them
 every quotient and one-atom extension checks the canonical keys against
-a brute-force isomorphism test.
+a brute-force isomorphism test.  On every one of these bases the
+automorphisms stage 1 prunes orbits with are the group the definition
+gives (every permutation preserving the facts and fixing the head), and
+on bases with more than 512 endomorphisms orbit pruning stays on.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ import sys
 import pytest
 
 import repro.core.pipeline as pipeline
+import repro.core.quotients as quotients
 from repro.core import class_from_name
 from repro.core.pipeline import (
     MembershipTester,
-    _base_orbit_data,
     encode_tableau,
     run_pipeline,
     run_shard,
@@ -350,7 +353,6 @@ def test_skipped_extensions_are_rejected_by_definition(
             cls,
             1,
             fresh,
-            _base_orbit_data(tableau, pipeline.PipelineStats()),
             "insertion",
             "canonical",
             None,
@@ -551,3 +553,121 @@ def test_equal_keys_mean_isomorphic_and_the_stream_keeps_one_per_class(
             copies = kept.get(_invariant(candidate), [])
             matches = sum(_isomorphic(candidate, copy) for copy in copies)
             assert matches == 1, candidate
+
+
+def _stage1_orbit_data(monkeypatch, tableau) -> list:
+    """The automorphisms ``iter_quotient_candidates`` derives for
+    ``tableau``'s orbit pruning, recorded from the stream's own call."""
+    found = []
+    search = quotients._integer_automorphisms
+
+    def recording(*args, **kwargs):
+        perms = search(*args, **kwargs)
+        found.append(perms)
+        return perms
+
+    monkeypatch.setattr(quotients, "_integer_automorphisms", recording)
+    next(iter_quotient_candidates(tableau, generation="orbit"))
+    monkeypatch.undo()
+    assert len(found) == 1
+    return found[0]
+
+
+def _is_automorphism(tableau, image: dict) -> bool:
+    """Whether ``image`` maps the fact set onto itself, fixing each
+    distinguished element."""
+    structure = tableau.structure
+    facts = {
+        (name, row)
+        for name in structure.vocabulary
+        for row in structure.tuples(name)
+    }
+    return all(image[d] == d for d in tableau.distinguished) and facts == {
+        (name, tuple(image[value] for value in row)) for name, row in facts
+    }
+
+
+def _brute_force_automorphisms(tableau) -> set:
+    """Every non-identity automorphism of the tableau by the definition,
+    as an image permutation over the ``repr``-sorted element indexes."""
+    elements = sorted(tableau.structure.domain, key=repr)
+    index_of = {element: index for index, element in enumerate(elements)}
+    found = set()
+    for images in itertools.permutations(elements):
+        if images != tuple(elements) and _is_automorphism(
+            tableau, dict(zip(elements, images))
+        ):
+            found.add(tuple(index_of[image] for image in images))
+    return found
+
+
+#: Every base of at most six elements above: the seeded CQs, the padded
+#: bases and the collision bases.
+ORBIT_BASES = (
+    [pytest.param(query.tableau(), id=name) for name, query, _ in CASES]
+    + [pytest.param(query.tableau(), id=name) for name, query, _ in EXTENSION_CASES]
+    + [
+        pytest.param(padded(query, isolated, head=head), id=name)
+        for name, (query, isolated, head, _) in PADDED_CASES.items()
+    ]
+    + [pytest.param(case.values[0], id=case.id) for case in COLLISION_CASES]
+)
+
+
+@pytest.mark.parametrize("tableau", ORBIT_BASES)
+def test_base_orbit_data_is_the_automorphism_group(monkeypatch, tableau):
+    assert len(tableau.structure.domain) <= 6
+    found = _stage1_orbit_data(monkeypatch, tableau)
+    assert len(found) == len({tuple(perm) for perm in found})
+    assert {tuple(perm) for perm in found} == _brute_force_automorphisms(tableau)
+
+
+def _star(leaves: int):
+    return parse_query(
+        "Q() :- " + ", ".join(f"E(c, l{i})" for i in range(leaves))
+    ).tableau()
+
+
+#: Bases with more than 512 endomorphisms, where a search through the
+#: endomorphisms that gives up there would turn orbit pruning off.  The
+#: star's 5040 automorphisms are past the backtracker's node cap, so its
+#: stream prunes with the subset found.
+ORBIT_CAP_CASES = [
+    pytest.param(
+        parse_query(
+            "Q() :- E(a, b), E(b, c), E(c, a), "
+            "E(a, p1), E(a, p2), E(a, p3), E(a, p4)"
+        ).tableau(),
+        24,
+        id="triangle+4pendants/TW(1)",
+    ),
+    pytest.param(
+        padded(
+            parse_query("Q() :- E(a, b), E(b, c), E(c, d), E(d, a)"), 3, head=False
+        ),
+        24,
+        id="C4+3w/TW(1)",
+    ),
+    pytest.param(_star(7), None, id="star(7 leaves)/TW(1)"),
+]
+
+
+@pytest.mark.parametrize("tableau,group_order", ORBIT_CAP_CASES)
+def test_orbit_pruning_stays_on_past_the_endomorphism_count(
+    monkeypatch, tableau, group_order
+):
+    found = _stage1_orbit_data(monkeypatch, tableau)
+    elements = sorted(tableau.structure.domain, key=repr)
+    for perm in found:
+        image = {element: elements[perm[i]] for i, element in enumerate(elements)}
+        assert _is_automorphism(tableau, image)
+    assert found
+    if group_order is not None:
+        assert len(found) == group_order - 1
+    cls = class_from_name("TW(1)")
+    _frontier_across_settings(tableau, cls)
+    generated = {
+        generation: run_pipeline(tableau, cls, generation=generation).stats.generated
+        for generation in ("orbit", "raw")
+    }
+    assert generated["orbit"] < generated["raw"], generated

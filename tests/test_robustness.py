@@ -488,7 +488,6 @@ class TestShardDeadlineAnchor:
             HTW2,
             0,
             True,
-            None,
             "fine_to_coarse",
             "canonical",
             spec,

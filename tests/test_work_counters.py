@@ -79,7 +79,18 @@ EXTENSION = {
     "ternary-C3(6v)/AC +ext": (TERNARY_C3_6, "AC", 1, False),
     "C6/HTW1 +fresh-ext": (CYCLE_6, "HTW1", 1, True),
 }
-SOLVE = {**PLAIN, **EXTENSION}
+#: A CQ whose automorphism group (S4 on the pendants) the base orbit
+#: search must find: a search that gives up on it turns orbit pruning off,
+#: and ``generated`` rises from 141 to 877 (every partition).
+PINNED = {
+    "triangle+4pendants/TW1": (
+        "Q() :- E(a,b), E(b,c), E(c,a), E(a,p1), E(a,p2), E(a,p3), E(a,p4)",
+        "TW1",
+        0,
+        False,
+    ),
+}
+SOLVE = {**PLAIN, **EXTENSION, **PINNED}
 #: A base no CQ has, pinned serially: name -> (query, class, domain
 #: elements added in no fact).
 PADDED = {"C4+isolated/TW1": ("Q() :- E(a,b), E(b,c), E(c,d), E(d,a)", "TW1", 1)}
