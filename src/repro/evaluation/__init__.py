@@ -1,4 +1,4 @@
-"""Query evaluation: Yannakakis, junction trees, hypertrees, baselines."""
+"""Query evaluation: Yannakakis, variable elimination, hypertrees, baselines."""
 
 from repro.evaluation.stats import EvalStats
 from repro.evaluation.backend import (
@@ -17,9 +17,7 @@ from repro.evaluation.kernels import (
 from repro.evaluation.relation import (
     Bindings,
     atom_bindings,
-    empty,
     join,
-    product_extend,
     project,
     project_answer,
     semijoin,
@@ -60,7 +58,6 @@ __all__ = [
     "backend_name",
     "atom_join_tree",
     "backtracking_evaluate",
-    "empty",
     "evaluate",
     "hom_evaluate",
     "hypertree_evaluate",
@@ -69,7 +66,6 @@ __all__ = [
     "make_kernel",
     "naive_join_evaluate",
     "numpy_available",
-    "product_extend",
     "project",
     "project_answer",
     "semijoin",

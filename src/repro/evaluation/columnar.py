@@ -620,6 +620,7 @@ class ColumnarKernel:
             stats.saw_intermediate(out.length)
         return out
 
+    # No caller in src/; kept because benchmarks/e2e/trace.py patches it by name.
     def product_extend(self, rel: ColumnarBindings, new_columns, candidates):
         """Extend with the cross product of candidate values per new column."""
         np_ = self._np
@@ -665,9 +666,3 @@ class ColumnarKernel:
                 "project", scanned=rel.length, emitted=len(answers)
             )
         return answers
-
-    def values_of(self, rel: ColumnarBindings, column: str) -> set:
-        values = rel.data[rel.column_index()[column]]
-        if self._np is not None:
-            values = _unique(self._np, values)
-        return set(self._decode_column(values))

@@ -4,7 +4,7 @@
 
 * acyclic queries → Yannakakis (``O(|D| · |Q|)``-style),
 * bounded hypertree width → hypertree evaluation (``|D|^k``),
-* bounded treewidth of ``G(Q)`` → junction-tree evaluation (``|adom|^(k+1)``),
+* bounded treewidth of ``G(Q)`` → variable elimination (``|D|^(k+1)``),
 * otherwise → backtracking.
 
 The explicit ``method`` argument selects a strategy unconditionally; the
@@ -35,7 +35,7 @@ Method = Literal[
     "auto", "yannakakis", "treewidth", "hypertree", "backtracking", "naive", "hom"
 ]
 
-#: Treewidth up to which the auto dispatcher uses junction trees.
+#: Treewidth up to which the auto dispatcher uses variable elimination.
 AUTO_TREEWIDTH_LIMIT = 3
 
 

@@ -43,10 +43,6 @@ class Bindings:
     def column_index(self) -> dict[str, int]:
         return {column: i for i, column in enumerate(self.columns)}
 
-    def values_of(self, column: str) -> set[Value]:
-        index = self.column_index()[column]
-        return {row[index] for row in self.rows}
-
 
 def unit() -> Bindings:
     """The relation with no columns and a single empty row (join identity)."""
@@ -150,27 +146,3 @@ def project_answer(b: Bindings, head: Sequence[str]) -> frozenset[Row]:
         raise ValueError(f"head variables {missing!r} not present")
     positions = [index[c] for c in head]
     return frozenset(tuple(row[p] for p in positions) for row in b.rows)
-
-
-def product_extend(
-    b: Bindings,
-    new_columns: Sequence[str],
-    candidates: dict[str, set[Value]],
-    stats: EvalStats | None = None,
-) -> Bindings:
-    """Extend a relation with unconstrained columns over candidate values.
-
-    Used by the bounded-treewidth evaluator for bag variables not covered by
-    any atom assigned to the bag; the blow-up is bounded by ``|adom|^(k+1)``,
-    which is exactly the theoretical cost of treewidth-``k`` evaluation.
-    """
-    result = b
-    for column in new_columns:
-        values = candidates[column]
-        rows = frozenset(
-            row + (value,) for row in result.rows for value in values
-        )
-        result = Bindings(result.columns + (column,), rows)
-        if stats is not None:
-            stats.saw_intermediate(len(rows))
-    return result

@@ -8,8 +8,8 @@ The columnar engine reports *per-operator* row counters on top of the
 legacy totals: every kernel invocation records how many rows it scanned
 (read from inputs), hashed (pushed through a hash/group index build), and
 emitted (wrote to its output) under its operator name (``scan``, ``join``,
-``semijoin``, ``project``, ``extend``) — the machine-readable shape of a
-query plan profile, surfaced by ``repro evaluate --stats``.
+``semijoin``, ``project``) — the machine-readable shape of a query plan
+profile, surfaced by ``repro evaluate --stats``.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """The shared Yannakakis-style tree algorithm.
 
-Yannakakis evaluation, bounded-treewidth evaluation and hypertree evaluation
-all reduce to the same skeleton: a tree whose nodes carry bindings relations,
-processed with an upward semijoin sweep, a downward semijoin sweep, and a
-final upward join-project that keeps only head variables plus connectors.
+Yannakakis evaluation and hypertree evaluation reduce to the same skeleton:
+a tree whose nodes carry bindings relations, processed with an upward
+semijoin sweep, a downward semijoin sweep, and a final upward join-project
+that keeps only head variables plus connectors.
 This module implements that skeleton once, over an operator *kernel*
 (columnar or tuple-at-a-time — see :mod:`repro.evaluation.kernels`); the
 node relations must come from the same kernel.

@@ -1,43 +1,53 @@
-"""Bounded-treewidth CQ evaluation via junction trees.
+"""Bounded-treewidth CQ evaluation by variable (bucket) elimination.
 
-For a CQ of treewidth ``k`` the primal graph has a width-``k`` tree
-decomposition; every atom's variables form a clique, hence fit inside some
-bag.  Each bag is materialized as a relation of size at most
-``|adom|^(k+1)`` (the theoretical cost of treewidth-based evaluation
-[Chekuri–Rajaraman, Flum–Frick–Grohe]), and the bags are joined along the
-decomposition tree with the acyclic tree-join skeleton.
+``G(Q)`` of treewidth ``k`` has an elimination order in which every
+variable has at most ``k`` neighbors in the filled graph when it goes.
+Each atom is scanned once.  The non-head variables are eliminated first,
+in that order, then the head variables.  Eliminating a variable joins its
+bucket (the relations that mention it, and every relation whose columns
+lie within theirs) and passes the join on with the variable projected
+away.  Every intermediate is thus a join of real atoms over at most
+``k + 1`` variables besides head variables, never a product with the
+active domain: the ``|D|^(k+1)`` bound of treewidth-based evaluation
+[Chekuri–Rajaraman, Flum–Frick–Grohe] for a Boolean query.
+
+The join of a head variable's bucket is also kept as its bag.  A bag
+holds only tuples that agree with everything eliminated before it, so
+joining the bags back in reverse order only ever extends tuples of the
+answer: no intermediate of that pass is larger than the answer.
 """
 
 from __future__ import annotations
-
-from typing import Hashable
 
 from repro.cq.query import ConjunctiveQuery
 from repro.cq.structure import Structure
 from repro.evaluation.kernels import DEFAULT_ENGINE, make_kernel
 from repro.evaluation.stats import EvalStats
-from repro.evaluation.treejoin import tree_join_evaluate
-from repro.hypergraphs.treewidth import tree_decomposition, treewidth_exact
+from repro.hypergraphs.treewidth import elimination_order, treewidth_exact
 
 Answer = frozenset[tuple]
-Value = Hashable
 
 
-def _variable_candidates(
-    query: ConjunctiveQuery, db: Structure, kernel
-) -> dict[str, set[Value]]:
-    """Per-variable candidate values: the intersection over the atoms using
-    the variable of their projections (a sound unary filter)."""
-    candidates: dict[str, set[Value]] = {}
-    for atom in query.atoms:
-        bindings = kernel.atom_bindings(db, atom)
-        for variable in bindings.columns:
-            values = kernel.values_of(bindings, variable)
-            if variable in candidates:
-                candidates[variable] &= values
-            else:
-                candidates[variable] = values
-    return candidates
+def _join(kernel, a, b):
+    """``a ⋈ b``, hashing the smaller side."""
+    return kernel.join(a, b) if len(a) >= len(b) else kernel.join(b, a)
+
+
+def _join_bucket(kernel, bucket: list):
+    """The join of ``bucket``, cut short once it is empty.
+
+    It starts from the smallest relation, and each step joins the one that
+    shares the most columns with the join so far (the smaller on a tie),
+    so a join that filters comes before one that only grows.
+    """
+    remaining = sorted(bucket, key=len)
+    current = remaining.pop(0)
+    while remaining and not current.is_empty:
+        columns = set(current.columns)
+        rel = max(remaining, key=lambda r: len(columns.intersection(r.columns)))
+        remaining.remove(rel)
+        current = _join(kernel, current, rel)
+    return current
 
 
 def treewidth_evaluate(
@@ -48,44 +58,42 @@ def treewidth_evaluate(
     *,
     engine: str = DEFAULT_ENGINE,
 ) -> Answer:
-    """Evaluate via a width-``k`` tree decomposition of ``G(Q)``.
+    """Evaluate by eliminating the variables of ``Q``, non-head variables
+    first, along a width-``k`` elimination order of ``G(Q)``.
 
-    ``k`` defaults to the exact treewidth of the query.
+    ``k`` defaults to the exact treewidth of the query; a query of larger
+    treewidth raises ``ValueError``.
     """
     graph = query.graph()
     if k is None:
         k = max(treewidth_exact(graph), 0)
-    decomposition = tree_decomposition(graph, k)
-    if decomposition is None:
+    order = elimination_order(graph, k)
+    if order is None:
         raise ValueError(f"query treewidth exceeds {k}")
 
     kernel = make_kernel(engine, stats)
-    candidates = _variable_candidates(query, db, kernel)
-    if any(not values for values in candidates.values()):
-        return frozenset()
-
-    # Assign every atom to a bag containing its variables.
-    bag_atoms: dict[Hashable, list] = {node: [] for node in decomposition.tree.nodes}
+    relations = []
     for atom in query.atoms:
-        holder = next(
-            node
-            for node, bag in decomposition.bags.items()
-            if atom.variables <= bag
-        )
-        bag_atoms[holder].append(atom)
+        relations.append(kernel.atom_bindings(db, atom))
+        if relations[-1].is_empty:
+            return frozenset()
 
-    bag_bindings: dict[Hashable, object] = {}
-    for node in decomposition.tree.nodes:
-        bag = decomposition.bags[node]
-        current = kernel.unit()
-        for atom in bag_atoms[node]:
-            current = kernel.join(current, kernel.atom_bindings(db, atom))
-        uncovered = sorted(
-            (v for v in bag if v not in set(current.columns)), key=repr
-        )
-        current = kernel.product_extend(current, uncovered, candidates)
-        bag_bindings[node] = kernel.project(current, sorted(bag, key=repr))
+    head = set(query.head)
+    bags = []
+    for variable in sorted(order, key=lambda v: v in head):
+        columns = {c for r in relations if variable in r.columns for c in r.columns}
+        bucket = [rel for rel in relations if columns.issuperset(rel.columns)]
+        relations = [rel for rel in relations if not columns.issuperset(rel.columns)]
+        joined = _join_bucket(kernel, bucket)
+        if joined.is_empty:
+            return frozenset()
+        if variable in head:
+            bags.append(joined)
+        rest = [c for c in joined.columns if c != variable]
+        if rest:
+            relations.append(kernel.project(joined, rest))
 
-    return tree_join_evaluate(
-        decomposition.tree, bag_bindings, query.head, stats, kernel=kernel
-    )
+    answer = bags.pop() if bags else kernel.unit()
+    while bags:
+        answer = _join(kernel, answer, bags.pop())
+    return kernel.project_answer(answer, query.head)

@@ -10,8 +10,9 @@ vertices), which makes the memoization sound.
 
 :func:`adjacency_treewidth_at_most` answers straight from the masks (the
 pipeline's integer candidates use it, so no graph object is built per
-check); :func:`treewidth_at_most` and :func:`tree_decomposition` map an
-``nx.Graph`` onto the same kernel, bits in ``repr`` order of the vertices.
+check); :func:`treewidth_at_most` and :func:`elimination_order` map an
+``nx.Graph`` onto the same kernel, bits in ``repr`` order of the vertices,
+and :func:`tree_decomposition` builds its bags from that order.
 This is exponential in general — fine for tableau-sized graphs, which is
 where the paper needs it (class membership tests for TW(k) and the
 approximation search).  ``treewidth_upper_bound`` provides a min-fill
@@ -50,7 +51,7 @@ def _adjacency(graph: nx.Graph) -> tuple[list[Vertex], list[int]]:
 
 
 class _EliminationSolver:
-    """Decides ``tw(G) ≤ k`` and produces a witnessing elimination order."""
+    """Decides ``tw(G) ≤ k``, recording a witnessing elimination order."""
 
     def __init__(self, adjacency: Sequence[int], k: int) -> None:
         self.adjacency = adjacency
@@ -105,18 +106,6 @@ class _EliminationSolver:
                 break
         self.memo[remaining] = result
         return result
-
-    def elimination_order(self) -> list[int] | None:
-        remaining = (1 << len(self.adjacency)) - 1
-        if not self.decide(remaining):
-            return None
-        order: list[int] = []
-        while remaining.bit_count() > self.k + 1:
-            vertex = self.order[remaining]
-            order.append(vertex)
-            remaining &= ~(1 << vertex)
-        order.extend(i for i in range(len(self.adjacency)) if remaining >> i & 1)
-        return order
 
 
 def adjacency_treewidth_at_most(adjacency: Sequence[int], k: int) -> bool:
@@ -199,15 +188,30 @@ def decomposition_from_elimination(
     return TreeDecomposition(tree, bags)
 
 
+def elimination_order(graph: nx.Graph, k: int) -> list[Vertex] | None:
+    """An order of every vertex in which each has at most ``k`` neighbors
+    in the filled graph when it is eliminated, or ``None`` if ``tw > k``."""
+    vertices, adjacency = _adjacency(graph)
+    solver = _EliminationSolver(adjacency, k)
+    remaining = (1 << len(vertices)) - 1
+    if not solver.decide(remaining):
+        return None
+    order = []
+    while remaining.bit_count() > k + 1:
+        bit = solver.order[remaining]
+        order.append(vertices[bit])
+        remaining &= ~(1 << bit)
+    return order + [v for i, v in enumerate(vertices) if remaining >> i & 1]
+
+
 def tree_decomposition(graph: nx.Graph, k: int) -> TreeDecomposition | None:
     """A width-``≤ k`` tree decomposition of the graph, or ``None``."""
-    vertices, adjacency = _adjacency(graph)
-    if not vertices:
+    if graph.number_of_nodes() == 0:
         return TreeDecomposition(nx.Graph(), {})
-    order = _EliminationSolver(adjacency, k).elimination_order()
+    order = elimination_order(graph, k)
     if order is None:
         return None
-    decomposition = decomposition_from_elimination(graph, [vertices[i] for i in order])
+    decomposition = decomposition_from_elimination(graph, order)
     assert decomposition.width <= k
     return decomposition
 

@@ -42,10 +42,6 @@ class TestBindings:
         with pytest.raises(ValueError):
             Bindings(("x",), frozenset({(1, 2)}))
 
-    def test_values_of(self):
-        b = Bindings(("x", "y"), frozenset({(1, 2), (3, 2)}))
-        assert b.values_of("x") == {1, 3}
-
     def test_unit(self):
         assert len(unit()) == 1
         assert unit().columns == ()
