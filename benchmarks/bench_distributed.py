@@ -120,7 +120,7 @@ def assert_hom_equivalent(frontier, serial) -> None:
 def shard_stream_extents(tableau, worker_counts=(1, 2)) -> dict[int, list[int]]:
     """Per-shard raw stage-1 stream lengths for each worker count.
 
-    ``shard_prefixes`` deals partition prefixes so the *raw* stream is
+    ``_shard_prefixes`` deals partition prefixes so the *raw* stream is
     partitioned exactly (no cross-shard duplication); the counts here are
     therefore deterministic properties of the workload, independent of
     timing, host, or fault schedule.

@@ -45,32 +45,40 @@ class in the sorted union, so the merge keeps exactly the serial
 representatives in the serial order: pooled and fabric frontiers are
 **bit-identical** to ``workers=1``.
 
-Stage 3 is a *dominance-aware reduction engine*.  On plain quotient streams
-(graph classes, and hypergraph classes with the extension space off) stage
-1 walks the partition lattice **fine-to-coarse** — by descending block
-count, each level in growth-string order — so a quotient is reduced before
-any coarsening of it, and the reducer's ``strictly_dominated`` marks stop
-the walk below every quotient some member maps into and not back: those
-subtrees are never generated.  The refinement index — a trie over the
-partitions already found dominated or admitted — then decides most
-dominance verdicts with no search (a recorded finer partition refines the
-coarser candidate, so the quotient map carries its dominating member on),
-letting most admissions resolve with **zero** ``hom_le`` searches
-(``PipelineStats.admissions_resolved_by_order``).  The reverse question,
-whether a candidate maps into a member (eviction, repair), is answered by
-the member's kernel index: one bounded enumeration of the member's
-homomorphisms from the base, then a trie walk per candidate — and, for an
-extended candidate, a check of its atoms against the images of the homs
-the walk finds.  Reordering stays
-bit-identical to the serial generation-order baseline through **forward
-representative repair**: members carry their generation index, a candidate
-found equivalent to a later-generated member replaces it
-(``representative_repairs``), and the surviving members are sorted back
-into generation order at the end.  Extension-space runs keep generation
-order: their reducer feeds dominance back into the lazy enumerator, which
-skips the extension family of every quotient the frontier already
-dominates, and stage 2 feeds its memo back, so an extended candidate the
-memo already rejects is dropped before it is canonized.
+Stage 3 is one *dominance-aware reducer* for every stream.  Corollary
+4.3's frontier, the →-minimal set of the bounded candidate space, does not
+depend on the order candidates arrive in, so the reducer does not either:
+its refinement index — a trie over the partitions already found dominated
+or admitted — decides a dominance verdict with no search whenever a
+recorded partition refines the candidate's (the quotient map carries the
+dominating member on), and after every dominance scan it asks once
+whether the candidate maps back into its witness, recording the partition
+in the index and, when it does not, marking the candidate
+``strictly_dominated``.  The reverse question, whether a candidate maps
+into a member (that query, eviction, repair), is answered by the member's
+kernel index: one bounded enumeration of the member's homomorphisms from
+the base, then a trie walk per candidate — and, for an extended
+candidate, a check of its atoms against the images of the homs the walk
+finds.  What the order changes is how much of that fires.  On plain
+quotient streams (graph classes, and hypergraph classes with the
+extension space off) stage 1 walks the partition lattice
+**fine-to-coarse** — by descending block count, each level in
+growth-string order — so a quotient is reduced before any coarsening of
+it: the index then resolves most admissions with **zero** ``hom_le``
+searches (``PipelineStats.admissions_resolved_by_order``), and the
+``strictly_dominated`` marks stop the walk below every quotient some
+member maps into and not back, so those subtrees are never generated.
+The walk stays bit-identical to the generation-order stream through
+**forward representative repair**: walked candidates carry their
+generation index, a candidate found equivalent to a later-generated
+member replaces it (``representative_repairs``), and the surviving
+members are sorted back into generation order at the end — a no-op on a
+stream listed in generation order.  Extension-space runs are listed in
+generation order: their reducer feeds dominance back into the lazy
+enumerator, which skips the extension family of every quotient the
+frontier already dominates, and stage 2 feeds its memo back, so an
+extended candidate the memo already rejects is dropped before it is
+canonized.
 
 Stage 1's dedup regime (``run_pipeline``'s ``generation`` knob) is fixed
 per run by the shape of the stream, never by measurements: fine-to-coarse
@@ -527,45 +535,48 @@ def iter_membership(
 class Frontier:
     """The →-minimal frontier, with an associative merge (stage 3).
 
-    ``add`` implements the online update: a candidate dominated by (or
-    equivalent to) a member is dropped; otherwise it evicts every member it
-    maps into and joins.  The two directions of an order query are asked
-    differently.  "Does some member map into the candidate?" is the
+    One reducer serves every stream, walked or listed: the →-minimal set
+    does not depend on the order candidates arrive in, and nothing here
+    asks for it — the order only decides how often the free evidence
+    below fires.  :meth:`resolve` is the update for stage-1 candidates;
+    ``add`` the plain one for tableaux: a candidate dominated by (or
+    equivalent to) a member is dropped; otherwise it evicts every member
+    it maps into and joins.  The two directions of an order query are
+    asked differently.  "Does some member map into the candidate?" is the
     dominance scan: one ``hom_le(memo=False)`` per member, in admission
     order — a streamed candidate meets the frontier exactly once, so
     canonical memo keys for the pair would cost more than the
     (signature-guarded) search they try to avoid.  "Does the candidate map
-    into member ``w``?" — eviction, representative repair, the forced
-    reverse query of ordered reductions and the merge's dominance check
-    against shipped kernel tries — goes through one helper,
-    :meth:`_maps_into`, which answers same-base quotients, and the
-    extended candidates over them, from ``w``'s kernel index (the pinned
-    homs ``base → w``) and asks the engine only for what that index
-    cannot decide.
+    into member ``w``?" — eviction, representative repair, the reverse
+    query after a dominance scan and the merge's dominance check against
+    shipped kernel tries — goes through one helper, :meth:`_maps_into`,
+    which answers same-base quotients, and the extended candidates over
+    them, from ``w``'s kernel index (the pinned homs ``base → w``) and asks
+    the engine only for what that index cannot decide.
 
     Candidates from one quotient stream carry their partition ``codes``
     (restricted-growth strings over the shared ``base``).  Partition
     coarsening is then a sound positive fast path: if ``codes(b)``
     coarsens ``codes(a)`` the quotient map ``T/a → T/b`` *is* a
     homomorphism, deciding ``a → b`` in O(n) integer comparisons with no
-    search.
+    search.  The same fact drives the refinement index, a trie over the
+    codes of candidates already found dominated or admitted: a recorded
+    partition refining a candidate's settles it "dominated" with no scan.
 
     Dominance verdicts are memoized under the candidate's integer-form
-    ``key`` (see :func:`dominance_key`): candidates with equal keys are
+    key (see :func:`dominance_key`): candidates with equal keys are
     isomorphic, and since the frontier only descends in the →-order, a
     "dominated" verdict stays valid for the rest of the run — a member
     that mapped into the candidate can only ever be replaced by something
     lower, which maps in too.
 
-    The frontier is *dominance-aware* across admission orders: members can
-    carry a ``generation`` index (their position in the unreordered
-    candidate stream), and when a dominance scan finds a candidate
-    equivalent to a *later-generated* member — which only happens when the
-    reducer walks the stream fine-to-coarse — the representative is
-    repaired back to the earlier-generated candidate
-    (:meth:`_repair`).  Together with
-    :meth:`restore_generation_order` this makes the reordered reduction
-    bit-identical to the serial generation-order baseline: both end with
+    Members of a walked stream carry a ``generation`` index (their
+    position in the generation-order stream).  When a dominance verdict
+    finds a candidate equivalent to a *later-generated* member — which
+    only the fine-to-coarse walk produces — the representative is
+    repaired back to the earlier-generated candidate (:meth:`_repair`).
+    Together with :meth:`restore_generation_order` this makes the walked
+    reduction bit-identical to the generation-order one: both end with
     the first-generated class member of each →-minimal equivalence class,
     listed in generation order.
 
@@ -587,7 +598,6 @@ class Frontier:
         "_repair_forward",
         "_class_status",
         "_kernel_tries",
-        "_ordered",
         "_engine",
         "_stats",
     )
@@ -605,7 +615,6 @@ class Frontier:
         *,
         base: Tableau | None = None,
         stats: PipelineStats | None = None,
-        ordered: bool = False,
     ) -> None:
         self.members: list[Tableau] = []
         #: The tableau the candidates are quotients of; partition codes are
@@ -631,11 +640,11 @@ class Frontier:
         #: witnesses are resolved through this map at hit time.
         self._repair_forward: dict[int, Tableau] = {}
         #: Resolution outcome per isomorphism class (fact-level canonical
-        #: key → "admitted"/"dominated"/"strict").  Raw streams consult it through
-        #: :meth:`resolve`'s ``late_key`` just before a dominance scan, so
-        #: unabsorbed isomorphic repeats skip their searches; outcomes
-        #: transfer because the frontier only descends (a member mapping
-        #: into the first copy maps into every repeat).
+        #: key → "admitted"/"dominated"/"strict").  :meth:`resolve` consults
+        #: it just before a dominance scan, so unabsorbed isomorphic repeats
+        #: skip their searches; outcomes transfer because the frontier only
+        #: descends (a member mapping into the first copy maps into every
+        #: repeat).
         self._class_status: dict[tuple, str] = {}
         #: Per-member kernel index, keyed by ``id(member)`` — the value
         #: pins the member tableau alive so ids cannot be reused.
@@ -643,7 +652,6 @@ class Frontier:
         #: :class:`~repro.util.partitions.RefinementTrie` of hom kernels,
         #: or ``(member, None)`` when the hom scan capped out.
         self._kernel_tries: dict[int, tuple[Tableau, RefinementTrie | None]] = {}
-        self._ordered = ordered
         self._engine = default_engine()
         self._stats = stats if stats is not None else PipelineStats()
 
@@ -658,29 +666,22 @@ class Frontier:
         pipeline path calls it; ``benchmarks/e2e/trace.py`` patches it by
         name.
         """
-        key = dominance_key(candidate)
-        if key is not None and key in self._dominated_keys:
+        if dominance_key(candidate) in self._dominated_keys:
             return True
         codes = candidate.codes
-        if self._ordered and codes is not None:
-            hit, _ = self._refinement_index.find_refinement(codes)
-            if hit:
-                return True
-        class_key = getattr(candidate, "key", None)
-        if class_key is not None and self._class_status.get(class_key) is not None:
+        if codes is not None and self._refinement_index.find_refinement(codes)[0]:
             return True
-        return False
+        return candidate.key is not None and candidate.key in self._class_status
 
     def _search(self, source: Tableau, target: Tableau) -> bool:
         """One engine-backed order query, counted in ``hom_le_calls``."""
         self._stats.hom_le_calls += 1
         return self._engine.hom_le(source, target, memo=False)
 
-    def _scan_dominance(
-        self, candidate: Tableau, key: tuple | None
-    ) -> Tableau | None:
-        """The timed member scan behind :meth:`dominated`: the first member
-        that maps into ``candidate``, ``None`` when none does.
+    def _scan_dominance(self, candidate: Tableau) -> Tableau | None:
+        """The timed member scan behind :meth:`dominated` and
+        :meth:`resolve`: the first member that maps into ``candidate``,
+        ``None`` when none does.
 
         The witness is what representative repair needs.  Which member
         witnesses a positive verdict is immaterial: if the candidate has
@@ -696,13 +697,11 @@ class Frontier:
         self._stats.dominance_seconds += time.perf_counter() - started
         if witness is not None:
             self._stats.dominated += 1
-            if key is not None:
-                self._dominated_keys.setdefault(key, False)
         return witness
 
     def dominated(self, candidate: Tableau) -> bool:
         """Whether some member maps into ``candidate``."""
-        return self._scan_dominance(candidate, None) is not None
+        return self._scan_dominance(candidate) is not None
 
     def _refinement_lookup(
         self, codes: tuple[int, ...]
@@ -737,7 +736,7 @@ class Frontier:
         self, codes: tuple[int, ...] | None, witness: Tableau | None
     ) -> None:
         """Add an uncovered dominated-or-admitted candidate to the index."""
-        if self._ordered and codes is not None:
+        if codes is not None:
             self._refinement_index.add(codes, witness)
 
     def _kernel_trie(self, member: Tableau) -> RefinementTrie | None:
@@ -868,29 +867,32 @@ class Frontier:
         return self._search(source, member)
 
     def _repair(
-        self, candidate, witness, generation, membership, *, equivalent=None
+        self, candidate, witness, membership, *, equivalent=None
     ) -> bool | None:
         """Swap ``witness`` for the earlier-generated equivalent ``candidate``.
 
-        Fine-to-coarse admission can put a later-generated member on the
-        frontier before an earlier-generated equivalent candidate is
-        processed.  When a dominance verdict then finds that candidate
-        dominated by such a member (``generation(witness) > generation``),
+        The lattice walk can put a later-generated member on the frontier
+        before an earlier-generated equivalent candidate arrives.  When a
+        dominance verdict then finds that candidate dominated by such a
+        member (the witness's generation exceeds ``candidate.generation``),
         the representative set is repaired *forward*: if the candidate maps
         back into the witness (hom-equivalence — the witness already maps
         into the candidate) and is itself a class member (``membership``;
         equivalence does not preserve class membership, so it must be
         verified), it replaces the witness — the frontier converges on the
         first-generated member of each equivalence class, exactly what the
-        serial generation-order baseline keeps.  The swap exchanges
-        hom-equivalent tableaux, so every memoized dominance verdict and the
-        witness's kernel index stay valid.  ``equivalent`` short-circuits
-        the reverse query when the caller already computed it.  Returns the
-        reverse query's answer (``None`` when the generations did not call
-        for it): ``False`` proves the candidate strictly dominated by the
-        witness.
+        generation-order stream keeps.  On a stream listed in generation
+        order no witness is ever later than its candidate (a serial one
+        stamps no generation at all), so nothing is repaired.  The swap
+        exchanges hom-equivalent tableaux, so every memoized dominance
+        verdict and the witness's kernel index stay valid.  ``equivalent``
+        short-circuits the reverse query when the caller already computed
+        it.  Returns the reverse query's answer (``None`` when the
+        generations did not call for it): ``False`` proves the candidate
+        strictly dominated by the witness.
         """
-        if witness is None or generation is None:
+        generation = candidate.generation
+        if generation is None:
             return None
         witness_generation = self._generation.get(id(witness))
         if witness_generation is None or witness_generation <= generation:
@@ -919,69 +921,69 @@ class Frontier:
         self._stats.representative_repairs += 1
         return True
 
-    def resolve(
-        self,
-        candidate,
-        *,
-        key: tuple | None = None,
-        generation: int | None = None,
-        membership=None,
-        late_key=None,
-    ) -> str:
-        """The order-aware frontier update for one stage-1 candidate.
+    def _class_key(self, candidate) -> tuple | None:
+        """The candidate's fact-level canonical key: stage 1's ``key`` when
+        the stream computed one, else :func:`canonical_key_indexed` on the
+        integer form, counted in ``late_canonizations`` (``None`` past the
+        canonizer's budget)."""
+        if candidate.key is not None:
+            return candidate.key
+        self._stats.late_canonizations += 1
+        return canonical_key_indexed(
+            candidate.block_count, list(candidate.facts()), candidate.distinguished
+        )
+
+    def resolve(self, candidate, membership=None) -> str:
+        """The frontier update for one stage-1 candidate.
 
         Returns ``"dominated"`` (some member maps into the candidate —
         after attempting representative repair), ``"rejected"``
         (``membership`` vetoed the candidate), or ``"admitted"``.
         ``membership`` is a zero-argument callable deciding class
         membership, consulted at most once; pass ``None`` when the
-        candidate is already known to be a member.  The class check runs
-        before the dominance *scan*, but zero-cost dominance evidence (the
-        key memo and the refinement index) is consulted before either,
-        since a free "dominated" beats any check.  ``candidate`` is a
-        stage-1 candidate object (``materialize()``/``codes``),
-        materialized only when a search or admission actually needs the
-        tableau.
+        candidate is already known to be a member.  ``candidate`` is a
+        stage-1 candidate, materialized only when a search or admission
+        needs the tableau; three things are read off it: its
+        :func:`dominance_key`, its ``generation`` (see :meth:`_repair`) and
+        its class key (:meth:`_class_key`).
 
-        ``late_key`` is the raw-stream dedup hook: a zero-argument callable
-        producing the candidate's fact-level canonical key (``None`` when
-        uncomputable).  It is invoked only on the brink of a dominance
-        *scan* — after the free absorption checks (dominance memo,
-        refinement index) missed and after a membership rejection had its
-        chance to end the resolution cheaply — this is the stage-1
-        canonicalization tax deferred to the point of real need, never
-        paid by candidates a memoized check rejects.  The key
-        is consulted against the class-status memo: an isomorphic
-        candidate's earlier admitted/dominated outcome settles this one
-        with no search ("admitted"/"dominated" transfer because the
-        frontier only descends; equal keys share a block count, so under
-        any supported order the earlier copy had the lower generation and
-        any repair already happened there, exactly as for the dominance
-        memo below).  On a miss the candidate's own outcome is recorded
-        under the key.
+        Evidence is consulted cheapest first.  The dominance memo (keys of
+        candidates already found dominated) and the refinement index (a
+        recorded partition refining the candidate's) settle a candidate
+        "dominated" before its class check, since a free verdict beats any
+        check.  Then the class check, then the class key — computed only
+        here, on the brink of a dominance scan, so candidates the free
+        evidence or a memoized check settles never pay a canonization —
+        against the class-status memo: an isomorphic candidate's earlier
+        outcome settles this one with no search ("admitted"/"dominated"
+        transfer because the frontier only descends; equal keys share a
+        block count, so under either order the earlier copy had the lower
+        generation and any repair already happened there, as for the
+        dominance memo).  Only then the dominance scan.  A scan that finds
+        a witness is followed by the reverse query (does the candidate map
+        back into the witness?), asked once whatever the generations: the
+        answer records the partition in the refinement index with the
+        witness, or with ``None`` when the candidate is strictly dominated,
+        so later index hits through the entry know for certain whether
+        repair can ever apply — a ``None`` witness is a proof, not a guess.
 
-        Fine-to-coarse reductions (``ordered=True``) answer most
-        resolutions from the refinement index with zero engine calls.
-        They also mark a candidate ``strictly_dominated`` (the lattice
-        walk's feedback, see :func:`~repro.core.quotients.
-        iter_quotient_candidates`) where strictness is already known at no
-        extra cost: a refinement-index hit whose witness is ``None``, a
-        repair or forced reverse query coming back non-equivalent, or a
-        memo hit on a key recorded as strict.  No query is spent to decide
-        it.
-        Repair stays exact on index hits: if the candidate were equivalent
-        to a current member, that member would be the *unique* member
-        mapping into it, hence also the unique member behind the index
-        entry's witness chain — so repairing against the resolved witness
-        (or skipping repair when the entry's class provably left the
-        frontier) reproduces exactly what a full scan would have done.
+        The candidate is marked ``strictly_dominated`` (the lattice walk's
+        feedback, see :func:`~repro.core.quotients.
+        iter_quotient_candidates`) wherever strictness is known at no extra
+        query: an index hit whose witness is ``None``, a repair or reverse
+        query coming back non-equivalent, or a memo hit on a key recorded
+        as strict.  Repair stays exact on index hits: if the candidate were
+        equivalent to a current member, that member would be the *unique*
+        member mapping into it, hence also the unique member behind the
+        index entry's witness chain — so repairing against the resolved
+        witness (or skipping repair when the entry's class provably left
+        the frontier) reproduces exactly what a full scan would have done.
         """
-        if key is not None and key in self._dominated_keys:
-            # An isomorphic candidate resolved "dominated" earlier.  Equal
-            # keys share a block count, so under any supported order the
-            # earlier candidate had the lower generation and any repair
-            # already happened there — nothing further to do.  Memo hits
-            # leave `dominated`/`dominance_tests` alone: those two counters
+        key = dominance_key(candidate)
+        if key in self._dominated_keys:
+            # An isomorphic candidate resolved "dominated" earlier, and any
+            # repair already happened there (see above).  Memo hits leave
+            # `dominated`/`dominance_tests` alone: those two counters
             # describe *searched* verdicts only.
             self._stats.dominance_memo_hits += 1
             self._stats.dominated_without_search += 1
@@ -989,64 +991,52 @@ class Frontier:
                 _mark_strict(candidate)
             return "dominated"
         codes = candidate.codes
-        if self._ordered and codes is not None:
+        if codes is not None:
             hit, hit_witness = self._refinement_lookup(codes)
             if hit:
                 self._stats.dominance_memo_hits += 1
                 self._stats.dominated_without_search += 1
-                if key is not None:
-                    self._dominated_keys.setdefault(key, False)
+                self._dominated_keys.setdefault(key, False)
                 # A ``None`` witness: the entry's class is off the frontier,
                 # so a member maps into the entry and not back, hence into
                 # this coarsening of it and not back either.  Otherwise the
                 # repair's reverse query, when the generations call for it,
                 # tells whether the candidate maps back into the witness.
-                if hit_witness is None or (
-                    self._repair(candidate, hit_witness, generation, membership)
-                    is False
+                if (
+                    hit_witness is None
+                    or self._repair(candidate, hit_witness, membership) is False
                 ):
                     self._note_strict(candidate, key)
                 return "dominated"
         if membership is not None and not membership():
             return "rejected"
-        class_key = late_key() if late_key is not None else None
-        if class_key is not None:
-            status = self._class_status.get(class_key)
-            if status is not None:
-                # "admitted", "dominated" or "strict": either way a member
-                # maps into the earlier isomorphic copy, hence into this
-                # candidate — no scan needed.
-                self._stats.class_status_hits += 1
-                self._stats.dominated_without_search += 1
-                if key is not None:
-                    self._dominated_keys.setdefault(key, False)
-                if status == "strict":
-                    self._note_strict(candidate, key)
-                return "dominated"
-        witness = self._scan_dominance(candidate.materialize(), key)
+        class_key = self._class_key(candidate)
+        status = self._class_status.get(class_key)
+        if status is not None:
+            # "admitted", "dominated" or "strict": either way a member maps
+            # into the earlier isomorphic copy, hence into this candidate —
+            # no scan needed.
+            self._stats.class_status_hits += 1
+            self._stats.dominated_without_search += 1
+            self._dominated_keys.setdefault(key, False)
+            if status == "strict":
+                self._note_strict(candidate, key)
+            return "dominated"
+        witness = self._scan_dominance(candidate.materialize())
         if witness is not None:
-            status = "dominated"
-            if self._ordered:
-                # Establish once whether this candidate's class sits on the
-                # frontier (the repair's reverse query, forced even when
-                # the generations would not warrant it): index hits through
-                # the entry then know for certain whether repair can ever
-                # apply — a ``None`` witness is a proof, not a guess.
-                equivalent = self._maps_into(candidate, codes, witness)
-                if equivalent:
-                    self._repair(
-                        candidate, witness, generation, None, equivalent=True
-                    )
-                else:
-                    self._note_strict(candidate, key)
-                    status = "strict"
-                self._record_refinement(codes, witness if equivalent else None)
+            self._dominated_keys.setdefault(key, False)
+            equivalent = self._maps_into(candidate, codes, witness)
+            if equivalent:
+                self._repair(candidate, witness, None, equivalent=True)
+                status = "dominated"
             else:
-                self._repair(candidate, witness, generation, None)
+                self._note_strict(candidate, key)
+                status = "strict"
+            self._record_refinement(codes, witness if equivalent else None)
             self._set_class_status(class_key, status)
             return "dominated"
         tableau = candidate.materialize()
-        self.insert(tableau, codes, generation=generation, source=candidate)
+        self.insert(tableau, codes, generation=candidate.generation, source=candidate)
         self._record_refinement(codes, tableau)
         self._set_class_status(class_key, "admitted")
         return "admitted"
@@ -1055,11 +1045,10 @@ class Frontier:
         if class_key is not None:
             self._class_status[class_key] = status
 
-    def _note_strict(self, candidate, key: tuple | None) -> None:
+    def _note_strict(self, candidate, key: tuple) -> None:
         """Record that ``candidate`` (and every copy under ``key``) is
         strictly dominated."""
-        if key is not None:
-            self._dominated_keys[key] = True
+        self._dominated_keys[key] = True
         _mark_strict(candidate)
 
     def insert(
@@ -1104,13 +1093,14 @@ class Frontier:
         return True
 
     def restore_generation_order(self) -> None:
-        """Sort members back into generation order (reordered reductions).
+        """Sort members back into generation order.
 
-        A fine-to-coarse reduction admits members out of stream order; the
-        serial baseline lists survivors in generation order, so reordered
-        runs sort once at the end.  Members without a recorded generation
-        (directly ``merge``-d ones) keep their relative position at the
-        front.
+        The fine-to-coarse walk admits members out of stream order; the
+        generation-order stream lists survivors in generation order, so
+        every reduction sorts once at the end — a no-op on a stream already
+        listed in that order.  Members without a recorded generation (those
+        of a serial listed stream, or directly ``merge``-d ones) keep their
+        relative position at the front.
         """
         self.members.sort(key=lambda member: self._generation.get(id(member), -1))
 
@@ -1134,18 +1124,25 @@ class Frontier:
         """The frontier's resumable state, picklable.
 
         ``members``: the members in admission order, each with its
-        partition codes and generation stamp.  An ordered frontier also
-        keeps the state that decides which strictness evidence is free —
-        the dominated keys with their strict flags, the class-status memo
-        and the refinement index, whose witnesses are resolved to member
-        positions (``None`` once off the frontier) — because its
-        ``strictly_dominated`` marks prune the lattice walk, so a restore
-        without them would prune differently and generate a different
-        stream.  The kernel tries and the check memo only decide how an
-        answer is found, never which, and are not captured: a restore
-        without them changes counters, never the frontier or the stream.
+        partition codes and generation stamp; ``dominated``, ``class_status``
+        and ``index``: the state that decides which evidence is free — the
+        dominated keys with their strict flags, the class-status memo and
+        the refinement index, whose witnesses are resolved to member
+        positions (``None`` once off the frontier).  On a walked stream the
+        ``strictly_dominated`` marks read from that state prune the walk,
+        so a restore without it would prune differently and generate a
+        different stream.  The kernel tries and the check memo only decide
+        how an answer is found, never which, and are not captured: a
+        restore without them changes counters, never the frontier or the
+        stream.
         """
-        state: dict = {
+        position = {id(member): i for i, member in enumerate(self.members)}
+        index = []
+        for codes, witness in self._refinement_index.codes():
+            while witness is not None and id(witness) not in position:
+                witness = self._repair_forward.get(id(witness))
+            index.append((codes, None if witness is None else position[id(witness)]))
+        return {
             "members": [
                 (
                     encode_tableau(member),
@@ -1153,27 +1150,15 @@ class Frontier:
                     self._generation.get(id(member)),
                 )
                 for member in self.members
-            ]
+            ],
+            "dominated": dict(self._dominated_keys),
+            "class_status": dict(self._class_status),
+            "index": index,
         }
-        if self._ordered:
-            position = {id(member): i for i, member in enumerate(self.members)}
-            index = []
-            for codes, witness in self._refinement_index.codes():
-                while witness is not None and id(witness) not in position:
-                    witness = self._repair_forward.get(id(witness))
-                index.append(
-                    (codes, None if witness is None else position[id(witness)])
-                )
-            state.update(
-                dominated=dict(self._dominated_keys),
-                class_status=dict(self._class_status),
-                index=index,
-            )
-        return state
 
     def restore(self, snapshot: dict) -> None:
         """Rebuild the state :meth:`snapshot` captured (only valid on an
-        empty frontier of the same admission order)."""
+        empty frontier)."""
         if self.members:
             raise ValueError("restore() needs an empty frontier")
         for encoded, codes, generation in snapshot["members"]:
@@ -1183,13 +1168,12 @@ class Frontier:
                 self._codes[id(member)] = codes
             if generation is not None:
                 self._generation[id(member)] = generation
-        if "index" in snapshot:
-            self._dominated_keys.update(snapshot["dominated"])
-            self._class_status.update(snapshot["class_status"])
-            for codes, position in snapshot["index"]:
-                self._refinement_index.add(
-                    codes, None if position is None else self.members[position]
-                )
+        self._dominated_keys.update(snapshot["dominated"])
+        self._class_status.update(snapshot["class_status"])
+        for codes, position in snapshot["index"]:
+            self._refinement_index.add(
+                codes, None if position is None else self.members[position]
+            )
 
     def kernel_exports(self) -> list[tuple[tuple[int, ...], ...] | None]:
         """Per-member kernel indexes as plain code tuples, members order.
@@ -1275,6 +1259,13 @@ class Frontier:
 # ----------------------------------------------------------------- the driver
 
 
+def _plain_stream(cls: QueryClass, max_extra_atoms: int) -> bool:
+    """Whether a run's stream is the plain quotient stream — graph classes,
+    and hypergraph classes with the extension space off — rather than the
+    extension stream."""
+    return getattr(cls, "kind", None) == "graph" or max_extra_atoms <= 0
+
+
 def _candidate_source(
     tableau: Tableau,
     cls: QueryClass,
@@ -1300,7 +1291,7 @@ def _candidate_source(
     :meth:`MembershipTester.known_rejected`; only the extension stream
     consults it, to drop memoized rejections before keying them.
     """
-    if getattr(cls, "kind", None) == "graph" or max_extra_atoms <= 0:
+    if _plain_stream(cls, max_extra_atoms):
         return iter_quotient_candidates(
             tableau,
             shard=shard,
@@ -1315,29 +1306,6 @@ def _candidate_source(
         generation=generation,
         known_rejected=known_rejected,
     )
-
-
-def _deferred_class_key(candidate, stats: PipelineStats):
-    """The ``late_key`` hook for :meth:`Frontier.resolve`.
-
-    Returns a zero-argument callable producing the candidate's fact-level
-    canonical key: the stage-1 key when the enumerator computed one, else —
-    for raw/orbit candidates — the same :func:`canonical_key_indexed` form
-    computed on demand (counted in ``stats.late_canonizations``).
-    """
-
-    def compute():
-        key = candidate.key
-        if key is None:
-            stats.late_canonizations += 1
-            key = canonical_key_indexed(
-                candidate.block_count,
-                list(candidate.facts()),
-                candidate.distinguished,
-            )
-        return key
-
-    return compute
 
 
 def _note_exhaustion(budget: RunBudget | None, stats: PipelineStats) -> None:
@@ -1415,7 +1383,9 @@ class _CheckpointSession:
 
     def after_candidate(self, frontier: Frontier, candidate) -> None:
         self.cursor += 1
-        if getattr(candidate, "strictly_dominated", False):
+        # Only the walk reads the marks, and only walked candidates carry
+        # the generation stamp they are recorded under.
+        if candidate.generation is not None and candidate.strictly_dominated:
             self.strict.append(candidate.generation)
         if self.manager.maybe_save(
             self.run_key, lambda: self._payload(frontier)
@@ -1472,18 +1442,22 @@ def _reduce_inline(
     :meth:`Frontier.resolve`).  The order only decides which work is spent,
     not the result: a dominated candidate can never join nor evict.
 
-    ``order="fine_to_coarse"`` expects the lattice walk
-    (``iter_quotient_candidates(fine_to_coarse=True)``): a quotient is then
-    reduced before any coarsening of it, so most dominance verdicts resolve
-    through the refinement index with zero engine searches, and
-    representative repair plus a final generation-order sort keep the
-    result **bit-identical** to the insertion-order reduction.  The
-    frontier's ``strictly_dominated`` marks reach the walk between two
-    candidates, so strictly dominated subtrees are never generated.  The
-    budget is checked once per candidate, before the candidate is reduced:
-    nothing is buffered, so that is the earliest stop.  ``base`` is the
-    tableau the candidates are quotients of; it lets the frontier build
-    its members' kernel indexes.
+    Every stream goes through the same :class:`Frontier`, walked or
+    listed.  On the lattice walk (``iter_quotient_candidates(
+    fine_to_coarse=True)``) a quotient is reduced before any coarsening of
+    it, so most dominance verdicts resolve through the refinement index
+    with zero engine searches, the frontier's ``strictly_dominated`` marks
+    reach the walk between two candidates (strictly dominated subtrees are
+    never generated), and representative repair plus the final
+    :meth:`Frontier.restore_generation_order` keep the result
+    **bit-identical** to the generation-order reduction; on a listed
+    stream that sort is a no-op.  ``order`` names the stream's order and
+    only decides whether such zero-search resolutions are counted in
+    ``stats.admissions_resolved_by_order`` (under ``"fine_to_coarse"``).
+    The budget is checked once per candidate, before the candidate is
+    reduced: nothing is buffered, so that is the earliest stop.  ``base``
+    is the tableau the candidates are quotients of; it lets the frontier
+    build its members' kernel indexes.
 
     ``tester`` is the stage-2 tester whose
     :meth:`~MembershipTester.known_rejected` the stream was built with
@@ -1494,8 +1468,8 @@ def _reduce_inline(
     """
     if tester is None:
         tester = MembershipTester(cls, stats)
-    reorder = order == "fine_to_coarse"
-    frontier = Frontier(base=base, stats=stats, ordered=reorder)
+    count_by_order = order == "fine_to_coarse"
+    frontier = Frontier(base=base, stats=stats)
     if budget is not None:
         budget.start()
         budget.register_probe(frontier.tracked_entries)
@@ -1509,16 +1483,10 @@ def _reduce_inline(
             break
         stats.generated += 1
         calls_before = stats.hom_le_calls
-        status = frontier.resolve(
-            candidate,
-            key=dominance_key(candidate),
-            generation=getattr(candidate, "generation", None),
-            membership=lambda: tester(candidate),
-            late_key=_deferred_class_key(candidate, stats),
-        )
+        status = frontier.resolve(candidate, lambda: tester(candidate))
         if status != "rejected":
             _mark_family_dominated(candidate)
-            if reorder and stats.hom_le_calls == calls_before:
+            if count_by_order and stats.hom_le_calls == calls_before:
                 stats.admissions_resolved_by_order += 1
         if checkpoint is not None:
             checkpoint.after_candidate(frontier, candidate)
@@ -1539,8 +1507,7 @@ def _reduce_inline(
             checkpoint.save_now(frontier)
         else:
             checkpoint.finalize()
-    if reorder:
-        frontier.restore_generation_order()
+    frontier.restore_generation_order()
     return frontier
 
 
@@ -1791,8 +1758,7 @@ def _resolve_admission_order(
         raise ValueError(f"unknown admission order {admission_order!r}")
     if admission_order != "auto":
         return admission_order
-    plain_stream = getattr(cls, "kind", None) == "graph" or max_extra_atoms <= 0
-    return "fine_to_coarse" if plain_stream else "insertion"
+    return "fine_to_coarse" if _plain_stream(cls, max_extra_atoms) else "insertion"
 
 
 def _resolve_generation_mode(generation: str, order: str) -> str:
@@ -1801,9 +1767,10 @@ def _resolve_generation_mode(generation: str, order: str) -> str:
     ``"auto"`` resolves by the admission order alone.  Fine-to-coarse
     streams (by default the plain quotient streams, serially and in every
     shard worker) go ``"orbit"``: the reducer canonicalizes at the point of
-    need (``late_key``) — only candidates the dominance memo, the refinement
-    index and a memoized class check all missed pay a canonization, so the
-    stream pays at most what canonical generation pays.  The orbit filter
+    need (:meth:`Frontier.resolve`) — only candidates the dominance memo,
+    the refinement index and a memoized class check all missed pay a
+    canonization, so the stream pays at most what canonical generation
+    pays.  The orbit filter
     stays on because on symmetric bases (cycles: ~10x duplication) it
     prunes the flood with an O(n·aut) integer test, and on rigid bases it
     costs nothing.  Every other stream — insertion-order plain streams and
@@ -1901,10 +1868,7 @@ def run_pipeline(
     if checkpoint_manager is not None:
         if sharded:
             raise ValueError("checkpointing requires a serial run (workers=1)")
-        plain_stream = (
-            getattr(cls, "kind", None) == "graph" or max_extra_atoms <= 0
-        )
-        if not plain_stream:
+        if not _plain_stream(cls, max_extra_atoms):
             raise ValueError(
                 "checkpointing requires a plain quotient stream (the "
                 "extension enumerator's dominance feedback makes its stream "
@@ -1965,7 +1929,7 @@ def run_pipeline(
     resume = None
     if checkpoint_manager is not None:
         run_key = (
-            "pipeline-checkpoint-v5",
+            "pipeline-checkpoint-v6",
             encode_tableau(tableau),
             cls.name,
             max_extra_atoms,

@@ -201,20 +201,6 @@ def _lattice_levels(
             levels.setdefault(count - 1, {}).update(children)
 
 
-def shard_prefixes(
-    n_elements: int, shard: tuple[int, int] | None
-) -> list[tuple[int, ...]] | None:
-    """Public face of the shard slicing, for dispatch-side introspection.
-
-    The fabric coordinator and its benches use this to reason about a
-    shard's slice — how many growth-string prefixes it owns and which —
-    without running the enumeration; the pipeline itself calls the same
-    logic through :func:`_candidate_source`.  Returns ``None`` for "the
-    whole stream" (``shard`` is ``None`` or the single shard of one).
-    """
-    return _shard_prefixes(n_elements, shard)
-
-
 def _partition_stream(
     n_elements: int, prefixes: list[tuple[int, ...]] | None
 ) -> Iterable[tuple[int, ...]]:

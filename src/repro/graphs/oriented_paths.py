@@ -44,11 +44,6 @@ def net_length(spec: str) -> int:
     return spec.count("0") - spec.count("1")
 
 
-def path_concat_spec(*specs: str) -> str:
-    """The string of the concatenation of oriented paths."""
-    return "".join(specs)
-
-
 def reverse_spec(spec: str) -> str:
     """The string of the reversed oriented path (walk it from the far end)."""
     return "".join("1" if ch == "0" else "0" for ch in reversed(spec))

@@ -104,9 +104,6 @@ class Hypergraph:
             raise ValueError("edges must be hyperedges of this hypergraph")
         return Hypergraph(chosen)
 
-    def edges_of(self, vertex: Vertex) -> list[frozenset[Vertex]]:
-        return [edge for edge in self._edges if vertex in edge]
-
 
 def hypergraph_of_query(query) -> Hypergraph:
     """``H(Q)`` for a :class:`~repro.cq.query.ConjunctiveQuery`."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.cq.structure import Structure
 from repro.cq.vocabulary import Vocabulary
@@ -272,7 +272,3 @@ def union_with_pattern(db: Structure, pattern: Structure, *, tag: str = "w") -> 
     """Plant a disjoint copy of ``pattern`` into ``db`` (a witness)."""
     renamed = pattern.rename({v: (tag, v) for v in pattern.domain})
     return db.union(renamed)
-
-
-def domain_values(db: Structure) -> Iterable:
-    return sorted(db.domain, key=repr)

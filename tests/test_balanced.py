@@ -13,6 +13,7 @@ from repro.graphs import (
     oriented_path,
     potentials,
 )
+from repro.graphs.gadgets import example_57_second, intro_q2
 from repro.homomorphism import homomorphism_exists
 
 
@@ -32,6 +33,13 @@ class TestBalanced:
 
     def test_oriented_paths_balanced(self):
         assert is_balanced(oriented_path("0010110").structure)
+
+    def test_example_57_second_digraph(self):
+        # Example 5.7's second digraph is the tableau of the introduction's
+        # Q2, which is balanced.
+        g = example_57_second()
+        assert g == intro_q2().tableau().structure
+        assert is_balanced(g)
 
     def test_balanced_iff_hom_to_directed_path(self):
         # Characterization used in Claim 5.2: G balanced iff G → P_k for some k.

@@ -179,7 +179,7 @@ class TestRepairWitnesses:
         # on any coarsening of its partition must surface exactly that
         # member as the repair witness.
         stats = PipelineStats()
-        frontier = Frontier(stats=stats, ordered=True)
+        frontier = Frontier(stats=stats)
         candidates = {
             candidate.block_count: candidate
             for candidate in iter_quotient_candidates(
@@ -187,9 +187,8 @@ class TestRepairWitnesses:
             )
         }
         identity = candidates[3]
-        assert (
-            frontier.resolve(identity, generation=0) == "admitted"
-        )  # membership=None: known member
+        identity.generation = 0
+        assert frontier.resolve(identity) == "admitted"  # known member
         hit, witness = frontier._refinement_lookup((0, 0, 0))
         assert hit
         assert witness is identity.materialize()
@@ -197,12 +196,13 @@ class TestRepairWitnesses:
         assert stats.representative_repairs == 0
 
     def test_miss_on_uncovered_partition(self):
-        frontier = Frontier(stats=PipelineStats(), ordered=True)
+        frontier = Frontier(stats=PipelineStats())
         candidates = list(
             iter_quotient_candidates(TRIANGLE.tableau(), generation="raw")
         )
         two_block = next(c for c in candidates if c.block_count == 2)
-        assert frontier.resolve(two_block, generation=0) == "admitted"
+        two_block.generation = 0
+        assert frontier.resolve(two_block) == "admitted"
         # The identity partition is strictly finer than any 2-block entry,
         # so it is not covered by the index.
         hit, _ = frontier._refinement_lookup((0, 1, 2))
@@ -212,19 +212,12 @@ class TestRepairWitnesses:
         # The historical _INDEX_CAP silently truncated the index; the trie
         # records every uncovered dominated-or-admitted candidate.
         stats = PipelineStats()
-        frontier = Frontier(stats=stats, ordered=True)
-        for generation, candidate in enumerate(
-            coarseness_ordered(
-                iter_quotient_candidates(
-                    TRIANGLE.tableau(), generation="raw"
-                )
-            )
+        frontier = Frontier(stats=stats)
+        for candidate in coarseness_ordered(
+            iter_quotient_candidates(TRIANGLE.tableau(), generation="raw")
         ):
-            frontier.resolve(
-                candidate,
-                generation=candidate.generation,
-                membership=lambda: True,
-            )
+            # coarseness_ordered stamps each candidate's generation.
+            frontier.resolve(candidate, membership=lambda: True)
         assert not hasattr(Frontier, "_INDEX_CAP")
         assert len(frontier._refinement_index) > 0
 
