@@ -14,12 +14,12 @@ elements of the set of class-C tableaux homomorphically above ``(T_Q, x̄)``.
   with bounded extension atoms; ``ApproximationConfig.max_extra_atoms`` caps
   how many are tried (1 by default — enough for the paper's worked examples,
   and every returned query is still guaranteed to be a class member
-  contained in ``Q``).  Extension-space runs stream through the same lazy
-  integer-form pipeline stage as plain quotients
-  (:func:`repro.core.quotients.iter_extended_candidates`): extension atoms
-  are enumerated over block + fresh ids, orbit-pruned per quotient family,
-  rejected candidates never build a ``Structure``, and one the class-check
-  memo already rejects is dropped before it is canonized.
+  contained in ``Q``).
+
+* Both spaces are enumerated once, in integer form, by
+  :mod:`repro.core.quotients`, and reduced by the staged pipeline of
+  :mod:`repro.core.pipeline`; the decision procedures of
+  :mod:`repro.core.identification` search the same stream.
 
 * For queries too large to enumerate, a randomized greedy descent provides a
   sound best-effort answer: a class member contained in ``Q`` that no
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.cq.minimize import minimize
 from repro.cq.query import ConjunctiveQuery
@@ -38,10 +37,6 @@ from repro.cq.tableau import Tableau
 from repro.core.classes import QueryClass
 from repro.core.pipeline import PipelineStats, run_pipeline
 from repro.runtime.budget import RunBudget
-from repro.core.quotients import (
-    iter_extended_tableaux,
-    iter_quotient_tableaux,
-)
 from repro.homomorphism.cores import core_tableau
 from repro.homomorphism.engine import default_engine
 from repro.util.partitions import partition_to_mapping
@@ -127,41 +122,6 @@ class ApproximationConfig:
 
 
 DEFAULT_CONFIG = ApproximationConfig()
-
-
-def candidate_tableaux(
-    query: ConjunctiveQuery,
-    cls: QueryClass,
-    config: ApproximationConfig = DEFAULT_CONFIG,
-) -> Iterable[Tableau]:
-    """The bounded witness space for ``Q`` and ``C`` (class members only).
-
-    Candidates are deduplicated by canonical form before the (expensive)
-    class-membership test: distinct partitions routinely produce isomorphic
-    quotients, and class membership and the downstream frontier are
-    isomorphism-invariant, so the dedup is lossless up to equivalence.
-
-    This is the serial reference stream, kept at the tableau level on
-    purpose (:mod:`repro.core.identification` consumes it as tableaux, and
-    the pipeline tests rebuild the pre-pipeline frontier from it); the
-    frontier construction itself goes through :mod:`repro.core.pipeline`,
-    which streams both quotients and extended candidates in lazy integer
-    form, memoizes membership verdicts, and can spread shards over local
-    slot processes.
-    """
-    tableau = query.tableau()
-    if cls.kind == "graph":
-        source = iter_quotient_tableaux(tableau, dedup=True)
-    else:
-        source = iter_extended_tableaux(
-            tableau,
-            max_extra_atoms=config.max_extra_atoms,
-            allow_fresh=config.allow_fresh,
-            dedup=True,
-        )
-    for candidate in source:
-        if cls.contains_tableau(candidate):
-            yield candidate
 
 
 def approximation_frontier(
@@ -276,9 +236,9 @@ def greedy_approximate(
     two phases with separate budgets: the *start-point search* samples
     quotients (coarsest first) until it finds any class member, giving up
     after ``greedy_start_rounds`` misses; the *descent* then repeatedly
-    samples quotients (random refinements of the current kernel and fully
-    random partitions), accepting any candidate strictly lower in the
-    →-order, and stops after ``greedy_rounds`` consecutive failures.
+    samples quotients (the current kernel with one block split at random,
+    and fully random partitions), accepting any candidate strictly lower in
+    the →-order, and stops after ``greedy_rounds`` consecutive failures.
     """
     if tableau is None:
         tableau = query.tableau()

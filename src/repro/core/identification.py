@@ -12,7 +12,9 @@ chosen of bounded size: for graph-based classes its tableau is a
 class-member homomorphic image of ``T_Q`` (the ``Im(g)`` argument in the
 DP-membership proof), so enumerating quotients is a complete witness search.
 For hypergraph-based classes the bounded witness space additionally carries
-extension atoms (Claim 6.2); the cap is configurable.
+extension atoms (Claim 6.2); the cap is configurable.  Both are the
+candidate stream the approximation pipeline reduces
+(:mod:`repro.core.quotients`).
 
 Theorem 4.12 shows the problem is DP-complete even for acyclic digraph
 cores; the benchmark ``bench_identification`` measures this procedure's
@@ -24,8 +26,9 @@ from __future__ import annotations
 from repro.cq.containment import is_contained_in
 from repro.cq.query import ConjunctiveQuery
 from repro.cq.tableau import Tableau
-from repro.core.approximation import ApproximationConfig, DEFAULT_CONFIG, candidate_tableaux
+from repro.core.approximation import ApproximationConfig, DEFAULT_CONFIG
 from repro.core.classes import QueryClass
+from repro.core.pipeline import MembershipTester, PipelineStats, _candidate_source
 from repro.homomorphism.orders import hom_le
 
 
@@ -37,12 +40,25 @@ def better_witness(
 ) -> ConjunctiveQuery | None:
     """A ``Q'' ∈ C`` with ``candidate ⊂ Q'' ⊆ query``, or ``None``.
 
-    Searches the bounded witness space of the class.  In tableau terms a
-    witness ``d`` satisfies ``T_Q → d``, ``d → T_candidate`` and
-    ``T_candidate ↛ d``.
+    Searches the bounded witness space of the class: the approximation
+    pipeline's stage-1 stream, its class members checked by a
+    :class:`~repro.core.pipeline.MembershipTester` and only those
+    materialized.  In tableau terms a witness ``d`` satisfies ``T_Q → d``,
+    ``d → T_candidate`` and ``T_candidate ↛ d``; the first one in stream
+    order is returned.
     """
     candidate_tab = candidate.tableau()
-    for witness in candidate_tableaux(query, cls, config):
+    tester = MembershipTester(cls, PipelineStats())
+    for stage1 in _candidate_source(
+        query.tableau(),
+        cls,
+        max_extra_atoms=config.max_extra_atoms,
+        allow_fresh=config.allow_fresh,
+        known_rejected=tester.known_rejected,
+    ):
+        if not tester(stage1):
+            continue
+        witness = stage1.materialize()
         if hom_le(witness, candidate_tab) and not hom_le(candidate_tab, witness):
             return ConjunctiveQuery.from_tableau(witness, prefix="w")
     return None

@@ -275,14 +275,19 @@ class PipelineStats:
     #: ``check_memo_hit`` only.
     generated: int = 0
     checks_run: int = 0
-    #: Canonical keys computed *at reduction time* (raw/orbit streams only):
-    #: a candidate that survives the free absorption checks — the dominance
+    #: Canonical keys computed *at reduction time* (``Frontier._class_key``)
+    #: for a candidate that reaches the class-status memo without a stage-1
+    #: ``key``: any candidate of the orbit and raw streams, and on canonical
+    #: streams the identity quotient, candidates past the canonizer's effort
+    #: cap and wrapped tableaux (``QuotientCandidate.from_tableau``).  Such
+    #: a candidate survived the free absorption checks — the dominance
     #: memo, the refinement index, and (check-first) a memoized membership
-    #: rejection — is keyed just before its dominance scan, so isomorphic
-    #: repeats the stream did not deduplicate still skip their searches
-    #: through the class-status memo.  This is the stage-1 canonicalization
-    #: tax moved behind the absorption filters: member-heavy streams barely
-    #: pay it at all, and rejected candidates never do.
+    #: rejection — and is keyed just before its dominance scan, so
+    #: isomorphic repeats the stream did not deduplicate still skip their
+    #: searches through the class-status memo.  This is the stage-1
+    #: canonicalization tax moved behind the absorption filters:
+    #: member-heavy streams barely pay it at all, and rejected candidates
+    #: never do.
     late_canonizations: int = 0
     #: Candidates resolved by the isomorphism-class status memo (an earlier
     #: isomorphic candidate's admitted/dominated outcome decided this one

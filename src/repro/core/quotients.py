@@ -2,43 +2,41 @@
 
 Theorem 4.1 shows that every graph-based C-approximation of ``Q`` is
 equivalent to one whose tableau is a homomorphic image of ``(T_Q, x̄)`` —
-i.e. a quotient of the tableau by a partition of its variables.  This module
-enumerates those quotients.
-
-For hypergraph-based classes quotients alone are not enough: acyclic
+i.e. a quotient of the tableau by a partition of its variables.  For
+hypergraph-based classes quotients alone are not enough: acyclic
 hypergraphs are not closed under subhypergraphs, and Claim 6.2 repairs
 quotients by *adding* bounded extension atoms (possibly with fresh padding
 variables; see Example 6.6's third approximation, which has more atoms than
-the query it approximates).  ``iter_extended_tableaux`` enumerates quotients
-together with bounded sets of extension atoms; its deduplicated form runs on
-``iter_extended_candidates``, which enumerates extension atoms directly over
-the integer-form quotient (block ids plus a fresh-id namespace starting at
-``block_count``), prunes extension sets that are equivalent modulo the
-quotient's automorphism orbits before any key or ``Structure`` exists, and
-keys the survivors with the same fact-level canonical form as the plain
-quotient stream — so an extended candidate that happens to be isomorphic to
-an earlier plain quotient (or to an earlier extended candidate of another
-quotient) is deduplicated too.
+the query it approximates).
 
-Both enumerators accept ``dedup=True``: candidates are then deduplicated by
-the canonical form of their integer form
-(:func:`repro.homomorphism.signatures.canonical_key_indexed`), which every
-base has (:func:`_integer_form`: an element in no fact is a block without
-facts).  Distinct partitions of a symmetric tableau routinely produce
-isomorphic quotients (a directed ``n``-cycle has ``Bell(n)`` partitions but
-far fewer quotients up to isomorphism), and every downstream consumer —
-class-membership tests, the frontier's ``hom_le`` churn, core computation —
-is isomorphism-invariant, so deduplication changes nothing up to homomorphic
-equivalence while shrinking the candidate stream several-fold.
+This module enumerates that witness space once, in integer form.
+:func:`iter_quotient_candidates` yields one :class:`QuotientCandidate` per
+surviving partition; :func:`iter_extended_candidates` follows each with its
+family of :class:`ExtensionCandidate` objects, whose extension atoms range
+over block ids plus a fresh-id namespace starting at ``block_count`` and are
+pruned modulo the quotient's automorphism orbits before any key or
+``Structure`` exists.  A candidate builds its tableau only when
+:meth:`~QuotientCandidate.materialize` is called;
+:func:`iter_quotient_tableaux` is the materialized view of the quotient
+stream.
 
-Every isomorphism class is represented in the deduplicated output exactly
-once, except that structures beyond the canonizer's effort cap pass through
-unkeyed (and so may repeat).  The default stays ``dedup=False``: the raw
-stream is in bijection with set partitions, which ``quotient_count`` and
-several callers rely on.
+Both streams deduplicate by the canonical form of the integer form
+(:func:`repro.homomorphism.signatures.canonical_key_indexed`), in one
+keyspace, so an extended candidate isomorphic to an earlier plain quotient
+(or to an earlier extended candidate of another quotient) is dropped too.
+Distinct partitions of a symmetric tableau routinely produce isomorphic
+quotients (a directed ``n``-cycle has ``Bell(n)`` partitions but far fewer
+quotients up to isomorphism), and every consumer — class-membership tests,
+the frontier's ``hom_le`` churn, core computation — is
+isomorphism-invariant, so deduplication changes nothing up to homomorphic
+equivalence while shrinking the stream several-fold.  The listed quotient
+stream is the growth-string listing of all partitions with every
+isomorphic repeat left out: the first copy of each isomorphism class stays
+in place (structures beyond the canonizer's effort cap pass through
+unkeyed, and so may repeat).
 
 ``iter_quotient_candidates`` takes a ``generation`` regime, fixed for the
-whole stream: ``"canonical"`` (full fact-level dedup), ``"orbit"``
+whole stream: ``"canonical"`` (the dedup above, the default), ``"orbit"``
 (automorphism-orbit pruning only) or ``"raw"`` (no stage-1 dedup;
 downstream memos and the refinement index absorb the repeats).  Every
 regime prunes only candidates isomorphic to an earlier stream element.
@@ -61,7 +59,6 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Iterator
 
-from repro.cq.structure import Structure
 from repro.cq.tableau import Tableau
 from repro.homomorphism.signatures import canonical_key_indexed
 from repro.util.naming import fresh_names
@@ -70,7 +67,6 @@ from repro.util.partitions import (
     bell_number,
     partition_to_mapping,
     rgs_codes,
-    rgs_prefixes,
 )
 
 
@@ -104,7 +100,7 @@ def _shard_prefixes(
     while depth < n_elements and bell_number(depth) < 4 * count:
         depth += 1
     depth = min(depth, n_elements)
-    prefixes = rgs_prefixes(depth)
+    prefixes = list(rgs_codes(depth))
     completions = _completion_counts(n_elements - depth, depth)
     sizes = [completions[max(prefix) + 1] for prefix in prefixes]
     loads = [0] * count
@@ -399,8 +395,8 @@ class QuotientCandidate:
         return self._facts
 
     def materialize(self) -> Tableau:
-        """The quotient tableau (built once, identical to the historical
-        ``tableau.rename(partition_to_mapping(partition))``)."""
+        """The quotient tableau, built once:
+        ``tableau.rename(partition_to_mapping(partition))``."""
         if self._tableau is None:
             self._tableau = self._base.rename(
                 partition_to_mapping(self.partition)
@@ -418,8 +414,8 @@ def iter_quotient_candidates(
 ) -> Iterator[QuotientCandidate]:
     """The quotient candidate stream in lazy (unmaterialized) form.
 
-    This is the stage-1 engine behind ``iter_quotient_tableaux(dedup=True)``
-    and the approximation pipeline: one candidate per surviving partition,
+    This is the stage-1 engine behind :func:`iter_quotient_tableaux` and
+    the approximation pipeline: one candidate per surviving partition,
     in restricted-growth-string order.  ``shard=(index, count)`` restricts
     enumeration to one of ``count`` disjoint partition-prefix slices (dedup
     state is shard-local, so cross-shard duplicates survive and must be
@@ -582,89 +578,15 @@ def coarseness_buckets(candidates: Iterable) -> list[list]:
     return [buckets[count] for count in sorted(buckets, reverse=True)]
 
 
-def iter_quotient_tableaux(
-    tableau: Tableau,
-    *,
-    dedup: bool = False,
-    shard: tuple[int, int] | None = None,
-) -> Iterator[Tableau]:
-    """All quotients of a tableau, one per set partition of its domain.
+def iter_quotient_tableaux(tableau: Tableau) -> Iterator[Tableau]:
+    """The quotients of a tableau, one per isomorphism class, materialized.
 
-    The identity quotient (the tableau itself) is included.  The number of
-    quotients is ``bell_number(|domain|)``; with ``dedup=True`` isomorphic
-    quotients are pruned by canonical form, which can leave far fewer.
-
-    The dedup path delegates to :func:`iter_quotient_candidates`, which
-    canonizes straight off the partition — facts mapped to integer block
-    ids, no ``Structure`` built — so duplicated quotients cost one
-    canonical-form computation and nothing else.  ``shard`` is documented
-    there and works on both streams.
+    The tableau view of :func:`iter_quotient_candidates`: each partition's
+    quotient in growth-string order, from the one-block quotient to the
+    tableau itself, unless an earlier quotient is isomorphic to it.
     """
-    if not dedup:
-        elements = sorted(tableau.structure.domain, key=repr)
-        prefixes = _shard_prefixes(len(elements), shard)
-        for code in _partition_stream(len(elements), prefixes):
-            yield tableau.rename(partition_to_mapping(_blocks_of(elements, code)))
-        return
-    for candidate in iter_quotient_candidates(tableau, shard=shard):
+    for candidate in iter_quotient_candidates(tableau):
         yield candidate.materialize()
-
-
-def quotient_count(tableau: Tableau) -> int:
-    return bell_number(len(tableau.structure.domain))
-
-
-def iter_extension_atoms(
-    structure: Structure,
-    *,
-    allow_fresh: bool = True,
-    min_cover: int = 2,
-) -> Iterator[tuple[str, tuple]]:
-    """Candidate extension atoms over a quotient's domain.
-
-    Each candidate is a fact ``R(t)`` whose entries are existing elements or
-    fresh padding variables (marked as ``("fresh", i)`` placeholders, later
-    renamed).  Mirroring Claim 6.2's extension tuples we require the atom to
-    cover at least ``min_cover`` existing elements — extension atoms exist to
-    cover (hyper-)edges, and covers of fewer than two elements cannot change
-    the hypergraph's cyclicity.
-    """
-    domain = sorted(structure.domain, key=repr)
-    for name in sorted(structure.vocabulary):
-        arity = structure.arity(name)
-        pool: list = list(domain)
-        if allow_fresh:
-            pool = pool + [None]  # None = a fresh element at this position
-        for pattern in itertools.product(pool, repeat=arity):
-            concrete = [value for value in pattern if value is not None]
-            if len(set(concrete)) < min_cover:
-                continue
-            fresh_index = itertools.count()
-            row = tuple(
-                ("fresh", next(fresh_index)) if value is None else value
-                for value in pattern
-            )
-            if row in structure.tuples(name):
-                continue
-            yield name, row
-
-
-def _with_extensions(
-    base: Tableau, extras: tuple[tuple[str, tuple], ...]
-) -> Tableau:
-    """Attach extension atoms, renaming fresh markers to real fresh names."""
-    namer = fresh_names(
-        {str(value) for value in base.structure.domain}, prefix="z"
-    )
-    facts = []
-    for name, row in extras:
-        concrete_row = tuple(
-            next(namer) if isinstance(value, tuple) and value and value[0] == "fresh"
-            else value
-            for value in row
-        )
-        facts.append((name, concrete_row))
-    return Tableau(base.structure.add_facts(facts), base.distinguished)
 
 
 class ExtensionCandidate:
@@ -676,9 +598,7 @@ class ExtensionCandidate:
     block_count - 1``, so the integer facts describe the full extended
     structure and the pipeline's membership/dominance keys and integer
     class checks work unchanged.  The tableau is built on demand only
-    (:meth:`materialize`), through the same ``_with_extensions`` path as
-    the historical enumerator, so surviving candidates are bit-identical
-    to the pre-stream implementation while rejected ones never build a
+    (:meth:`materialize`), so a rejected candidate never builds a
     ``Structure``.  ``key`` is the fact-level canonical form the enumerator
     deduplicated the candidate under (``None`` beyond the canonizer's
     effort cap).  ``parent`` is the family's quotient candidate (possibly
@@ -735,23 +655,29 @@ class ExtensionCandidate:
         return self._facts
 
     def materialize(self) -> Tableau:
-        """The extended tableau, identical to the historical
-        ``_with_extensions(quotient, extras)`` construction (block ids are
-        resolved to block representatives, fresh ids to fresh markers that
-        ``_with_extensions`` names ``z0, z1, ...`` in atom order)."""
+        """The extended tableau: the parent quotient's tableau plus the
+        extension atoms, block ids resolved to block representatives and
+        fresh markers named ``z0, z1, ...`` apart from the quotient's
+        elements, in atom order."""
         if self._tableau is None:
+            quotient = self.parent.materialize()
             partition = self.parent.partition
-            extras = tuple(
+            namer = fresh_names(
+                {str(value) for value in quotient.structure.domain}, prefix="z"
+            )
+            facts = [
                 (
                     name,
                     tuple(
-                        partition[value][0] if isinstance(value, int) else value
+                        partition[value][0] if isinstance(value, int) else next(namer)
                         for value in row
                     ),
                 )
                 for name, row in self.extension[1]
+            ]
+            self._tableau = Tableau(
+                quotient.structure.add_facts(facts), quotient.distinguished
             )
-            self._tableau = _with_extensions(self.parent.materialize(), extras)
         return self._tableau
 
 
@@ -847,16 +773,17 @@ def _integer_extension_pool(
     quotient_facts: tuple[tuple[int, tuple[int, ...]], ...],
     allow_fresh: bool,
 ) -> list[tuple[int, tuple]]:
-    """Candidate extension atoms over a quotient's block ids.
+    """Candidate extension atoms over a quotient's block ids: Claim 6.2's
+    extension tuples.
 
-    The integer mirror of :func:`iter_extension_atoms`, in the same
-    enumeration order — relation ids ascending (= sorted relation names),
-    block ids ascending (= the quotient's block representatives sorted by
-    repr, since blocks are ordered by their first element), the fresh
-    marker last.  Each atom is ``(relation_id, row)`` with entries block
-    ids or per-atom ``("fresh", i)`` markers; atoms must cover at least two
-    existing blocks (Claim 6.2's ``min_cover``) and not duplicate a
-    quotient fact.
+    Relation ids ascend (the sorted vocabulary, so a relation without facts
+    names atoms too), and within a relation rows run over block ids
+    ascending with the fresh marker last.  Each atom is ``(relation_id,
+    row)`` with entries block ids or per-atom ``("fresh", i)`` markers.  An
+    atom covers at least two existing blocks — extension atoms exist to
+    cover (hyper)edges, and a cover of fewer than two elements cannot
+    change the hypergraph's cyclicity — and does not repeat a quotient
+    fact.
     """
     fact_set = set(quotient_facts)
     pool: list[tuple[int, tuple]] = []
@@ -913,8 +840,8 @@ def iter_extended_candidates(
       :func:`~repro.homomorphism.signatures.canonical_key_indexed` over the
       combined integer facts, in a keyspace shared with the quotient
       stream's own keys, so an extended candidate isomorphic to an earlier
-      plain quotient — the historical blind spot — or to an earlier
-      extended candidate of a *different* quotient deduplicates too.
+      plain quotient, or to an earlier extended candidate of a *different*
+      quotient, deduplicates too.
 
     Like the quotient stream the dedup prunes only candidates isomorphic to
     an earlier stream element, which keeps downstream frontiers
@@ -1053,50 +980,3 @@ def iter_extended_candidates(
                     distinguished,
                     key,
                 )
-
-
-def iter_extended_tableaux(
-    tableau: Tableau,
-    *,
-    max_extra_atoms: int = 1,
-    allow_fresh: bool = True,
-    dedup: bool = False,
-    shard: tuple[int, int] | None = None,
-) -> Iterator[Tableau]:
-    """Quotients plus up to ``max_extra_atoms`` extension atoms each.
-
-    This is the hypergraph-class candidate space (Theorem 6.1 / Claim 6.2),
-    truncated by ``max_extra_atoms``: the paper's bound on extension tuples
-    is polynomial in ``|Q|``, and the enumeration cost grows steeply, so the
-    cap is an explicit knob.  With ``max_extra_atoms=0`` this degenerates to
-    plain quotients.
-
-    ``dedup=True`` delegates to :func:`iter_extended_candidates` and
-    materializes each survivor: isomorphic candidates are pruned at the
-    quotient level, within each quotient's extension family
-    (automorphism-orbit pruning), and across the whole stream through one
-    shared fact-level keyspace — including extended candidates isomorphic
-    to plain quotients, which the historical tableau-level dedup never
-    cross-checked.  ``shard`` mirrors :func:`iter_quotient_tableaux`:
-    sharding splits at the quotient level (each quotient's whole extension
-    family stays in its shard).
-    """
-    if not dedup:
-        for quotient in iter_quotient_tableaux(tableau, dedup=False, shard=shard):
-            yield quotient
-            if max_extra_atoms <= 0:
-                continue
-            extension_pool = list(
-                iter_extension_atoms(quotient.structure, allow_fresh=allow_fresh)
-            )
-            for count in range(1, max_extra_atoms + 1):
-                for extras in itertools.combinations(extension_pool, count):
-                    yield _with_extensions(quotient, extras)
-        return
-    for candidate in iter_extended_candidates(
-        tableau,
-        max_extra_atoms=max_extra_atoms,
-        allow_fresh=allow_fresh,
-        shard=shard,
-    ):
-        yield candidate.materialize()

@@ -16,10 +16,14 @@ tableau — verifying all betweenness conditions explicitly.  A returned
 witness always disproves the gap; exhaustion certifies the gap relative to
 the searched families (which cover the path/gadget instances of
 Proposition 5.6: the natural witnesses between path queries are sub-paths
-of the lower tableau).
+of the lower tableau).  Fact subsets are searched up to 14 facts; past
+that, a search that found no quotient witness raises instead of claiming a
+gap it never checked.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from repro.cq.containment import is_contained_in, is_strictly_contained_in
 from repro.cq.query import ConjunctiveQuery
@@ -39,23 +43,30 @@ def _is_between(witness: Tableau, lower_tab: Tableau, upper_tab: Tableau) -> boo
 
     ``lower ⊂ W ⊂ upper`` in query terms is, on tableaux:
     ``T_upper → W`` and ``W ↛ T_upper`` (strictly below upper), and
-    ``W → T_lower`` and ``T_lower ↛ W`` (strictly above lower).
+    ``W → T_lower`` and ``T_lower ↛ W`` (strictly above lower).  The
+    lower side goes first: a quotient of ``T_upper`` trivially receives
+    ``T_upper``, and mapping it into the lower tableau is the cheaper
+    refutation.
     """
     return (
-        hom_le(upper_tab, witness)
-        and not hom_le(witness, upper_tab)
-        and hom_le(witness, lower_tab)
+        hom_le(witness, lower_tab)
         and not hom_le(lower_tab, witness)
+        and hom_le(upper_tab, witness)
+        and not hom_le(witness, upper_tab)
     )
 
 
 def _fact_substructures(tableau: Tableau, *, max_facts: int = 14):
-    """All substructures of a tableau induced by non-empty fact subsets."""
-    import itertools
-
+    """All substructures of a tableau induced by non-empty proper fact
+    subsets.  Raises ``ValueError`` (on the first ``next``) past
+    ``max_facts`` facts, where the ``2^facts`` subsets are not searched: a
+    search that skipped them would report a gap it never checked."""
     facts = list(tableau.structure.facts())
     if len(facts) > max_facts:
-        return
+        raise ValueError(
+            f"lower query has {len(facts)} atoms; the substructure search "
+            f"of gap checking is capped at {max_facts}"
+        )
     needed = set(tableau.distinguished)
     for size in range(1, len(facts)):
         for subset in itertools.combinations(facts, size):
@@ -76,9 +87,12 @@ def gap_witness(
     """A CQ strictly between ``lower ⊂ Q'' ⊂ upper``, or ``None``.
 
     Sound: any returned query verifiably sits strictly between.  The search
-    covers homomorphic images of ``T_upper`` and fact-substructures of
+    covers homomorphic images of ``T_upper`` (one per isomorphism class, as
+    betweenness is isomorphism-invariant) and fact-substructures of
     ``T_lower`` (see the module docstring for the completeness discussion).
-    Assumes ``lower ⊆ upper``.
+    Requires ``lower ⊆ upper``; raises ``ValueError`` past
+    ``config.exact_limit`` variables in ``upper``, and past 14 atoms in
+    ``lower`` when no quotient of ``T_upper`` is a witness.
     """
     if not is_contained_in(lower, upper):
         raise ValueError("gap_witness expects lower ⊆ upper")

@@ -1,9 +1,12 @@
-"""Set partitions, enumerated via restricted growth strings.
+"""Set partitions as restricted growth strings.
 
 The approximation algorithms of the paper enumerate homomorphic images of a
 tableau.  Every homomorphic image of a structure is (isomorphic to) a quotient
 by the kernel of the homomorphism, so enumerating images amounts to
-enumerating set partitions of the domain (Theorem 4.1 of the paper).
+enumerating set partitions of the domain (Theorem 4.1 of the paper).  A
+partition is coded by its restricted growth string over a fixed element
+order (:func:`rgs_codes`); :func:`code_coarsens` and :class:`RefinementTrie`
+answer refinement queries on those codes.
 """
 
 from __future__ import annotations
@@ -74,15 +77,6 @@ def rgs_codes(
             return
 
 
-def rgs_prefixes(depth: int) -> list[tuple[int, ...]]:
-    """All restricted growth strings of length ``depth``, lexicographically.
-
-    There are ``bell_number(depth)`` of them; they shard the partitions of
-    any set with at least ``depth`` elements into disjoint slices.
-    """
-    return list(rgs_codes(depth))
-
-
 def _blocks_of(
     items: Sequence[Hashable], codes: Sequence[int]
 ) -> tuple[tuple[Hashable, ...], ...]:
@@ -91,29 +85,6 @@ def _blocks_of(
     for item, code in zip(items, codes):
         blocks[code].append(item)
     return tuple(tuple(block) for block in blocks)
-
-
-def set_partitions(
-    items: Sequence[Hashable], *, prefix: Sequence[int] | None = None
-) -> Iterator[tuple[tuple[Hashable, ...], ...]]:
-    """Yield every set partition of ``items`` as a tuple of blocks.
-
-    Partitions are produced in restricted-growth-string order; each block is a
-    tuple preserving the original order of ``items``, and blocks are ordered
-    by their first element.  The number of partitions is ``bell_number(n)``.
-    With ``prefix`` (a restricted growth string over the first ``len(prefix)``
-    items) only the partitions extending that prefix are produced — see
-    :func:`rgs_codes`.
-    """
-    items = list(items)
-    n = len(items)
-    if n == 0:
-        if prefix:
-            raise ValueError("non-empty prefix for an empty item sequence")
-        yield ()
-        return
-    for codes in rgs_codes(n, prefix=prefix or ()):
-        yield _blocks_of(items, codes)
 
 
 def code_coarsens(
@@ -299,41 +270,3 @@ def partition_to_mapping(
                 raise ValueError(f"element {element!r} occurs in two blocks")
             mapping[element] = representative
     return mapping
-
-
-def canonical_partition(
-    partition: Iterable[Sequence[Hashable]],
-) -> frozenset[frozenset[Hashable]]:
-    """A hashable, order-insensitive form of a partition."""
-    return frozenset(frozenset(block) for block in partition)
-
-
-def refinements(
-    partition: Sequence[Sequence[Hashable]],
-) -> Iterator[tuple[tuple[Hashable, ...], ...]]:
-    """Yield all proper refinements of ``partition``.
-
-    A refinement splits at least one block into smaller blocks; the trivial
-    refinement (the partition itself) is not produced.  Used by the greedy
-    descent of the approximation search.
-    """
-    blocks = [tuple(block) for block in partition]
-
-    def sub_partitions(block: tuple[Hashable, ...]) -> list[tuple[tuple[Hashable, ...], ...]]:
-        return list(set_partitions(block))
-
-    choices = [sub_partitions(block) for block in blocks]
-
-    def recurse(index: int, acc: list[tuple[Hashable, ...]], proper: bool) -> Iterator[
-        tuple[tuple[Hashable, ...], ...]
-    ]:
-        if index == len(blocks):
-            if proper:
-                yield tuple(acc)
-            return
-        for option in choices[index]:
-            yield from recurse(
-                index + 1, acc + list(option), proper or len(option) > 1
-            )
-
-    yield from recurse(0, [], False)

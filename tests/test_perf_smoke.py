@@ -29,8 +29,6 @@ from repro.core import (
     approximation_frontier,
     run_pipeline,
 )
-from repro.core.pipeline import PipelineStats, _reduce_inline
-from repro.core.quotients import QuotientCandidate
 from repro.cq import is_contained_in, parse_query
 from repro.evaluation import numpy_available
 from repro.workloads import cycle_with_chords, random_graph_query
@@ -110,38 +108,28 @@ class TestPerfSmoke:
 
     @pytest.mark.slow
     def test_extension_stream_faster_than_materialized_path(self):
-        # The integer-form extension stream (Claim 6.2 candidates over
-        # block + fresh ids, family-dominance shortcut, fact-level keys)
-        # must stay well ahead of the historical materialized path — the
-        # replica (shared with the differential suite) is the pre-stream
-        # algorithm fed through the same reduction.  Current speedup is
-        # ~20x on this workload; the 2x guard plus the skip on
-        # unmeasurably fast baselines keeps the test from ever flaking on
-        # noise.
-        from test_pipeline import legacy_extended_stream
+        # The pipeline (integer-form class checks and their memo, the
+        # family-dominance and memoized-rejection skips at the source, the
+        # frontier's shortcuts) must stay well ahead of the naive
+        # materialized reduction of the same stream (shared with the
+        # differential suite).  Current speedup is ~25x on this workload;
+        # the 2x guard plus the skip on unmeasurably fast baselines keeps
+        # the test from ever flaking on noise.
+        from test_pipeline import naive_frontier
 
         tableau = parse_query(
             "Q() :- R(x1, x2, x3), R(x3, x4, x5), R(x5, x6, x1)"
         ).tableau()
         cls = HypertreeClass(2)
-        legacy_s, legacy = elapsed(
-            lambda: _reduce_inline(
-                (
-                    QuotientCandidate.from_tableau(t)
-                    for t in legacy_extended_stream(tableau, 1, False)
-                ),
-                cls,
-                PipelineStats(),
-            )
-        )
+        naive_s, naive = elapsed(lambda: naive_frontier(tableau, cls, 1, False))
         stream_s, result = elapsed(
             lambda: run_pipeline(tableau, cls, max_extra_atoms=1, allow_fresh=False)
         )
-        assert result.frontier == legacy.members, "stream must stay bit-identical"
-        if legacy_s < 0.2:
-            pytest.skip(f"baseline too fast to compare reliably ({legacy_s:.3f}s)")
-        assert stream_s * 2.0 < legacy_s, (
-            f"extension stream took {stream_s:.2f}s vs {legacy_s:.2f}s legacy — "
+        assert result.frontier == naive, "stream must stay bit-identical"
+        if naive_s < 0.2:
+            pytest.skip(f"baseline too fast to compare reliably ({naive_s:.3f}s)")
+        assert stream_s * 2.0 < naive_s, (
+            f"pipeline took {stream_s:.2f}s vs {naive_s:.2f}s naive — "
             "the ≥2x speedup guard tripped"
         )
 

@@ -29,21 +29,29 @@ from repro.core import (
 )
 import repro.core.pipeline as pipeline_module
 import repro.core.quotients as quotients_module
-from repro.core.approximation import candidate_tableaux
-from repro.core.pipeline import PipelineStats, _reduce_inline, candidate_check_key
+from repro.core.pipeline import (
+    PipelineStats,
+    _candidate_source,
+    _reduce_inline,
+    candidate_check_key,
+)
 from repro.core.quotients import (
     QuotientCandidate,
     _shard_prefixes,
-    _with_extensions,
     coarseness_ordered,
-    iter_extension_atoms,
     iter_quotient_candidates,
     iter_quotient_tableaux,
 )
 from repro.homomorphism.engine import default_engine
 from repro.cq import Structure, Tableau, parse_query
 from repro.homomorphism import hom_equivalent
-from repro.util import bell_number, rgs_codes, set_partitions
+from repro.testing.reference import (
+    equivalent_frontiers,
+    partitions,
+    reference_frontier,
+    structure_of,
+)
+from repro.util import bell_number, rgs_codes
 from repro.workloads import cycle_with_chords, random_graph_query
 
 TRIANGLE = parse_query("Q() :- E(x, y), E(y, z), E(z, x)")
@@ -68,23 +76,20 @@ class TestRgsSharding:
             list(rgs_codes(4, prefix=(0, 2)))  # 2 > max(0)+1
 
     def test_shards_disjointly_cover_the_partition_stream(self):
-        items = list("abcde")
-        full = list(set_partitions(items))
+        full = list(partitions(5))
         for count in (2, 3, 4):
             shards = []
             for index in range(count):
-                prefixes = _shard_prefixes(len(items), (index, count))
+                prefixes = _shard_prefixes(5, (index, count))
                 shards.append(
                     list(
                         itertools.chain.from_iterable(
-                            set_partitions(items, prefix=p) for p in prefixes
+                            partitions(5, p) for p in prefixes
                         )
                     )
                 )
             assert sum(len(s) for s in shards) == len(full)
-            assert sorted(map(repr, itertools.chain.from_iterable(shards))) == sorted(
-                map(repr, full)
-            )
+            assert sorted(itertools.chain.from_iterable(shards)) == sorted(full)
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_shards_get_near_equal_slices(self, n):
@@ -104,14 +109,18 @@ class TestRgsSharding:
     def test_sharded_quotients_cover_all_isomorphism_classes(self):
         tableau = cycle_with_chords(5).tableau()
         serial_keys = {
-            t.structure for t in iter_quotient_tableaux(tableau, dedup=False)
+            c.materialize().structure
+            for c in iter_quotient_candidates(tableau, generation="raw")
         }
         sharded = []
         for index in range(3):
             sharded.extend(
-                iter_quotient_tableaux(tableau, dedup=False, shard=(index, 3))
+                iter_quotient_candidates(
+                    tableau, generation="raw", shard=(index, 3)
+                )
             )
-        assert {t.structure for t in sharded} == serial_keys
+        assert len(sharded) == bell_number(5)
+        assert {c.materialize().structure for c in sharded} == serial_keys
 
 
 class TestTableauCodec:
@@ -161,7 +170,7 @@ class TestCandidateCheckKey:
 
     def test_memoized_stream_matches_direct_checks(self):
         tableau = TERNARY.tableau()
-        candidates = list(iter_quotient_tableaux(tableau, dedup=True))
+        candidates = list(iter_quotient_tableaux(tableau))
         for cls in (AC, HypertreeClass(2)):
             direct = [cls.contains_tableau(c) for c in candidates]
             stats = PipelineStats()
@@ -174,13 +183,20 @@ class TestCandidateCheckKey:
             assert stats.checks_run + stats.check_memo_hits == len(candidates)
 
 
-def candidate_tableaux_frontier(query, cls, config):
-    """The pre-pipeline serial algorithm: every class member of the
-    :func:`candidate_tableaux` stream meets the frontier in stream order
-    through the engine's memoized ``hom_le``."""
+def naive_frontier(tableau, cls, max_extra_atoms, allow_fresh):
+    """Corollary 4.3's reduction with none of the frontier's shortcuts:
+    every class member of the stage-1 stream (``contains_tableau`` on the
+    materialized tableau, no check memo, no feedback to the stream) meets
+    the frontier in stream order through the engine's memoized
+    ``hom_le``."""
     engine = default_engine()
     frontier = []
-    for candidate in candidate_tableaux(query, cls, config):
+    for stage1 in _candidate_source(
+        tableau, cls, max_extra_atoms=max_extra_atoms, allow_fresh=allow_fresh
+    ):
+        candidate = stage1.materialize()
+        if not cls.contains_tableau(candidate):
+            continue
         if any(engine.hom_le(member, candidate) for member in frontier):
             continue
         frontier = [m for m in frontier if not engine.hom_le(candidate, m)]
@@ -190,7 +206,9 @@ def candidate_tableaux_frontier(query, cls, config):
 
 class TestDeterminism:
     """`all_approximations` must not depend on the worker count or run,
-    and must equal the pre-pipeline serial algorithm down to the bit."""
+    must equal the naive reduction of its stream down to the bit, and must
+    match the definition-level reference where it reaches (at most six
+    variables, no HTW(k >= 2))."""
 
     WORKLOADS = [
         (TRIANGLE, TW1, ApproximationConfig()),
@@ -213,11 +231,24 @@ class TestDeterminism:
     @pytest.mark.parametrize("query,cls,config", WORKLOADS)
     def test_workers_do_not_change_results(self, query, cls, config):
         serial = all_approximations(query, cls, config)
-        # The serial frontier: same tableaux, same order as the
-        # pre-pipeline algorithm.
-        assert approximation_frontier(query, cls, config) == (
-            candidate_tableaux_frontier(query, cls, config)
+        # The serial frontier: same tableaux, same order as the naive
+        # reduction of the same stream.
+        frontier = approximation_frontier(query, cls, config)
+        tableau = query.tableau()
+        assert frontier == naive_frontier(
+            tableau, cls, config.max_extra_atoms, config.allow_fresh
         )
+        if len(tableau.structure.domain) <= 6 and cls.name != "HTW(2)":
+            extra = config.max_extra_atoms if cls.kind == "hypergraph" else 0
+            assert equivalent_frontiers(
+                [structure_of(m) for m in frontier],
+                reference_frontier(
+                    tableau,
+                    cls.name,
+                    extra_atoms=extra,
+                    allow_fresh=config.allow_fresh,
+                ),
+            )
         for workers in (2, 3, 4):
             parallel = all_approximations(
                 query,
@@ -377,7 +408,7 @@ class TestAdmissionOrder:
         legacy = _reduce_inline(
             (
                 QuotientCandidate.from_tableau(t)
-                for t in iter_quotient_tableaux(tableau, dedup=True)
+                for t in iter_quotient_tableaux(tableau)
             ),
             cls,
             PipelineStats(),
@@ -473,7 +504,7 @@ class TestFrontier:
         tableau = cycle_with_chords(6).tableau()
         members = [
             c
-            for c in iter_quotient_tableaux(tableau, dedup=True)
+            for c in iter_quotient_tableaux(tableau)
             if TW1.contains_tableau(c)
         ]
         serial = Frontier().merge(members)
@@ -812,40 +843,16 @@ class TestGreedyBudgets:
         assert "5 samples" in str(excinfo.value)
 
 
-def legacy_extended_stream(tableau, max_extra_atoms, allow_fresh):
-    """Faithful replica of the pre-PR ``iter_extended_tableaux(dedup=True)``:
-    materialized quotients, extension atoms enumerated over the quotient's
-    structure, tableau-level canonical dedup of the extended candidates only
-    (no cross-check against the plain quotients).
-
-    ``test_perf_smoke.py`` imports this replica.
-    """
-    engine = default_engine()
-    seen = set()
-    for quotient in iter_quotient_tableaux(tableau, dedup=True):
-        yield quotient
-        pool = list(
-            iter_extension_atoms(quotient.structure, allow_fresh=allow_fresh)
-        )
-        for count in range(1, max_extra_atoms + 1):
-            for extras in itertools.combinations(pool, count):
-                extended = _with_extensions(quotient, extras)
-                key = engine.canonical_key(extended)
-                if key is not None:
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                yield extended
-
-
 class TestExtensionStreamDifferential:
     """The integer-form extension stream must not change serial results.
 
-    The pre-PR extension path is replicated above; the pipeline run on the
-    same workload must produce a **bit-identical** frontier — same tableau
-    objects (element names included), same order.  Every candidate the new
-    stream prunes is isomorphic to an earlier stream element, so pruning
-    can never change which representatives survive.
+    The pipeline run must equal the naive reduction of its stream down to
+    the bit — same tableau objects (element names included), same order —
+    although it skips dominated extension families and memoized
+    rejections at the source; where the reference reaches, it must also
+    match the frontier over every quotient and every one-atom extension.
+    Every candidate the stream prunes is isomorphic to an earlier stream
+    element, so pruning can never change which representatives survive.
     """
 
     WORKLOADS = [
@@ -863,24 +870,24 @@ class TestExtensionStreamDifferential:
     ]
 
     @pytest.mark.parametrize("query_text,cls,fresh", WORKLOADS)
-    def test_serial_pipeline_bit_identical_to_legacy(self, query_text, cls, fresh):
+    def test_serial_pipeline_bit_identical_to_naive(self, query_text, cls, fresh):
         tableau = parse_query(query_text).tableau()
-        legacy_stats = PipelineStats()
-        legacy = _reduce_inline(
-            (
-                QuotientCandidate.from_tableau(t)
-                for t in legacy_extended_stream(tableau, 1, fresh)
-            )
-            if cls.kind == "hypergraph"
-            else (
-                QuotientCandidate.from_tableau(t)
-                for t in iter_quotient_tableaux(tableau, dedup=True)
-            ),
-            cls,
-            legacy_stats,
-        )
         result = run_pipeline(tableau, cls, max_extra_atoms=1, allow_fresh=fresh)
-        assert result.frontier == legacy.members  # same tableaux, same order
+        assert result.frontier == naive_frontier(tableau, cls, 1, fresh)
+
+    @pytest.mark.parametrize(
+        "query_text,cls,fresh", [w for w in WORKLOADS if w[1].name != "HTW(2)"]
+    )
+    def test_serial_pipeline_matches_the_reference(self, query_text, cls, fresh):
+        tableau = parse_query(query_text).tableau()
+        result = run_pipeline(tableau, cls, max_extra_atoms=1, allow_fresh=fresh)
+        extra = 1 if cls.kind == "hypergraph" else 0
+        assert equivalent_frontiers(
+            [structure_of(m) for m in result.frontier],
+            reference_frontier(
+                tableau, cls.name, extra_atoms=extra, allow_fresh=fresh
+            ),
+        )
 
     def test_extension_space_workers_still_bit_identical(self):
         tableau = parse_query(

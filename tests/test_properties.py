@@ -30,7 +30,8 @@ from repro.hypergraphs import (
     treewidth_at_most,
     treewidth_exact,
 )
-from repro.util import bell_number, partition_to_mapping, set_partitions
+from repro.testing import reference
+from repro.util import bell_number, partition_to_mapping, rgs_codes
 
 
 # ------------------------------------------------------------- strategies
@@ -67,11 +68,17 @@ def hypergraphs(max_vertices: int = 6, max_edges: int = 5):
 class TestPartitionProperties:
     @given(st.integers(min_value=0, max_value=7))
     def test_partition_count_is_bell(self, n):
-        assert sum(1 for _ in set_partitions(range(n))) == bell_number(n)
+        assert sum(1 for _ in rgs_codes(n)) == bell_number(n)
+        assert list(rgs_codes(n)) == list(reference.partitions(n))
 
     @given(st.sets(st.integers(0, 6), min_size=1, max_size=5))
     def test_partition_mapping_is_idempotent(self, items):
-        for partition in set_partitions(sorted(items)):
+        items = sorted(items)
+        for code in reference.partitions(len(items)):
+            partition = [
+                [x for x, block in zip(items, code) if block == b]
+                for b in range(max(code) + 1)
+            ]
             mapping = partition_to_mapping(partition)
             assert all(mapping[mapping[x]] == mapping[x] for x in items)
 

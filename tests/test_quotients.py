@@ -3,19 +3,12 @@
 import pytest
 
 from repro.cq import Structure, Tableau, parse_query
-from repro.core import (
-    AC,
-    TW1,
-    all_approximations,
-    iter_extended_tableaux,
-    iter_extension_atoms,
-    iter_quotient_tableaux,
-    quotient_count,
-)
+from repro.core import AC, TW1, all_approximations, iter_quotient_tableaux
 from repro.core.pipeline import _check_integer_candidate
 from repro.core.quotients import (
     ExtensionCandidate,
     _integer_automorphisms,
+    _integer_extension_pool,
     _lattice_levels,
     _rank_table,
     _rgs_rank,
@@ -26,6 +19,7 @@ from repro.core.quotients import (
 )
 from repro.homomorphism import hom_equivalent, hom_le
 from repro.homomorphism.signatures import canonical_key
+from repro.testing import reference
 from repro.util import bell_number, rgs_codes
 from repro.util.partitions import code_coarsens
 from repro.workloads import cycle_with_chords
@@ -34,11 +28,38 @@ from repro.workloads import cycle_with_chords
 TRIANGLE = parse_query("Q() :- E(x, y), E(y, z), E(z, x)")
 
 
+def _tableau(structure) -> Tableau:
+    """A reference ``(n, facts, head)`` structure as a tableau over ints."""
+    _, facts, head = structure
+    relations: dict = {}
+    for name, row in facts:
+        relations.setdefault(name, []).append(row)
+    return Tableau(Structure(relations), head)
+
+
+def _reference_keys(tableau, *, extra_atoms=0, allow_fresh=False) -> set:
+    """The canonical keys of every quotient of ``tableau`` (with
+    ``extra_atoms=1``, and of every one-atom extension of one), listed by
+    the reference."""
+    base = reference.structure_of(tableau)
+    keys = set()
+    for code in reference.partitions(base[0]):
+        plain = reference.quotient(base, code)
+        extended = reference.extensions(plain, allow_fresh) if extra_atoms else ()
+        for structure in (plain, *extended):
+            candidate = _tableau(structure)
+            keys.add(canonical_key(candidate.structure, candidate.distinguished))
+    return keys
+
+
 class TestQuotients:
     def test_count(self):
         tableau = TRIANGLE.tableau()
-        quotients = list(iter_quotient_tableaux(tableau))
-        assert len(quotients) == bell_number(3) == quotient_count(tableau)
+        raw = list(iter_quotient_candidates(tableau, generation="raw"))
+        assert len(raw) == bell_number(3)
+        # The loop, the loop with a 2-cycle, the triangle: one quotient per
+        # isomorphism class.
+        assert len(list(iter_quotient_tableaux(tableau))) == 3
 
     def test_identity_included(self):
         tableau = TRIANGLE.tableau()
@@ -75,67 +96,59 @@ class TestCanonicalDedup:
         for query in (TRIANGLE, cycle_with_chords(5), cycle_with_chords(6)):
             tableau = query.tableau()
             n = len(tableau.structure.domain)
-            deduped = list(iter_quotient_tableaux(tableau, dedup=True))
+            deduped = list(iter_quotient_tableaux(tableau))
             assert len(deduped) < bell_number(n)
 
     def test_dedup_covers_every_isomorphism_class(self):
         tableau = cycle_with_chords(5).tableau()
-        raw_keys = {
-            canonical_key(q.structure, q.distinguished)
-            for q in iter_quotient_tableaux(tableau)
-        }
-        deduped = list(iter_quotient_tableaux(tableau, dedup=True))
+        deduped = list(iter_quotient_tableaux(tableau))
         deduped_keys = {
             canonical_key(q.structure, q.distinguished) for q in deduped
         }
-        assert deduped_keys == raw_keys
+        assert deduped_keys == _reference_keys(tableau)
         assert len(deduped) == len(deduped_keys)  # one per class, exactly
 
-    def test_dedup_default_off(self):
-        tableau = TRIANGLE.tableau()
-        assert len(list(iter_quotient_tableaux(tableau))) == bell_number(3)
+    def test_dedup_keeps_the_first_copy_in_listing_order(self):
+        # The deduplicated stream is the raw listing with every isomorphic
+        # repeat left out, so the first witness of any isomorphism-invariant
+        # search is the same on both.
+        tableau = cycle_with_chords(6, ((0, 3),)).tableau()
+        seen = set()
+        first_copies = []
+        for candidate in iter_quotient_candidates(tableau, generation="raw"):
+            quotient = candidate.materialize()
+            key = canonical_key(quotient.structure, quotient.distinguished)
+            if key not in seen:
+                seen.add(key)
+                first_copies.append(quotient)
+        assert list(iter_quotient_tableaux(tableau)) == first_copies
 
     def test_all_approximations_unchanged_up_to_equivalence(self):
-        # The frontier built from the deduplicated stream must match the one
-        # built from the raw stream up to homomorphic equivalence.
+        # The frontier built from the deduplicated stream must match the
+        # definition's frontier over every quotient up to equivalence.
         for query in (TRIANGLE, cycle_with_chords(5), cycle_with_chords(6)):
             results = all_approximations(query, TW1)
-            tableau = query.tableau()
-            raw_frontier = []
-            for candidate in iter_quotient_tableaux(tableau):
-                if not TW1.contains_tableau(candidate):
-                    continue
-                if any(hom_le(m, candidate) for m in raw_frontier):
-                    continue
-                raw_frontier = [
-                    m for m in raw_frontier if not hom_le(candidate, m)
-                ]
-                raw_frontier.append(candidate)
-            assert len(results) == len(raw_frontier)
-            for result in results:
-                assert any(
-                    hom_equivalent(result.tableau(), member)
-                    for member in raw_frontier
-                )
+            assert reference.equivalent_frontiers(
+                [reference.structure_of(r.tableau()) for r in results],
+                reference.reference_frontier(query.tableau(), TW1.name),
+            )
 
     def test_extended_dedup_still_covers_example(self):
-        q = parse_query("Q() :- R(x, y, z)")
-        tableau = q.tableau()
-        raw = list(iter_extended_tableaux(tableau, max_extra_atoms=1))
-        deduped = list(
-            iter_extended_tableaux(tableau, max_extra_atoms=1, dedup=True)
-        )
-        assert len(deduped) <= len(raw)
-        # Every raw candidate has an isomorphic (hence equivalent)
-        # representative in the deduplicated stream.
-        deduped_keys = {
+        # Every quotient and one-atom extension the reference lists has an
+        # isomorphic (hence equivalent) representative in the
+        # deduplicated stream, and no class is represented twice.
+        tableau = parse_query("Q() :- R(x, y, z)").tableau()
+        deduped = [
+            c.materialize()
+            for c in iter_extended_candidates(tableau, max_extra_atoms=1)
+        ]
+        deduped_keys = [
             canonical_key(c.structure, c.distinguished) for c in deduped
-        }
-        for candidate in raw:
-            assert (
-                canonical_key(candidate.structure, candidate.distinguished)
-                in deduped_keys
-            )
+        ]
+        assert set(deduped_keys) == _reference_keys(
+            tableau, extra_atoms=1, allow_fresh=True
+        )
+        assert len(deduped_keys) == len(set(deduped_keys))
 
 
 class TestIntegerExtensionStream:
@@ -148,11 +161,12 @@ class TestIntegerExtensionStream:
         # The shared fact-level keyspace must leave the deduplicated stream
         # duplicate-free.
         q = parse_query("Q() :- R(x1, x2, x3), R(x3, x4, x5)")
-        stream = list(
-            iter_extended_tableaux(
-                q.tableau(), max_extra_atoms=1, dedup=True, allow_fresh=False
+        stream = [
+            c.materialize()
+            for c in iter_extended_candidates(
+                q.tableau(), max_extra_atoms=1, allow_fresh=False
             )
-        )
+        ]
         keys = [canonical_key(c.structure, c.distinguished) for c in stream]
         assert None not in keys
         assert len(keys) == len(set(keys))
@@ -298,72 +312,115 @@ class TestExtensionSharding:
     @pytest.mark.parametrize("query_text,fresh", WORKLOADS)
     def test_shard_union_equals_unsharded_stream(self, query_text, fresh, count):
         tableau = parse_query(query_text).tableau()
-        full = {
-            canonical_key(c.structure, c.distinguished)
-            for c in iter_extended_tableaux(
-                tableau, max_extra_atoms=1, allow_fresh=fresh, dedup=True
-            )
-        }
-        union = set()
-        for index in range(count):
-            union |= {
-                canonical_key(c.structure, c.distinguished)
-                for c in iter_extended_tableaux(
-                    tableau,
-                    max_extra_atoms=1,
-                    allow_fresh=fresh,
-                    dedup=True,
-                    shard=(index, count),
+        def keys(shard):
+            return {
+                canonical_key(t.structure, t.distinguished)
+                for t in (
+                    c.materialize()
+                    for c in iter_extended_candidates(
+                        tableau, max_extra_atoms=1, allow_fresh=fresh, shard=shard
+                    )
                 )
             }
+
+        full = keys(None)
+        union = set()
+        for index in range(count):
+            union |= keys((index, count))
         assert union == full
+
+
+#: ``R(a, b, c)`` as a quotient's integer facts: relation 0 over blocks 0..2.
+TERNARY_FACT = ((0, (0, 1, 2)),)
 
 
 class TestExtensionAtoms:
     def test_extension_atoms_cover_pairs(self):
-        structure = Structure({"R": [("a", "b", "c")]})
-        atoms = list(iter_extension_atoms(structure, allow_fresh=False))
+        atoms = _integer_extension_pool(("R",), (3,), 3, TERNARY_FACT, False)
         assert atoms
-        assert all(name == "R" for name, _ in atoms)
+        assert all(relation_id == 0 for relation_id, _ in atoms)
         # the existing fact is not re-proposed
-        assert ("R", ("a", "b", "c")) not in atoms
+        assert TERNARY_FACT[0] not in atoms
 
     def test_fresh_markers(self):
-        structure = Structure({"R": [("a", "b", "c")]})
-        atoms = list(iter_extension_atoms(structure, allow_fresh=True))
+        atoms = _integer_extension_pool(("R",), (3,), 3, TERNARY_FACT, True)
         assert any(
             any(isinstance(v, tuple) and v[0] == "fresh" for v in row)
             for _, row in atoms
         )
 
     def test_min_cover_respected(self):
-        structure = Structure({"R": [("a", "b", "c")]})
-        for _, row in iter_extension_atoms(structure, allow_fresh=True):
-            concrete = [v for v in row if not (isinstance(v, tuple) and v[0] == "fresh")]
+        for _, row in _integer_extension_pool(("R",), (3,), 3, TERNARY_FACT, True):
+            concrete = [v for v in row if isinstance(v, int)]
             assert len(set(concrete)) >= 2
 
+    @pytest.mark.parametrize("fresh", [False, True])
+    @pytest.mark.parametrize(
+        "query_text",
+        [
+            "Q() :- R(x, y, z)",
+            "Q(x) :- R(x, y, z), E(z, x)",
+            "Q() :- E(x, y), E(y, z), E(z, x)",
+        ],
+    )
+    def test_pool_matches_the_reference_extensions(self, query_text, fresh):
+        # Over every quotient, the pool proposes exactly the reference's
+        # Claim 6.2 atoms, fresh markers numbered from the block count.
+        base = reference.structure_of(parse_query(query_text).tableau())
+        names = tuple(sorted({name for name, _ in base[1]}))
+        arities = tuple(
+            next(len(row) for n, row in base[1] if n == name) for name in names
+        )
+        for code in reference.partitions(base[0]):
+            n, facts, head = reference.quotient(base, code)
+            integer_facts = tuple(
+                sorted((names.index(name), row) for name, row in facts)
+            )
+            pool = {
+                (
+                    names[relation_id],
+                    tuple(
+                        v if isinstance(v, int) else n + v[1] for v in row
+                    ),
+                )
+                for relation_id, row in _integer_extension_pool(
+                    names, arities, n, integer_facts, fresh
+                )
+            }
+            listed = {
+                next(iter(extended - facts))
+                for _, extended, _ in reference.extensions((n, facts, head), fresh)
+            }
+            assert pool == listed, code
 
-class TestExtendedTableaux:
+
+class TestExtendedCandidates:
     def test_zero_extras_is_quotients(self):
         tableau = TRIANGLE.tableau()
-        plain = list(iter_quotient_tableaux(tableau))
-        extended = list(iter_extended_tableaux(tableau, max_extra_atoms=0))
-        assert len(plain) == len(extended)
+        plain = [c.codes for c in iter_quotient_candidates(tableau)]
+        extended = [
+            c.codes for c in iter_extended_candidates(tableau, max_extra_atoms=0)
+        ]
+        assert plain == extended
 
     def test_extensions_still_above_query(self):
         q = parse_query("Q() :- R(x, y, z)")
         tableau = q.tableau()
-        for candidate in iter_extended_tableaux(tableau, max_extra_atoms=1):
-            assert hom_le(tableau, candidate)
+        for candidate in iter_extended_candidates(tableau, max_extra_atoms=1):
+            assert hom_le(tableau, candidate.materialize())
 
     def test_extension_adds_facts(self):
         q = parse_query("Q() :- R(x, y, z)")
-        tableau = q.tableau()
-        sizes = {c.structure.total_tuples for c in iter_extended_tableaux(tableau, max_extra_atoms=1)}
+        sizes = {
+            c.materialize().structure.total_tuples
+            for c in iter_extended_candidates(q.tableau(), max_extra_atoms=1)
+        }
         assert 2 in sizes  # some candidate gained an atom
 
     def test_fresh_elements_named_apart(self):
         q = parse_query("Q() :- R(x, y, z)")
-        for candidate in iter_extended_tableaux(q.tableau(), max_extra_atoms=1):
-            for element in candidate.structure.domain:
+        for candidate in iter_extended_candidates(q.tableau(), max_extra_atoms=1):
+            tableau = candidate.materialize()
+            assert len(tableau.structure.domain) == candidate.block_count
+            for element in tableau.structure.domain:
                 assert not (isinstance(element, tuple) and element and element[0] == "fresh")

@@ -2,14 +2,9 @@
 
 import pytest
 
-from repro.util import (
-    bell_number,
-    canonical_partition,
-    fresh_names,
-    partition_to_mapping,
-    refinements,
-    set_partitions,
-)
+from repro.testing import reference
+from repro.util import bell_number, fresh_names, partition_to_mapping, rgs_codes
+from repro.util.partitions import _blocks_of
 
 
 class TestBellNumbers:
@@ -24,23 +19,27 @@ class TestBellNumbers:
             bell_number(-1)
 
 
-class TestSetPartitions:
+class TestGrowthStrings:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
     def test_count_matches_bell(self, n):
-        assert sum(1 for _ in set_partitions(range(n))) == bell_number(n)
+        assert sum(1 for _ in rgs_codes(n)) == bell_number(n)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
+    def test_listing_matches_the_reference(self, n):
+        assert list(rgs_codes(n)) == list(reference.partitions(n))
 
     def test_all_distinct(self):
-        seen = {canonical_partition(p) for p in set_partitions("abcd")}
-        assert len(seen) == bell_number(4)
+        assert len(set(rgs_codes(4))) == bell_number(4)
 
     def test_blocks_cover_everything(self):
-        for partition in set_partitions("abc"):
-            elements = [x for block in partition for x in block]
+        for code in rgs_codes(3):
+            blocks = _blocks_of("abc", code)
+            elements = [x for block in blocks for x in block]
             assert sorted(elements) == ["a", "b", "c"]
 
     def test_first_partition_is_coarsest(self):
-        first = next(set_partitions("abc"))
-        assert first == (("a", "b", "c"),)
+        first = next(rgs_codes(3))
+        assert _blocks_of("abc", first) == (("a", "b", "c"),)
 
 
 class TestPartitionMapping:
@@ -55,22 +54,6 @@ class TestPartitionMapping:
     def test_empty_block_rejected(self):
         with pytest.raises(ValueError):
             partition_to_mapping([()])
-
-
-class TestRefinements:
-    def test_refinements_of_pair(self):
-        refined = list(refinements((("a", "b"),)))
-        assert refined == [(("a",), ("b",))]
-
-    def test_proper_only(self):
-        base = (("a",), ("b",))
-        assert list(refinements(base)) == []
-
-    def test_counts(self):
-        # Refinements of a single 3-block: all partitions of 3 elements
-        # except the coarsest one.
-        refined = list(refinements((("a", "b", "c"),)))
-        assert len(refined) == bell_number(3) - 1
 
 
 class TestFreshNames:
