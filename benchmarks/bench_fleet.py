@@ -40,7 +40,7 @@ import signal
 import time
 from pathlib import Path
 
-from repro.serve import FleetConfig
+from repro.serve import FleetConfig, ServerConfig
 from repro.testing.chaos import HostedFleet
 from repro.workloads import cycle_with_chords
 from paperfmt import table, write_report
@@ -103,8 +103,10 @@ def _fleet_config(run_dir: str) -> FleetConfig:
         workers=WORKERS,
         socket_path=os.path.join(run_dir, "fleet.sock"),
         run_dir=run_dir,
-        cache_dir=os.path.join(run_dir, "cache"),
-        max_extra_atoms=0,
+        worker=ServerConfig(
+            cache_dir=os.path.join(run_dir, "cache"),
+            max_extra_atoms=0,
+        ),
         health_interval=0.2,
         health_timeout=0.8,
         restart_backoff_base=0.1,

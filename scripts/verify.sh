@@ -6,7 +6,7 @@
 #
 # Runs the tier-1 suite without the wall-clock perf-smoke / process-pool
 # tests (the `slow` marker — run `PYTHONPATH=src python -m pytest -x -q`
-# for the full tier), runs the serving and protocol-edge tests once more
+# for the full tier), runs the serving, fleet and protocol-edge tests once more
 # under `python -X dev` with leaked sockets and files as errors, runs the
 # robustness, data-eval, serving, distributed, and fleet benchmarks in
 # --smoke mode (robustness asserts the counted budget-work bound and
@@ -54,7 +54,8 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -x -q -m "not slow"
 # ResourceWarning into an error, and pytest's unraisable-exception warning
 # (how a finalizer's error surfaces) into a failure.
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -X dev -W error::ResourceWarning -m pytest -q -m "not slow" \
-  -W error::pytest.PytestUnraisableExceptionWarning tests/test_protocol_edges.py tests/test_serving.py
+  -W error::pytest.PytestUnraisableExceptionWarning tests/test_protocol_edges.py tests/test_serving.py \
+  tests/test_fleet.py
 (cd benchmarks && PYTHONPATH=../src${PYTHONPATH:+:$PYTHONPATH} python bench_robustness.py --smoke)
 (cd benchmarks && PYTHONPATH=../src${PYTHONPATH:+:$PYTHONPATH} python bench_data_eval.py --smoke)
 (cd benchmarks && PYTHONPATH=../src${PYTHONPATH:+:$PYTHONPATH} python bench_serving.py --smoke)

@@ -22,7 +22,6 @@ import time
 from repro.cq import is_contained_in, minimize, parse_query
 from repro.core import (
     ApproximationConfig,
-    DEFAULT_CONFIG,
     QueryClass,
     TreewidthClass,
     all_approximations,
@@ -30,27 +29,46 @@ from repro.core import (
     class_from_name,
     classify_boolean_graph_query,
 )
+from repro.serve import (
+    ApproximationServer,
+    Fleet,
+    FleetConfig,
+    RetryPolicy,
+    ServeClient,
+    ServeError,
+)
+from repro.serve.server import (
+    FAULT_FLAGS,
+    POLICY_FLAGS,
+    SERVER_FLAGS,
+    ServerConfig,
+    add_flags,
+    flag_values,
+    policy_config,
+)
 from repro.testing.faults import NETWORK_KINDS
 
-
-def _parse_memory_limit(text: str) -> int:
-    """Bytes from a human-friendly size (plain bytes, or k/m/g suffix)."""
-    text = text.strip().lower()
-    multiplier = 1
-    for suffix, scale in (("g", 1 << 30), ("m", 1 << 20), ("k", 1 << 10)):
-        if text.endswith(suffix):
-            text, multiplier = text[: -len(suffix)], scale
-            break
-    try:
-        value = int(float(text) * multiplier)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid memory limit {text!r} (use bytes or a k/m/g suffix, "
-            "e.g. 512m)"
-        ) from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError("memory limit must be positive")
-    return value
+#: ``repro fleet``'s worker flags: its own ``--workers`` counts worker
+#: processes, so each worker's pipeline pool size stays programmatic, and
+#: so does ``--shard-timeout``, which only a sharded run reads.
+_FLEET_WORKER_FLAGS = tuple(
+    flag
+    for flag in POLICY_FLAGS + SERVER_FLAGS
+    if flag.field not in ("workers", "shard_timeout")
+)
+#: ``repro worker`` arms network drills only, which have no corrupt mode.
+_WORKER_FAULT_FLAGS = tuple(
+    flag._replace(options={**flag.options, "choices": sorted(NETWORK_KINDS)})
+    if flag.field == "kind"
+    else flag
+    for flag in FAULT_FLAGS
+    if flag.field != "corrupt_mode"
+)
+#: ``repro client`` asks for a request deadline; the server clamps it to
+#: its own.
+_DEADLINE_FLAG = tuple(
+    flag for flag in POLICY_FLAGS if flag.field == "request_deadline"
+)
 
 
 def _parse_class(name: str) -> QueryClass:
@@ -72,43 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     approx.add_argument("--cls", type=_parse_class, default=TreewidthClass(1))
     approx.add_argument("--all", action="store_true", help="list C-APPR_min(Q)")
     approx.add_argument("--method", choices=["auto", "exact", "greedy"], default="auto")
-    # Inherit the library default so both entry points agree on the cap.
-    approx.add_argument(
-        "--exact-limit", type=int, default=DEFAULT_CONFIG.exact_limit
-    )
-    approx.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "wall-clock budget for the exact pipeline; on expiry the run "
-            "stops gracefully and returns the best-so-far (sound, possibly "
-            "incomplete) frontier, marked exhausted in the stats"
-        ),
-    )
-    approx.add_argument(
-        "--memory-limit",
-        type=_parse_memory_limit,
-        default=None,
-        metavar="BYTES",
-        help=(
-            "memory ceiling for the exact pipeline (bytes, k/m/g suffixes "
-            "accepted, e.g. 512m): tracked frontier/memo sizes plus an RSS "
-            "probe; exceeding it stops the run gracefully like --deadline"
-        ),
-    )
-    approx.add_argument(
-        "--max-candidates",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "cap on stage-1 candidates drawn by the exact pipeline; the "
-            "first N candidates are fully reduced and the partial frontier "
-            "is returned marked exhausted"
-        ),
-    )
+    add_flags(approx, POLICY_FLAGS)
     approx.add_argument(
         "--checkpoint",
         default=None,
@@ -130,16 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     approx.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help=(
-            "process-pool size for the exact pipeline (-1 = all CPUs, "
-            "1 = serial); the candidate stream is split into one shard per "
-            "worker, with the same answer as a serial run"
-        ),
-    )
-    approx.add_argument(
         "--fabric-worker",
         action="append",
         default=None,
@@ -157,17 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=2.0,
         metavar="SECONDS",
         help="fabric liveness-probe interval (with --fabric-worker)",
-    )
-    approx.add_argument(
-        "--shard-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "per-shard deadline: a shard over it is abandoned (with "
-            "--workers > 1 its process is killed and respawned) and "
-            "retried, so the answer stays complete"
-        ),
     )
     approx.add_argument(
         "--json",
@@ -306,137 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--port", type=int, default=0, help="TCP port (0 = ephemeral)"
     )
-    serve.add_argument(
-        "--queue-limit",
-        type=int,
-        default=32,
-        help="max requests admitted at once; excess load is shed",
-    )
-    serve.add_argument(
-        "--concurrency",
-        type=int,
-        default=2,
-        help="request-executor threads (pipelines running at once)",
-    )
-    serve.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "per-request wall-clock policy: every request gets a RunBudget "
-            "with at most this deadline (clients may ask for less, never "
-            "more); exhausted runs are served as explicitly-partial sound "
-            "frontiers"
-        ),
-    )
-    serve.add_argument(
-        "--memory-limit",
-        type=_parse_memory_limit,
-        default=None,
-        metavar="BYTES",
-        help="per-request memory ceiling (bytes, k/m/g suffixes accepted)",
-    )
-    serve.add_argument(
-        "--max-candidates",
-        type=int,
-        default=None,
-        metavar="N",
-        help="per-request cap on stage-1 candidates",
-    )
-    serve.add_argument(
-        "--exact-limit", type=int, default=DEFAULT_CONFIG.exact_limit
-    )
-    serve.add_argument(
-        "--max-extra-atoms",
-        type=int,
-        default=DEFAULT_CONFIG.max_extra_atoms,
-        metavar="N",
-        help="extension-stream cap of each request's pipeline",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process-pool size inside each request's pipeline",
-    )
-    serve.add_argument(
-        "--shard-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-shard retry deadline of sharded pipelines (--workers > 1)",
-    )
-    serve.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "disk tier of the result cache (atomic per-entry files); a "
-            "restarted server answers warm from here"
-        ),
-    )
-    serve.add_argument(
-        "--cache-capacity",
-        type=int,
-        default=1024,
-        help="in-memory LRU capacity (entries)",
-    )
-    serve.add_argument(
-        "--cache-max-bytes",
-        type=_parse_memory_limit,
-        default=None,
-        metavar="BYTES",
-        help=(
-            "byte budget of the in-memory cache tier (serialized entry "
-            "sizes; k/m/g suffixes accepted) — evicts by bytes alongside "
-            "--cache-capacity's entry count"
-        ),
-    )
-    serve.add_argument(
-        "--enable-test-ops",
-        action="store_true",
-        help="enable the 'sleep' op (lifecycle tests and fault drills)",
-    )
-    serve.add_argument(
-        "--fault-kind",
-        choices=sorted(("kill", "delay", "raise", "corrupt") + NETWORK_KINDS),
-        default=None,
-        help=(
-            "arm a deterministic fault drill (testing only): corrupt hits "
-            "the disk cache's write seam, network kinds hit the response "
-            "seam, the rest wrap each request's query class"
-        ),
-    )
-    serve.add_argument(
-        "--fault-at",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fire the drill on the N-th seam invocation (default 1)",
-    )
-    serve.add_argument(
-        "--fault-token",
-        default=None,
-        metavar="PATH",
-        help=(
-            "token file claimed exactly once across processes, so a "
-            "retried/hedged request cannot re-fire the drill"
-        ),
-    )
-    serve.add_argument(
-        "--fault-delay",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="sleep length for the delay/delay-response drills",
-    )
-    serve.add_argument(
-        "--fault-corrupt-mode",
-        choices=["truncate", "garble"],
-        default="truncate",
-        help="damage mode for the corrupt drill",
-    )
+    add_flags(serve, POLICY_FLAGS + SERVER_FLAGS + FAULT_FLAGS)
 
     fleet = sub.add_parser(
         "fleet",
@@ -451,7 +282,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "outstanding requests, retries connection faults on a "
             "different worker, and optionally hedges stragglers. SIGTERM "
             "drains rolling-style: in-flight requests finish, then each "
-            "worker is drained one at a time."
+            "worker is drained one at a time. The run-policy and server "
+            "flags apply to every worker."
         ),
     )
     fleet.add_argument(
@@ -479,55 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "router socket's directory; required with --host)"
         ),
     )
-    fleet.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="shared disk cache tier for every worker",
-    )
-    fleet.add_argument(
-        "--queue-limit", type=int, default=32, help="per-worker admission bound"
-    )
-    fleet.add_argument(
-        "--concurrency", type=int, default=2, help="per-worker executor threads"
-    )
-    fleet.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-request wall-clock policy applied by every worker",
-    )
-    fleet.add_argument(
-        "--memory-limit",
-        type=_parse_memory_limit,
-        default=None,
-        metavar="BYTES",
-        help="per-request memory ceiling applied by every worker",
-    )
-    fleet.add_argument(
-        "--exact-limit", type=int, default=DEFAULT_CONFIG.exact_limit
-    )
-    fleet.add_argument(
-        "--max-extra-atoms",
-        type=int,
-        default=DEFAULT_CONFIG.max_extra_atoms,
-        metavar="N",
-        help="extension-stream cap of each request's pipeline",
-    )
-    fleet.add_argument(
-        "--cache-capacity",
-        type=int,
-        default=1024,
-        help="per-worker in-memory LRU capacity (entries)",
-    )
-    fleet.add_argument(
-        "--cache-max-bytes",
-        type=_parse_memory_limit,
-        default=None,
-        metavar="BYTES",
-        help="per-worker in-memory cache byte budget",
-    )
+    add_flags(fleet, _FLEET_WORKER_FLAGS)
     fleet.add_argument(
         "--health-interval",
         type=float,
@@ -563,11 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "under the canonical key, so the loser is safely dropped)"
         ),
     )
-    fleet.add_argument(
-        "--enable-test-ops",
-        action="store_true",
-        help="start every worker with test ops enabled",
-    )
 
     client = sub.add_parser(
         "client",
@@ -591,13 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     client.add_argument(
         "--method", choices=["auto", "exact", "greedy"], default="auto"
     )
-    client.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="request deadline (the server clamps it to its own policy)",
-    )
+    add_flags(client, _DEADLINE_FLAG)
     client.add_argument(
         "--server-stats",
         action="store_true",
@@ -648,60 +421,73 @@ def _build_parser() -> argparse.ArgumentParser:
     worker.add_argument(
         "--port", type=int, default=None, help="TCP port to bind (0 = ephemeral)"
     )
-    worker.add_argument(
-        "--fault-kind",
-        choices=sorted(NETWORK_KINDS),
-        default=None,
-        help=(
-            "arm a deterministic network-fault drill on the shard-response "
-            "seam (testing only)"
-        ),
-    )
-    worker.add_argument(
-        "--fault-at",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fire the drill on the N-th shard response (default 1)",
-    )
-    worker.add_argument(
-        "--fault-token",
-        default=None,
-        metavar="PATH",
-        help=(
-            "token file claimed exactly once across all workers, so a "
-            "re-dispatched shard cannot re-fire the drill"
-        ),
-    )
-    worker.add_argument(
-        "--fault-delay",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="sleep length for the delay-response drill",
-    )
+    add_flags(worker, _WORKER_FAULT_FLAGS)
     return parser
+
+
+def _usage(args: argparse.Namespace, message: str) -> int:
+    print(f"repro {args.command}: {message}", file=sys.stderr)
+    return 2
+
+
+def _fault_plan(args: argparse.Namespace, flags):
+    """The fault drill the ``--fault-*`` flags arm, or ``None``."""
+    if args.kind is None:
+        return None
+    from repro.testing.faults import FaultPlan
+
+    return FaultPlan(**flag_values(args, flags))
+
+
+def _approximation_config(args: argparse.Namespace) -> ApproximationConfig:
+    """``repro approximate``'s pipeline configuration."""
+    return policy_config(
+        args,
+        checkpoint_path=args.checkpoint,
+        greedy_fallback=args.greedy_fallback,
+        fabric_workers=tuple(args.fabric_worker or ()),
+        heartbeat_interval=args.heartbeat_interval,
+    )
+
+
+def _server_config(args: argparse.Namespace) -> ServerConfig:
+    """``repro serve``'s daemon configuration."""
+    return ServerConfig(
+        socket_path=args.socket,
+        host=args.host,
+        port=args.port,
+        fault_plan=_fault_plan(args, FAULT_FLAGS),
+        **flag_values(args, POLICY_FLAGS + SERVER_FLAGS),
+    )
+
+
+def _fleet_config(args: argparse.Namespace) -> FleetConfig:
+    """``repro fleet``'s configuration, its workers' included."""
+    return FleetConfig(
+        workers=args.workers,
+        socket_path=args.socket,
+        host=args.host,
+        port=args.port,
+        run_dir=args.run_dir,
+        worker=ServerConfig(**flag_values(args, _FLEET_WORKER_FLAGS)),
+        health_interval=args.health_interval,
+        max_restarts=args.max_restarts,
+        restart_window=args.restart_window,
+        hedge_after=args.hedge_after,
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # serve and worker take the drill flags; a drill fires once per token.
+    if getattr(args, "kind", None) is not None and args.token_path is None:
+        return _usage(args, "--fault-kind requires --fault-token")
 
     if args.command == "approximate":
         from repro.core import PipelineStats
 
         query = parse_query(args.query)
-        config = ApproximationConfig(
-            exact_limit=args.exact_limit,
-            workers=args.workers,
-            deadline=args.deadline,
-            memory_limit=args.memory_limit,
-            max_candidates=args.max_candidates,
-            checkpoint_path=args.checkpoint,
-            greedy_fallback=args.greedy_fallback,
-            fabric_workers=tuple(args.fabric_worker or ()),
-            heartbeat_interval=args.heartbeat_interval,
-            shard_timeout=args.shard_timeout,
-        )
+        config = _approximation_config(args)
         # Stats are always collected: exhaustion and shard faults must
         # reach the output even when --stats was not requested, and the
         # counters are cheap next to the pipeline.
@@ -914,115 +700,27 @@ def main(argv: list[str] | None = None) -> int:
             )
         return 0 if report.is_sound else 1
 
-    if args.command == "serve":
+    if args.command in ("serve", "fleet"):
         import asyncio
 
-        from repro.serve import ApproximationServer, ServerConfig
-
         if (args.socket is None) == (args.host is None):
-            print("repro serve: set exactly one of --socket or --host", file=sys.stderr)
-            return 2
-        fault_plan = None
-        if args.fault_kind is not None:
-            from repro.testing.faults import FaultPlan
-
-            if args.fault_token is None:
-                print(
-                    "repro serve: --fault-kind requires --fault-token",
-                    file=sys.stderr,
-                )
-                return 2
-            fault_plan = FaultPlan(
-                kind=args.fault_kind,
-                at_check=args.fault_at,
-                token_path=args.fault_token,
-                delay=args.fault_delay,
-                corrupt_mode=args.fault_corrupt_mode,
-            )
-        server = ApproximationServer(
-            ServerConfig(
-                socket_path=args.socket,
-                host=args.host,
-                port=args.port,
-                queue_limit=args.queue_limit,
-                concurrency=args.concurrency,
-                request_deadline=args.deadline,
-                memory_limit=args.memory_limit,
-                max_candidates=args.max_candidates,
-                exact_limit=args.exact_limit,
-                max_extra_atoms=args.max_extra_atoms,
-                workers=args.workers,
-                shard_timeout=args.shard_timeout,
-                cache_capacity=args.cache_capacity,
-                cache_max_bytes=args.cache_max_bytes,
-                cache_dir=args.cache_dir,
-                enable_test_ops=args.enable_test_ops,
-                fault_plan=fault_plan,
-            )
-        )
-        asyncio.run(server.run())
-        return 0
-
-    if args.command == "fleet":
-        import asyncio
-
-        from repro.serve import Fleet, FleetConfig
-
-        if (args.socket is None) == (args.host is None):
-            print(
-                "repro fleet: set exactly one of --socket or --host",
-                file=sys.stderr,
-            )
-            return 2
-        if args.socket is None and args.run_dir is None:
-            print(
-                "repro fleet: --host needs --run-dir for the worker sockets",
-                file=sys.stderr,
-            )
-            return 2
-        fleet = Fleet(
-            FleetConfig(
-                workers=args.workers,
-                socket_path=args.socket,
-                host=args.host,
-                port=args.port,
-                run_dir=args.run_dir,
-                cache_dir=args.cache_dir,
-                queue_limit=args.queue_limit,
-                concurrency=args.concurrency,
-                request_deadline=args.deadline,
-                memory_limit=args.memory_limit,
-                exact_limit=args.exact_limit,
-                max_extra_atoms=args.max_extra_atoms,
-                cache_capacity=args.cache_capacity,
-                cache_max_bytes=args.cache_max_bytes,
-                health_interval=args.health_interval,
-                max_restarts=args.max_restarts,
-                restart_window=args.restart_window,
-                hedge_after=args.hedge_after,
-                enable_test_ops=args.enable_test_ops,
-            )
-        )
-        asyncio.run(fleet.run())
+            return _usage(args, "set exactly one of --socket or --host")
+        if args.command == "serve":
+            asyncio.run(ApproximationServer(_server_config(args)).run())
+        else:
+            if args.socket is None and args.run_dir is None:
+                return _usage(args, "--host needs --run-dir for the worker sockets")
+            asyncio.run(Fleet(_fleet_config(args)).run())
         return 0
 
     if args.command == "client":
-        from repro.serve import RetryPolicy, ServeClient, ServeError
-
         ops = sum([args.query is not None, args.server_stats, args.shutdown])
         if ops != 1:
-            print(
-                "repro client: give exactly one of a query, --server-stats, "
-                "or --shutdown",
-                file=sys.stderr,
+            return _usage(
+                args, "give exactly one of a query, --server-stats, or --shutdown"
             )
-            return 2
         if (args.socket is None) == (args.host is None):
-            print(
-                "repro client: set exactly one of --socket or --host/--port",
-                file=sys.stderr,
-            )
-            return 2
+            return _usage(args, "set exactly one of --socket or --host/--port")
         retry = (
             RetryPolicy(max_attempts=args.retries) if args.retries > 1 else None
         )
@@ -1038,7 +736,7 @@ def main(argv: list[str] | None = None) -> int:
                         args.cls,
                         all_=args.all,
                         method=args.method,
-                        deadline=args.deadline,
+                        deadline=args.request_deadline,
                     )
         except (ConnectionError, OSError) as exc:
             # No daemon (or it vanished): a clean structured error on a
@@ -1093,28 +791,10 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "worker":
         from repro.fabric import serve as serve_worker
-        from repro.testing.faults import FaultPlan
 
         if (args.socket is None) == (args.port is None):
-            print(
-                "repro worker: set exactly one of --socket or --port",
-                file=sys.stderr,
-            )
-            return 2
-        fault_plan = None
-        if args.fault_kind is not None:
-            if args.fault_token is None:
-                print(
-                    "repro worker: --fault-kind requires --fault-token",
-                    file=sys.stderr,
-                )
-                return 2
-            fault_plan = FaultPlan(
-                kind=args.fault_kind,
-                at_check=args.fault_at,
-                token_path=args.fault_token,
-                delay=args.fault_delay,
-            )
+            return _usage(args, "set exactly one of --socket or --port")
+        fault_plan = _fault_plan(args, _WORKER_FAULT_FLAGS)
         address = (
             args.socket
             if args.socket is not None

@@ -26,8 +26,10 @@ Layout:
 * :mod:`repro.serve.server` — :class:`~repro.serve.server.
   JsonLinesService`, the one front door (listener, line loop,
   ``bad-request`` answers, drain, network-fault seam) of the daemon, the
-  fleet router and the fabric worker; and :class:`ApproximationServer`
-  on it: admission control, per-request budgets, fault isolation;
+  fleet router and the fabric worker; :class:`ApproximationServer`
+  on it: admission control, per-request budgets, fault isolation; and
+  the flag tables every ``repro`` command that runs the pipeline builds
+  its parser from;
 * :mod:`repro.serve.client` — the synchronous client used by the CLI,
   the tests, and the serving benchmark, with an opt-in
   :class:`RetryPolicy` (reconnect + capped jittered backoff on

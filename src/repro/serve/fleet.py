@@ -44,8 +44,8 @@ a time* — each flushes its own section of the shared cache index
 (merged under the index lock, see :meth:`repro.serve.cache.ResultCache.
 flush`) on its way out.
 
-Chaos arming: ``worker_fault_args`` maps a slot index to extra ``repro
-serve`` CLI arguments (``--fault-kind`` …) for that slot's *first*
+Chaos arming: ``worker_fault_plans`` maps a slot index to the
+:class:`~repro.testing.faults.FaultPlan` drill of that slot's *first*
 incarnation only — a restarted worker always comes back clean, which is
 exactly the repair the drills assert.
 """
@@ -62,7 +62,6 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.core import DEFAULT_CONFIG
 from repro.parallel import backoff_delay
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
@@ -73,7 +72,15 @@ from repro.serve.protocol import (
     error_response,
     ok_response,
 )
-from repro.serve.server import JsonLinesService
+from repro.serve.server import (
+    FAULT_FLAGS,
+    POLICY_FLAGS,
+    SERVER_FLAGS,
+    JsonLinesService,
+    ServerConfig,
+    flag_argv,
+)
+from repro.testing.faults import FaultPlan
 
 __all__ = ["FleetConfig", "Fleet"]
 
@@ -86,13 +93,13 @@ class FleetConfig:
 
     Exactly one of ``socket_path`` (the router's unix socket) or ``host``
     must be set.  ``run_dir`` holds the per-worker unix sockets; it
-    defaults to the router socket's directory.  ``cache_dir`` is the
-    *shared* disk tier — every worker reads and writes the same entries,
-    so a request recomputed after a crash usually lands warm.
-
-    The worker policy block mirrors :class:`~repro.serve.server.
-    ServerConfig` (``pipeline_workers`` is that config's ``workers`` —
-    the pool *inside* each request's pipeline, not the fleet size).
+    defaults to the router socket's directory.  ``worker`` is the
+    :class:`~repro.serve.server.ServerConfig` every worker runs under its
+    own socket; its ``cache_dir`` is the *shared* disk tier — every worker
+    reads and writes the same entries, so a request recomputed after a
+    crash usually lands warm.  ``workers`` is the number of worker
+    processes, not ``worker.workers`` (the pool *inside* each request's
+    pipeline).
     """
 
     workers: int = 2
@@ -100,19 +107,7 @@ class FleetConfig:
     host: str | None = None
     port: int = 0
     run_dir: str | None = None
-    cache_dir: str | None = None
-    # ---- worker policy passthrough (per ApproximationServer) ----
-    queue_limit: int = 32
-    concurrency: int = 2
-    request_deadline: float | None = None
-    memory_limit: int | None = None
-    max_candidates: int | None = None
-    exact_limit: int = DEFAULT_CONFIG.exact_limit
-    max_extra_atoms: int = DEFAULT_CONFIG.max_extra_atoms
-    pipeline_workers: int = 1
-    cache_capacity: int = 1024
-    cache_max_bytes: int | None = None
-    enable_test_ops: bool = False
+    worker: ServerConfig = field(default_factory=ServerConfig)
     # ---- supervision ----
     health_interval: float = 0.5
     health_timeout: float = 2.0
@@ -127,15 +122,23 @@ class FleetConfig:
     retry_backoff_base: float = 0.05
     retry_backoff_cap: float = 1.0
     hedge_after: float | None = None
-    # ---- chaos arming: slot index -> extra `repro serve` args, first
-    # incarnation only (restarts always spawn clean) ----
-    worker_fault_args: dict[int, tuple[str, ...]] = field(default_factory=dict)
+    # ---- chaos arming: slot index -> drill, first incarnation only
+    # (restarts always spawn clean) ----
+    worker_fault_plans: dict[int, FaultPlan] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if (self.socket_path is None) == (self.host is None):
             raise ValueError("set exactly one of socket_path or host")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        worker = self.worker
+        if (worker.socket_path, worker.host, worker.port, worker.fault_plan) != (
+            None, None, 0, None
+        ):
+            raise ValueError(
+                "worker takes no address or fault_plan: each slot binds its "
+                "own socket, and worker_fault_plans arms the drills"
+            )
         if self.run_dir is None:
             if self.socket_path is None:
                 raise ValueError("a TCP-fronted fleet needs an explicit run_dir")
@@ -268,33 +271,11 @@ class Fleet(JsonLinesService):
             "serve",
             "--socket",
             slot.socket_path,
-            "--queue-limit",
-            str(cfg.queue_limit),
-            "--concurrency",
-            str(cfg.concurrency),
-            "--exact-limit",
-            str(cfg.exact_limit),
-            "--max-extra-atoms",
-            str(cfg.max_extra_atoms),
-            "--workers",
-            str(cfg.pipeline_workers),
-            "--cache-capacity",
-            str(cfg.cache_capacity),
+            *flag_argv(cfg.worker, POLICY_FLAGS + SERVER_FLAGS),
         ]
-        if cfg.request_deadline is not None:
-            command += ["--deadline", str(cfg.request_deadline)]
-        if cfg.memory_limit is not None:
-            command += ["--memory-limit", str(cfg.memory_limit)]
-        if cfg.max_candidates is not None:
-            command += ["--max-candidates", str(cfg.max_candidates)]
-        if cfg.cache_max_bytes is not None:
-            command += ["--cache-max-bytes", str(cfg.cache_max_bytes)]
-        if cfg.cache_dir is not None:
-            command += ["--cache-dir", cfg.cache_dir]
-        if cfg.enable_test_ops:
-            command += ["--enable-test-ops"]
-        if slot.generation == 0:  # chaos arming: first incarnation only
-            command += list(cfg.worker_fault_args.get(slot.index, ()))
+        plan = cfg.worker_fault_plans.get(slot.index)
+        if plan is not None and slot.generation == 0:  # first incarnation only
+            command += flag_argv(plan, FAULT_FLAGS)
         return command
 
     def _spawn(self, slot: _Slot) -> None:

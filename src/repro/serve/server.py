@@ -36,6 +36,7 @@ their responses are written, then the cache index is flushed and
 
 from __future__ import annotations
 
+import argparse
 import asyncio
 import contextlib
 import os
@@ -46,7 +47,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Awaitable, Callable
+from typing import Any, Awaitable, Callable, NamedTuple
 
 from repro.core import (
     ApproximationConfig,
@@ -75,7 +76,20 @@ from repro.serve.protocol import (
 )
 from repro.testing.faults import NETWORK_KINDS
 
-__all__ = ["ApproximationServer", "JsonLinesService", "ServerConfig"]
+__all__ = [
+    "ApproximationServer",
+    "FAULT_FLAGS",
+    "Flag",
+    "JsonLinesService",
+    "POLICY_FLAGS",
+    "SERVER_FLAGS",
+    "ServerConfig",
+    "add_flags",
+    "flag_argv",
+    "flag_values",
+    "parse_bytes",
+    "policy_config",
+]
 
 
 class JsonLinesService:
@@ -130,6 +144,8 @@ class JsonLinesService:
     ) -> None:
         """Open the listener on a unix ``socket_path`` or TCP ``host:port``
         (port 0 picks a free one; :attr:`address` reports what was bound)."""
+        if (socket_path is None) == (host is None):
+            raise ValueError("set exactly one of socket_path or host")
         if socket_path is None:
             family = socket.AF_INET6 if ":" in host else socket.AF_INET
             self._listener = socket.create_server((host, port), family=family)
@@ -339,13 +355,15 @@ class _RequestError(Exception):
 class ServerConfig:
     """Knobs of one serving daemon.
 
-    Exactly one of ``socket_path`` (unix socket) or ``host`` must be set.
-    ``queue_limit`` bounds *admitted* requests (queued plus running);
-    ``concurrency`` sizes the executor actually running pipelines.  The
-    policy knobs (``request_deadline``, ``memory_limit``,
-    ``max_candidates``, ``workers``, ``shard_timeout``) become each
-    request's :class:`~repro.core.ApproximationConfig` — a client may ask
-    for a *shorter* deadline than the server policy, never a longer one.
+    A server binds exactly one of ``socket_path`` (unix socket) or
+    ``host``; a config with neither is a template, as a fleet's ``worker``
+    is (each slot runs it under its own socket).  ``queue_limit`` bounds
+    *admitted* requests (queued plus running); ``concurrency`` sizes the
+    executor actually running pipelines.  The run-policy fields
+    (:data:`POLICY_FLAGS`) become each request's
+    :class:`~repro.core.ApproximationConfig` (:func:`policy_config`) — a
+    client may ask for a *shorter* deadline than ``request_deadline``,
+    never a longer one.
 
     ``enable_test_ops`` adds the ``sleep`` op (a request of controllable
     duration, which the lifecycle tests and fault drills need);
@@ -377,12 +395,222 @@ class ServerConfig:
     fault_plan: Any = None
 
     def __post_init__(self) -> None:
-        if (self.socket_path is None) == (self.host is None):
-            raise ValueError("set exactly one of socket_path or host")
         if self.queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
         if self.concurrency < 1:
             raise ValueError("concurrency must be >= 1")
+
+
+# ------------------------------------------------------------------ flags
+#
+# Each command-line flag of the run policy, the server and the fault
+# drills is declared once, here: ``repro approximate``, ``serve``,
+# ``fleet``, ``client`` and ``worker`` build their parsers from these
+# tables (``add_flags``), read them back (``flag_values``), and a fleet
+# writes its workers' ``repro serve`` argv from them (``flag_argv``).
+
+
+class Flag(NamedTuple):
+    """A flag, the config field it sets (its argparse ``dest``), and its
+    argparse options."""
+
+    flag: str
+    field: str
+    options: dict
+
+    @property
+    def default(self) -> Any:
+        """The ``default`` option, else the :class:`ServerConfig` field's."""
+        return self.options.get("default", getattr(ServerConfig, self.field, None))
+
+
+def parse_bytes(text: str) -> int:
+    """Bytes from a human-friendly size (plain bytes, or k/m/g suffix)."""
+    text = text.strip().lower()
+    multiplier = 1
+    for suffix, scale in (("g", 1 << 30), ("m", 1 << 20), ("k", 1 << 10)):
+        if text.endswith(suffix):
+            text, multiplier = text[: -len(suffix)], scale
+            break
+    try:
+        value = int(float(text) * multiplier)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid size {text!r} (use bytes or a k/m/g suffix, e.g. 512m)"
+        ) from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError("size must be positive")
+    return value
+
+
+def _positive(kind: type) -> Callable[[str], Any]:
+    """An argparse type: ``kind(text)``, refused unless positive."""
+
+    def parse(text: str) -> Any:
+        value = kind(text)
+        if not value > 0:  # also refuses nan
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid <name> value"
+    return parse
+
+
+POLICY_FLAGS = (
+    Flag("--exact-limit", "exact_limit", dict(
+        type=int,
+        metavar="N",
+        help="largest tableau (in elements) the exact Bell-number "
+        "enumeration runs on",
+    )),
+    Flag("--max-extra-atoms", "max_extra_atoms", dict(
+        type=int,
+        metavar="N",
+        help="cap on the extension atoms added to a quotient for the "
+        "hypergraph classes",
+    )),
+    Flag("--workers", "workers", dict(
+        type=int,
+        metavar="N",
+        help="process-pool size of each exact pipeline run (-1 = all CPUs, "
+        "1 = serial); the candidate stream is split into one shard per "
+        "worker, with the same answer as a serial run",
+    )),
+    Flag("--deadline", "request_deadline", dict(
+        type=_positive(float),
+        metavar="SECONDS",
+        help="wall-clock budget of an exact run; on expiry it stops "
+        "gracefully and returns the best-so-far (sound, possibly "
+        "incomplete) frontier, marked exhausted — a server gives every "
+        "request at most this deadline (clients may ask for less)",
+    )),
+    Flag("--memory-limit", "memory_limit", dict(
+        type=parse_bytes,
+        metavar="BYTES",
+        help="memory ceiling of an exact run (bytes, k/m/g suffixes "
+        "accepted, e.g. 512m): tracked frontier/memo sizes plus an RSS "
+        "probe; exceeding it stops the run gracefully like --deadline",
+    )),
+    Flag("--max-candidates", "max_candidates", dict(
+        type=_positive(int),
+        metavar="N",
+        help="cap on stage-1 candidates drawn by an exact run; the first N "
+        "candidates are fully reduced and the partial frontier is "
+        "returned marked exhausted",
+    )),
+    Flag("--shard-timeout", "shard_timeout", dict(
+        type=_positive(float),
+        metavar="SECONDS",
+        help="per-shard deadline of a sharded run: a shard over it is "
+        "abandoned (a local slot process is killed and respawned) and "
+        "retried, so the answer stays complete",
+    )),
+)
+
+SERVER_FLAGS = (
+    Flag("--queue-limit", "queue_limit", dict(
+        type=_positive(int),
+        metavar="N",
+        help="max requests admitted at once; excess load is shed",
+    )),
+    Flag("--concurrency", "concurrency", dict(
+        type=_positive(int),
+        metavar="N",
+        help="request-executor threads (pipelines running at once)",
+    )),
+    Flag("--cache-dir", "cache_dir", dict(
+        metavar="DIR",
+        help="disk tier of the result cache (atomic per-entry files, "
+        "shared by a fleet's workers); a restarted server answers warm "
+        "from here",
+    )),
+    Flag("--cache-capacity", "cache_capacity", dict(
+        type=_positive(int),
+        metavar="N",
+        help="in-memory LRU capacity (entries)",
+    )),
+    Flag("--cache-max-bytes", "cache_max_bytes", dict(
+        type=parse_bytes,
+        metavar="BYTES",
+        help="byte budget of the in-memory cache tier (serialized entry "
+        "sizes; k/m/g suffixes accepted) — evicts by bytes alongside "
+        "--cache-capacity's entry count",
+    )),
+    Flag("--enable-test-ops", "enable_test_ops", dict(
+        action="store_true",
+        help="enable the 'sleep' op (lifecycle tests and fault drills)",
+    )),
+)
+
+#: The drill flags; each sets the :class:`~repro.testing.faults.FaultPlan`
+#: field it names.  A fabric worker takes all but the last.
+FAULT_FLAGS = (
+    Flag("--fault-kind", "kind", dict(
+        choices=sorted(("kill", "delay", "raise", "corrupt") + NETWORK_KINDS),
+        default=None,
+        help="arm a deterministic fault drill (testing only): network kinds "
+        "hit the response seam (the only kinds a fabric worker takes), "
+        "corrupt hits the disk cache's write seam, the rest wrap each "
+        "request's query class",
+    )),
+    Flag("--fault-at", "at_check", dict(
+        type=int,
+        default=1,
+        metavar="N",
+        help="fire the drill on the N-th seam invocation (default 1)",
+    )),
+    Flag("--fault-token", "token_path", dict(
+        default=None,
+        metavar="PATH",
+        help="token file claimed exactly once across processes, so a "
+        "retried, hedged or re-dispatched request cannot re-fire the drill",
+    )),
+    Flag("--fault-delay", "delay", dict(
+        type=float,
+        default=5.0,
+        metavar="SECONDS",
+        help="sleep length for the delay/delay-response drills",
+    )),
+    Flag("--fault-corrupt-mode", "corrupt_mode", dict(
+        choices=["truncate", "garble"],
+        default="truncate",
+        help="damage mode for the corrupt drill",
+    )),
+)
+
+
+def add_flags(parser: argparse.ArgumentParser, flags) -> None:
+    """Declare ``flags`` on ``parser``."""
+    for flag in flags:
+        parser.add_argument(
+            flag.flag, dest=flag.field, **{**flag.options, "default": flag.default}
+        )
+
+
+def flag_values(args: argparse.Namespace, flags) -> dict:
+    """The config fields ``flags`` set, read off parsed ``args``."""
+    return {flag.field: getattr(args, flag.field) for flag in flags}
+
+
+def flag_argv(config: Any, flags) -> list[str]:
+    """The argv that sets ``config``'s fields under ``flags`` (fields at
+    their default are left out)."""
+    argv: list[str] = []
+    for flag in flags:
+        value = getattr(config, flag.field)
+        if value == flag.default:
+            continue
+        argv += [flag.flag] if value is True else [flag.flag, str(value)]
+    return argv
+
+
+def policy_config(source: Any, **overrides: Any) -> ApproximationConfig:
+    """The :class:`~repro.core.ApproximationConfig` of the run-policy
+    fields of ``source`` (a :class:`ServerConfig` or parsed arguments);
+    ``request_deadline`` is its ``deadline``."""
+    fields = flag_values(source, POLICY_FLAGS)
+    fields["deadline"] = fields.pop("request_deadline")
+    return ApproximationConfig(**{**fields, **overrides})
 
 
 class ApproximationServer(JsonLinesService):
@@ -530,15 +758,7 @@ class ApproximationServer(JsonLinesService):
             if asked <= 0:
                 raise _RequestError("bad-request", "deadline must be positive")
             deadline = asked if deadline is None else min(asked, deadline)
-        return ApproximationConfig(
-            exact_limit=self.config.exact_limit,
-            max_extra_atoms=self.config.max_extra_atoms,
-            workers=self.config.workers,
-            shard_timeout=self.config.shard_timeout,
-            deadline=deadline,
-            memory_limit=self.config.memory_limit,
-            max_candidates=self.config.max_candidates,
-        )
+        return policy_config(self.config, deadline=deadline)
 
     def _serve_approximate(self, request: dict) -> dict:
         """Answer one approximate op (runs on the executor thread pool).

@@ -243,15 +243,17 @@ class HostedFleet:
 
 
 def _shared_fleet_config(tmp: str, *, hedge_after: float = 1.0):
-    from repro.serve import FleetConfig
+    from repro.serve import FleetConfig, ServerConfig
 
     return FleetConfig(
         workers=2,
         socket_path=os.path.join(tmp, "fleet.sock"),
         run_dir=tmp,
-        cache_dir=os.path.join(tmp, "cache"),
-        max_extra_atoms=0,
-        enable_test_ops=True,
+        worker=ServerConfig(
+            cache_dir=os.path.join(tmp, "cache"),
+            max_extra_atoms=0,
+            enable_test_ops=True,
+        ),
         health_interval=0.2,
         health_timeout=0.8,
         restart_backoff_base=0.1,
@@ -321,7 +323,7 @@ def _inject_external(
             return pid
         return None
     # "corrupt-entry": damage one shared disk-cache entry in place.
-    cache_dir = hosted.config.cache_dir
+    cache_dir = hosted.config.worker.cache_dir
     entries = sorted(
         name for name in os.listdir(cache_dir) if name.endswith(".entry")
     )
@@ -424,17 +426,12 @@ def _run_fleet_armed(
         config = _shared_fleet_config(
             tmp, hedge_after=0.75 if fault == "delay-response" else 1.0
         )
-        config.worker_fault_args = {
-            scenario.target
-            % config.workers: (
-                "--fault-kind",
-                fault,
-                "--fault-at",
-                str(scenario.at_check),
-                "--fault-token",
-                token,
-                "--fault-delay",
-                str(_ARMED_DELAY),
+        config.worker_fault_plans = {
+            scenario.target % config.workers: FaultPlan(
+                kind=fault,
+                at_check=scenario.at_check,
+                token_path=token,
+                delay=_ARMED_DELAY,
             )
         }
         with HostedFleet(config) as hosted:

@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from repro.core import ApproximationConfig
 from repro.cq import Structure, parse_query
 from repro.cli import main
+from repro.serve import FleetConfig, ServerConfig
+from repro.testing.faults import FaultPlan
 from repro.io import (
     dump_query,
     dump_structure,
@@ -233,3 +236,184 @@ class TestCliJson:
         out = capsys.readouterr().out
         with pytest.raises(json.JSONDecodeError):
             json.loads(out)
+
+
+TRIANGLE = "Q() :- E(x,y), E(y,z), E(z,x)"
+_TOKEN = "/run/token"
+_CHAOS_WORKER_ARGV = [
+    # A worker argv that spells out the defaults, with a chaos drill
+    # appended.
+    "serve", "--socket", "/run/worker-0.sock", "--queue-limit", "32",
+    "--concurrency", "2", "--exact-limit", "9", "--max-extra-atoms", "0",
+    "--workers", "1", "--cache-capacity", "1024", "--cache-dir", "/run/cache",
+    "--enable-test-ops", "--fault-kind", "drop-connection", "--fault-at", "2",
+    "--fault-token", _TOKEN, "--fault-delay", "3.0",
+]
+
+
+def _parsed_config(argv):
+    """The configuration ``repro`` builds from ``argv`` (for ``worker``,
+    its fault plan)."""
+    import repro.cli as cli
+
+    args = cli._build_parser().parse_args(argv)
+    if args.command == "worker":
+        return cli._fault_plan(args, cli._WORKER_FAULT_FLAGS)
+    return {
+        "approximate": cli._approximation_config,
+        "serve": cli._server_config,
+        "fleet": cli._fleet_config,
+    }[args.command](args)
+
+
+class TestRunPolicyFlags:
+    """The run-policy, server and drill flags come from the tables in
+    ``repro.serve.server``; each ``repro`` argv the tests, the chaos sweep
+    and the benchmarks pass builds the configuration pinned here."""
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["approximate", TRIANGLE], ApproximationConfig()),
+            (["approximate", TRIANGLE, "--all", "--cls", "TW1"],
+             ApproximationConfig()),
+            (["approximate", "Q() :- R(x,u,y), R(y,v,z), R(z,w,x)", "--cls", "AC"],
+             ApproximationConfig()),
+            (["approximate", TRIANGLE, "--all", "--json", "--stats"],
+             ApproximationConfig()),
+            (["approximate", TRIANGLE, "--all", "--json", "--workers", "2"],
+             ApproximationConfig(workers=2)),
+            (["approximate", TRIANGLE, "--cls", "TW1", "--max-candidates", "2",
+              "--json"], ApproximationConfig(max_candidates=2)),
+            (["approximate", TRIANGLE, "--all", "--json", "--fabric-worker",
+              "/run/a.sock", "--fabric-worker", "/run/b.sock",
+              "--heartbeat-interval", "0.5"],
+             ApproximationConfig(
+                 fabric_workers=("/run/a.sock", "/run/b.sock"),
+                 heartbeat_interval=0.5,
+             )),
+            (["serve", "--socket", "/run/s.sock", "--cache-dir", "/run/cache"],
+             ServerConfig(socket_path="/run/s.sock", cache_dir="/run/cache")),
+            (["serve", "--socket", "/run/s.sock", "--cache-dir", "/run/cache",
+              "--enable-test-ops"],
+             ServerConfig(
+                 socket_path="/run/s.sock",
+                 cache_dir="/run/cache",
+                 enable_test_ops=True,
+             )),
+            (_CHAOS_WORKER_ARGV,
+             ServerConfig(
+                 socket_path="/run/worker-0.sock",
+                 max_extra_atoms=0,
+                 cache_dir="/run/cache",
+                 enable_test_ops=True,
+                 fault_plan=FaultPlan("drop-connection", 2, _TOKEN, delay=3.0),
+             )),
+            (["fleet", "--workers", "2", "--socket", "/run/fleet.sock",
+              "--run-dir", "/run", "--cache-dir", "/run/cache"],
+             FleetConfig(
+                 workers=2,
+                 socket_path="/run/fleet.sock",
+                 run_dir="/run",
+                 worker=ServerConfig(cache_dir="/run/cache"),
+             )),
+            (["worker", "--port", "0"], None),
+            (["worker", "--socket", "/run/w.sock", "--fault-kind",
+              "delay-response", "--fault-token", _TOKEN, "--fault-delay", "30"],
+             FaultPlan("delay-response", 1, _TOKEN, delay=30.0)),
+            (["worker", "--socket", "/run/w.sock", "--fault-kind",
+              "garble-frame", "--fault-token", _TOKEN],
+             FaultPlan("garble-frame", 1, _TOKEN, delay=5.0)),
+        ],
+    )
+    def test_argv_builds_the_same_config(self, argv, expected):
+        assert _parsed_config(argv) == expected
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["approximate", TRIANGLE],
+            ["serve", "--socket", "/run/s.sock"],
+            ["fleet", "--socket", "/run/f.sock"],
+        ],
+    )
+    def test_every_policy_flag_reaches_the_config(self, command):
+        from repro.serve.server import POLICY_FLAGS
+
+        values = {
+            "exact_limit": 7,
+            "max_extra_atoms": 0,
+            "workers": 3,
+            "request_deadline": 2.5,
+            "memory_limit": 1 << 20,
+            "max_candidates": 40,
+            "shard_timeout": 1.5,
+        }
+        argv = list(command)
+        for flag in POLICY_FLAGS:
+            if command[0] == "fleet" and flag.field in ("workers", "shard_timeout"):
+                continue  # fleet's --workers counts worker processes
+            argv += [flag.flag, str(values[flag.field])]
+        config = _parsed_config(argv)
+        if command[0] == "fleet":
+            # Each worker's pipeline runs serial, so it has no shard to time.
+            values.update(workers=1, shard_timeout=None)
+            config = config.worker
+        elif command[0] == "approximate":
+            values["deadline"] = values.pop("request_deadline")
+        for field, value in values.items():
+            assert getattr(config, field) == value, field
+
+    @pytest.mark.parametrize(
+        "command,bad",
+        [
+            (command, bad)
+            for command in (
+                ["approximate", TRIANGLE],
+                ["serve", "--socket", "/run/s.sock"],
+                ["fleet", "--socket", "/run/f.sock"],
+            )
+            for bad in (
+                ["--deadline", "-1"],
+                ["--deadline", "0"],
+                ["--max-candidates", "0"],
+                ["--shard-timeout", "-1"],
+                ["--memory-limit", "0"],
+            )
+            if not (command[0] == "fleet" and bad[0] == "--shard-timeout")
+        ],
+    )
+    def test_nonpositive_budget_is_a_usage_error(self, command, bad, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command + bad)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"argument {bad[0]}" in err
+
+    def test_client_deadline_is_validated(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["client", "--socket", "/run/s.sock", TRIANGLE, "--deadline", "0"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("token", [["--fault-token", _TOKEN], []])
+    def test_worker_takes_network_drills_only(self, token, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["worker", "--socket", "/run/w.sock", "--fault-kind", "kill"] + token)
+        assert exc.value.code == 2
+        assert "argument --fault-kind: invalid choice: 'kill'" in (
+            capsys.readouterr().err
+        )
+
+    def test_fleet_takes_no_pipeline_pool_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fleet", "--socket", "/run/f.sock", "--shard-timeout", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --shard-timeout" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["serve"], ["worker"]])
+    def test_drill_needs_a_token(self, command, capsys):
+        code = main(
+            command + ["--socket", "/run/x.sock", "--fault-kind", "drop-connection"]
+        )
+        assert code == 2
+        assert "--fault-token" in capsys.readouterr().err

@@ -26,8 +26,9 @@ import time
 
 import pytest
 
-from repro.serve import FleetConfig, RetryPolicy, ServeClient
+from repro.serve import FleetConfig, RetryPolicy, ServeClient, ServerConfig
 from repro.testing.chaos import HostedFleet
+from repro.testing.faults import FaultPlan
 
 TRIANGLE = "Q() :- E(x,y), E(y,z), E(z,x)"
 TRIANGLE_RENAMED = "Q() :- E(b,c), E(c,a), E(a,b)"
@@ -39,9 +40,11 @@ def _fleet_config(tmp_path, **overrides) -> FleetConfig:
         workers=2,
         socket_path=str(tmp_path / "fleet.sock"),
         run_dir=str(tmp_path),
-        cache_dir=str(tmp_path / "cache"),
-        max_extra_atoms=0,
-        enable_test_ops=True,
+        worker=ServerConfig(
+            cache_dir=str(tmp_path / "cache"),
+            max_extra_atoms=0,
+            enable_test_ops=True,
+        ),
         health_interval=0.2,
         health_timeout=0.8,
         restart_backoff_base=0.1,
@@ -231,18 +234,7 @@ class TestRouterResilience:
     def _armed_config(self, tmp_path, kind, **overrides):
         token = str(tmp_path / "token")
         config = _fleet_config(tmp_path, **overrides)
-        config.worker_fault_args = {
-            0: (
-                "--fault-kind",
-                kind,
-                "--fault-at",
-                "1",
-                "--fault-token",
-                token,
-                "--fault-delay",
-                "5.0",
-            )
-        }
+        config.worker_fault_plans = {0: FaultPlan(kind, 1, token, delay=5.0)}
         return config, token
 
     def test_drop_connection_retried_on_other_worker(self, tmp_path):
@@ -300,3 +292,88 @@ class TestFleetCLI:
         assert code == 3  # distinct from ServeError (1) and usage (2)
         payload = capsys.readouterr().out
         assert '"kind": "connection"' in payload
+
+
+class TestWorkerConfig:
+    def test_worker_policy_is_validated_at_construction(self, tmp_path):
+        for field in ("queue_limit", "concurrency"):
+            with pytest.raises(ValueError, match=field):
+                FleetConfig(
+                    socket_path=str(tmp_path / "fleet.sock"),
+                    worker=ServerConfig(**{field: 0}),
+                )
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("socket_path", "/run/w.sock"),
+            ("host", "127.0.0.1"),
+            ("port", 8000),
+            ("fault_plan", FaultPlan("kill", 1, "/run/token")),
+        ],
+    )
+    def test_worker_takes_no_address_or_drill(self, tmp_path, field, value):
+        with pytest.raises(ValueError, match="worker takes no address"):
+            FleetConfig(
+                socket_path=str(tmp_path / "fleet.sock"),
+                worker=ServerConfig(**{field: value}),
+            )
+
+    @pytest.mark.parametrize(
+        "flag", ["--queue-limit", "--concurrency", "--cache-capacity"]
+    )
+    def test_fleet_cli_rejects_a_zero_worker_bound(self, tmp_path, flag, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["fleet", "--socket", str(tmp_path / "fleet.sock"), flag, "0"])
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_worker_command_round_trips_through_the_serve_parser(self, tmp_path):
+        import dataclasses
+        import sys
+
+        from repro.cli import _build_parser, _server_config
+        from repro.serve import Fleet
+        from repro.serve.server import POLICY_FLAGS, SERVER_FLAGS
+
+        forwarded = POLICY_FLAGS + SERVER_FLAGS
+        # Every field but the address and the drill is forwarded.
+        assert {flag.field for flag in forwarded} == {
+            field.name for field in dataclasses.fields(ServerConfig)
+        } - {"socket_path", "host", "port", "fault_plan"}
+        worker = ServerConfig(
+            queue_limit=7,
+            concurrency=3,
+            request_deadline=2.5,
+            memory_limit=3 << 20,
+            max_candidates=500,
+            exact_limit=7,
+            max_extra_atoms=0,
+            workers=2,
+            shard_timeout=4.5,
+            cache_capacity=9,
+            cache_max_bytes=1 << 20,
+            cache_dir=str(tmp_path / "cache"),
+            enable_test_ops=True,
+        )
+        for flag in forwarded:
+            assert getattr(worker, flag.field) != flag.default, flag.field
+        drill = FaultPlan("drop-connection", 2, str(tmp_path / "token"), delay=3.0)
+        fleet = Fleet(
+            FleetConfig(
+                socket_path=str(tmp_path / "fleet.sock"),
+                worker=worker,
+                worker_fault_plans={0: drill},
+            )
+        )
+        armed, clean = (fleet._worker_command(slot) for slot in fleet.slots)
+        assert armed[:4] == clean[:4] == [sys.executable, "-m", "repro", "serve"]
+        for command, slot, plan in zip((armed, clean), fleet.slots, (drill, None)):
+            parsed = _server_config(_build_parser().parse_args(command[3:]))
+            assert parsed == dataclasses.replace(
+                worker, socket_path=slot.socket_path, fault_plan=plan
+            )
+        fleet.slots[0].generation = 1  # a restarted worker comes back clean
+        assert fleet._worker_command(fleet.slots[0]) == armed[: len(clean)]

@@ -846,16 +846,16 @@ class TestCliRobustness:
         ],
     )
     def test_memory_limit_parsing(self, text, expected):
-        from repro.cli import _parse_memory_limit
+        from repro.serve.server import parse_bytes
 
-        assert _parse_memory_limit(text) == expected
+        assert parse_bytes(text) == expected
 
     @pytest.mark.parametrize("text", ["", "lots", "-5", "0"])
     def test_memory_limit_rejects_garbage(self, text):
-        from repro.cli import _parse_memory_limit
+        from repro.serve.server import parse_bytes
 
         with pytest.raises(argparse.ArgumentTypeError):
-            _parse_memory_limit(text)
+            parse_bytes(text)
 
     def test_json_surfaces_exhaustion_without_stats_flag(self, capsys):
         from repro.cli import main
