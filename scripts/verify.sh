@@ -18,7 +18,10 @@
 # asserts recovery plus the per-worker stream-scaling row; fleet
 # SIGKILLs a supervised worker mid-replay and asserts zero failed client
 # requests, healed capacity, and post-restart warm ≡ cold — all without
-# rewriting the committed JSON), runs the 20-scenario deterministic
+# rewriting the committed JSON), runs bench_substrates.py's two
+# homomorphism benchmarks once each as plain tests (bounded-treewidth and
+# backtracking on the same instance, each asserting a homomorphism is
+# found), runs the 20-scenario deterministic
 # chaos sweep (every scenario reproducible from the seed it prints,
 # upholding the four serving invariants), runs the work-counter gate
 # (tests/test_work_counters.py, including its slow workers=2 cases: the
@@ -61,6 +64,9 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -X dev -W error::ResourceWarnin
 (cd benchmarks && PYTHONPATH=../src${PYTHONPATH:+:$PYTHONPATH} python bench_serving.py --smoke)
 (cd benchmarks && PYTHONPATH=../src${PYTHONPATH:+:$PYTHONPATH} python bench_distributed.py --smoke)
 (cd benchmarks && PYTHONPATH=../src${PYTHONPATH:+:$PYTHONPATH} python bench_fleet.py --smoke)
+(cd benchmarks && PYTHONPATH=../src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -p no:cacheprovider \
+  bench_substrates.py -o python_files='bench_*.py' -o python_functions='bench_*' \
+  -k 'bounded_tw or generic_hom' --benchmark-disable)
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.testing.chaos --count 20
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q tests/test_work_counters.py
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q tests/test_reference.py

@@ -45,6 +45,7 @@ from repro.serve.server import (
     add_flags,
     flag_values,
     policy_config,
+    positive,
 )
 from repro.testing.faults import NETWORK_KINDS
 
@@ -297,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--workers",
-        type=int,
+        type=positive(int),
         default=2,
         metavar="N",
         help="serving worker processes to supervise",
@@ -314,14 +315,14 @@ def _build_parser() -> argparse.ArgumentParser:
     add_flags(fleet, _FLEET_WORKER_FLAGS)
     fleet.add_argument(
         "--health-interval",
-        type=float,
+        type=positive(float),
         default=0.5,
         metavar="SECONDS",
         help="supervisor liveness-probe period",
     )
     fleet.add_argument(
         "--max-restarts",
-        type=int,
+        type=positive(int),
         default=5,
         metavar="N",
         help=(
@@ -331,14 +332,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--restart-window",
-        type=float,
+        type=positive(float),
         default=30.0,
         metavar="SECONDS",
         help="sliding window of the restart-storm breaker",
     )
     fleet.add_argument(
         "--hedge-after",
-        type=float,
+        type=positive(float),
         default=None,
         metavar="SECONDS",
         help=(

@@ -1,183 +1,81 @@
 """Homomorphisms from bounded-treewidth sources in polynomial time.
 
-When the source structure has treewidth ``k``, the homomorphism problem is
-solvable in time ``O(#bags · |T|^{k+1})`` by dynamic programming over a tree
-decomposition (Dechter/Freuder; Chekuri–Rajaraman).  The paper relies on
-this inside its DP-membership argument for the identification problem:
-"since both T_Q'' and T_Q' have treewidth at most k, checking
-T_Q' → T_Q'' can be done in polynomial time."
-
-This module implements that DP.  It agrees with the general backtracking
-engine (property-tested) and is exposed both directly and as a fast path
-for CQ containment when the *containing* side has small treewidth.
+The paper's DP-membership argument needs "since both T_Q'' and T_Q' have
+treewidth at most k, checking T_Q' → T_Q'' can be done in polynomial time."
+By Chandra–Merlin, ``A → B`` iff the Boolean CQ of ``A`` (a variable per
+element, an atom per fact) is true on ``B``, so the one algorithm here is
+:func:`~repro.evaluation.treewidth_eval.treewidth_evaluate`, whose variable
+elimination keeps every intermediate within ``|B|^(k+1)`` rows.  A witness
+comes by self-reduction: in ``repr`` order, each element's images are the
+answer of the CQ with that element as its one head variable, and the least
+(by ``repr``) is pinned before the next — ``n`` evaluations in all.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Hashable, Mapping
 
-import networkx as nx
-
+from repro.cq.query import ConjunctiveQuery
 from repro.cq.structure import Structure
-from repro.hypergraphs.treedecomp import TreeDecomposition
-from repro.hypergraphs.treewidth import tree_decomposition, treewidth_exact
+from repro.evaluation.treewidth_eval import treewidth_evaluate
 
 Element = Hashable
 Assignment = dict[Element, Element]
+Pin = Mapping[Element, Element] | None
 
 
-def _primal_graph(structure: Structure) -> nx.Graph:
-    graph = nx.Graph()
-    graph.add_nodes_from(structure.domain)
-    for _, row in structure.facts():
-        distinct = sorted(set(row), key=repr)
-        for i, u in enumerate(distinct):
-            for v in distinct[i + 1 :]:
-                graph.add_edge(u, v)
-    return graph
+def _answers(source: Structure, target: Structure, pin: Mapping, head=(), k=None):
+    """The answer on ``target`` of the CQ of ``source`` with head ``head``.
 
-
-def _bag_assignments(
-    bag: tuple[Element, ...],
-    facts: list[tuple[str, tuple]],
-    target: Structure,
-    candidates: Mapping[Element, set[Element]],
-):
-    """All maps of one bag into the target satisfying the bag's facts."""
-    target_rows = {name: target.tuples(name) for name, _ in facts}
-    pools = [sorted(candidates[v], key=repr) for v in bag]
-    for values in itertools.product(*pools):
-        assignment = dict(zip(bag, values))
-        ok = True
-        for name, row in facts:
-            mapped = tuple(assignment[v] for v in row)
-            if mapped not in target_rows[name]:
-                ok = False
-                break
-        if ok:
-            yield tuple(values)
+    A pinned element, and one in no fact, gets a unary atom over a fresh
+    relation added to the target: its image, or the target's domain.
+    """
+    if not source.domain.issuperset(pin):
+        raise ValueError(f"pinned elements {set(pin) - source.domain!r} not in source")
+    arity = target.vocabulary
+    if any(len(row) != arity.get(rel, len(row)) for rel, row in source.facts()):
+        return frozenset()  # no target row has the arity of this fact
+    name = {e: f"x{i}" for i, e in enumerate(sorted(source.domain, key=repr))}
+    atoms = [(rel, tuple(name[e] for e in row)) for rel, row in source.facts()]
+    # Longer than every relation name, so no filter's name is taken.
+    stem = "_" * max(map(len, [*source.relations, *target.relations, ""])) + "_"
+    in_facts = {e for _, row in source.facts() for e in row}
+    allowed = {e: target.domain for e in name if e not in in_facts}
+    allowed.update((e, target.domain & {image}) for e, image in pin.items())
+    atoms += [(stem + name[e], (name[e],)) for e in allowed]
+    filters = [(stem + name[e], (v,)) for e, values in allowed.items() for v in values]
+    query = ConjunctiveQuery([name[e] for e in head], atoms)
+    return treewidth_evaluate(query, target.add_facts(filters), k)
 
 
 def bounded_treewidth_homomorphism(
-    source: Structure,
-    target: Structure,
-    *,
-    pin: Mapping[Element, Element] | None = None,
-    decomposition: TreeDecomposition | None = None,
-    k: int | None = None,
+    source: Structure, target: Structure, *, pin: Pin = None, k: int | None = None
 ) -> Assignment | None:
-    """A homomorphism computed by DP over a source tree decomposition.
+    """A homomorphism ``source → target`` extending ``pin``, or ``None``.
 
-    ``decomposition`` may be supplied; otherwise one of width ``k`` (or of
-    the exact treewidth when ``k`` is ``None``) is computed.  Polynomial in
-    ``|target|`` for fixed width.
+    ``k`` bounds the source's treewidth (its exact treewidth when ``None``);
+    a wider source raises ``ValueError``.
     """
-    primal = _primal_graph(source)
-    if decomposition is None:
-        width = k if k is not None else max(treewidth_exact(primal), 0)
-        decomposition = tree_decomposition(primal, width)
-        if decomposition is None:
-            raise ValueError(f"source treewidth exceeds {width}")
-    if not source.domain:
-        return {}
-
-    # Unary candidate sets (pins plus a cheap per-fact projection filter).
-    candidates: dict[Element, set[Element]] = {
-        v: set(target.domain) for v in source.domain
-    }
-    if pin:
-        for element, image in pin.items():
-            if element not in candidates:
-                raise ValueError(f"pinned element {element!r} not in source")
-            candidates[element] &= {image}
-    for name, row in source.facts():
-        rows = target.tuples(name)
-        for position, variable in enumerate(row):
-            candidates[variable] &= {t[position] for t in rows}
-    if any(not values for values in candidates.values()):
-        return None
-
-    # Assign each source fact to one bag containing its elements.
-    tree = decomposition.tree
-    nodes = list(tree.nodes)
-    root = nodes[0]
-    bag_of: dict = {node: tuple(sorted(decomposition.bags[node], key=repr)) for node in nodes}
-    facts_of: dict = {node: [] for node in nodes}
-    for name, row in source.facts():
-        needed = set(row)
-        holder = next(
-            node for node in nodes if needed <= set(bag_of[node])
-        )
-        facts_of[holder].append((name, row))
-
-    order = list(nx.dfs_postorder_nodes(tree, source=root))
-    parent = {child: par for par, child in nx.bfs_edges(tree, source=root)}
-
-    # Bottom-up DP: per node, the set of bag assignments extendible below.
-    feasible: dict = {}
-    child_choice: dict = {}
-    for node in order:
-        bag = bag_of[node]
-        children = [c for c in tree.neighbors(node) if parent.get(c) == node]
-        surviving: list[tuple] = []
-        for values in _bag_assignments(bag, facts_of[node], target, candidates):
-            assignment = dict(zip(bag, values))
-            picks = []
-            ok = True
-            for child in children:
-                shared = [v for v in bag_of[child] if v in assignment]
-                match = None
-                for child_values in feasible[child]:
-                    child_assignment = dict(zip(bag_of[child], child_values))
-                    if all(child_assignment[v] == assignment[v] for v in shared):
-                        match = child_values
-                        break
-                if match is None:
-                    ok = False
-                    break
-                picks.append((child, match))
-            if ok:
-                surviving.append(values)
-                child_choice[(node, values)] = picks
-        feasible[node] = surviving
-        if not surviving:
+    chosen: Assignment = {}
+    for element in sorted(source.domain, key=repr):
+        images = _answers(source, target, {**(pin or {}), **chosen}, (element,), k)
+        if not images:
             return None
-
-    # Top-down reconstruction.
-    result: Assignment = {}
-    stack = [(root, feasible[root][0])]
-    while stack:
-        node, values = stack.pop()
-        result.update(zip(bag_of[node], values))
-        for child, child_values in child_choice[(node, values)]:
-            stack.append((child, child_values))
-    return result
+        chosen[element] = min((image for (image,) in images), key=repr)
+    return chosen
 
 
 def bounded_tw_hom_exists(
-    source: Structure,
-    target: Structure,
-    *,
-    pin: Mapping[Element, Element] | None = None,
-    k: int | None = None,
+    source: Structure, target: Structure, *, pin: Pin = None, k: int | None = None
 ) -> bool:
-    return (
-        bounded_treewidth_homomorphism(source, target, pin=pin, k=k) is not None
-    )
+    """Whether ``source → target`` holds extending ``pin``."""
+    return not source.domain or bool(_answers(source, target, pin or {}, k=k))
 
 
-def containment_via_treewidth(sub, sup) -> bool:
-    """CQ containment with the polynomial fast path.
+def containment_via_treewidth(sub: ConjunctiveQuery, sup: ConjunctiveQuery) -> bool:
+    """``sub ⊆ sup`` iff sub's head tuple is an answer of ``sup`` on ``T_sub``:
+    polynomial when ``sup`` has small treewidth, correct at any treewidth."""
+    from repro.cq.containment import _check_arities  # a module-level import cycles
 
-    ``sub ⊆ sup`` iff ``(T_sup, x̄') → (T_sub, x̄)``; when ``sup`` has small
-    treewidth the homomorphism check is polynomial.  Falls back on the exact
-    DP at whatever width ``sup`` has (still correct, possibly exponential).
-    """
-    from repro.cq.tableau import pin_for
-
-    sup_tab, sub_tab = sup.tableau(), sub.tableau()
-    pin = pin_for(sup_tab, sub_tab)
-    if pin is None:
-        return False
-    return bounded_tw_hom_exists(sup_tab.structure, sub_tab.structure, pin=pin)
+    _check_arities(sub, sup)
+    return sub.head in treewidth_evaluate(sup, sub.tableau().structure)

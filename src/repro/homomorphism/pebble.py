@@ -14,8 +14,9 @@ and extension:
   be glued along the surviving family).
 
 This yields a polynomial no-certificate that complements the exact engines
-(`search`, `bounded_tw`), and it is the algorithm underlying the *minimal
-TW(k) overapproximation* in the follow-up literature.
+(the backtracking `search`, and `bounded_tw`, which evaluates the source as
+a CQ by variable elimination), and it is the algorithm underlying the
+*minimal TW(k) overapproximation* in the follow-up literature.
 """
 
 from __future__ import annotations

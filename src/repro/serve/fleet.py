@@ -147,6 +147,10 @@ class FleetConfig:
             raise ValueError("max_restarts must be >= 1")
         if self.retry_attempts < 1:
             raise ValueError("retry_attempts must be >= 1")
+        for name in ("health_interval", "restart_window", "hedge_after"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 class _Slot:

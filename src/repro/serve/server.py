@@ -89,6 +89,7 @@ __all__ = [
     "flag_values",
     "parse_bytes",
     "policy_config",
+    "positive",
 ]
 
 
@@ -395,10 +396,15 @@ class ServerConfig:
     fault_plan: Any = None
 
     def __post_init__(self) -> None:
-        if self.queue_limit < 1:
-            raise ValueError("queue_limit must be >= 1")
-        if self.concurrency < 1:
-            raise ValueError("concurrency must be >= 1")
+        for name in ("queue_limit", "concurrency", "cache_capacity"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.shard_timeout is not None and not self.shard_timeout > 0:
+            raise ValueError(
+                f"shard_timeout must be positive, got {self.shard_timeout!r}"
+            )
+        # RunBudget refuses a non-positive deadline, memory limit or cap.
+        policy_config(self).budget()
 
 
 # ------------------------------------------------------------------ flags
@@ -443,7 +449,7 @@ def parse_bytes(text: str) -> int:
     return value
 
 
-def _positive(kind: type) -> Callable[[str], Any]:
+def positive(kind: type) -> Callable[[str], Any]:
     """An argparse type: ``kind(text)``, refused unless positive."""
 
     def parse(text: str) -> Any:
@@ -477,7 +483,7 @@ POLICY_FLAGS = (
         "worker, with the same answer as a serial run",
     )),
     Flag("--deadline", "request_deadline", dict(
-        type=_positive(float),
+        type=positive(float),
         metavar="SECONDS",
         help="wall-clock budget of an exact run; on expiry it stops "
         "gracefully and returns the best-so-far (sound, possibly "
@@ -492,14 +498,14 @@ POLICY_FLAGS = (
         "probe; exceeding it stops the run gracefully like --deadline",
     )),
     Flag("--max-candidates", "max_candidates", dict(
-        type=_positive(int),
+        type=positive(int),
         metavar="N",
         help="cap on stage-1 candidates drawn by an exact run; the first N "
         "candidates are fully reduced and the partial frontier is "
         "returned marked exhausted",
     )),
     Flag("--shard-timeout", "shard_timeout", dict(
-        type=_positive(float),
+        type=positive(float),
         metavar="SECONDS",
         help="per-shard deadline of a sharded run: a shard over it is "
         "abandoned (a local slot process is killed and respawned) and "
@@ -509,12 +515,12 @@ POLICY_FLAGS = (
 
 SERVER_FLAGS = (
     Flag("--queue-limit", "queue_limit", dict(
-        type=_positive(int),
+        type=positive(int),
         metavar="N",
         help="max requests admitted at once; excess load is shed",
     )),
     Flag("--concurrency", "concurrency", dict(
-        type=_positive(int),
+        type=positive(int),
         metavar="N",
         help="request-executor threads (pipelines running at once)",
     )),
@@ -525,7 +531,7 @@ SERVER_FLAGS = (
         "from here",
     )),
     Flag("--cache-capacity", "cache_capacity", dict(
-        type=_positive(int),
+        type=positive(int),
         metavar="N",
         help="in-memory LRU capacity (entries)",
     )),

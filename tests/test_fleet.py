@@ -293,6 +293,40 @@ class TestFleetCLI:
         payload = capsys.readouterr().out
         assert '"kind": "connection"' in payload
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--workers", "0"),
+            ("--max-restarts", "0"),
+            ("--health-interval", "0"),
+            ("--restart-window", "-1"),
+            ("--hedge-after", "0"),
+        ],
+    )
+    def test_nonpositive_supervision_knob_is_a_usage_error(
+        self, tmp_path, flag, value, capsys
+    ):
+        from repro.cli import _build_parser
+
+        # Parsing only: a fleet accepted here would start serving.
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(
+                ["fleet", "--socket", str(tmp_path / "fleet.sock"), flag, value]
+            )
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"argument {flag}" in err
+
+    @pytest.mark.parametrize(
+        "field", ["health_interval", "restart_window", "hedge_after"]
+    )
+    def test_supervision_periods_are_validated_at_construction(
+        self, tmp_path, field
+    ):
+        for value in (0.0, -1.0):
+            with pytest.raises(ValueError, match=field):
+                FleetConfig(socket_path=str(tmp_path / "fleet.sock"), **{field: value})
+
 
 class TestWorkerConfig:
     def test_worker_policy_is_validated_at_construction(self, tmp_path):
@@ -302,6 +336,26 @@ class TestWorkerConfig:
                     socket_path=str(tmp_path / "fleet.sock"),
                     worker=ServerConfig(**{field: 0}),
                 )
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("request_deadline", 0.0),
+            ("request_deadline", -1.0),
+            ("memory_limit", 0),
+            ("max_candidates", 0),
+            ("shard_timeout", 0.0),
+            ("cache_capacity", 0),
+        ],
+    )
+    def test_worker_budget_is_validated_at_construction(self, tmp_path, field, value):
+        # A bad budget raised only per request, or at the worker's cache,
+        # where a fleet saw it as "no fleet worker became ready".
+        with pytest.raises(ValueError, match=field.removeprefix("request_")):
+            FleetConfig(
+                socket_path=str(tmp_path / "fleet.sock"),
+                worker=ServerConfig(**{field: value}),
+            )
 
     @pytest.mark.parametrize(
         "field,value",
